@@ -15,10 +15,9 @@ that measurable for the reproduction's heterogeneous registry
   equal-split vs throughput-balanced planning: both must stay
   bit-identical to the single-Nano run, and the throughput plan must
   lower both the total modelled time and the per-device imbalance
-  (max/min shard kernel time over devices that received work);
-* **txn memo** — wall-clock of one matrix point with the per-warp
-  memory-transaction memo (``repro.cuda.sim.engine``) off vs on, plus
-  the memo's hit/miss counters.
+  (max/min shard kernel time over devices that received work).  The
+  equal-split baseline substitutes
+  :func:`repro.devices.throughput.equal_split` for the planner.
 
 Writes ``BENCH_portability.json``.  ``--check`` runs the smoke sizes and
 exits non-zero if any invariant fails (used by CI's portability job).
@@ -32,6 +31,8 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 
@@ -39,6 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import get_app  # noqa: E402
 from repro.bench.harness import _heap_capacity, _prog_name  # noqa: E402
+from repro.devices.throughput import equal_split  # noqa: E402
 from repro.ompi.compiler import OmpiCompiler  # noqa: E402
 from repro.ompi.config import OmpiConfig  # noqa: E402
 
@@ -125,13 +127,12 @@ def shard_point() -> dict:
                         "modelled_s": single.measured_time},
         "modes": {},
     }
-    for mode in ("equal", "throughput"):
-        os.environ["REPRO_SHARD_BALANCE"] = mode
-        try:
+    equal = mock.patch("repro.devices.throughput.plan_shards",
+                       lambda total, weights: equal_split(total, len(weights)))
+    for mode, planner in (("equal", equal), ("throughput", nullcontext())):
+        with planner:
             run = _run_on(app, SHARD_N, backends="nano,v100",
                           source=sharded, profile=True)
-        finally:
-            del os.environ["REPRO_SHARD_BALANCE"]
         per = _per_device_kernel_s(run)
         entry["modes"][mode] = {
             "digest": _digest(run.machine, app.outputs),
@@ -147,39 +148,6 @@ def shard_point() -> dict:
     entry["throughput_beats_equal"] = (
         tp["modelled_s"] < eq["modelled_s"]
         and tp["imbalance"] <= eq["imbalance"])
-    return entry
-
-
-def txn_memo_point(name: str, n: int) -> dict:
-    from repro.cuda.sim import engine
-
-    app = get_app(name)
-    entry: dict = {"benchmark": name, "size": n, "modes": {}}
-    digests = {}
-    saved = engine._TXN_MEMO_ENABLED
-    try:
-        for mode, enabled in (("off", False), ("on", True)):
-            engine._TXN_MEMO.clear()
-            engine._TXN_MEMO_STATS.update(hits=0, misses=0)
-            engine._TXN_MEMO_ENABLED = enabled
-            t0 = time.perf_counter()
-            run = _run_on(app, n, num_devices=1)
-            wall = time.perf_counter() - t0
-            digests[mode] = _digest(run.machine, app.outputs)
-            entry["modes"][mode] = {
-                "wall_s": round(wall, 3),
-                "modelled_s": run.measured_time,
-                "memo": dict(engine._TXN_MEMO_STATS),
-            }
-    finally:
-        engine._TXN_MEMO_ENABLED = saved
-    entry["identical_output"] = digests["off"] == digests["on"]
-    entry["identical_modelled_time"] = (
-        entry["modes"]["off"]["modelled_s"]
-        == entry["modes"]["on"]["modelled_s"])
-    entry["speedup"] = round(
-        entry["modes"]["off"]["wall_s"]
-        / max(entry["modes"]["on"]["wall_s"], 1e-9), 2)
     return entry
 
 
@@ -204,12 +172,6 @@ def main(argv=None) -> int:
     ok &= report["mixed_shard"]["bit_identical"]
     ok &= report["mixed_shard"]["throughput_beats_equal"]
 
-    memo_name, memo_n = "gemm", 64
-    print(f"[bench] txn memo {memo_name} n={memo_n} ...", flush=True)
-    report["txn_memo"] = txn_memo_point(memo_name, memo_n)
-    ok &= report["txn_memo"]["identical_output"]
-    ok &= report["txn_memo"]["identical_modelled_time"]
-
     report["ok"] = bool(ok)
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -228,11 +190,6 @@ def main(argv=None) -> int:
           f"{ms['modes']['throughput']['modelled_s'] * 1e3:.3f}ms "
           f"(imb {ms['modes']['throughput']['imbalance']:.2f}), "
           f"bit-identical={ms['bit_identical']}")
-    tm = report["txn_memo"]
-    print(f"  txn memo {tm['benchmark']}: off {tm['modes']['off']['wall_s']}s "
-          f"-> on {tm['modes']['on']['wall_s']}s (x{tm['speedup']}), "
-          f"memo hits={tm['modes']['on']['memo']['hits']} "
-          f"misses={tm['modes']['on']['memo']['misses']}")
 
     if not ok:
         print("[bench] PORTABILITY CHECK FAILED", file=sys.stderr)

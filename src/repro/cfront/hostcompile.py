@@ -3,8 +3,7 @@
 The host-code analogue of the kernel fast path (``cuda/sim/compile.py``):
 whole loop nests and whole functions of the recognised C subset are lowered
 to vectorized numpy execution plans instead of being tree-walked cell by
-cell.  This generalizes the single-loop vectorizer (``cfront/vectorize.py``,
-which now delegates here) to
+cell.  It generalizes the original single-loop affine vectorizer to
 
 * multi-statement loop bodies (several array assignments + reductions),
 * nested loops (outer loops iterate in Python, inner loops run vectorized),
@@ -41,12 +40,11 @@ pass that resolves every identifier/type without reading memory, so plans
 that cannot execute bail out before any store.  Loops whose vector safety
 is data-dependent (non-affine store indices) are only taken at the top
 statement level, where a dry pass performs the runtime checks before any
-memory is modified — exactly like the old vectorizer.
+memory is modified.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +54,7 @@ from repro.cfront import astnodes as A
 from repro.cfront.ctypes_ import ArrayType, BasicType, CType, PointerType
 from repro.cfront.errors import InterpError
 from repro.cfront.unparse import unparse
+from repro.settings import parse_mode
 
 
 class _Bail(Exception):
@@ -70,15 +69,9 @@ class HostFastpathVerifyError(InterpError):
     """verify mode found a divergence between compiled and tree-walk runs."""
 
 
-_MODES = ("on", "off", "verify")
-
-
 def resolve_host_fastpath(value: Optional[str]) -> str:
-    mode = (value or os.environ.get("REPRO_HOST_FASTPATH") or "on").strip().lower()
-    if mode not in _MODES:
-        raise ValueError(
-            f"REPRO_HOST_FASTPATH must be one of {_MODES}, got {mode!r}")
-    return mode
+    """A host fast-path mode (``None`` is the default, ``on``)."""
+    return parse_mode(value or "on")
 
 
 #: numpy ufuncs per-element identical to the scalar natives in builtins.py

@@ -12,9 +12,9 @@ pointer values can refer to any registered memory space (host heap or
 simulated device global memory — the spaces occupy disjoint address
 ranges, mirroring how a CUDA process sees distinct host/device pointers).
 
-Hot affine loops (array initialisation and similar) are executed through
-:mod:`repro.cfront.vectorize` with numpy, per the HPC guide's
-"vectorize your loops" rule; everything else tree-walks.
+Loop nests and whole functions of the recognised subset run as
+vectorized numpy plans (:mod:`repro.cfront.hostcompile`, the host fast
+path); everything else tree-walks.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.cfront.ctypes_ import (
 )
 from repro.cfront.errors import InterpError, SourceLoc
 from repro.mem import LinearMemory
+from repro.settings import Settings
 
 
 class ProgramExit(Exception):
@@ -152,6 +153,8 @@ class Machine:
     ):
         from repro.cfront.hostcompile import resolve_host_fastpath
 
+        if host_fastpath is None:
+            host_fastpath = Settings.from_env().host_fastpath
         self.unit = unit
         self.heap = LinearMemory(heap_capacity, base=_HOST_BASE, name="host")
         self.spaces: list[LinearMemory] = [self.heap]

@@ -56,6 +56,7 @@ from repro.prof.activity import (
     ModuleActivity, SyncActivity, resolve_profile,
 )
 from repro.rt_async.streams import DEFAULT_STREAM, StreamError, StreamTable
+from repro.settings import MODES, Settings
 from repro.timing import calibration as C
 from repro.timing.clock import VirtualClock
 from repro.timing.gpumodel import GpuTimingModel
@@ -102,12 +103,13 @@ class CudaDriver:
     ):
         if launch_mode not in ("full", "sample", "auto"):
             raise ValueError(f"bad launch_mode {launch_mode!r}")
-        if fastpath is None:
-            import os
-            fastpath = os.environ.get("REPRO_KERNEL_FASTPATH", "on")
-        if fastpath not in ("on", "off", "verify"):
-            raise ValueError(f"bad fastpath mode {fastpath!r}")
-        self.fastpath = fastpath
+        s = Settings.from_env().overlay(kernel_fastpath=fastpath,
+                                        profile=profile)
+        if s.kernel_fastpath not in MODES:
+            raise ValueError(f"bad fastpath mode {s.kernel_fastpath!r}")
+        self.fastpath = s.kernel_fastpath
+        #: representative blocks per sampled launch (see _sample_blocks)
+        self.sample_blocks = s.sample_blocks
         self.kernel_cache = CompiledKernelCache()
         self.device_props = device
         self.clock = clock or VirtualClock()
@@ -124,12 +126,13 @@ class CudaDriver:
             memcpy_bandwidth_gbps=device.copy_bandwidth_gbps)
         #: activity recorder (None: profiling disabled, hooks cost one
         #: identity check) and the Chrome-trace path requested, if any
-        self.prof, self.prof_path = resolve_profile(profile)
+        self.prof, self.prof_path = resolve_profile(s.profile)
         #: fault bookkeeping: the injector is optional (None: no injection;
         #: the hook costs one identity check per call), the fault log is
         #: always present — recovery layers report retries/fallbacks here
         #: even when nothing is injected (e.g. a real OOM)
-        self.faultlog = FaultLog(clock=self.clock, recorder=self.prof)
+        self.faultlog = FaultLog(clock=self.clock, recorder=self.prof,
+                                 path=s.faults_log)
         self.faults = faults
         if faults is not None:
             faults.bind(self.faultlog)
@@ -666,8 +669,7 @@ class CudaDriver:
         return cached
 
     def _sample_blocks(self, grid: Dim3) -> list[tuple[int, int, int]]:
-        import os
-        want = int(os.environ.get("REPRO_SAMPLE_BLOCKS", "3"))
+        want = self.sample_blocks
         mid = (grid.x // 2, grid.y // 2, grid.z // 2)
         if want <= 1:
             return [mid]

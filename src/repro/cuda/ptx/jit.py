@@ -16,6 +16,7 @@ from typing import Optional
 from repro.cuda.device import DeviceProperties
 from repro.cuda.errors import CUresult, CudaError
 from repro.cuda.ptx.images import CubinImage, PtxImage, assemble_cubin
+from repro.settings import Settings
 
 #: model costs (virtual seconds) for JIT work; calibrated so that a first
 #: ptx-mode launch pays a visible one-off cost relative to cubin mode,
@@ -31,11 +32,8 @@ class JitCache:
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
         if cache_dir is None:
-            cache_dir = os.environ.get(
-                "REPRO_CUDA_CACHE_DIR",
-                os.path.join(os.path.expanduser("~"), ".repro_nv", "ComputeCache"),
-            )
-        self.dir = Path(cache_dir)
+            cache_dir = Settings.from_env().cuda_cache_dir
+        self.dir = Path(cache_dir).expanduser()
         self.hits = 0
         self.misses = 0
 

@@ -42,27 +42,14 @@ class LaunchError(Exception):
 # lane 0, itemsize, active mask) — uint64 wraparound in the deltas is
 # harmless because subtraction mod 2^64 is itself translation-invariant.
 # Keying on that shape turns the per-warp Python segment walk into one dict
-# probe.  REPRO_TXN_MEMO=off restores the direct computation (the bench
-# artifact records the before/after wall time).
+# probe.
 _TXN_MEMO: dict = {}
 _TXN_MEMO_CAP = 1 << 16
-_TXN_MEMO_STATS = {"hits": 0, "misses": 0}
-
-
-def _txn_memo_enabled() -> bool:
-    import os
-    return os.environ.get("REPRO_TXN_MEMO", "on").lower() not in (
-        "off", "0", "false")
-
-
-_TXN_MEMO_ENABLED = _txn_memo_enabled()
 
 
 def transactions_memo(addrs: np.ndarray, itemsize: int,
                       mask: np.ndarray) -> int:
     """Memoized :func:`~repro.cuda.sim.coalesce.transactions`."""
-    if not _TXN_MEMO_ENABLED:
-        return transactions(addrs, itemsize, mask)
     key = (int(addrs[0]) & 31, int(itemsize),
            (addrs - addrs[0]).tobytes(), mask.tobytes())
     n = _TXN_MEMO.get(key)
@@ -71,9 +58,6 @@ def transactions_memo(addrs: np.ndarray, itemsize: int,
             _TXN_MEMO.clear()
         n = transactions(addrs, itemsize, mask)
         _TXN_MEMO[key] = n
-        _TXN_MEMO_STATS["misses"] += 1
-    else:
-        _TXN_MEMO_STATS["hits"] += 1
     return n
 
 

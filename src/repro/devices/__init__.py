@@ -11,9 +11,9 @@ for the reproduction:
   per-arch timing calibration, and the per-arch *transformation set*
   (the codegen knobs the CUDA kernel builder specialises on);
 * :mod:`repro.devices.registry` — named backends (``nano``, ``nano4gb``,
-  ``tx2``, ``v100``) and the resolution of a heterogeneous registry from
-  an explicit list, the ``REPRO_DEVICES`` environment variable or the
-  ``ompicc --devices`` flag;
+  ``tx2``, ``v100``) and the registry a root builds from resolved
+  settings (an explicit list, ``OmpiConfig(devices=...)``, the
+  ``REPRO_DEVICES`` environment variable or ``ompicc --devices``);
 * :mod:`repro.devices.throughput` — the shard planner: contiguous
   block-range apportionment weighted by per-device throughput
   (calibrated hint, refined by observed kernel rates), degrading to the
@@ -23,7 +23,7 @@ for the reproduction:
 from repro.devices.backend import DeviceBackend, XformSet
 from repro.devices.registry import (
     BACKENDS, UnknownBackendError, get_backend, parse_devices,
-    resolve_backends,
+    resolve_registry,
 )
 from repro.devices.throughput import (
     ThroughputTracker, plan_shards, registry_weights,
@@ -39,5 +39,5 @@ __all__ = [
     "parse_devices",
     "plan_shards",
     "registry_weights",
-    "resolve_backends",
+    "resolve_registry",
 ]

@@ -5,14 +5,12 @@
 :class:`~repro.devices.backend.DeviceBackend`.  A *registry spec* is a
 comma-separated list of those names — ``"nano,v100"`` builds a
 two-device registry whose ``device(0)`` is a Jetson Nano and
-``device(1)`` a V100 — resolved by :func:`resolve_backends` with the
-precedence explicit argument > ``REPRO_DEVICES`` > none (the caller
-keeps its homogeneous ``num_devices`` path).
+``device(1)`` a V100.  :func:`resolve_registry` turns resolved
+:class:`~repro.settings.Settings` into the registry a root builds.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Union
 
 from repro.cuda.device import (
@@ -86,21 +84,16 @@ def parse_devices(
     return out
 
 
-def resolve_backends(
-    devices: Union[None, str, Sequence] = None,
-    env: str = "REPRO_DEVICES",
-) -> Optional[list[DeviceBackend]]:
-    """Resolve a heterogeneous registry, or None for "no spec given".
-
-    Precedence: the explicit ``devices`` argument, then the environment
-    variable.  Returning None (rather than a default) lets callers keep
-    their homogeneous ``num_devices`` path — including its own
-    ``REPRO_NUM_DEVICES`` defaulting — byte-for-byte unchanged when
-    nobody asked for mixed backends.
-    """
-    if devices is not None:
-        return parse_devices(devices)
-    spec = os.environ.get(env, "")
-    if spec.strip():
-        return parse_devices(spec)
-    return None
+def resolve_registry(settings) -> tuple[Optional[list[DeviceBackend]], int]:
+    """``(backends, count)`` for :meth:`Settings.overlay
+    <repro.settings.Settings.overlay>`-resolved settings: the parsed
+    backends when a ``devices`` spec won, else None and the homogeneous
+    device count (None keeps the classic single-profile path
+    byte-for-byte unchanged when nobody asked for mixed backends)."""
+    if settings.devices is not None:
+        backends = parse_devices(settings.devices)
+        return backends, len(backends)
+    count = int(settings.num_devices)
+    if count < 1:
+        raise ValueError(f"num_devices must be >= 1, got {count}")
+    return None, count

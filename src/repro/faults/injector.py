@@ -21,7 +21,7 @@ machinery (retries, eviction, host fallback, task cancellation) reports
 through it too.  Events go to three sinks: an in-memory list, the
 profiler's activity ring (as :class:`repro.prof.activity.FaultActivity`
 records, so chrome traces show degradation), and optionally a JSON-lines
-file named by ``REPRO_FAULTS_LOG`` (the chaos-CI artifact).
+file (``REPRO_FAULTS_LOG``, the chaos-CI artifact).
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ class FaultLog:
                  max_bytes: Optional[int] = None):
         self.clock = clock
         self.recorder = recorder
-        self.path = path if path is not None else os.environ.get(
-            "REPRO_FAULTS_LOG") or None
-        if max_bytes is None:
-            max_bytes = int(os.environ.get("REPRO_FAULTS_LOG_MAX_BYTES")
-                            or self.MAX_LOG_BYTES)
-        self.max_bytes = max_bytes
+        self.path = path or None
+        self.max_bytes = (self.MAX_LOG_BYTES if max_bytes is None
+                          else max_bytes)
         self.counters: dict[str, int] = {}
         self.events: list[dict] = []
         self.dropped_lines = 0
@@ -190,14 +187,11 @@ class FaultInjector:
 def resolve_faults(spec) -> Optional[FaultInjector]:
     """Resolve a user-facing fault spec into an injector (or None).
 
-    ``spec`` may be ``None`` (defer to the ``REPRO_FAULTS`` environment
-    variable), ``False``/``'off'``/empty (disabled), a spec string (see
-    :mod:`repro.faults.plan`), a :class:`FaultPlan`, or a ready
-    :class:`FaultInjector`.
+    ``spec`` may be ``None``/``False``/``'off'``/empty (disabled), a
+    spec string (see :mod:`repro.faults.plan`), a :class:`FaultPlan`, or
+    a ready :class:`FaultInjector`.
     """
-    if spec is None:
-        spec = os.environ.get("REPRO_FAULTS", "")
-    if spec is False or spec == "" or spec in ("off", "0", "none"):
+    if spec is None or spec is False or spec in ("", "off", "0", "none"):
         return None
     if isinstance(spec, FaultInjector):
         return spec

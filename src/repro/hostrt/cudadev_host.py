@@ -76,10 +76,10 @@ class CudadevModule(DeviceModule):
                 else 0.0)
         self.throughput = ThroughputTracker(hint=hint)
         self.recovery = resolve_recovery(recovery)
-        # The module — not the raw driver — resolves the fault spec (and
-        # the REPRO_FAULTS environment variable): faults model *hardware*
-        # misbehaving under a runtime that recovers, so they only make
-        # sense on driver calls that run under this module's policy.
+        # The module — not the raw driver — resolves the fault spec its
+        # owning root chose: faults model *hardware* misbehaving under a
+        # runtime that recovers, so they only make sense on driver calls
+        # that run under this module's policy.
         driver_kwargs = {}
         if gmem_base is not None:
             driver_kwargs["gmem_base"] = gmem_base

@@ -9,9 +9,9 @@ program (like the real runtime's process-global state).
 Device numbering follows OpenMP: devices ``0 .. omp_get_num_devices()-1``
 are offload targets (each a cudadev GPU with its own driver state, data
 environment, stream pool and fault domain) and the *initial device* (the
-host itself) has id ``omp_get_num_devices()``.  The device count comes
-from the ``num_devices`` argument / ``REPRO_NUM_DEVICES`` environment
-variable (default 1, the single Jetson Nano of the paper).
+host itself) has id ``omp_get_num_devices()``.  The registry comes from
+the ``backends``/``num_devices`` arguments or the environment, resolved
+by :mod:`repro.settings` (default: the single Jetson Nano of the paper).
 
 A ``shard(n)`` clause on ``target teams distribute`` splits the team grid
 contiguously across the first ``n`` healthy devices (``n <= 0``: all of
@@ -25,7 +25,6 @@ back into host memory.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -36,6 +35,8 @@ from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
 from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
 from repro.cuda.ptx.jit import JitCache
+from repro.devices.registry import parse_devices, resolve_registry
+from repro.faults.injector import resolve_faults
 from repro.faults.recovery import DeviceLost, OffloadFailure
 from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.devices import HostDevice
@@ -51,7 +52,11 @@ from repro.prof.ompt import OmptRegistry
 from repro.rt_async.taskgraph import (
     DEP_IN, DEP_INOUT, DEP_OUT, OffloadTaskError, StreamPoolScheduler,
 )
+from repro.settings import Settings
 from repro.timing.clock import VirtualClock
+
+#: checks of the environment variables whose grammar this layer owns
+ENV_CHECKS = {"devices": parse_devices, "faults": resolve_faults}
 
 #: address-space stride between per-device memory arenas (4 GiB: well
 #: above any single device's capacity, so device pointers never collide
@@ -122,33 +127,17 @@ class Ort:
                 mod.lease_host(machine.heap)
         else:
             self.clock = clock or VirtualClock()
-            # Heterogeneous registry resolution (repro.devices): an
-            # explicit ``backends`` list/spec wins; an explicit ``device``
-            # profile or ``num_devices`` keeps the homogeneous path;
-            # otherwise the REPRO_DEVICES environment variable may name a
-            # mixed registry, and only then does REPRO_NUM_DEVICES apply.
-            from repro.devices import parse_devices, resolve_backends
-            if backends is not None:
-                backs = parse_devices(backends)
-            elif num_devices is None and device is None:
-                backs = resolve_backends()
-            else:
-                backs = None
+            s = Settings.from_env(checks=ENV_CHECKS).overlay(
+                devices=backends, num_devices=num_devices,
+                device_given=device is not None, kernel_fastpath=fastpath,
+                profile=profile, faults=faults)
+            backs, num_devices = resolve_registry(s)
             if device is None:
                 device = JETSON_NANO_GPU
-            if backs is not None:
-                num_devices = len(backs)
-            elif num_devices is None:
-                num_devices = int(os.environ.get("REPRO_NUM_DEVICES", "")
-                                  or "1")
-            num_devices = int(num_devices)
-            if num_devices < 1:
-                raise ValueError(
-                    f"num_devices must be >= 1, got {num_devices}")
             #: one shared activity ring for the whole registry; each module
             #: gets a per-device stamping view so the merged stream stays in
             #: emission order while every record remains attributable
-            self.prof, self.prof_path = resolve_profile(profile)
+            self.prof, self.prof_path = resolve_profile(s.profile)
             #: OMPT-style tool callback registry, shared with every device
             #: module so callbacks see both runtime- and module-level events
             self.ompt = ompt if ompt is not None else OmptRegistry()
@@ -161,11 +150,11 @@ class Ort:
                     backs[k].props if backs is not None else device,
                     clock=self.clock,
                     jit_cache=jit_cache,
-                    launch_mode=launch_mode, fastpath=fastpath,
+                    launch_mode=launch_mode, fastpath=s.kernel_fastpath,
                     profile=(DeviceRecorder(self.prof, k)
                              if self.prof is not None else False),
-                    faults=(faults.get(k) if isinstance(faults, dict)
-                            else faults),
+                    faults=(s.faults.get(k) if isinstance(s.faults, dict)
+                            else s.faults),
                     recovery=recovery, ordinal=k,
                     ompt=self.ompt,
                     gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
@@ -930,24 +919,20 @@ class Ort:
                            devices: list[int]) -> list[tuple[int, int]]:
         """Contiguous per-device block ranges for one sharded launch.
 
-        The default balance mode weighs each device by its measured
-        throughput (calibrated hint until the first kernel completes,
-        observed blocks/modelled-second after); ``REPRO_SHARD_BALANCE=
-        equal`` forces the classic equal split.  On a homogeneous
-        registry the weights are uniform and the planner reproduces the
-        legacy ceil-split exactly, so shard boundaries — and therefore
-        every byte of the merge — are unchanged."""
+        A mixed registry weighs each device by its measured throughput
+        (calibrated hint until the first kernel completes, observed
+        blocks/modelled-second after).  A homogeneous registry keeps the
+        legacy ceil split, so shard boundaries — and therefore every
+        byte of the merge — are unchanged."""
         from repro.devices.throughput import (
             equal_split, plan_shards, registry_weights,
         )
-        mode = os.environ.get("REPRO_SHARD_BALANCE", "throughput").lower()
         names = {getattr(self.devices[k].backend, "name", None)
                  for k in devices}
-        if mode == "equal" or len(names) < 2:
-            # homogeneous registry (or balancing disabled): the classic
-            # equal split, byte-for-byte — observed rates on identical
-            # devices drift a little (fixed overheads amortise differently
-            # across shard sizes) and must not move legacy boundaries
+        if len(names) < 2:
+            # observed rates on identical devices drift a little (fixed
+            # overheads amortise differently across shard sizes) and
+            # must not move legacy boundaries
             return equal_split(total_blocks, len(devices))
         weights = registry_weights(
             [self.devices[k].throughput for k in devices])

@@ -29,6 +29,7 @@ from repro.cuda.ptx.ptxwriter import module_to_ptx
 from repro.ompi.cache import CompileCache, GLOBAL_COMPILE_CACHE
 from repro.ompi.config import OmpiConfig
 from repro.ompi.diskcache import DiskCompileCache, default_root
+from repro.settings import Settings
 
 DEVICES = {
     "nano2gb": JETSON_NANO_GPU,
@@ -170,7 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     # the persistent tier so a second *process* skips codegen too.
     cache = GLOBAL_COMPILE_CACHE
     if not args.no_disk_cache:
-        cache = CompileCache(disk=DiskCompileCache(default_root()))
+        root = Settings.from_env().cache_dir or default_root()
+        cache = CompileCache(disk=DiskCompileCache(root))
         cache._cache = GLOBAL_COMPILE_CACHE._cache  # share the warm tier
     try:
         program = cache.get(source, name, config)

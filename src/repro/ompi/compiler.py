@@ -37,6 +37,7 @@ from repro.ompi.xform_cuda import CudaKernelBuilder, KernelPlan
 from repro.ompi.xform_host import HostRewriter
 from repro.openmp.directives import Directive
 from repro.openmp.validator import validate_unit
+from repro.settings import Settings
 from repro.timing.clock import VirtualClock
 
 
@@ -166,21 +167,18 @@ class CompiledProgram:
         host_fastpath: Optional[str] = None,
         devices=None,
     ) -> ProgramRun:
+        s = Settings.from_env().overlay(
+            self.config, devices=devices, num_devices=num_devices,
+            device_given=device is not None, host_fastpath=host_fastpath,
+            profile=profile, faults=faults)
         machine = Machine(self.host_unit, heap_capacity=heap_capacity,
-                          host_fastpath=host_fastpath if host_fastpath
-                          is not None else self.config.host_fastpath)
+                          host_fastpath=s.host_fastpath)
         ort = Ort(machine, device=device, clock=clock, jit_cache=jit_cache,
-                  launch_mode=launch_mode,
-                  fastpath=self.config.kernel_fastpath,
-                  profile=profile if profile is not None
-                  else self.config.profile,
-                  faults=faults if faults is not None else self.config.faults,
+                  launch_mode=launch_mode, fastpath=s.kernel_fastpath,
+                  profile=s.profile, faults=s.faults,
                   recovery=recovery if recovery is not None
                   else self.config.recovery,
-                  num_devices=num_devices if num_devices is not None
-                  else self.config.num_devices,
-                  backends=devices if devices is not None
-                  else self.config.devices)
+                  num_devices=s.num_devices, backends=s.devices)
         if ompt:
             for event, fn in ompt.items():
                 ort.ompt.set_callback(event, fn)

@@ -13,8 +13,8 @@ Layout and invariants
 ---------------------
 
 * Store root: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro-ompi``
-  (the CLI enables the disk tier by default; the library only uses it
-  when the environment opts in, keeping tests hermetic).
+  (the CLI enables the disk tier by default; the offload server only
+  uses it when the environment opts in, keeping tests hermetic).
 * Entries live under ``<root>/v<SCHEMA_VERSION>/<key>.pkl``.  The
   schema version is part of the path *and* of each entry's header, so
   a format change simply stops finding old entries (recompile, never
@@ -57,10 +57,7 @@ _MAGIC = "repro-ompi-cache"
 
 
 def default_root() -> Path:
-    """The store root the CLI uses: REPRO_CACHE_DIR or ~/.cache/repro-ompi."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
+    """The store root the CLI uses when REPRO_CACHE_DIR is unset."""
     return Path.home() / ".cache" / "repro-ompi"
 
 
@@ -77,15 +74,6 @@ class DiskCompileCache:
         self.evictions = 0
         self.corrupt_dropped = 0
         self.lock_degraded = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["DiskCompileCache"]:
-        """A store at ``$REPRO_CACHE_DIR``, or None when the environment
-        does not opt in (library code stays filesystem-silent by default)."""
-        env = os.environ.get("REPRO_CACHE_DIR")
-        if not env:
-            return None
-        return cls(Path(env))
 
     # -- locking --------------------------------------------------------------
     def _locked(self):

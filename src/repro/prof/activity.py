@@ -24,7 +24,6 @@ identity streams.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Optional
@@ -380,23 +379,16 @@ def resolve_profile(spec) -> tuple[Optional[ActivityRecorder], Optional[str]]:
 
     ``spec`` may be:
 
-    * ``None`` — defer to the ``REPRO_PROFILE`` environment variable
-      (unset/empty/``0``/``off`` disables; ``1``/``on`` enables; any other
-      value enables *and* names the Chrome-trace output path);
-    * ``False``/``'off'``/``'0'`` — disabled;
+    * ``None``/``False``/``''``/``'off'``/``'0'`` — disabled;
     * ``True``/``'on'``/``'1'`` — enabled, in-memory only;
     * an ``int`` — enabled with that ring capacity;
     * a path string — enabled, trace exported there at end of run;
     * an :class:`ActivityRecorder` — use the caller's recorder (lets tests
       and tools share one buffer across drivers).
     """
-    if spec is None:
-        spec = os.environ.get("REPRO_PROFILE", "")
-        if spec == "":
-            return None, None
     if isinstance(spec, (ActivityRecorder, DeviceRecorder)):
         return spec, None
-    if spec is False or spec in ("off", "0"):
+    if spec is None or spec is False or spec in ("", "off", "0"):
         return None, None
     if spec is True or spec in ("on", "1"):
         return ActivityRecorder(), None

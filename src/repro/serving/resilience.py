@@ -23,7 +23,7 @@ the virtual clock:
   open devices instead of host-degrading.
 * request **deadlines** — an absolute virtual-clock bound per request
   (:class:`~repro.serving.server.Request` ``deadline=``, or a relative
-  budget via ``REPRO_SERVE_DEADLINE``), enforced at admission and at
+  server-wide budget), enforced at admission and at
   completion sync with a typed :class:`DeadlineExceeded` rejection.
 
 Everything here is pure bookkeeping over modelled time: chaos reruns
@@ -32,9 +32,10 @@ with the same seed reproduce the same transitions bit-for-bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
+
+from repro.settings import OFF, parse_deadline
 
 __all__ = [
     "BreakerPolicy", "CircuitBreaker", "DeadlineExceeded",
@@ -47,26 +48,9 @@ class DeadlineExceeded(Exception):
     completion sync) and was rejected instead of silently served late."""
 
 
-def resolve_deadline(spec) -> Optional[float]:
-    """Resolve a default per-request deadline *budget* (relative seconds
-    of modelled time, applied as ``arrival + budget`` at submit).
-
-    ``None`` consults ``REPRO_SERVE_DEADLINE``; ``""``/``"off"``/
-    ``"none"``/``0`` disable; otherwise a float in seconds.
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_SERVE_DEADLINE")
-    if spec is None or spec is False:
-        return None
-    if isinstance(spec, str):
-        spec = spec.strip().lower()
-        if spec in ("", "off", "none", "0", "false", "no"):
-            return None
-        spec = float(spec)
-    budget = float(spec)
-    if budget <= 0.0:
-        return None
-    return budget
+#: a default per-request deadline *budget* (relative seconds of modelled
+#: time, applied as ``arrival + budget`` at submit)
+resolve_deadline = parse_deadline
 
 
 @dataclass
@@ -97,11 +81,9 @@ _BRK_NUM = {"threshold": ("failure_threshold", int),
 
 
 def resolve_breaker(spec) -> Optional[BreakerPolicy]:
-    """``None`` -> ``REPRO_BREAKER`` env -> defaults; a policy passes
-    through; ``"off"`` disables; a string like
-    ``"threshold=2,cooldown=1e-3,window=0.02"`` is parsed."""
-    if spec is None:
-        spec = os.environ.get("REPRO_BREAKER")
+    """``None`` -> defaults; a policy passes through; ``"off"`` disables;
+    a string like ``"threshold=2,cooldown=1e-3,window=0.02"`` is
+    parsed."""
     if spec is None:
         return BreakerPolicy()
     if isinstance(spec, BreakerPolicy):
@@ -110,7 +92,7 @@ def resolve_breaker(spec) -> Optional[BreakerPolicy]:
         return None
     if isinstance(spec, str):
         text = spec.strip()
-        if text.lower() in ("", "off", "none", "0", "false", "no"):
+        if text.lower() in OFF:
             return None
         if text.lower() in ("on", "default", "1", "true"):
             return BreakerPolicy()

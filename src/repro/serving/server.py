@@ -38,11 +38,12 @@ from repro.cfront.interp import Machine
 from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
 from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
+from repro.devices.registry import resolve_registry
 from repro.faults.injector import FaultInjector, resolve_faults
 from repro.faults.recovery import DeviceLost, OffloadFailure
 from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.mapping import MappingError
-from repro.hostrt.ort import DEVICE_MEM_STRIDE, Ort
+from repro.hostrt.ort import DEVICE_MEM_STRIDE, ENV_CHECKS, Ort
 from repro.mem import MemoryError_
 from repro.ompi.cache import GLOBAL_COMPILE_CACHE, CompileCache, source_key
 from repro.ompi.config import OmpiConfig
@@ -63,6 +64,7 @@ from repro.serving.scheduler import AdmissionQueue
 from repro.serving.session import (
     ResidentBuffer, Session, SessionDataEnv, content_digest,
 )
+from repro.settings import Settings
 from repro.timing.clock import VirtualClock
 
 #: request heap default: enough for the small serving workloads; callers
@@ -96,7 +98,7 @@ class Request:
     heap_capacity: int = DEFAULT_HEAP
     #: absolute simulated-time bound: past it the request is rejected
     #: with a typed DeadlineExceeded instead of served late (None: no
-    #: deadline; the server default comes from REPRO_SERVE_DEADLINE)
+    #: deadline, or the server's default budget)
     deadline: Optional[float] = None
     status: str = "queued"         # 'queued' | 'done' | 'failed' | 'rejected'
     result: dict = field(default_factory=dict)
@@ -200,61 +202,51 @@ class OffloadServer:
         breaker=None,
         max_retries: int = 2,
     ):
-        # heterogeneous registry: an explicit spec ("nano,v100", a list of
-        # names/backends) wins; the REPRO_DEVICES environment variable
-        # applies only when neither a device profile nor a device count
-        # was given explicitly (mirroring Ort's precedence)
-        from repro.devices import resolve_backends
-        if devices is not None:
-            backs = resolve_backends(devices)
-        elif num_devices is None and device is None:
-            backs = resolve_backends()
-        else:
-            backs = None
+        self.config = config or OmpiConfig()
+        # the same resolution as CompiledProgram.run: explicit argument,
+        # then config field, then environment, then default
+        s = Settings.from_env(
+            checks={**ENV_CHECKS, "breaker": resolve_breaker}).overlay(
+                self.config, devices=devices, num_devices=num_devices,
+                device_given=device is not None, profile=profile,
+                faults=faults, serve_deadline=deadline, breaker=breaker)
+        backs, num_devices = resolve_registry(s)
         if device is None:
             device = JETSON_NANO_GPU
-        if backs is not None:
-            num_devices = len(backs)
-        elif num_devices is None:
-            num_devices = 1
-        num_devices = int(num_devices)
-        if num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
         self.backends = backs
-        self.config = config or OmpiConfig()
+        #: host fast-path mode of every per-request machine
+        self.host_fastpath = s.host_fastpath
         if compile_cache is not None:
             self.compile_cache = compile_cache
-        else:
+        elif s.cache_dir:
             # long-lived server: attach the persistent tier when the
-            # operator configured one (REPRO_CACHE_DIR), sharing the
-            # process-wide warm tier either way
-            disk = DiskCompileCache.from_env()
-            if disk is not None:
-                self.compile_cache = CompileCache(disk=disk)
-                self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
-            else:
-                self.compile_cache = GLOBAL_COMPILE_CACHE
+            # operator configured one, sharing the process-wide warm tier
+            self.compile_cache = CompileCache(disk=DiskCompileCache(s.cache_dir))
+            self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
+        else:
+            self.compile_cache = GLOBAL_COMPILE_CACHE
         self.launch_mode = launch_mode
         self.max_batch = int(max_batch)
         self.pool_size = int(pool_size)
         self.max_resident_fraction = float(max_resident_fraction)
         self.compact_logs = compact_logs
         self.clock = VirtualClock()
-        self.prof, self.prof_path = resolve_profile(profile)
+        self.prof, self.prof_path = resolve_profile(s.profile)
         self.ompt = OmptRegistry()
         from repro.devrt import build_intrinsics
         intrinsics = build_intrinsics()
         # faults: one spec for every device, or {ordinal: spec} so tests
         # can fault one tenant's device while its neighbours stay healthy
-        fault_map = (faults if isinstance(faults, dict)
-                     else {k: self._decorrelate(faults, k)
+        fault_map = (s.faults if isinstance(s.faults, dict)
+                     else {k: self._decorrelate(s.faults, k)
                            for k in range(num_devices)})
+        recovery = recovery if recovery is not None else self.config.recovery
         self.devices = [
             CudadevModule(
                 None, backs[k].props if backs is not None else device,
                 clock=self.clock,
                 launch_mode=launch_mode,
-                fastpath=self.config.kernel_fastpath,
+                fastpath=s.kernel_fastpath,
                 profile=(DeviceRecorder(self.prof, k)
                          if self.prof is not None else False),
                 faults=fault_map.get(k), recovery=recovery, ordinal=k,
@@ -284,10 +276,8 @@ class OffloadServer:
         #: default relative deadline budget (seconds of modelled time),
         #: applied as arrival + budget at submit; explicit Request
         #: deadlines are absolute and win
-        self.deadline_budget = resolve_deadline(
-            deadline if deadline is not None else self.config.serve_deadline)
-        policy = resolve_breaker(
-            breaker if breaker is not None else self.config.breaker)
+        self.deadline_budget = resolve_deadline(s.serve_deadline)
+        policy = resolve_breaker(s.breaker)
         #: per-device circuit breakers (None: breaker disabled via 'off')
         self.breakers = ([CircuitBreaker(k, policy, note=self._rnote)
                           for k in range(num_devices)]
@@ -312,7 +302,7 @@ class OffloadServer:
         untouched, as do per-device ``{ordinal: spec}`` maps."""
         if k == 0:
             return faults
-        inj = resolve_faults(faults)   # None consults REPRO_FAULTS
+        inj = resolve_faults(faults)
         if inj is None or inj is faults:
             return faults
         return FaultInjector(inj.plan, seed=inj.seed + k)
@@ -667,7 +657,8 @@ class OffloadServer:
                     return
             prog = self.compile_cache.get(req.source, req.name, self.config)
             machine = Machine(prog.host_unit,
-                              heap_capacity=req.heap_capacity)
+                              heap_capacity=req.heap_capacity,
+                              host_fastpath=self.host_fastpath)
             if task is not None:
                 mod.base_stream = task.stream
             dataenvs = {

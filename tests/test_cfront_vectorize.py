@@ -1,37 +1,27 @@
-"""Tests for the affine-loop vectorizer (equivalence with tree-walking)."""
+"""Affine host loops under the host fast path (equivalence with
+tree-walking, and the loops it must leave to the tree-walker)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cfront import astnodes as A
 from repro.cfront.interp import Machine
 from repro.cfront.parser import parse_translation_unit
-from repro.cfront.vectorize import try_vectorize_for
 
 
-def run(src):
-    machine = Machine(parse_translation_unit(src))
+def run(src, host_fastpath=None):
+    machine = Machine(parse_translation_unit(src), host_fastpath=host_fastpath)
     machine.run()
     return machine
 
 
-def _has_vectorizable_main_loop(src) -> bool:
-    """Check the first for-loop in main() against the full vectorizer
-    (analysis + dry compilation), without running the rest of main."""
-    machine = Machine(parse_translation_unit(src))
-    main = machine.globals["main"].defn
-    loops = [n for n in main.body.walk() if isinstance(n, A.For)]
-    env = [{}]
-    # declare locals so analysis can resolve them: execute decls only
-    for stmt in main.body.body:
-        if isinstance(stmt, A.DeclStmt):
-            machine._exec_decl(stmt, env)
-    loop = loops[0]
-    if loop.init is not None:
-        machine.exec_stmt(loop.init, env)
-    return try_vectorize_for(machine, loop, env)
+def _tree_walked_loop(src) -> Machine:
+    """Run ``src`` with the fast path on and assert its one loop fell
+    back to the tree-walker (nothing compiled, one loop fallback)."""
+    m = run(src, host_fastpath="on")
+    assert m.host_stats["loop_fast"] == 0
+    assert m.host_stats["loop_fallback"] == 1
+    return m
 
 
 def test_simple_init_vectorized_matches():
@@ -94,9 +84,8 @@ def test_loop_carried_dependence_not_vectorized():
         return 0;
     }
     """
-    assert not _has_vectorizable_main_loop(src)
+    m = _tree_walked_loop(src)
     # and the interpreted fallback is still correct
-    m = run(src)
     assert list(m.global_array("xs")) == list(range(16))
 
 
@@ -113,8 +102,7 @@ def test_call_in_body_not_vectorized_unless_math():
     int xs[8];
     int main(void) { int i; for (i = 0; i < 8; i++) xs[i] = f(i); return 0; }
     """
-    assert not _has_vectorizable_main_loop(src_user)
-    m2 = run(src_user)
+    m2 = _tree_walked_loop(src_user)
     assert list(m2.global_array("xs")) == list(range(8))
 
 
@@ -177,8 +165,7 @@ def test_if_in_body_falls_back():
         return 0;
     }
     """
-    assert not _has_vectorizable_main_loop(src)
-    m = run(src)
+    m = _tree_walked_loop(src)
     assert list(m.global_array("xs")) == [0, 1] * 5
 
 

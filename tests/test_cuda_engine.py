@@ -9,7 +9,9 @@ from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
 from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim.coalesce import transactions
-from repro.cuda.sim.engine import FunctionalEngine, LaunchError
+from repro.cuda.sim.engine import (
+    FunctionalEngine, LaunchError, transactions_memo,
+)
 from repro.devrt import INTRINSIC_SIGS, build_intrinsics
 from repro.mem import LinearMemory
 
@@ -56,6 +58,32 @@ def test_masked_lanes_do_not_count():
 def test_unaligned_element_spans_two_segments():
     addrs = np.array([0x1000 + 30], dtype=np.uint64)
     assert transactions(addrs, 4, np.ones(1, dtype=bool)) == 2
+
+
+@settings(max_examples=200)
+@given(base=st.integers(min_value=0, max_value=1 << 20),
+       stride=st.integers(min_value=-64, max_value=64),
+       jitter=st.lists(st.integers(min_value=0, max_value=96),
+                       min_size=32, max_size=32),
+       scatter=st.booleans(),
+       itemsize=st.sampled_from([1, 2, 4, 8]),
+       mask=st.lists(st.booleans(), min_size=32, max_size=32),
+       shift=st.integers(min_value=0, max_value=64))
+def test_transactions_memo_matches_direct_count(base, stride, jitter, scatter,
+                                                itemsize, mask, shift):
+    """The memo keys on (offset within a segment, per-lane deltas,
+    itemsize, mask): the same shape translated by whole segments is a
+    memo hit and must still equal the direct count, for strided and
+    scattered warps and for every mask, the empty one included."""
+    lanes = np.arange(32, dtype=np.int64)
+    offsets = stride * lanes + (np.asarray(jitter) if scatter else 0)
+    addrs = (base + 64 * 32 + offsets).astype(np.uint64)
+    active = np.asarray(mask, dtype=bool)
+    for probe in (addrs, addrs + np.uint64(32 * shift)):
+        assert transactions_memo(probe, itemsize, active) \
+            == transactions(probe, itemsize, active)
+    empty = np.zeros(32, dtype=bool)
+    assert transactions_memo(addrs, itemsize, empty) == 0
 
 
 # -- execution semantics -----------------------------------------------------------

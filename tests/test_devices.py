@@ -15,8 +15,9 @@ from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.nvcc import compile_device
 from repro.devices import (
     BACKENDS, ThroughputTracker, UnknownBackendError, get_backend,
-    parse_devices, plan_shards, resolve_backends,
+    parse_devices, plan_shards,
 )
+from repro.devices import throughput
 from repro.devices.throughput import equal_split
 from repro.ompi.cache import CompileCache, config_fingerprint
 from repro.ompi.compiler import OmpiCompiler
@@ -63,15 +64,6 @@ def test_parse_devices_accepts_spec_and_sequences():
         == ["tx2", "v100"]
     with pytest.raises(UnknownBackendError, match="empty"):
         parse_devices("")
-
-
-def test_resolve_backends_env_precedence(monkeypatch):
-    monkeypatch.setenv("REPRO_DEVICES", "nano,tx2")
-    assert [b.name for b in resolve_backends()] == ["nano", "tx2"]
-    # an explicit argument wins over the environment
-    assert [b.name for b in resolve_backends("v100")] == ["v100"]
-    monkeypatch.delenv("REPRO_DEVICES")
-    assert resolve_backends() is None
 
 
 def test_v100_profile_and_calibration():
@@ -223,10 +215,12 @@ int main(void)
 def test_shard_throughput_bit_identical_to_equal_split(monkeypatch):
     prog = OmpiCompiler(OmpiConfig()).compile(SHARD_SRC, "sgemm")
     single = prog.run(num_devices=1)
-    monkeypatch.setenv("REPRO_SHARD_BALANCE", "equal")
-    eq = prog.run(devices="nano,v100")
-    monkeypatch.setenv("REPRO_SHARD_BALANCE", "throughput")
     tp = prog.run(devices="nano,v100")
+    with monkeypatch.context() as m:
+        # the equal-split baseline: the planner ignores the weights
+        m.setattr(throughput, "plan_shards",
+                  lambda total, weights: equal_split(total, len(weights)))
+        eq = prog.run(devices="nano,v100")
     assert _digest(single, "c") == _digest(eq, "c") == _digest(tp, "c")
     # the balanced run finishes sooner on the modelled timeline
     assert tp.measured_time < eq.measured_time

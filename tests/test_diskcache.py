@@ -206,14 +206,6 @@ def test_concurrent_processes_share_one_store(tmp_path):
     assert warm.compiles == 0 and warm.disk_hits == 1
 
 
-def test_from_env_requires_opt_in(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert DiskCompileCache.from_env() is None
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-    disk = DiskCompileCache.from_env()
-    assert disk is not None and disk.root == tmp_path / "c"
-
-
 def test_stats_shape(tmp_path):
     disk = DiskCompileCache(tmp_path / "store", max_bytes=123)
     cache = CompileCache(disk=disk)

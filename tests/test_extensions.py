@@ -1,12 +1,11 @@
-"""Tests for extension features: declare-target globals, device
-generalisation (other Jetson boards), the preliminary OpenCL module."""
+"""Tests for extension features: declare-target globals and device
+generalisation (other Jetson boards)."""
 
 import numpy as np
 import pytest
 
 from repro.cuda.device import JETSON_NANO_4GB_GPU, JETSON_NANO_GPU, JETSON_TX2_GPU
 from repro.ompi import OmpiCompiler, OmpiConfig
-from repro.ompi.codegen_opencl import OpenCLXformError, opencl_kernel_source
 
 DT_SRC = r'''
 #pragma omp declare target
@@ -119,33 +118,3 @@ def test_ptx_mode_is_architecture_portable():
     for board in (JETSON_NANO_GPU, JETSON_TX2_GPU):
         run = prog.run(device=board, seed_arrays=seed)
         assert (run.machine.global_array("y") == 1.0).all()
-
-
-# -- preliminary OpenCL module -------------------------------------------------
-
-def test_opencl_codegen_combined():
-    prog = OmpiCompiler().compile(SAXPY, "ocl")
-    text = opencl_kernel_source(prog.plans[0])
-    assert "__kernel void ocl_kernel0(" in text
-    assert "__global float *x" in text
-    assert "cudadev_get_distribute_chunk" in text
-    assert "threadIdx" not in text and "blockIdx" not in text
-
-
-def test_opencl_codegen_rejects_masterworker():
-    src = r'''
-    float y[64];
-    int main(void)
-    {
-        #pragma omp target map(tofrom: y)
-        {
-            int i;
-            #pragma omp parallel for
-            for (i = 0; i < 64; i++) y[i] = 1.0f;
-        }
-        return 0;
-    }
-    '''
-    prog = OmpiCompiler().compile(src, "oclmw")
-    with pytest.raises(OpenCLXformError):
-        opencl_kernel_source(prog.plans[0])

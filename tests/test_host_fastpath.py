@@ -76,18 +76,6 @@ def _run_host(mode: str) -> Machine:
 # Mode resolution
 # ---------------------------------------------------------------------------
 
-def test_resolve_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_HOST_FASTPATH", "off")
-    assert resolve_host_fastpath("verify") == "verify"
-
-
-def test_resolve_env_and_default(monkeypatch):
-    monkeypatch.delenv("REPRO_HOST_FASTPATH", raising=False)
-    assert resolve_host_fastpath(None) == "on"
-    monkeypatch.setenv("REPRO_HOST_FASTPATH", "verify")
-    assert resolve_host_fastpath(None) == "verify"
-
-
 def test_resolve_rejects_unknown():
     with pytest.raises(ValueError):
         resolve_host_fastpath("sometimes")

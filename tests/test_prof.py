@@ -111,8 +111,7 @@ def test_record_filters_and_identity():
     assert rec.records("kernel")[0].to_dict()["wall_s"] == 1.23
 
 
-def test_resolve_profile_specs(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+def test_resolve_profile_specs():
     assert resolve_profile(None) == (None, None)
     assert resolve_profile(False) == (None, None)
     assert resolve_profile("off") == (None, None)
@@ -124,12 +123,6 @@ def test_resolve_profile_specs(monkeypatch):
     assert isinstance(rec, ActivityRecorder) and path == "trace.json"
     mine = ActivityRecorder()
     assert resolve_profile(mine) == (mine, None)
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    rec, path = resolve_profile(None)
-    assert isinstance(rec, ActivityRecorder) and path is None
-    monkeypatch.setenv("REPRO_PROFILE", "out.json")
-    rec, path = resolve_profile(None)
-    assert path == "out.json"
 
 
 # -- zero emission when disabled ----------------------------------------------
