@@ -49,16 +49,19 @@ class FaultLog:
     MAX_LOG_BYTES = 4 * 1024 * 1024
 
     def __init__(self, clock=None, recorder=None, path: Optional[str] = None,
-                 max_bytes: Optional[int] = None):
+                 max_bytes: Optional[int] = None,
+                 device: Optional[int] = None):
         self.clock = clock
         self.recorder = recorder
         self.path = path or None
         self.max_bytes = (self.MAX_LOG_BYTES if max_bytes is None
                           else max_bytes)
+        #: registry ordinal of the device this log belongs to, written
+        #: into every jsonl line so devices sharing one path stay apart
+        self.device = device
         self.counters: dict[str, int] = {}
         self.events: list[dict] = []
         self.dropped_lines = 0
-        self._log_size: Optional[int] = None
 
     def note(self, op: str, api: str = "", fault: str = "", attempt: int = 0,
              nbytes: int = 0, detail: str = "") -> None:
@@ -82,6 +85,8 @@ class FaultLog:
                 detail=detail, t_start=now, t_end=now,
             ))
         if self.path:
+            if self.device is not None:
+                event = {**event, "device": self.device}
             try:
                 self._append_line(json.dumps(event) + "\n")
             except OSError:  # pragma: no cover - log file is best-effort
@@ -92,13 +97,15 @@ class FaultLog:
         jsonl sink is bounded.  When the cap would be exceeded the
         current file rotates to ``<path>.1`` (dropping the previous
         generation, whose lines are counted in :attr:`dropped_lines`) so
-        a long chaos serving run keeps only the most recent events."""
-        if self._log_size is None:
-            try:
-                self._log_size = os.path.getsize(self.path)
-            except OSError:
-                self._log_size = 0
-        if self.max_bytes and self._log_size + len(line) > self.max_bytes:
+        a long chaos serving run keeps only the most recent events.
+        The file's size is the count, so all logs on one path (one per
+        registry device) share one cap and one rotation, and each
+        dropped line is counted once, by the log that rotated."""
+        try:
+            size = os.path.getsize(self.path)
+        except OSError:
+            size = 0
+        if self.max_bytes and size and size + len(line) > self.max_bytes:
             old = self.path + ".1"
             try:
                 with open(old) as fh:
@@ -106,10 +113,8 @@ class FaultLog:
             except OSError:
                 pass
             os.replace(self.path, old)
-            self._log_size = 0
         with open(self.path, "a") as fh:
             fh.write(line)
-        self._log_size += len(line)
 
     def count(self, *ops: str) -> int:
         return sum(self.counters.get(op, 0) for op in ops)

@@ -7,6 +7,8 @@ The translated host program is plain C with calls into this runtime:
   :mod:`repro.hostrt.mapping`);
 * kernel offloading (argument marshalling + the cudadev host module's
   three-phase launch, :mod:`repro.hostrt.cudadev_host`);
+* the offload devices, built once per root and leased to every ``Ort``
+  (:mod:`repro.hostrt.registry`);
 * host-side thread teams for ``parallel`` outside target regions
   (:mod:`repro.hostrt.team`);
 * the host ``omp_*`` API (:mod:`repro.hostrt.api`), including

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
-from repro.cuda.driver import CudaDriver, CUfunction
+from repro.cuda.driver import DEVICE_MEM_BASE, CudaDriver, CUfunction
 from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.ptx.jit import JitCache
 from repro.devices.throughput import ThroughputTracker
@@ -49,7 +49,6 @@ class CudadevModule(DeviceModule):
 
     def __init__(
         self,
-        host_mem: Optional[LinearMemory],
         device: DeviceProperties = JETSON_NANO_GPU,
         clock=None,
         jit_cache: Optional[JitCache] = None,
@@ -60,12 +59,13 @@ class CudadevModule(DeviceModule):
         recovery=None,
         ordinal: int = 0,
         ompt=None,
-        gmem_base: Optional[int] = None,
+        gmem_base: int = DEVICE_MEM_BASE,
         intrinsics=None,
         backend=None,
     ):
-        self.host_mem = host_mem
-        #: this module's position in the owning Ort's device registry
+        #: host memory of the machine that leased this module (lease_host)
+        self.host_mem: Optional[LinearMemory] = None
+        #: this module's position in its DeviceRegistry
         self.ordinal = int(ordinal)
         #: the DeviceBackend this module realises (None on the legacy
         #: homogeneous path, where every module is the same Nano)
@@ -80,14 +80,11 @@ class CudadevModule(DeviceModule):
         # owning root chose: faults model *hardware* misbehaving under a
         # runtime that recovers, so they only make sense on driver calls
         # that run under this module's policy.
-        driver_kwargs = {}
-        if gmem_base is not None:
-            driver_kwargs["gmem_base"] = gmem_base
         self.driver = CudaDriver(device, clock=clock, jit_cache=jit_cache,
                                  launch_mode=launch_mode, fastpath=fastpath,
                                  profile=profile, intrinsics=intrinsics,
                                  faults=resolve_faults(faults),
-                                 **driver_kwargs)
+                                 gmem_base=gmem_base)
         #: OMPT-style tool callbacks (target-begin/end, data-op, submit);
         #: shared with the owning Ort so tools can hook either layer
         self.ompt = ompt if ompt is not None else OmptRegistry()
@@ -133,11 +130,11 @@ class CudadevModule(DeviceModule):
     def lease_host(self, host_mem: Optional[LinearMemory]) -> None:
         """Rebind the host memory this module's transfers read and write.
 
-        A long-lived serving runtime owns the module and leases it to one
-        client machine at a time; execution is cooperative (single host
-        thread), so every functional host access of a request completes
-        before the lease moves on.  Standalone runs bind once at
-        construction and never call this."""
+        The device registry owns the module and every Ort leases it to
+        its machine: a standalone run once, a long-lived serving runtime
+        to one client machine at a time.  Execution is cooperative
+        (single host thread), so every functional host access of a
+        request completes before the lease moves on."""
         self.host_mem = host_mem
 
     def _route_stream(self) -> Optional[int]:

@@ -9,9 +9,9 @@ program (like the real runtime's process-global state).
 Device numbering follows OpenMP: devices ``0 .. omp_get_num_devices()-1``
 are offload targets (each a cudadev GPU with its own driver state, data
 environment, stream pool and fault domain) and the *initial device* (the
-host itself) has id ``omp_get_num_devices()``.  The registry comes from
-the ``backends``/``num_devices`` arguments or the environment, resolved
-by :mod:`repro.settings` (default: the single Jetson Nano of the paper).
+host itself) has id ``omp_get_num_devices()``.  The devices come from a
+:class:`~repro.hostrt.registry.DeviceRegistry` the root builds and
+leases to each Ort (default: the single Jetson Nano of the paper).
 
 A ``shard(n)`` clause on ``target teams distribute`` splits the team grid
 contiguously across the first ``n`` healthy devices (``n <= 0``: all of
@@ -31,12 +31,7 @@ import numpy as np
 
 from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine, Ptr
-from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
-from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
-from repro.cuda.ptx.jit import JitCache
-from repro.devices.registry import parse_devices, resolve_registry
-from repro.faults.injector import resolve_faults
 from repro.faults.recovery import DeviceLost, OffloadFailure
 from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.devices import HostDevice
@@ -46,22 +41,11 @@ from repro.hostrt.mapping import (
     MappingError,
 )
 from repro.hostrt.reduction import dtype_of, fold_partials
+from repro.hostrt.registry import DeviceRegistry
 from repro.hostrt.team import HostTeamError, TeamStack
-from repro.prof.activity import DeviceRecorder, resolve_profile
-from repro.prof.ompt import OmptRegistry
 from repro.rt_async.taskgraph import (
     DEP_IN, DEP_INOUT, DEP_OUT, OffloadTaskError, StreamPoolScheduler,
 )
-from repro.settings import Settings
-from repro.timing.clock import VirtualClock
-
-#: checks of the environment variables whose grammar this layer owns
-ENV_CHECKS = {"devices": parse_devices, "faults": resolve_faults}
-
-#: address-space stride between per-device memory arenas (4 GiB: well
-#: above any single device's capacity, so device pointers never collide
-#: and the interpreter can attribute a raw address to its device)
-DEVICE_MEM_STRIDE = 0x1_0000_0000
 
 
 class _ShardScope:
@@ -87,20 +71,9 @@ class Ort:
     def __init__(
         self,
         machine: Machine,
-        device: Optional[DeviceProperties] = None,
-        clock: Optional[VirtualClock] = None,
-        jit_cache: Optional[JitCache] = None,
-        launch_mode: str = "auto",
-        fastpath: Optional[str] = None,
-        profile=None,
-        faults=None,
-        recovery=None,
-        num_devices: Optional[int] = None,
-        devices: Optional[list] = None,
+        registry: DeviceRegistry,
         dataenvs: Optional[dict] = None,
-        ompt: Optional[OmptRegistry] = None,
         default_device: int = 0,
-        backends=None,
         healthy_fn=None,
     ):
         self.machine = machine
@@ -109,60 +82,19 @@ class Ort:
         #: circuit breakers here so an open (but not yet lost) device is
         #: not handed a shard of new work
         self.healthy_fn = healthy_fn
-        if devices is not None:
-            # -- leased registry (serving runtime) -----------------------
-            # The caller owns the device modules, virtual clock, activity
-            # ring and OMPT registry; this Ort only binds them to one
-            # machine for one request's lifetime.  Host memory is leased:
-            # execution is cooperative, so every functional host access
-            # completes before the owner re-leases the modules.
-            if not devices:
-                raise ValueError("a leased device registry cannot be empty")
-            self.clock = clock or devices[0].driver.clock
-            self.prof, self.prof_path = resolve_profile(
-                profile if profile is not None else False)
-            self.ompt = ompt if ompt is not None else OmptRegistry()
-            self.devices = list(devices)
-            for mod in self.devices:
-                mod.lease_host(machine.heap)
-        else:
-            self.clock = clock or VirtualClock()
-            s = Settings.from_env(checks=ENV_CHECKS).overlay(
-                devices=backends, num_devices=num_devices,
-                device_given=device is not None, kernel_fastpath=fastpath,
-                profile=profile, faults=faults)
-            backs, num_devices = resolve_registry(s)
-            if device is None:
-                device = JETSON_NANO_GPU
-            #: one shared activity ring for the whole registry; each module
-            #: gets a per-device stamping view so the merged stream stays in
-            #: emission order while every record remains attributable
-            self.prof, self.prof_path = resolve_profile(s.profile)
-            #: OMPT-style tool callback registry, shared with every device
-            #: module so callbacks see both runtime- and module-level events
-            self.ompt = ompt if ompt is not None else OmptRegistry()
-            from repro.devrt import build_intrinsics
-            intrinsics = build_intrinsics()
-            #: offload devices (0..n-1); the initial device is id n
-            self.devices = [
-                CudadevModule(
-                    machine.heap,
-                    backs[k].props if backs is not None else device,
-                    clock=self.clock,
-                    jit_cache=jit_cache,
-                    launch_mode=launch_mode, fastpath=s.kernel_fastpath,
-                    profile=(DeviceRecorder(self.prof, k)
-                             if self.prof is not None else False),
-                    faults=(s.faults.get(k) if isinstance(s.faults, dict)
-                            else s.faults),
-                    recovery=recovery, ordinal=k,
-                    ompt=self.ompt,
-                    gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
-                    intrinsics=intrinsics,
-                    backend=backs[k] if backs is not None else None,
-                )
-                for k in range(num_devices)
-            ]
+        # The registry owns the device modules, virtual clock, activity
+        # ring and OMPT registry; this Ort binds them to one machine for
+        # one program's (or one request's) lifetime.  Host memory is
+        # leased: execution is cooperative, so every functional host
+        # access completes before the owner re-leases the modules.
+        self.registry = registry
+        self.clock = registry.clock
+        self.prof = registry.prof
+        self.ompt = registry.ompt
+        #: offload devices (0..n-1); the initial device is id n
+        self.devices = registry.devices
+        for mod in self.devices:
+            mod.lease_host(machine.heap)
         self.icvs = ICVs(default_device_var=int(default_device))
         self.cudadev = self.devices[0]
         self.recovery = self.cudadev.recovery
@@ -235,11 +167,7 @@ class Ort:
     def fault_stats(self) -> dict:
         """Fault/recovery counters aggregated across every device's own
         fault domain (per-device breakdown: ``devices[k].fault_stats``)."""
-        out: dict = {}
-        for mod in self.devices:
-            for op, count in mod.fault_stats.items():
-                out[op] = out.get(op, 0) + count
-        return out
+        return self.registry.fault_stats
 
     # -- native table ----------------------------------------------------------------
     def _natives(self) -> dict:

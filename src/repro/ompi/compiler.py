@@ -30,6 +30,7 @@ from repro.cuda.nvcc import compile_device
 from repro.cuda.ptx.jit import JitCache
 from repro.devrt.api import DEVICE_LIBRARY_HEADER
 from repro.hostrt.ort import Ort
+from repro.hostrt.registry import DeviceRegistry, resolve_settings
 from repro.ompi.callgraph import kernel_closure
 from repro.ompi.config import OmpiConfig
 from repro.ompi.outline import analyze_target
@@ -37,7 +38,7 @@ from repro.ompi.xform_cuda import CudaKernelBuilder, KernelPlan
 from repro.ompi.xform_host import HostRewriter
 from repro.openmp.directives import Directive
 from repro.openmp.validator import validate_unit
-from repro.settings import Settings
+from repro.settings import first
 from repro.timing.clock import VirtualClock
 
 
@@ -167,30 +168,21 @@ class CompiledProgram:
         host_fastpath: Optional[str] = None,
         devices=None,
     ) -> ProgramRun:
-        s = Settings.from_env().overlay(
-            self.config, devices=devices, num_devices=num_devices,
-            device_given=device is not None, host_fastpath=host_fastpath,
+        s = resolve_settings(
+            self.config, device=device, devices=devices,
+            num_devices=num_devices, host_fastpath=host_fastpath,
             profile=profile, faults=faults)
+        registry = DeviceRegistry(
+            s, device=device, clock=clock, jit_cache=jit_cache,
+            launch_mode=launch_mode, ompt=ompt,
+            recovery=first(recovery, self.config.recovery))
         machine = Machine(self.host_unit, heap_capacity=heap_capacity,
                           host_fastpath=s.host_fastpath)
-        ort = Ort(machine, device=device, clock=clock, jit_cache=jit_cache,
-                  launch_mode=launch_mode, fastpath=s.kernel_fastpath,
-                  profile=s.profile, faults=s.faults,
-                  recovery=recovery if recovery is not None
-                  else self.config.recovery,
-                  num_devices=s.num_devices, backends=s.devices)
-        if ompt:
-            for event, fn in ompt.items():
-                ort.ompt.set_callback(event, fn)
+        ort = Ort(machine, registry)
         self.bind(ort, seed_arrays=seed_arrays)
         exit_code = machine.run() if main else 0
         ort.taskwait()  # implicit join of outstanding nowait tasks at exit
-        if ort.prof is not None and ort.prof_path:
-            from repro.prof.chrome import write_chrome_trace
-            names = {k: m.backend.name for k, m in enumerate(ort.devices)
-                     if getattr(m, "backend", None) is not None}
-            write_chrome_trace(ort.prof, ort.prof_path,
-                               device_names=names or None)
+        registry.write_trace()
         return ProgramRun(machine, ort, exit_code)
 
 

@@ -35,23 +35,17 @@ from typing import Optional
 from repro.cfront.errors import CFrontError
 from repro.cuda.nvcc import NvccError
 from repro.cfront.interp import Machine
-from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
-from repro.cuda.driver import DEVICE_MEM_BASE
+from repro.cuda.device import DeviceProperties
 from repro.cuda.errors import CudaError
-from repro.devices.registry import resolve_registry
-from repro.faults.injector import FaultInjector, resolve_faults
 from repro.faults.recovery import DeviceLost, OffloadFailure
-from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.mapping import MappingError
-from repro.hostrt.ort import DEVICE_MEM_STRIDE, ENV_CHECKS, Ort
+from repro.hostrt.ort import Ort
+from repro.hostrt.registry import DeviceRegistry, resolve_settings
 from repro.mem import MemoryError_
 from repro.ompi.cache import GLOBAL_COMPILE_CACHE, CompileCache, source_key
 from repro.ompi.config import OmpiConfig
 from repro.ompi.diskcache import DiskCompileCache
-from repro.prof.activity import (
-    DeviceRecorder, ResilienceActivity, ServingActivity, resolve_profile,
-)
-from repro.prof.ompt import OmptRegistry
+from repro.prof.activity import ResilienceActivity, ServingActivity
 from repro.rt_async.taskgraph import (
     DEP_INOUT, OffloadTaskError, StreamPoolScheduler,
 )
@@ -64,8 +58,7 @@ from repro.serving.scheduler import AdmissionQueue
 from repro.serving.session import (
     ResidentBuffer, Session, SessionDataEnv, content_digest,
 )
-from repro.settings import Settings
-from repro.timing.clock import VirtualClock
+from repro.settings import first
 
 #: request heap default: enough for the small serving workloads; callers
 #: size it per request like the bench harness sizes standalone runs
@@ -205,15 +198,10 @@ class OffloadServer:
         self.config = config or OmpiConfig()
         # the same resolution as CompiledProgram.run: explicit argument,
         # then config field, then environment, then default
-        s = Settings.from_env(
-            checks={**ENV_CHECKS, "breaker": resolve_breaker}).overlay(
-                self.config, devices=devices, num_devices=num_devices,
-                device_given=device is not None, profile=profile,
-                faults=faults, serve_deadline=deadline, breaker=breaker)
-        backs, num_devices = resolve_registry(s)
-        if device is None:
-            device = JETSON_NANO_GPU
-        self.backends = backs
+        s = resolve_settings(
+            self.config, device=device, checks={"breaker": resolve_breaker},
+            devices=devices, num_devices=num_devices, profile=profile,
+            faults=faults, serve_deadline=deadline, breaker=breaker)
         #: host fast-path mode of every per-request machine
         self.host_fastpath = s.host_fastpath
         if compile_cache is not None:
@@ -230,33 +218,16 @@ class OffloadServer:
         self.pool_size = int(pool_size)
         self.max_resident_fraction = float(max_resident_fraction)
         self.compact_logs = compact_logs
-        self.clock = VirtualClock()
-        self.prof, self.prof_path = resolve_profile(s.profile)
-        self.ompt = OmptRegistry()
-        from repro.devrt import build_intrinsics
-        intrinsics = build_intrinsics()
-        # faults: one spec for every device, or {ordinal: spec} so tests
-        # can fault one tenant's device while its neighbours stay healthy
-        fault_map = (s.faults if isinstance(s.faults, dict)
-                     else {k: self._decorrelate(s.faults, k)
-                           for k in range(num_devices)})
-        recovery = recovery if recovery is not None else self.config.recovery
-        self.devices = [
-            CudadevModule(
-                None, backs[k].props if backs is not None else device,
-                clock=self.clock,
-                launch_mode=launch_mode,
-                fastpath=s.kernel_fastpath,
-                profile=(DeviceRecorder(self.prof, k)
-                         if self.prof is not None else False),
-                faults=fault_map.get(k), recovery=recovery, ordinal=k,
-                ompt=self.ompt,
-                gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
-                intrinsics=intrinsics,
-                backend=backs[k] if backs is not None else None,
-            )
-            for k in range(num_devices)
-        ]
+        #: the device registry every request's Ort leases
+        self.registry = DeviceRegistry(
+            s, device=device, launch_mode=launch_mode,
+            recovery=first(recovery, self.config.recovery))
+        self.devices = self.registry.devices
+        self.backends = self.registry.backends
+        self.clock = self.registry.clock
+        self.prof = self.registry.prof
+        self.ompt = self.registry.ompt
+        num_devices = len(self.devices)
         for k, mod in enumerate(self.devices):
             # second-level OOM pressure valve: shed idle sessions' warm
             # state on this device before an allocation gives up
@@ -293,20 +264,6 @@ class OffloadServer:
         # TTFL probe: the first kernel submission of the executing request
         self.ompt.set_callback("submit", self._on_submit)
 
-    @staticmethod
-    def _decorrelate(faults, k: int):
-        """One shared fault spec must not fire identically on every
-        device: device ``k`` re-seeds the resolved plan with ``seed + k``
-        (device 0 keeps the spec's own seed).  Explicitly-passed
-        FaultInjector objects are the caller's to seed and pass through
-        untouched, as do per-device ``{ordinal: spec}`` maps."""
-        if k == 0:
-            return faults
-        inj = resolve_faults(faults)
-        if inj is None or inj is faults:
-            return faults
-        return FaultInjector(inj.plan, seed=inj.seed + k)
-
     # -- lifecycle ------------------------------------------------------------
     def __enter__(self) -> "OffloadServer":
         return self
@@ -325,13 +282,7 @@ class OffloadServer:
             sched.shutdown()
         self._sched.clear()
         self.closed = True
-        if self.prof is not None and self.prof_path:
-            from repro.prof.chrome import write_chrome_trace
-            names = ({k: b.name for k, b in enumerate(self.backends)}
-                     if self.backends is not None else None)
-            write_chrome_trace(self.prof, self.prof_path,
-                               compile_cache=self.compile_cache,
-                               device_names=names)
+        self.registry.write_trace(compile_cache=self.compile_cache)
 
     def summary(self) -> dict:
         """Serving counters plus the shared compile cache's hit/miss/evict
@@ -347,11 +298,8 @@ class OffloadServer:
                    self.compile_cache, "disk_misses", 0)}
         # PR 4's per-device recovery machinery, aggregated: injections,
         # retries, evictions, host fallbacks, resync skips, device losses
-        recovery: dict[str, int] = {}
-        for mod in self.devices:
-            for op, count in mod.fault_stats.items():
-                recovery[op] = recovery.get(op, 0) + count
-        out["fault_recovery"] = dict(sorted(recovery.items()))
+        out["fault_recovery"] = dict(sorted(
+            self.registry.fault_stats.items()))
         out["faults_log_dropped"] = sum(
             mod.faultlog.dropped_lines for mod in self.devices)
         out["device_health"] = [round(self.health.score(k), 4)
@@ -667,9 +615,7 @@ class OffloadServer:
                                   self if j == session.device else None)
                 for j, m in enumerate(self.devices)
             }
-            ort = Ort(machine, clock=self.clock, devices=self.devices,
-                      dataenvs=dataenvs, ompt=self.ompt,
-                      profile=self.prof if self.prof is not None else False,
+            ort = Ort(machine, self.registry, dataenvs=dataenvs,
                       default_device=session.device,
                       healthy_fn=self._shard_ok)
             prog.bind(ort, seed_arrays=req.seed_arrays)

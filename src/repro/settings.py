@@ -9,8 +9,8 @@ its parser, :class:`Settings` holds the defaults, and
 its default.
 
 Root objects resolve their settings when they are built —
-``CompiledProgram.run``, ``Ort``, ``OffloadServer``, ``Machine``,
-``CudaDriver`` and ``ompicc`` — and hand plain values down.  Nothing
+``CompiledProgram.run``, ``OffloadServer``, ``Machine``, ``CudaDriver``
+and ``ompicc`` — and hand plain values down.  Nothing
 reads the environment at import, per launch, per shard plan or per
 request.
 

@@ -231,6 +231,26 @@ def test_fault_log_jsonl_sink_is_size_bounded(tmp_path):
         json.loads(line)
 
 
+def test_fault_log_jsonl_sink_cap_is_shared_per_path(tmp_path):
+    # one log per device of a four-device registry, all on one path:
+    # they share one size cap and one rotation, and each dropped line
+    # is counted by exactly one of them
+    path = tmp_path / "faults.jsonl"
+    logs = [FaultLog(path=str(path), max_bytes=2000, device=k)
+            for k in range(4)]
+    written = 0
+    for i in range(60):
+        for log in logs:
+            log.note("retry", api="cuMemcpyHtoD", attempt=i)
+            written += 1
+    assert path.stat().st_size <= 2000
+    kept = [json.loads(l) for l in path.read_text().splitlines()] \
+        + [json.loads(l) for l in
+           (tmp_path / "faults.jsonl.1").read_text().splitlines()]
+    assert len(kept) + sum(log.dropped_lines for log in logs) == written
+    assert {line["device"] for line in kept} == {0, 1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # Recovery through the OMPi pipeline
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import Dim3
 from repro.cuda.driver import CudaDriver
 from repro.cuda.ptx.jit import JitCache
-from repro.hostrt.ort import Ort
+from repro.hostrt.registry import DeviceRegistry, resolve_settings
 from repro.ompi.cache import GLOBAL_COMPILE_CACHE
 from repro.ompi.cli import main as ompicc
 from repro.ompi.compiler import OmpiCompiler
@@ -58,6 +58,11 @@ def prog():
 def _machine(**kw) -> Machine:
     return Machine(parse_translation_unit("int main(void) { return 0; }"),
                    **kw)
+
+
+def _registry() -> DeviceRegistry:
+    """The device registry both roots build, from the environment."""
+    return DeviceRegistry(resolve_settings())
 
 
 def _request_modes(monkeypatch, server) -> set:
@@ -180,16 +185,16 @@ REACHES = [
           lambda p: CudaDriver().prof_path, "out.json"),
     _case("REPRO_PROFILE", "1", "run",
           lambda p: p.run().profile is not None, True),
-    _case("REPRO_PROFILE", "1", "ort",
-          lambda p: Ort(_machine()).prof is not None, True),
+    _case("REPRO_PROFILE", "1", "registry",
+          lambda p: _registry().prof is not None, True),
     _case("REPRO_PROFILE", "1", "server",
           lambda p: OffloadServer().prof is not None, True),
     _case("REPRO_FAULTS", "oom@cuMemAlloc:count=1", "run",
           lambda p: p.run().ort.cudadev.driver.faults is not None, True),
     _case("REPRO_FAULTS", "off", "run-off",
           lambda p: p.run().ort.cudadev.driver.faults, None),
-    _case("REPRO_FAULTS", "oom@cuMemAlloc:count=1", "ort",
-          lambda p: Ort(_machine()).cudadev.driver.faults is not None, True),
+    _case("REPRO_FAULTS", "oom@cuMemAlloc:count=1", "registry",
+          lambda p: _registry().devices[0].driver.faults is not None, True),
     _case("REPRO_FAULTS", "oom@cuMemAlloc:count=1", "server",
           lambda p: OffloadServer().devices[0].driver.faults is not None,
           True),
@@ -200,17 +205,19 @@ REACHES = [
           lambda p: CudaDriver().faultlog.path, "events.jsonl"),
     _case("REPRO_FAULTS_LOG", "events.jsonl", "run",
           lambda p: p.run().ort.cudadev.driver.faultlog.path, "events.jsonl"),
+    _case("REPRO_FAULTS_LOG", "events.jsonl", "server",
+          lambda p: OffloadServer().devices[0].faultlog.path, "events.jsonl"),
     _case("REPRO_NUM_DEVICES", "3", "run",
           lambda p: p.run().ort.num_devices, 3),
-    _case("REPRO_NUM_DEVICES", "3", "ort",
-          lambda p: Ort(_machine()).num_devices, 3),
+    _case("REPRO_NUM_DEVICES", "3", "registry",
+          lambda p: len(_registry().devices), 3),
     _case("REPRO_NUM_DEVICES", "3", "server",
           lambda p: OffloadServer().num_devices, 3),
     _case("REPRO_DEVICES", "nano,v100", "run",
           lambda p: [m.backend.name for m in p.run().ort.devices],
           ["nano", "v100"]),
-    _case("REPRO_DEVICES", "nano,v100", "ort",
-          lambda p: [m.backend.name for m in Ort(_machine()).devices],
+    _case("REPRO_DEVICES", "nano,v100", "registry",
+          lambda p: [b.name for b in _registry().backends],
           ["nano", "v100"]),
     _case("REPRO_DEVICES", "nano,v100", "server",
           lambda p: [b.name for b in OffloadServer().backends],
@@ -361,10 +368,10 @@ def test_server_honours_config_registry():
     assert [b.name for b in server.backends] == ["nano", "v100"]
 
 
-def test_num_devices_env_gives_run_ort_and_server_one_count(monkeypatch,
-                                                            prog):
+def test_num_devices_env_gives_run_registry_and_server_one_count(
+        monkeypatch, prog):
     monkeypatch.setenv("REPRO_NUM_DEVICES", "3")
-    assert prog.run().ort.num_devices == Ort(_machine()).num_devices \
+    assert prog.run().ort.num_devices == len(_registry().devices) \
         == OffloadServer().num_devices == 3
 
 
