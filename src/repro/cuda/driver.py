@@ -43,12 +43,11 @@ import numpy as np
 from repro.cuda.device import DeviceProperties, Dim3, JETSON_NANO_GPU
 from repro.cuda.errors import CUresult, CudaError
 from repro.cuda.ptx.images import CubinImage, PtxImage, identify_image
-from repro.cuda.ptx.ir import (
-    Atom, BarOp, CallOp, KernelIR, ModuleIR, np_dtype, walk_ops,
-)
+from repro.cuda.ptx.ir import KernelIR, ModuleIR, np_dtype
 from repro.cuda.ptx.jit import JitCache, jit_compile
 from repro.cuda.sim.compile import CompiledKernelCache
 from repro.cuda.sim.engine import FunctionalEngine, KernelStats, LaunchError
+from repro.cuda.sim.locality import kernel_locality
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.mem import LinearMemory
 from repro.prof.activity import (
@@ -100,11 +99,15 @@ class CudaDriver:
         fastpath: Optional[str] = None,
         profile=None,
         faults: Optional[FaultInjector] = None,
+        settings: Optional[Settings] = None,
     ):
         if launch_mode not in ("full", "sample", "auto"):
             raise ValueError(f"bad launch_mode {launch_mode!r}")
-        s = Settings.from_env().overlay(kernel_fastpath=fastpath,
-                                        profile=profile)
+        # a registry hands down the settings it resolved; a standalone
+        # driver resolves its own
+        if settings is None:
+            settings = Settings.from_env()
+        s = settings.overlay(kernel_fastpath=fastpath, profile=profile)
         if s.kernel_fastpath not in MODES:
             raise ValueError(f"bad fastpath mode {s.kernel_fastpath!r}")
         self.fastpath = s.kernel_fastpath
@@ -150,7 +153,6 @@ class CudaDriver:
         self._ctx_count = 0
         self._modules: dict[int, LoadedModule] = {}
         self._handles = itertools.count(1)
-        self._sample_cache: dict[tuple, bool] = {}
         if intrinsics is None:
             from repro.devrt import build_intrinsics
             intrinsics = build_intrinsics()
@@ -642,32 +644,6 @@ class CudaDriver:
                                       stream=stream, t_start=start, t_end=end))
 
     # -- kernel launch -------------------------------------------------------------
-    def _kernel_communicates(self, kernel: KernelIR) -> bool:
-        key = (id(kernel),)
-        cached = self._sample_cache.get(key)
-        if cached is None:
-            def block_local(ops) -> bool:
-                for op in walk_ops(ops):
-                    if isinstance(op, (BarOp, Atom)):
-                        return False
-                    if isinstance(op, CallOp) and not op.name.startswith("__ld") \
-                            and op.name != "__local_base" \
-                            and not op.name.startswith("omp_") \
-                            and op.name not in (
-                                "cudadev_target_init",
-                                "cudadev_get_distribute_chunk",
-                                "cudadev_get_static_chunk",
-                                "cudadev_get_distribute_chunk_dim",
-                                "cudadev_get_static_chunk_dim",
-                            ):
-                        return False
-                return True
-            cached = not (block_local(kernel.body) and all(
-                block_local(sub.body) for sub in kernel.subfunctions.values()
-            ))
-            self._sample_cache[key] = cached
-        return cached
-
     def _sample_blocks(self, grid: Dim3) -> list[tuple[int, int, int]]:
         want = self.sample_blocks
         mid = (grid.x // 2, grid.y // 2, grid.z // 2)
@@ -806,7 +782,7 @@ class CudaDriver:
         total_blocks = grid.count if shard_blocks is None else len(shard_blocks)
         warps_per_block = (block.count + 31) // 32
         total_warps = total_blocks * warps_per_block
-        communicates = self._kernel_communicates(kernel)
+        communicates = kernel_locality(kernel).communicates
         sample = (
             self.launch_mode == "sample"
             or (self.launch_mode == "auto"

@@ -7,6 +7,8 @@
   barriers and spin loops.
 * :mod:`repro.cuda.sim.engine` — block scheduler (named barriers, shared
   memory, deadlock detection) and the kernel-launch entry point.
+* :mod:`repro.cuda.sim.locality` — which kernels may be sampled or run
+  block-wide, and which loops may suspend a warp.
 """
 
 from repro.cuda.sim.engine import FunctionalEngine, KernelStats, LaunchError

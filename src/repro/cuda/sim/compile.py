@@ -24,10 +24,20 @@ The generated closures are still generators (they ``yield`` the same
 ``('bar', id, count)`` / ``('spin',)`` scheduler events), so block
 scheduling, named barriers and the master/worker scheme are untouched.
 
+The lane width is a compile parameter.  At 32 lanes a closure runs one
+warp.  A *block-local* kernel (no barrier, atomic, printf or
+communicating runtime call, see :mod:`repro.cuda.sim.locality`) is also
+compiled at ``nwarps x 32`` lanes and run by one
+:class:`CompiledBlockExec` per block, so each numpy call serves every
+warp at once.  The wide code keeps per-warp accounting: each per-warp
+counter grows by the number of warps with an active lane, transactions
+are summed per warp, and runtime calls run per warp on 32-lane slices.
+
 Compilation is conservative: any construct outside the supported set
 raises :class:`UnsupportedKernel` and the caller silently falls back to
 the tree-walker.  ``CompiledKernelCache`` memoizes per (kernel image id,
-param dtypes) so repeated ``cuLaunchKernel`` calls skip re-lowering.
+param dtypes, lane width) so repeated ``cuLaunchKernel`` calls skip
+re-lowering.
 """
 
 from __future__ import annotations
@@ -42,10 +52,12 @@ from repro.cuda.ptx.ir import (
     Imm, KernelIR, Ld, LoopOp, Mov, PrintfOp, Reg, RetOp, SelOp, Sreg, St,
     UnOp, np_dtype, walk_ops,
 )
+from repro.cuda.sim.locality import loop_may_block
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
     _unop,
 )
+from repro.mem import MemoryError_
 
 
 class UnsupportedKernel(Exception):
@@ -93,62 +105,94 @@ def _scan_bc(ops) -> tuple[bool, bool]:
     return has_b, has_c
 
 
-def _reg(regs: dict, name: str, dtype: np.dtype) -> np.ndarray:
+def _reg(regs: dict, name: str, dtype: np.dtype,
+         width: int = WARP_SIZE) -> np.ndarray:
     arr = regs.get(name)
     if arr is None:
-        arr = np.zeros(WARP_SIZE, dtype=dtype)
+        arr = np.zeros(width, dtype=dtype)
         regs[name] = arr
     return arr
 
 
-def _fload(engine, warp, addrs, dtype, mask):
-    """Streamlined ``FunctionalEngine.mem_load`` (identical semantics)."""
-    if not mask.any():
+def _fload(engine, warp, addrs, dtype, mask, n=1):
+    """Streamlined ``FunctionalEngine.mem_load`` (identical semantics).
+
+    Block-wide code passes a mask over several warps and ``n``, the number
+    of warps with an active lane (``_nw(mask)``): one gather serves every
+    warp, one load is counted per active warp, and a load whose active
+    warps do not all fall in one address space is split per warp."""
+    lanes = mask.tobytes()
+    if not n or b"\x01" not in lanes:
         # predicated off: mirrors mem_load's early return exactly (no
         # stats, no space resolution) so verify mode stays bit-identical
-        return np.zeros(WARP_SIZE, dtype=dtype)
-    stats = engine.stats
-    stats.load_instructions += 1
-    stats.instructions += 1
+        return np.zeros(mask.size, dtype=dtype)
     a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != (WARP_SIZE,):
-        a = np.broadcast_to(a, (WARP_SIZE,))
-    full = mask.all()
+    if a.shape != mask.shape:
+        a = np.broadcast_to(a, mask.shape)
+    full = b"\x00" not in lanes
     space = engine.resolve_space(
         warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    engine._note_mem(space, a, dtype.itemsize, mask)
+    # the gather's range check (before any read) passes exactly when every
+    # active lane lies in ``space``, so every warp resolves to it too
+    try:
+        vals = space.gather(a if full else a[mask], dtype)
+    except MemoryError_:
+        if mask.size == WARP_SIZE:
+            raise
+        out = np.zeros(mask.size, dtype=dtype)
+        for k, lo, hi in warp.active_warps(mask):
+            out[lo:hi] = _fload(engine, warp.warp_view(k), a[lo:hi], dtype,
+                                mask[lo:hi])
+        return out
+    stats = engine.stats
+    stats.load_instructions += n
+    stats.instructions += n
+    engine._note_mem(space, a, dtype.itemsize, mask, n)
     if full:
-        return space.gather(a, dtype)
-    out = np.zeros(WARP_SIZE, dtype=dtype)
-    out[mask] = space.gather(a[mask], dtype)
+        return vals
+    out = np.zeros(mask.size, dtype=dtype)
+    out[mask] = vals
     return out
 
 
-def _fstore(engine, warp, addrs, dtype, values, mask):
-    """Streamlined ``FunctionalEngine.mem_store`` (identical semantics)."""
-    if not mask.any():
+def _fstore(engine, warp, addrs, dtype, values, mask, n=1):
+    """Streamlined ``FunctionalEngine.mem_store`` (identical semantics;
+    block width as in :func:`_fload`).  Lanes scatter in lane order, so a
+    cross-warp write conflict resolves to the later warp, as it does when
+    the warps store one after another."""
+    lanes = mask.tobytes()
+    if not n or b"\x01" not in lanes:
         return  # predicated off: mirrors mem_store's early return
-    stats = engine.stats
-    stats.store_instructions += 1
-    stats.instructions += 1
     a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != (WARP_SIZE,):
-        a = np.broadcast_to(a, (WARP_SIZE,))
+    if a.shape != mask.shape:
+        a = np.broadcast_to(a, mask.shape)
     v = np.asarray(values)
-    if v.shape != (WARP_SIZE,):
-        v = np.broadcast_to(v, (WARP_SIZE,))
-    full = mask.all()
+    if v.shape != mask.shape:
+        v = np.broadcast_to(v, mask.shape)
+    full = b"\x00" not in lanes
     space = engine.resolve_space(
         warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    engine._note_mem(space, a, dtype.itemsize, mask)
     if v.dtype.kind == "f" and dtype.kind in "iu":
         v = np.trunc(v)
-    if full:
+    try:
+        # scatter range-checks every lane before it writes any
         with np.errstate(over="ignore", invalid="ignore"):
-            space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
+            if full:
+                space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
+            else:
+                space.scatter(a[mask], dtype,
+                              v[mask].astype(dtype, casting="unsafe"))
+    except MemoryError_:
+        if mask.size == WARP_SIZE:
+            raise
+        for k, lo, hi in warp.active_warps(mask):
+            _fstore(engine, warp.warp_view(k), a[lo:hi], dtype, v[lo:hi],
+                    mask[lo:hi])
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        space.scatter(a[mask], dtype, v[mask].astype(dtype, casting="unsafe"))
+    stats = engine.stats
+    stats.store_instructions += n
+    stats.instructions += n
+    engine._note_mem(space, a, dtype.itemsize, mask, n)
 
 
 def _ldargv(warp, idx: int, dtype: np.dtype) -> np.ndarray:
@@ -173,11 +217,61 @@ def _barcnt(v) -> int:
     return int(c.reshape(-1)[0] if c.ndim else c)
 
 
+# -- block width: per-warp accounting over an nwarps x 32 lane axis ---------
+
+_NO_LANES = bytes(WARP_SIZE)
+
+
+def _nw(mask) -> int:
+    """Number of warps with an active lane.  A bool mask's bytes are 0 or
+    1, and byte scans beat numpy reductions at these sizes."""
+    lanes = mask.tobytes()
+    if b"\x00" not in lanes:
+        return len(lanes) // WARP_SIZE
+    n = 0
+    for lo in range(0, len(lanes), WARP_SIZE):
+        if lanes[lo:lo + WARP_SIZE] != _NO_LANES:
+            n += 1
+    return n
+
+
+def _bbranch(stats, tm, em, ta, ea) -> None:
+    """An ``IfOp``'s counters at block width: one instruction per warp
+    with an active lane, one divergence per warp active on both arms."""
+    if ta and ea:
+        tw = tm.reshape(-1, WARP_SIZE).any(1)
+        ew = em.reshape(-1, WARP_SIZE).any(1)
+        stats.divergent_branches += int(np.count_nonzero(tw & ew))
+        stats.instructions += int(np.count_nonzero(tw | ew))
+    else:
+        stats.instructions += _nw(tm if ta else em)
+
+
+def _bcall(blk, op, regspec, m):
+    """A delegated runtime call at block width: every warp with an active
+    lane makes the call on its own 32-lane slice, in warp order, so the
+    intrinsics (and their ``uniform()`` argument reads) see exactly what
+    a per-warp run shows them.  ``regspec`` names the registers the call
+    reads or writes; the warp's view of each is a slice of the block's."""
+    out = m.copy()
+    ret = blk._ret_stack[-1]
+    regs = blk.regs
+    width = m.size
+    for k, lo, hi in blk.active_warps(m):
+        view = blk.warp_view(k)
+        for name, dt in regspec:
+            view.regs[name] = _reg(regs, name, dt, width)[lo:hi]
+        view._ret_stack = [ret[lo:hi]]
+        out[lo:hi] = yield from view._call(op, m[lo:hi])
+    return out
+
+
 _GLOBALS = {
     "np": np, "_SHP": (WARP_SIZE,), "_Z": _Z, "_LANEID": _LANEID,
     "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
     "_bop": _binop, "_fload": _fload, "_fstore": _fstore,
     "_ldargv": _ldargv, "_barid": _barid, "_barcnt": _barcnt,
+    "_nw": _nw, "_bbranch": _bbranch, "_bcall": _bcall,
 }
 
 
@@ -381,10 +475,15 @@ class _KernelCompiler:
     """Drives per-function codegen and owns the exec() namespace pools
     (immediates, dtypes, delegated-op objects, folded constants)."""
 
-    def __init__(self, kernel: KernelIR):
+    def __init__(self, kernel: KernelIR, width: int = WARP_SIZE):
         self.kernel = kernel
+        self.width = width
         self.an = _Analysis(kernel)
         self.ns: dict[str, object] = {}
+        if width != WARP_SIZE:
+            z = np.zeros(width, dtype=bool)
+            z.setflags(write=False)
+            self.ns.update(_SHP=(width,), _Z=z)
         self._pool_n = 0
         self._imm_pool: dict = {}
         self._dt_pool: dict[str, str] = {}
@@ -431,7 +530,11 @@ class _KernelCompiler:
 
     def compile(self) -> "CompiledKernel":
         fns = [("f0", self.kernel.body)]
-        for i, sub in enumerate(self.kernel.subfunctions.values()):
+        # a block-wide kernel never enters a subfunction (only the
+        # master/worker runtime calls them)
+        subs = self.kernel.subfunctions.values() \
+            if self.width == WARP_SIZE else ()
+        for i, sub in enumerate(subs):
             fns.append((f"f{i + 1}", sub.body))
         srcs: list[Optional[str]] = []
         for fi, (fname, ops) in enumerate(fns):
@@ -441,6 +544,8 @@ class _KernelCompiler:
                 srcs.append(None)
         if all(s is None for s in srcs):
             raise UnsupportedKernel("no function compiled")
+        if srcs[0] is None and self.width != WARP_SIZE:
+            raise UnsupportedKernel("block-wide body did not compile")
         module_src = "\n\n".join(s for s in srcs if s is not None)
         glb = dict(_GLOBALS)
         glb.update(self.ns)
@@ -449,7 +554,8 @@ class _KernelCompiler:
         body_fn = glb["f0"] if srcs[0] is not None else None
         sub_fns = [glb[f"f{i + 1}"] if srcs[i + 1] is not None else None
                    for i in range(len(fns) - 1)]
-        return CompiledKernel(self.kernel, body_fn, sub_fns, module_src)
+        return CompiledKernel(self.kernel, body_fn, sub_fns, module_src,
+                              self.width)
 
 
 # --------------------------------------------------------------------------
@@ -478,6 +584,11 @@ class _FnGen:
         self.temp_names: dict[str, str] = {}
         self.pend_order: list[str] = []
         self.loop_ctx: list[tuple[str, str]] = []
+        #: lane width; ``wide`` code covers several warps (see _fload)
+        self.W = kc.width
+        self.wide = kc.width != WARP_SIZE
+        #: a local already holding ``_nw(m)`` for the next op, if any
+        self.m_nw: Optional[str] = None
 
     # -- emission plumbing -------------------------------------------------
     def w(self, text: str) -> None:
@@ -487,14 +598,24 @@ class _FnGen:
         self.uid_n += 1
         return str(self.uid_n)
 
+    def any_text(self, mask: str) -> str:
+        """Whether ``mask`` has an active lane.  At block width
+        ``count_nonzero`` is used: it skips the ufunc reduction set-up
+        that dominates ``any()`` on a few hundred lanes."""
+        return f"np.count_nonzero({mask})" if self.wide else f"{mask}.any()"
+
     def guard_open(self, cond: bool) -> None:
         if cond:
-            self.w("if m.any():")
+            self.w(f"if {self.any_text('m')}:")
             self.ind += 1
 
     def guard_close(self, cond: bool) -> None:
         if cond:
             self.ind -= 1
+
+    def narrow_only(self, what: str) -> None:
+        if self.wide:
+            raise UnsupportedKernel(f"{what} at block width")
 
     def generate(self, fname: str) -> str:
         self.has_ret = any(type(o) is RetOp for o in walk_ops(self.ops))
@@ -508,14 +629,15 @@ class _FnGen:
         put(1, "stats = engine.stats")
         put(1, "regs = warp.regs")
         put(1, "m = m.copy()")
+        wide_arg = f", {self.W}" if self.wide else ""
         for name, (local, dtstr) in self.reg_locals.items():
             put(1, f"{local} = _reg(regs, {name!r}, "
-                   f"{self.kc.dt(np_dtype(dtstr))})")
+                   f"{self.kc.dt(np_dtype(dtstr))}{wide_arg})")
         for local, expr in self.sreg_locals.values():
             put(1, f"{local} = {expr}")
         for gname, local in self.glob_locals.items():
             put(1, f"{local} = np.uint64(engine.global_addr({gname!r}))")
-        put(1, "ret = np.zeros(32, np.bool_)")
+        put(1, f"ret = np.zeros({self.W}, np.bool_)")
         put(1, "warp._ret_stack.append(ret)")
         put(1, "try:")
         if self.lines:
@@ -572,7 +694,9 @@ class _FnGen:
         if name == "tid.z":
             return _Val("warp.tid_z", u32, False)
         if name == "laneid":
-            return _Val("_LANEID", u32, False)
+            return _Val("warp.laneid" if self.wide else "_LANEID", u32, False)
+        if name == "warpid" and self.wide:
+            return _Val("warp.warpid", u32, False)
         exprs = {
             "ntid.x": "np.uint32(warp.block.block_dim[0])",
             "ntid.y": "np.uint32(warp.block.block_dim[1])",
@@ -687,12 +811,13 @@ class _FnGen:
     def block_ops(self, ops: list, maybe_empty: bool) -> None:
         i, n = 0, len(ops)
         while i < n:
+            known_nw, self.m_nw = self.m_nw, None
             op = ops[i]
             if _is_seg_op(op):
                 j = i + 1
                 while j < n and _is_seg_op(ops[j]):
                     j += 1
-                self.emit_segment(ops[i:j], maybe_empty)
+                self.emit_segment(ops[i:j], maybe_empty, known_nw)
                 i = j
                 continue
             cls = type(op)
@@ -703,26 +828,36 @@ class _FnGen:
                 self.emit_loop(op, maybe_empty)
                 maybe_empty = True
             elif cls is BarOp:
+                self.narrow_only("barrier")
                 self.emit_bar(op, maybe_empty)
             elif cls is CallOp:
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
-                self.w(f"m = yield from warp._call({ref}, m)")
+                if self.wide:
+                    spec = self.kc.op_ref(tuple(
+                        (r.name, np_dtype(r.dtype))
+                        for r in [*op.args, op.dst] if type(r) is Reg))
+                    self.w(f"m = yield from _bcall(warp, {ref}, {spec}, m)")
+                else:
+                    self.w(f"m = yield from warp._call({ref}, m)")
                 self.guard_close(maybe_empty)
                 maybe_empty = True
             elif cls is PrintfOp:
+                self.narrow_only("printf")
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
                 self.w(f"warp._printf({ref}, m)")
                 self.guard_close(maybe_empty)
             elif cls is Atom:
+                self.narrow_only("atomic")
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
                 self.w(f"warp._atomic({ref}, m)")
                 self.guard_close(maybe_empty)
             elif cls is RetOp:
                 self.guard_open(maybe_empty)
-                self.w("stats.instructions += 1")
+                self.w("stats.instructions += _nw(m)" if self.wide
+                       else "stats.instructions += 1")
                 self.w("ret |= m")
                 self.w("m = _Z")
                 self.guard_close(maybe_empty)
@@ -749,7 +884,8 @@ class _FnGen:
                 raise UnsupportedKernel(f"op {cls.__name__}")
             i += 1
 
-    def emit_segment(self, seg: list, maybe_empty: bool) -> None:
+    def emit_segment(self, seg: list, maybe_empty: bool,
+                     known_nw: Optional[str] = None) -> None:
         instr = 0
         alu = {"alu_f32": 0, "alu_f64": 0, "alu_int": 0, "special_ops": 0}
 
@@ -774,10 +910,16 @@ class _FnGen:
                 instr += 1
             # Ld/St stats are bumped inside _fload/_fstore
         self.guard_open(maybe_empty)
-        if instr:
+        if self.wide:
+            # every op of the segment runs under this one mask
+            self.w(f"_n = {known_nw or '_nw(m)'}")
+            if instr:
+                self.w(f"stats.instructions += {instr} * _n")
+        elif instr:
             self.w(f"stats.instructions += {instr}")
         if any(alu.values()):
-            self.w("_a = int(m.sum())")
+            self.w("_a = int(np.count_nonzero(m))" if self.wide
+                   else "_a = int(m.sum())")
             for key, count in alu.items():
                 if count == 1:
                     self.w(f"stats.{key} += _a")
@@ -811,15 +953,17 @@ class _FnGen:
         elif cls is Ld:
             a = self.operand(op.addr)
             dt = np_dtype(op.dst.dtype)
-            v = _Val(f"_fload(engine, warp, {a.text}, {self.kc.dt(dt)}, m)",
-                     dt, False, pure=False, refs=a.refs)
+            mask = "m, _n" if self.wide else "m"
+            v = _Val(f"_fload(engine, warp, {a.text}, {self.kc.dt(dt)}, "
+                     f"{mask})", dt, False, pure=False, refs=a.refs)
             self.write_dst(op.dst, v, impure=True)
         elif cls is St:
             a = self.operand(op.addr)
             val = self.operand(op.value)
             dt = np_dtype(op.dtype)
+            mask = "m, _n" if self.wide else "m"
             self.w(f"_fstore(engine, warp, {a.text}, {self.kc.dt(dt)}, "
-                   f"{val.text}, m)")
+                   f"{val.text}, {mask})")
         elif cls is CallOp:
             self.emit_pseudo(op)
         else:  # pragma: no cover - block_ops only sends seg ops here
@@ -831,9 +975,10 @@ class _FnGen:
             raise UnsupportedKernel(f"{op.name} with non-immediate arg")
         idx = int(op.args[0].value)
         if op.name == "__ldparam":
-            v = _Val(f"np.full(32, warp.params[{idx}], "
+            v = _Val(f"np.full({self.W}, warp.params[{idx}], "
                      f"dtype={self.kc.dt(dt)})", dt, False)
         elif op.name == "__ldarg":
+            self.narrow_only("subfunction argument")
             v = _Val(f"_ldargv(warp, {idx}, {self.kc.dt(dt)})", dt, False)
         elif op.name == "__local_base":
             v = _Val(f"(warp.block.local_base(warp.lane_linear) "
@@ -950,13 +1095,16 @@ class _FnGen:
         self.w(f"cc{k} = {self.cond_text(cond)}")
         self.w(f"tm{k} = m & cc{k}")
         self.w(f"em{k} = m & ~cc{k}")
-        self.w(f"ta{k} = tm{k}.any()")
-        self.w(f"ea{k} = em{k}.any()")
-        self.w(f"if ta{k} and ea{k}:")
-        self.ind += 1
-        self.w("stats.divergent_branches += 1")
-        self.ind -= 1
-        self.w("stats.instructions += 1")
+        self.w(f"ta{k} = {self.any_text(f'tm{k}')}")
+        self.w(f"ea{k} = {self.any_text(f'em{k}')}")
+        if self.wide:
+            self.w(f"_bbranch(stats, tm{k}, em{k}, ta{k}, ea{k})")
+        else:
+            self.w(f"if ta{k} and ea{k}:")
+            self.ind += 1
+            self.w("stats.divergent_branches += 1")
+            self.ind -= 1
+            self.w("stats.instructions += 1")
         if op.then_ops:
             self.w(f"if ta{k}:")
             self.ind += 1
@@ -976,13 +1124,8 @@ class _FnGen:
 
     def emit_loop(self, op: LoopOp, maybe_empty: bool) -> None:
         k = self.uid()
-        may_block = any(
-            isinstance(o, (BarOp, Atom, CallOp))
-            for o in walk_ops(op.body_ops)
-        ) or any(
-            isinstance(o, (BarOp, Atom, CallOp))
-            for o in walk_ops(op.cond_ops)
-        )
+        may_block = loop_may_block(op)
+        W = self.W
         step_ops = getattr(op, "step_ops", None) or []
         # break/continue/return trackers are emitted only when the loop can
         # actually produce them — the common counted loop carries none
@@ -990,36 +1133,43 @@ class _FnGen:
         has_ret = self.has_ret
         self.guard_open(maybe_empty)
         self.w(f"lv{k} = m")
-        self.w(f"ex{k} = np.zeros(32, np.bool_)")
+        self.w(f"ex{k} = np.zeros({W}, np.bool_)")
         self.w("while True:")
         self.ind += 1
         if has_ret:
             self.w(f"lv{k} = lv{k} & ~ret")
-        self.w(f"if not lv{k}.any(): break")
+        self.w(f"if not {self.any_text(f'lv{k}')}: break")
         self.w(f"m = lv{k}")
         self.block_ops(op.cond_ops, False)
         self.w(f"lv{k} = m")
-        self.w(f"if not lv{k}.any(): break")
+        self.w(f"if not {self.any_text(f'lv{k}')}: break")
         cond = self.operand(op.cond)
         self.w(f"cc{k} = {self.cond_text(cond)}")
         self.w(f"ac{k} = lv{k} & cc{k}")
         self.w(f"ex{k} |= lv{k} & ~cc{k}")
-        self.w(f"if not ac{k}.any(): break")
-        self.w("stats.loop_iterations += 1")
+        self.w(f"if not {self.any_text(f'ac{k}')}: break")
+        if self.wide:
+            self.w(f"it{k} = _nw(ac{k})")
+            self.w(f"stats.loop_iterations += it{k}")
+        else:
+            self.w("stats.loop_iterations += 1")
         if has_b:
-            self.w(f"bk{k} = np.zeros(32, np.bool_)")
+            self.w(f"bk{k} = np.zeros({W}, np.bool_)")
         if has_c:
-            self.w(f"cn{k} = np.zeros(32, np.bool_)")
+            self.w(f"cn{k} = np.zeros({W}, np.bool_)")
         self.w(f"m = ac{k}")
+        if self.wide:
+            self.m_nw = f"it{k}"
         self.loop_ctx.append((f"bk{k}", f"cn{k}"))
         self.block_ops(op.body_ops, False)
+        self.m_nw = None
         self.loop_ctx.pop()
         self.w(f"rn{k} = m | cn{k}" if has_c else f"rn{k} = m")
         if step_ops:
-            self.w(f"if rn{k}.any():")
+            self.w(f"if {self.any_text(f'rn{k}')}:")
             self.ind += 1
-            self.w(f"sb{k} = np.zeros(32, np.bool_)")
-            self.w(f"sc{k} = np.zeros(32, np.bool_)")
+            self.w(f"sb{k} = np.zeros({W}, np.bool_)")
+            self.w(f"sc{k} = np.zeros({W}, np.bool_)")
             self.w(f"m = rn{k}")
             self.loop_ctx.append((f"sb{k}", f"sc{k}"))
             self.block_ops(step_ops, False)
@@ -1029,7 +1179,11 @@ class _FnGen:
         if has_b:
             self.w(f"ex{k} |= bk{k}")
         self.w(f"lv{k} = rn{k}")
-        if may_block:
+        if may_block and self.wide:
+            # every warp that ran the iteration would spin once; a single
+            # block-wide executor has no one to hand control to
+            self.w(f"stats.spins += it{k}")
+        elif may_block:
             self.w("yield ('spin',)")
         self.ind -= 1
         if has_ret:
@@ -1067,15 +1221,20 @@ class CompiledKernel:
     body_fn: Optional[Callable]
     sub_fns: list
     source: str
+    #: lanes per executor: 32 (one warp) or nwarps x 32 (one block)
+    width: int = WARP_SIZE
 
 
-def compile_kernel(kernel: KernelIR) -> CompiledKernel:
-    """Lower ``kernel`` to closures; raises :class:`UnsupportedKernel`."""
-    return _KernelCompiler(kernel).compile()
+def compile_kernel(kernel: KernelIR, width: int = WARP_SIZE) -> CompiledKernel:
+    """Lower ``kernel`` to closures over ``width`` lanes; raises
+    :class:`UnsupportedKernel`.  A width above 32 is for block-local
+    kernels only (see :mod:`repro.cuda.sim.locality`)."""
+    return _KernelCompiler(kernel, width).compile()
 
 
 class CompiledKernelCache:
-    """Launch-level memoization keyed on (kernel image id, param dtypes).
+    """Launch-level memoization keyed on (kernel image id, param dtypes,
+    lane width).
 
     Shared by every engine a driver creates, so the benchmark steady
     state (same image, thousands of launches) compiles exactly once.
@@ -1100,8 +1259,9 @@ class CompiledKernelCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def get(self, kernel: KernelIR) -> Optional[CompiledKernel]:
-        key = (id(kernel), tuple(p.dtype for p in kernel.params))
+    def get(self, kernel: KernelIR,
+            width: int = WARP_SIZE) -> Optional[CompiledKernel]:
+        key = (id(kernel), tuple(p.dtype for p in kernel.params), width)
         try:
             entry = self._cache.pop(key)
         except KeyError:
@@ -1111,7 +1271,7 @@ class CompiledKernelCache:
             self._cache[key] = entry        # LRU touch (re-insertion order)
             return entry[1]
         try:
-            ck = compile_kernel(kernel)
+            ck = compile_kernel(kernel, width)
             self.compiled += 1
         except Exception:
             ck = None
@@ -1123,6 +1283,12 @@ class CompiledKernelCache:
         # keep a reference to the kernel so its id() cannot be recycled
         self._cache[key] = (kernel, ck)
         return ck
+
+    def widths(self, kernel: KernelIR) -> list[int]:
+        """Lane widths ``kernel`` has been compiled at, in first-use
+        order of the entries still cached."""
+        return [key[2] for key, (_k, ck) in self._cache.items()
+                if key[0] == id(kernel) and ck is not None]
 
 
 class CompiledWarpExec(WarpExec):
@@ -1152,3 +1318,60 @@ class CompiledWarpExec(WarpExec):
             yield from fn(self, mask)
         finally:
             self._arg_stack.pop()
+
+
+class CompiledBlockExec:
+    """All executed warps of one block on one lane axis: the block-wide
+    executor of a block-local kernel.
+
+    ``warp_ids`` are the block's warps that run (every warp, or the
+    sampled picks), in order; lane ``32*k + i`` is lane ``i`` of warp
+    ``warp_ids[k]``.  Generated code reads the same attributes it reads
+    from a :class:`WarpExec`, at block width.  Runtime calls and loads or
+    stores that must split go through one :class:`WarpExec` view per
+    warp, created on first use, whose registers are slices of the
+    block's.
+    """
+
+    def __init__(self, compiled: CompiledKernel, engine, block,
+                 warp_ids: list[int], nthreads: int, kernel: KernelIR,
+                 params: list):
+        self._compiled = compiled
+        self.engine = engine
+        self.block = block
+        self.warp_ids = warp_ids
+        self.kernel = kernel
+        self.params = params
+        lanes = np.arange(WARP_SIZE, dtype=np.int64)
+        self.lane_linear = (np.asarray(warp_ids, dtype=np.int64)[:, None]
+                            * WARP_SIZE + lanes).reshape(-1)
+        self.valid = self.lane_linear < nthreads
+        bx, by, _bz = block.block_dim
+        self.tid_x = (self.lane_linear % bx).astype(np.uint32)
+        self.tid_y = ((self.lane_linear // bx) % by).astype(np.uint32)
+        self.tid_z = (self.lane_linear // (bx * by)).astype(np.uint32)
+        self.laneid = (self.lane_linear % WARP_SIZE).astype(np.uint32)
+        self.warpid = (self.lane_linear // WARP_SIZE).astype(np.uint32)
+        self.regs: dict[str, np.ndarray] = {}
+        self._ret_stack: list[np.ndarray] = []
+        self._views: list[Optional[WarpExec]] = [None] * len(warp_ids)
+
+    def active_warps(self, mask: np.ndarray):
+        """``(k, lo, hi)`` of each warp with an active lane, in order."""
+        lanes = mask.tobytes()
+        for k, lo in enumerate(range(0, len(lanes), WARP_SIZE)):
+            if lanes[lo:lo + WARP_SIZE] != _NO_LANES:
+                yield k, lo, lo + WARP_SIZE
+
+    def warp_view(self, k: int) -> WarpExec:
+        view = self._views[k]
+        if view is None:
+            lo, hi = k * WARP_SIZE, (k + 1) * WARP_SIZE
+            view = WarpExec(self.engine, self.block, self.warp_ids[k],
+                            self.lane_linear[lo:hi], self.valid[lo:hi],
+                            self.kernel, self.params)
+            self._views[k] = view
+        return view
+
+    def run_kernel(self):
+        yield from self._compiled.body_fn(self, self.valid)

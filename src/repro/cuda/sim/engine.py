@@ -7,6 +7,12 @@ spin loops).  Named barriers implement PTX ``bar.sync b, n`` semantics:
 an arriving warp contributes 32 threads towards the count; release happens
 when ``ceil(n / 32)`` warps have arrived (counts must be multiples of the
 warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
+
+With the compiled fast path on, a block-local kernel (see
+:mod:`repro.cuda.sim.locality`) skips the scheduler: each block runs as
+one :class:`~repro.cuda.sim.compile.CompiledBlockExec` whose lane axis
+covers every executed warp, with per-warp accounting, so ``KernelStats``
+and the activity records are the ones the per-warp run produces.
 """
 
 from __future__ import annotations
@@ -18,12 +24,13 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.cuda.device import DeviceProperties, Dim3
-from repro.cuda.ptx.ir import Atom, BarOp, CallOp, KernelIR, LoopOp, walk_ops
+from repro.cuda.ptx.ir import KernelIR, LoopOp
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
 from repro.cuda.sim.coalesce import transactions
 from repro.cuda.sim.compile import (
-    CompiledKernelCache, CompiledWarpExec, compile_kernel,
+    CompiledBlockExec, CompiledKernelCache, CompiledWarpExec, compile_kernel,
 )
+from repro.cuda.sim.locality import kernel_locality, loop_may_block
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
 from repro.mem import LinearMemory
 from repro.prof.activity import KernelExecActivity
@@ -42,23 +49,74 @@ class LaunchError(Exception):
 # lane 0, itemsize, active mask) — uint64 wraparound in the deltas is
 # harmless because subtraction mod 2^64 is itself translation-invariant.
 # Keying on that shape turns the per-warp Python segment walk into one dict
-# probe.
-_TXN_MEMO: dict = {}
-_TXN_MEMO_CAP = 1 << 16
+# probe.  The same key works for a block-wide access of nwarps x 32 lanes,
+# whose count is the per-warp counts summed; a block-wide key is nwarps
+# times larger, so the memo is bounded in bytes rather than entries.
+
+#: the longest key part kept whole.  pymalloc serves objects up to 512
+#: bytes; a longer long-lived key part comes from malloc, and a few
+#: thousand of those, interleaved with a run's transient arrays, keep the
+#: freed heap from going back to the OS.  Wider parts are kept as slices.
+_KEY_PART = 448
 
 
-def transactions_memo(addrs: np.ndarray, itemsize: int,
-                      mask: np.ndarray) -> int:
-    """Memoized :func:`~repro.cuda.sim.coalesce.transactions`."""
-    key = (int(addrs[0]) & 31, int(itemsize),
-           (addrs - addrs[0]).tobytes(), mask.tobytes())
-    n = _TXN_MEMO.get(key)
-    if n is None:
-        if len(_TXN_MEMO) >= _TXN_MEMO_CAP:
-            _TXN_MEMO.clear()
-        n = transactions(addrs, itemsize, mask)
-        _TXN_MEMO[key] = n
-    return n
+_PART_SLICES: dict[int, tuple] = {}
+
+
+def _parts(data: bytes) -> tuple:
+    sl = _PART_SLICES.get(len(data))
+    if sl is None:
+        sl = _PART_SLICES[len(data)] = tuple(
+            slice(i, i + _KEY_PART) for i in range(0, len(data), _KEY_PART))
+    return tuple(map(data.__getitem__, sl))
+
+
+class TransactionMemo:
+    """Memoized per-warp :func:`~repro.cuda.sim.coalesce.transactions`,
+    summed over the 32-lane warps of an access, holding at most
+    ``max_bytes`` of keys (counted with a fixed per-entry overhead);
+    on overflow it starts over empty."""
+
+    #: bytes of dict slot, key tuple and object headers per entry
+    ENTRY_OVERHEAD = 256
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._memo: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def clear(self) -> None:
+        self._memo.clear()
+        self.nbytes = 0
+
+    def __call__(self, addrs: np.ndarray, itemsize: int,
+                 mask: np.ndarray) -> int:
+        deltas = (addrs - addrs[0]).tobytes()
+        lanes = mask.tobytes()
+        if mask.size == WARP_SIZE:
+            key = (int(addrs[0]) & 31, int(itemsize), deltas, lanes)
+        else:
+            key = (int(addrs[0]) & 31, int(itemsize), mask.size,
+                   *_parts(lanes), *_parts(deltas))
+        n = self._memo.get(key)
+        if n is None:
+            size = len(deltas) + len(lanes) + self.ENTRY_OVERHEAD
+            if self.nbytes + size > self.max_bytes:
+                self.clear()
+            n = sum(transactions(addrs[lo:lo + WARP_SIZE], itemsize,
+                                 mask[lo:lo + WARP_SIZE])
+                    for lo in range(0, mask.size, WARP_SIZE))
+            self._memo[key] = n
+            self.nbytes += size
+        return n
+
+
+#: the process-wide memo (16 MiB: about 30k warp-wide or 6k block-wide
+#: shapes, more than any suite kernel uses)
+transactions_memo = TransactionMemo(16 << 20)
 
 
 @dataclass
@@ -174,10 +232,10 @@ class FunctionalEngine:
         #: tree-walk/compiled split — so both execution paths emit
         #: byte-identical records (asserted by tests/test_prof.py).
         self.recorder = recorder
-        self._local_compiled: dict[int, tuple] = {}
         self.stdout: list[str] = []
         self.stats = KernelStats()
         self._loop_block_cache: dict[int, bool] = {}
+        self._local_compiled: dict[tuple, tuple] = {}
 
     # -- memory routing ------------------------------------------------------
     def global_addr(self, name: str) -> int:
@@ -227,9 +285,10 @@ class FunctionalEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             space.scatter(addrs[mask], dtype, values[mask].astype(dtype, casting="unsafe"))
 
-    def _note_mem(self, space: LinearMemory, addrs, itemsize, mask) -> None:
+    def _note_mem(self, space: LinearMemory, addrs, itemsize, mask,
+                  nwarps: int = 1) -> None:
         if space is self.gmem:
-            self.stats.global_mem_instructions += 1
+            self.stats.global_mem_instructions += nwarps
             self.stats.global_transactions += transactions_memo(
                 addrs, itemsize, mask)
         elif space.name == "shared":
@@ -241,13 +300,7 @@ class FunctionalEngine:
     def loop_may_block(self, loop: LoopOp) -> bool:
         cached = self._loop_block_cache.get(id(loop))
         if cached is None:
-            cached = any(
-                isinstance(op, (BarOp, Atom, CallOp))
-                for op in walk_ops(loop.body_ops)
-            ) or any(
-                isinstance(op, (BarOp, Atom, CallOp))
-                for op in walk_ops(loop.cond_ops)
-            )
+            cached = loop_may_block(loop)
             self._loop_block_cache[id(loop)] = cached
         return cached
 
@@ -264,7 +317,8 @@ class FunctionalEngine:
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self._compiled_for(kernel)
+            compiled = self._compiled_for(kernel, self._lane_width(
+                kernel, Dim3.of(block), only_warps))
         if compiled is not None and self.fastpath == "verify" and fresh_stats:
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
@@ -286,41 +340,74 @@ class FunctionalEngine:
             ))
         return stats
 
-    def _compiled_for(self, kernel: KernelIR):
+    @staticmethod
+    def _run_warps(nwarps: int, only_warps) -> list[int]:
+        return [w for w in range(nwarps)
+                if only_warps is None or w in only_warps]
+
+    def _lane_width(self, kernel: KernelIR, block: Dim3, only_warps) -> int:
+        """Lanes per compiled executor: the whole block's executed warps
+        when the kernel is block-local and runs more than one warp."""
+        nwarps = (block.count + WARP_SIZE - 1) // WARP_SIZE
+        n = len(self._run_warps(nwarps, only_warps))
+        if n > 1 and kernel_locality(kernel).block_wide:
+            return n * WARP_SIZE
+        return WARP_SIZE
+
+    def _compiled_for(self, kernel: KernelIR, width: int = WARP_SIZE):
+        """The kernel compiled at ``width`` lanes, else at warp width,
+        else None (tree-walk)."""
+        ck = self._compile(kernel, width)
+        if ck is None and width != WARP_SIZE:
+            ck = self._compile(kernel, WARP_SIZE)
+        return ck
+
+    def _compile(self, kernel: KernelIR, width: int):
         if self.compile_cache is not None:
-            return self.compile_cache.get(kernel)
-        entry = self._local_compiled.get(id(kernel))
+            return self.compile_cache.get(kernel, width)
+        key = (id(kernel), width)
+        entry = self._local_compiled.get(key)
         if entry is None:
             try:
-                entry = (kernel, compile_kernel(kernel))
+                entry = (kernel, compile_kernel(kernel, width))
             except Exception:
                 entry = (kernel, None)
-            self._local_compiled[id(kernel)] = entry
+            self._local_compiled[key] = entry
         return entry[1]
 
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
                          only_warps, compiled) -> KernelStats:
         """Differential execution: run the compiled fast path, roll global
         memory back, run the tree-walker, and require bit-identical global
-        memory, stdout and ``KernelStats``."""
+        memory, stdout and ``KernelStats``.
+
+        Global memory is saved and compared block by block, like host
+        verify mode does (:meth:`~repro.mem.LinearMemory.snapshot_blocks`),
+        so the cost follows the allocated bytes, not the arena size.  The
+        comparison covers every block allocated after the fast run."""
         import dataclasses
 
-        buf_snap = self.gmem.buf.copy()
-        free_snap = list(self.gmem._free)
-        alloc_snap = dict(self.gmem._allocated)
+        gmem = self.gmem
+        start = gmem.snapshot_blocks()
+        free_snap = list(gmem._free)
+        alloc_snap = dict(gmem._allocated)
         out_mark = len(self.stdout)
         fast = self._launch(kernel, grid, block, params, only_blocks,
                             only_warps, True, compiled)
-        fast_buf = self.gmem.buf.copy()
+        fast_image = gmem.snapshot_blocks()
         fast_out = self.stdout[out_mark:]
-        self.gmem.buf[:] = buf_snap
-        self.gmem._free = free_snap
-        self.gmem._allocated = alloc_snap
+        gmem.restore_blocks(start)
+        gmem._free = free_snap
+        gmem._allocated = alloc_snap
         del self.stdout[out_mark:]
         ref = self._launch(kernel, grid, block, params, only_blocks,
                            only_warps, True, None)
+        same = all(
+            np.array_equal(gmem.buf[addr - gmem.base:
+                                    addr - gmem.base + data.size], data)
+            for addr, data in fast_image.items())
         problems = []
-        if not np.array_equal(self.gmem.buf, fast_buf):
+        if not same:
             problems.append("global memory")
         if self.stdout[out_mark:] != fast_out:
             problems.append("stdout")
@@ -356,6 +443,8 @@ class FunctionalEngine:
         stats.smem_per_block = kernel.smem_static
         nthreads = block.count
         nwarps = (nthreads + WARP_SIZE - 1) // WARP_SIZE
+        run_warps = self._run_warps(nwarps, only_warps)
+        wide = compiled is not None and compiled.width > WARP_SIZE
         if only_blocks is None:
             blocks = (
                 (bx, by, bz)
@@ -373,25 +462,29 @@ class FunctionalEngine:
                 self.device.shared_mem_per_block,
                 kernel.local_static,
             )
-            warps = []
-            for w in range(nwarps):
-                if only_warps is not None and w not in only_warps:
-                    # representative-warp sampling: valid only for kernels
-                    # with no inter-warp communication (the caller checks)
-                    continue
-                lane_linear = np.arange(w * WARP_SIZE, (w + 1) * WARP_SIZE,
-                                        dtype=np.int64)
-                valid = lane_linear < nthreads
-                if compiled is not None:
-                    warps.append(CompiledWarpExec(compiled, self, ctx, w,
-                                                  lane_linear, valid,
-                                                  kernel, params))
-                else:
-                    warps.append(WarpExec(self, ctx, w, lane_linear, valid,
-                                          kernel, params))
-            self._run_block(warps)
+            # only_warps is representative-warp sampling: valid only for
+            # kernels with no inter-warp communication (the caller checks)
+            if wide:
+                self._run_wide(CompiledBlockExec(compiled, self, ctx,
+                                                 run_warps, nthreads,
+                                                 kernel, params))
+            else:
+                warps = []
+                for w in run_warps:
+                    lane_linear = np.arange(w * WARP_SIZE,
+                                            (w + 1) * WARP_SIZE,
+                                            dtype=np.int64)
+                    valid = lane_linear < nthreads
+                    if compiled is not None:
+                        warps.append(CompiledWarpExec(compiled, self, ctx, w,
+                                                      lane_linear, valid,
+                                                      kernel, params))
+                    else:
+                        warps.append(WarpExec(self, ctx, w, lane_linear,
+                                              valid, kernel, params))
+                self._run_block(warps)
             stats.blocks_launched += 1
-            stats.warps_launched += len(warps)
+            stats.warps_launched += len(run_warps)
             stats.threads_launched += nthreads
         return stats
 
@@ -415,6 +508,15 @@ class FunctionalEngine:
                 f"kernel needs {kernel.smem_static}B shared memory; device "
                 f"has {dev.shared_mem_per_block}B"
             )
+
+    def _run_wide(self, blk: CompiledBlockExec) -> None:
+        """Run a block-wide executor.  Its own loops count their spins;
+        a runtime call that suspends is counted like the scheduler does."""
+        for event in blk.run_kernel():
+            if event[0] != "spin":
+                raise LaunchError(
+                    f"block-wide executor cannot schedule {event!r}")
+            self.stats.spins += 1
 
     def _run_block(self, warps: list[WarpExec]) -> None:
         gens = [w.run_kernel() for w in warps]

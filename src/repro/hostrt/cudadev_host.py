@@ -62,6 +62,7 @@ class CudadevModule(DeviceModule):
         gmem_base: int = DEVICE_MEM_BASE,
         intrinsics=None,
         backend=None,
+        settings=None,
     ):
         #: host memory of the machine that leased this module (lease_host)
         self.host_mem: Optional[LinearMemory] = None
@@ -84,7 +85,7 @@ class CudadevModule(DeviceModule):
                                  launch_mode=launch_mode, fastpath=fastpath,
                                  profile=profile, intrinsics=intrinsics,
                                  faults=resolve_faults(faults),
-                                 gmem_base=gmem_base)
+                                 gmem_base=gmem_base, settings=settings)
         #: OMPT-style tool callbacks (target-begin/end, data-op, submit);
         #: shared with the owning Ort so tools can hook either layer
         self.ompt = ompt if ompt is not None else OmptRegistry()

@@ -96,6 +96,7 @@ class DeviceRegistry:
                 gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
                 intrinsics=intrinsics,
                 backend=backs[k] if backs is not None else None,
+                settings=settings,
             )
             for k in range(count)
         ]

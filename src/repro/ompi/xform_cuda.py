@@ -887,7 +887,7 @@ class _MwTransformer:
             ))
         for name, ctype in captured_scalars:
             src = self.scalar_renames.get(name)
-            src_addr = addr_of(clone(src.operand)) if isinstance(src, A.Unary) \
+            src_addr = clone(src.operand) if isinstance(src, A.Unary) \
                 and src.op == "*" else addr_of(ident(name))
             reg.append(assign(
                 A.Member(ident("vars"), name),
@@ -903,7 +903,7 @@ class _MwTransformer:
                             cast(VOIDP, addr_of(ident("vars"))), nthr_expr))
         for name, ctype in reversed(captured_scalars):
             src = self.scalar_renames.get(name)
-            src_addr = addr_of(clone(src.operand)) if isinstance(src, A.Unary) \
+            src_addr = clone(src.operand) if isinstance(src, A.Unary) \
                 and src.op == "*" else addr_of(ident(name))
             reg.append(callstmt("cudadev_pop_shmem", cast(VOIDP, src_addr),
                                 sizeof_expr(ident(name)

@@ -1,0 +1,346 @@
+"""Differential tests for block-wide kernel execution.
+
+A block-local kernel (no barrier, atomic, printf or communicating
+runtime call) runs each block as one executor over ``nwarps x 32``
+lanes.  Every launch here runs in ``verify`` mode, which replays it
+through the per-warp tree-walk and requires bit-identical global memory,
+stdout and ``KernelStats``; the compile cache then tells which lane
+width actually ran.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.bench import harness
+from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
+from repro.cfront.parser import parse_translation_unit
+from repro.cuda.device import JETSON_NANO_GPU, Dim3
+from repro.cuda.ptx.lower import lower_translation_unit
+from repro.cuda.sim import compile as sim_compile
+from repro.cuda.sim.compile import CompiledKernelCache
+from repro.cuda.sim.engine import FunctionalEngine, LaunchError
+from repro.cuda.sim.locality import kernel_locality
+from repro.devrt import INTRINSIC_SIGS, build_intrinsics
+from repro.mem import LinearMemory
+from repro.ompi import OmpiCompiler, OmpiConfig
+
+GMEM_BASE = 0x2_0000_0000
+
+
+def kernel_k(src):
+    unit = parse_translation_unit(src, "t.cu")
+    return lower_translation_unit(unit, INTRINSIC_SIGS, "t").kernels["k"]
+
+
+def run_verified(src, grid, block, arrays, scalars=(), mode="verify",
+                 **launch_kw):
+    """Launch kernel ``k`` of ``src``; return (stats, widths compiled,
+    engine, final array contents)."""
+    kernel = kernel_k(src)
+    gmem = LinearMemory(16 << 20, base=GMEM_BASE, name="gmem")
+    addrs = []
+    for arr in arrays:
+        addr = gmem.alloc(max(arr.nbytes, 1))
+        gmem.view(addr, arr.size, arr.dtype)[:] = arr.reshape(-1)
+        addrs.append(addr)
+    cache = CompiledKernelCache()
+    engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {},
+                              fastpath=mode, compile_cache=cache)
+    params = [np.uint64(a) for a in addrs] + list(scalars)
+    stats = engine.launch(kernel, Dim3.of(grid), Dim3.of(block), params,
+                          **launch_kw)
+    out = [gmem.view(a, arr.size, arr.dtype).copy()
+           for a, arr in zip(addrs, arrays)]
+    return stats, cache.widths(kernel), engine, out
+
+
+SAXPY = r"""
+__global__ void k(float *y, float *x, float a, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) y[i] = a * x[i] + y[i];
+}
+"""
+
+
+def test_block_size_not_a_multiple_of_32():
+    x = np.arange(500, dtype=np.float32)
+    y = np.ones(500, dtype=np.float32)
+    stats, widths, _, (got, _x) = run_verified(
+        SAXPY, (4, 1, 1), (150, 1, 1), [y, x],
+        [np.float32(2.0), np.int32(470)], mode="on")
+    assert widths == [5 * 32]
+    assert stats.warps_launched == 20
+    # counters stay Python ints (they are serialized into records)
+    assert all(type(getattr(stats, f.name)) is int
+               for f in dataclasses.fields(stats)
+               if f.type in ("int", int))
+    want = np.ones(500, dtype=np.float32)
+    want[:470] += 2.0 * x[:470]
+    assert np.array_equal(got, want)
+
+
+def test_warps_with_no_lane_on_a_branch():
+    # warps 0-1 take only the then-arm, warps 2-3 only the else-arm and
+    # warp 1 both: per-warp divergence and instruction counts must hold
+    src = r"""
+    __global__ void k(int *a) {
+        int t = threadIdx.x;
+        if (t < 48) { a[t] = t * 3; }
+        else { a[t] = a[t] - t; if (t > 120) a[t] = 7; }
+    }
+    """
+    a = np.arange(128, dtype=np.int32)
+    stats, widths, _, _ = run_verified(src, (1, 1, 1), (128, 1, 1), [a])
+    assert widths == [128]
+    assert stats.divergent_branches == 2
+
+
+def test_early_return_break_and_continue():
+    src = r"""
+    __global__ void k(float *a, int *b, int n) {
+        int i = blockIdx.x * blockDim.x + threadIdx.x;
+        if (i >= n) return;
+        int j;
+        float acc = 0.0f;
+        for (j = 0; j < 40; j++) {
+            if (j == i % 13) continue;
+            if (j > i % 29 + 3) break;
+            acc += a[i] * (float)j;
+        }
+        if (i % 5 == 0) return;
+        a[i] = acc;
+        b[i] = j;
+    }
+    """
+    a = np.linspace(-2, 5, 256, dtype=np.float32)
+    b = np.zeros(256, dtype=np.int32)
+    stats, widths, _, _ = run_verified(src, (2, 1, 1), (128, 1, 1), [a, b],
+                                       [np.int32(200)])
+    assert widths == [128]
+    assert stats.loop_iterations > 0
+
+
+def test_2d_block_wraps_tid_x_inside_a_warp():
+    src = r"""
+    __global__ void k(float *c, int w) {
+        int x = blockIdx.x * blockDim.x + threadIdx.x;
+        int y = blockIdx.y * blockDim.y + threadIdx.y;
+        if (x < w && y < w) c[y * w + x] = (float)(x * 100 + y);
+    }
+    """
+    w = 30
+    c = np.zeros(w * w, dtype=np.float32)
+    _, widths, _, (got,) = run_verified(src, (3, 3, 1), (12, 10, 1), [c],
+                                        [np.int32(w)])
+    assert widths == [4 * 32]
+    yy, xx = np.divmod(np.arange(w * w), w)
+    assert np.array_equal(got, (xx * 100 + yy).astype(np.float32))
+
+
+def test_sampled_512_thread_launch_runs_only_the_picks():
+    x = np.arange(4096, dtype=np.float32)
+    y = np.zeros(4096, dtype=np.float32)
+    picks = {0, 1, 8, 15}
+    stats, widths, _, _ = run_verified(
+        SAXPY, (8, 1, 1), (512, 1, 1), [y, x],
+        [np.float32(3.0), np.int32(4000)],
+        only_blocks=[(0, 0, 0), (4, 0, 0), (7, 0, 0)], only_warps=picks)
+    assert widths == [len(picks) * 32]
+    assert stats.blocks_launched == 3
+    assert stats.warps_launched == 3 * len(picks)
+
+
+def test_pointer_global_in_one_warp_and_local_in_another(monkeypatch):
+    # warp 1 addresses global memory through p, every other warp its own
+    # local array: the block-wide access splits per warp
+    split = []
+    real = sim_compile._fload
+
+    def per_warp_load(engine, warp, *args):
+        split.append(warp.warp_index)
+        return real(engine, warp, *args)
+
+    monkeypatch.setattr(sim_compile, "_fload", per_warp_load)
+    src = r"""
+    __global__ void k(float *a) {
+        float tmp[2];
+        float *p;
+        int t = threadIdx.x;
+        tmp[0] = 1.0f;
+        tmp[1] = 2.0f;
+        if (t / 32 == 1) p = a; else p = tmp;
+        p[t % 2] = p[t % 2] + (float)t;
+        a[64 + t] = p[t % 2];
+    }
+    """
+    a = np.zeros(64 + 96, dtype=np.float32)
+    stats, widths, _, _ = run_verified(src, (1, 1, 1), (96, 1, 1), [a])
+    assert widths == [96]
+    assert stats.local_accesses > 0 and stats.global_mem_instructions > 0
+    assert sorted(set(split)) == [0, 1, 2]
+
+
+def test_verify_catches_a_miscounting_block_executor(monkeypatch):
+    # the oracle really compares the block executor: break its per-warp
+    # count and verify mode must refuse the launch
+    monkeypatch.setattr(sim_compile, "_nw", lambda mask: 1)
+    x = np.arange(256, dtype=np.float32)
+    y = np.zeros(256, dtype=np.float32)
+    with pytest.raises(LaunchError, match="stats"):
+        run_verified(SAXPY, (1, 1, 1), (256, 1, 1), [y, x],
+                     [np.float32(1.0), np.int32(256)])
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "drop"])
+def test_verify_catches_a_block_executor_memory_divergence(monkeypatch,
+                                                           fault):
+    # a wrong value where both runs write, and a position only the
+    # reference writes: both must show up as a global-memory divergence
+    real = sim_compile._fstore
+
+    def broken(engine, blk, addrs, dtype, values, mask, n=1):
+        if fault == "drop":
+            return
+        real(engine, blk, addrs, dtype, np.asarray(values) + 1, mask, n)
+
+    monkeypatch.setitem(sim_compile._GLOBALS, "_fstore", broken)
+    x = np.arange(256, dtype=np.float32)
+    y = np.zeros(256, dtype=np.float32)
+    with pytest.raises(LaunchError, match="global memory"):
+        run_verified(SAXPY, (1, 1, 1), (256, 1, 1), [y, x],
+                     [np.float32(1.0), np.int32(256)])
+
+
+MAPPED_SCALAR = r"""
+int main(void)
+{
+    int s = 5;
+    #pragma omp target map(tofrom: s)
+    {
+        #pragma omp parallel num_threads(64)
+        {
+            #pragma omp single
+            s += 1;
+        }
+        s += 10;
+    }
+    printf("%d\n", s);
+    return 0;
+}
+"""
+
+
+def test_verify_rolls_back_a_mapped_scalar_written_by_a_region():
+    # the inner region's update of s reaches global memory through the
+    # shared-memory stack pop (a block copy, not a store), and verify mode
+    # must still run the reference launch from the pre-launch value
+    outs = {}
+    for mode in ("on", "verify"):
+        prog = OmpiCompiler(OmpiConfig(kernel_fastpath=mode)).compile(
+            MAPPED_SCALAR, "mapped_scalar")
+        run = prog.run()
+        assert run.exit_code == 0
+        # one launch, on the device: no retry and no host fallback
+        assert run.log.count("kernel") == 1
+        outs[mode] = run.stdout
+    assert outs["on"] == "16\n"
+    assert outs["verify"] == outs["on"]
+
+
+# -- communicating kernels stay per warp ---------------------------------------
+
+BARRIER = r"""
+__global__ void k(float *a) {
+    __shared__ float s[128];
+    int t = threadIdx.x;
+    s[t] = a[t];
+    __syncthreads();
+    a[t] = s[127 - t];
+}
+"""
+
+ATOMIC = r"""
+__global__ void k(int *c) {
+    atomicAdd(&c[0], threadIdx.x);
+}
+"""
+
+PRINTF = r"""
+__global__ void k(int *c) {
+    int t = threadIdx.x;
+    if (t % 20 == 0) printf("thread %d of block %d\n", t, blockIdx.x);
+}
+"""
+
+
+@pytest.mark.parametrize("src,arr", [
+    (BARRIER, np.arange(128, dtype=np.float32)),
+    (ATOMIC, np.zeros(1, dtype=np.int32)),
+    (PRINTF, np.zeros(1, dtype=np.int32)),
+], ids=["barrier", "atomic", "printf"])
+def test_communicating_kernels_run_per_warp(src, arr):
+    stats, widths, engine, _ = run_verified(src, (2, 1, 1), (128, 1, 1),
+                                            [arr])
+    assert widths == [32]
+    assert not kernel_locality(kernel_k(src)).block_wide
+    if src is PRINTF:
+        # stdout follows the warps: block by block, lane order
+        assert engine.stdout == [f"thread {t} of block {b}\n"
+                                 for b in range(2) for t in range(0, 128, 20)]
+
+
+def test_single_warp_blocks_keep_warp_width():
+    x = np.arange(64, dtype=np.float32)
+    y = np.zeros(64, dtype=np.float32)
+    _, widths, _, _ = run_verified(SAXPY, (2, 1, 1), (32, 1, 1), [y, x],
+                                   [np.float32(1.0), np.int32(64)])
+    assert widths == [32]
+
+
+def test_block_wide_matches_warp_width_run():
+    """``on`` mode (block-wide) and a per-warp compiled run agree."""
+    x = np.linspace(0, 1, 1000, dtype=np.float32)
+    y = np.linspace(3, 4, 1000, dtype=np.float32)
+    args = ((4, 1, 1), (256, 1, 1), [y, x],
+            [np.float32(0.5), np.int32(999)])
+    wide, w_widths, _, w_out = run_verified(SAXPY, *args, mode="on")
+    # one-warp picks force warp width on the same kernel
+    narrow_stats = []
+    for warp in range(8):
+        s, n_widths, _, _ = run_verified(SAXPY, *args, mode="on",
+                                         only_warps={warp})
+        assert n_widths == [32]
+        narrow_stats.append(s)
+    assert w_widths == [256]
+    assert wide.instructions == sum(s.instructions for s in narrow_stats)
+    assert wide.global_transactions == sum(s.global_transactions
+                                           for s in narrow_stats)
+    want = np.linspace(3, 4, 1000, dtype=np.float32)
+    want[:999] += np.float32(0.5) * x[:999]
+    assert np.array_equal(w_out[0], want)
+
+
+# -- the benchmark suite -----------------------------------------------------
+
+SMALL = {"3dconv": 16, "gramschmidt": 16}
+
+
+@pytest.mark.parametrize("launch_mode", ["full", "sample"])
+@pytest.mark.parametrize("name", ALL_APPS + EXTENDED_APP_NAMES)
+def test_suite_app_block_wide_matches_tree_walk(name, launch_mode):
+    app = get_app(name)
+    n = SMALL.get(name, 32)
+    cfg = OmpiConfig(block_shape=app.block_shape, kernel_fastpath="verify")
+    prog = OmpiCompiler(cfg).compile(app.omp_source(n),
+                                     harness._prog_name(app, n))
+    run = prog.run(launch_mode=launch_mode,
+                   seed_arrays=app.seed(n),
+                   heap_capacity=harness._heap_capacity(app, n))
+    assert run.exit_code == 0
+    cache = run.ort.cudadev.driver.kernel_cache
+    kernels = [k for k, ck in cache._cache.values() if ck is not None]
+    assert kernels
+    wide = [k for k in kernels if any(w > 32 for w in cache.widths(k))]
+    assert wide, f"no {name} kernel ran block-wide"

@@ -10,7 +10,7 @@ from repro.cuda.device import JETSON_NANO_GPU, Dim3
 from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim.coalesce import transactions
 from repro.cuda.sim.engine import (
-    FunctionalEngine, LaunchError, transactions_memo,
+    FunctionalEngine, LaunchError, TransactionMemo, transactions_memo,
 )
 from repro.devrt import INTRINSIC_SIGS, build_intrinsics
 from repro.mem import LinearMemory
@@ -84,6 +84,59 @@ def test_transactions_memo_matches_direct_count(base, stride, jitter, scatter,
             == transactions(probe, itemsize, active)
     empty = np.zeros(32, dtype=bool)
     assert transactions_memo(addrs, itemsize, empty) == 0
+
+
+def _warp_masks(nwarps):
+    """Per-warp lane masks: whole warps empty, full or mixed."""
+    return st.lists(
+        st.one_of(st.just([False] * 32), st.just([True] * 32),
+                  st.lists(st.booleans(), min_size=32, max_size=32)),
+        min_size=nwarps, max_size=nwarps)
+
+
+@settings(max_examples=200)
+@given(data=st.data(),
+       nwarps=st.integers(min_value=1, max_value=8),
+       base=st.integers(min_value=0, max_value=1 << 20),
+       stride=st.integers(min_value=-64, max_value=64),
+       row=st.integers(min_value=-4096, max_value=4096),
+       scatter=st.booleans(),
+       itemsize=st.sampled_from([1, 2, 4, 8]),
+       shift=st.integers(min_value=0, max_value=64))
+def test_block_wide_memo_sums_per_warp_counts(data, nwarps, base, stride,
+                                              row, scatter, itemsize, shift):
+    """Over nwarps x 32 lanes the memo counts every warp's segments and
+    sums them, for monotonic (one stride, or per-warp rows) and scattered
+    addresses and masks in which whole warps are empty."""
+    n = nwarps * 32
+    lanes = np.arange(n, dtype=np.int64)
+    offsets = stride * (lanes % 32) + row * (lanes // 32)
+    if scatter:
+        offsets = offsets + np.asarray(data.draw(st.lists(
+            st.integers(min_value=0, max_value=96), min_size=n, max_size=n)))
+    addrs = (base + (1 << 22) + offsets).astype(np.uint64)
+    active = np.asarray(data.draw(_warp_masks(nwarps)), dtype=bool).ravel()
+    want = sum(transactions(addrs[lo:lo + 32], itemsize, active[lo:lo + 32])
+               for lo in range(0, n, 32))
+    for probe in (addrs, addrs + np.uint64(32 * shift)):
+        assert transactions_memo(probe, itemsize, active) == want
+
+
+def test_transactions_memo_stays_under_its_byte_bound():
+    memo = TransactionMemo(max_bytes=64 << 10)
+    rng = np.random.default_rng(7)
+    for i in range(400):
+        nwarps = 1 + i % 8
+        addrs = (1 << 20) + rng.integers(0, 4096, nwarps * 32) * 4
+        addrs = addrs.astype(np.uint64)
+        mask = rng.random(nwarps * 32) < 0.7
+        want = sum(transactions(addrs[lo:lo + 32], 4, mask[lo:lo + 32])
+                   for lo in range(0, mask.size, 32))
+        assert memo(addrs, 4, mask) == want
+        assert 0 < memo.nbytes <= memo.max_bytes
+    # block-wide keys are larger, so fewer of them fit
+    assert len(memo) < 400
+    assert transactions_memo.nbytes <= transactions_memo.max_bytes
 
 
 # -- execution semantics -----------------------------------------------------------

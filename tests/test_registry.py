@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cuda.driver import CudaDriver
+from repro.hostrt.registry import DeviceRegistry, resolve_settings
 from repro.ompi.compiler import OmpiCompiler
 from repro.serving import OffloadServer
-from repro.settings import VARIABLES
+from repro.settings import VARIABLES, Settings
 
 SRC = r"""
 float x[32];
@@ -119,3 +121,32 @@ def test_one_site_builds_device_modules():
                    for _ in re.finditer(r"(?<!class )\bCudadevModule\(",
                                         path.read_text()))
     assert sites == ["hostrt/registry.py"]
+
+
+def _count_from_env(monkeypatch) -> list:
+    calls = []
+    real = Settings.from_env.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Settings, "from_env", classmethod(counting))
+    return calls
+
+
+def test_registry_reads_the_environment_once(monkeypatch):
+    monkeypatch.setenv("REPRO_SAMPLE_BLOCKS", "2")
+    calls = _count_from_env(monkeypatch)
+    registry = DeviceRegistry(resolve_settings(num_devices=4))
+    assert len(registry.devices) == 4
+    assert len(calls) == 1
+    # every driver still sees the environment, through the registry
+    assert [mod.driver.sample_blocks for mod in registry.devices] == [2] * 4
+
+
+def test_standalone_driver_resolves_its_own_settings(monkeypatch):
+    monkeypatch.setenv("REPRO_SAMPLE_BLOCKS", "2")
+    calls = _count_from_env(monkeypatch)
+    assert CudaDriver().sample_blocks == 2
+    assert len(calls) == 1
