@@ -30,8 +30,10 @@ communicating runtime call, see :mod:`repro.cuda.sim.locality`) is also
 compiled at ``nwarps x 32`` lanes and run by one
 :class:`CompiledBlockExec` per block, so each numpy call serves every
 warp at once.  The wide code keeps per-warp accounting: each per-warp
-counter grows by the number of warps with an active lane, transactions
-are summed per warp, and runtime calls run per warp on 32-lane slices.
+counter grows by the number of warps with an active lane and
+transactions are summed per warp.  A block-local runtime call runs once
+for the block when its scalar arguments agree across warps, else per
+warp on 32-lane slices.
 
 Compilation is conservative: any construct outside the supported set
 raises :class:`UnsupportedKernel` and the caller silently falls back to
@@ -52,7 +54,7 @@ from repro.cuda.ptx.ir import (
     Imm, KernelIR, Ld, LoopOp, Mov, PrintfOp, Reg, RetOp, SelOp, Sreg, St,
     UnOp, np_dtype, walk_ops,
 )
-from repro.cuda.sim.locality import loop_may_block
+from repro.cuda.sim.locality import local_call, loop_may_block
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
     _unop,
@@ -247,11 +249,60 @@ def _bbranch(stats, tm, em, ta, ea) -> None:
         stats.instructions += _nw(tm if ta else em)
 
 
+class NonUniform(Exception):
+    """A scalar argument of a block-wide runtime call differs between the
+    block's active warps (raised by ``repro.devrt.state.uniform``): the
+    call cannot be made once for the block."""
+
+
+def _bval(blk, o, width: int):
+    """``WarpExec.val`` at block width."""
+    t = type(o)
+    if t is Reg:
+        return _reg(blk.regs, o.name, np_dtype(o.dtype), width)
+    if t is Imm:
+        return np_dtype(o.dtype).type(o.value)
+    return np.uint64(blk.engine.global_addr(o.name))
+
+
 def _bcall(blk, op, regspec, m):
-    """A delegated runtime call at block width: every warp with an active
-    lane makes the call on its own 32-lane slice, in warp order, so the
-    intrinsics (and their ``uniform()`` argument reads) see exactly what
-    a per-warp run shows them.  ``regspec`` names the registers the call
+    """A runtime call at block width, made once for the block.
+
+    Block-wide code calls only block-local intrinsics (see
+    :func:`~repro.cuda.sim.locality.local_call`), which run over the
+    block's lanes: they read the lane count from the mask and the lane
+    ids from the executor.  One instruction is counted per active warp.
+    When a scalar argument differs between warps (:class:`NonUniform`)
+    the call is made per warp instead (:func:`_warps_call`)."""
+    width = m.size
+    intrinsic = blk.engine.intrinsics.get(op.name)
+    if intrinsic is None:   # the per-warp call reports it
+        return (yield from _warps_call(blk, op, regspec, m))
+    try:
+        result = yield from intrinsic(
+            blk, m, [_bval(blk, a, width) for a in op.args])
+    except NonUniform:
+        return (yield from _warps_call(blk, op, regspec, m))
+    blk.engine.stats.instructions += _nw(m)
+    dst = op.dst
+    if dst is not None:
+        dt = np_dtype(dst.dtype)
+        arr = _reg(blk.regs, dst.name, dt, width)
+        if result is None:
+            arr[m] = 0
+        else:
+            value = np.asarray(result)
+            if value.ndim == 0:
+                arr[m] = _cast_scalar(value, dt)
+            else:
+                arr[m] = _cast_vec(value[m], dt)
+    return m & ~blk._ret_stack[-1]
+
+
+def _warps_call(blk, op, regspec, m):
+    """A runtime call made by every warp with an active lane on its own
+    32-lane slice, in warp order, so the intrinsic sees exactly what a
+    per-warp run shows it.  ``regspec`` names the registers the call
     reads or writes; the warp's view of each is a slice of the block's."""
     out = m.copy()
     ret = blk._ret_stack[-1]
@@ -831,6 +882,8 @@ class _FnGen:
                 self.narrow_only("barrier")
                 self.emit_bar(op, maybe_empty)
             elif cls is CallOp:
+                if not local_call(op.name):
+                    self.narrow_only(f"runtime call {op.name}")
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
                 if self.wide:
@@ -1327,10 +1380,10 @@ class CompiledBlockExec:
     ``warp_ids`` are the block's warps that run (every warp, or the
     sampled picks), in order; lane ``32*k + i`` is lane ``i`` of warp
     ``warp_ids[k]``.  Generated code reads the same attributes it reads
-    from a :class:`WarpExec`, at block width.  Runtime calls and loads or
-    stores that must split go through one :class:`WarpExec` view per
-    warp, created on first use, whose registers are slices of the
-    block's.
+    from a :class:`WarpExec`, at block width, and so do the block-local
+    runtime intrinsics.  Runtime calls made per warp and loads or stores
+    that must split go through one :class:`WarpExec` view per warp,
+    created on first use, whose registers are slices of the block's.
     """
 
     def __init__(self, compiled: CompiledKernel, engine, block,

@@ -9,6 +9,10 @@ kernel observe another warp? — and read it from here:
   block on one lane axis only when, in addition, the kernel does not
   print (stdout order follows the warps).
 
+The same whitelist (:func:`local_call`) also tells the block-wide
+executor which runtime calls it may make once for the whole block
+instead of once per warp.
+
 A kernel communicates when its body or any subfunction contains a
 barrier, an atomic, or a call into the device runtime outside the
 block-local whitelist below.  These are the SPMD-mode kernels of the
@@ -39,7 +43,9 @@ _LOCAL_CALLS = frozenset({
 _SUSPENDING = (BarOp, Atom, CallOp)
 
 
-def _local_call(name: str) -> bool:
+def local_call(name: str) -> bool:
+    """Whether a call to ``name`` is block-local: a pseudo op or a
+    runtime call in the whitelist."""
     return (name.startswith("__ld") or name == "__local_base"
             or name.startswith("omp_") or name in _LOCAL_CALLS)
 
@@ -63,7 +69,7 @@ def _scan(kernel: KernelIR) -> Locality:
         for op in walk_ops(body):
             if isinstance(op, (BarOp, Atom)):
                 communicates = True
-            elif isinstance(op, CallOp) and not _local_call(op.name):
+            elif isinstance(op, CallOp) and not local_call(op.name):
                 communicates = True
             elif isinstance(op, PrintfOp):
                 prints = True

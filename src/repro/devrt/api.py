@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cuda.sim.warp import WARP_SIZE, WarpExec
+from repro.cuda.sim.warp import WarpExec
 from repro.devrt import barriers, masterworker, schedules, sections, shmem, shuffle, sync
 from repro.devrt.atomics import ATOMIC_RED_INTRINSICS
 from repro.devrt.state import block_state, pure, region_thread_ids, region_threads
@@ -24,30 +24,30 @@ def omp_get_thread_num(warp: WarpExec, mask, args):
 
 @pure
 def omp_get_num_threads(warp: WarpExec, mask, args):
-    return np.full(WARP_SIZE, region_threads(warp), dtype=np.int32)
+    return np.full(mask.size, region_threads(warp), dtype=np.int32)
 
 
 @pure
 def omp_get_team_num(warp: WarpExec, mask, args):
     gx, gy, _gz = warp.block.grid_dim
     cx, cy, cz = warp.block.block_idx
-    return np.full(WARP_SIZE, cx + gx * (cy + gy * cz), dtype=np.int32)
+    return np.full(mask.size, cx + gx * (cy + gy * cz), dtype=np.int32)
 
 
 @pure
 def omp_get_num_teams(warp: WarpExec, mask, args):
     gx, gy, gz = warp.block.grid_dim
-    return np.full(WARP_SIZE, gx * gy * gz, dtype=np.int32)
+    return np.full(mask.size, gx * gy * gz, dtype=np.int32)
 
 
 @pure
 def omp_is_initial_device(warp: WarpExec, mask, args):
-    return np.zeros(WARP_SIZE, dtype=np.int32)
+    return np.zeros(mask.size, dtype=np.int32)
 
 
 @pure
 def omp_get_max_threads(warp: WarpExec, mask, args):
-    return np.full(WARP_SIZE, block_state(warp)["nthreads_block"], dtype=np.int32)
+    return np.full(mask.size, block_state(warp)["nthreads_block"], dtype=np.int32)
 
 
 #: name -> ((parameter dtypes...), return dtype or None); "any" skips the

@@ -33,21 +33,21 @@ from repro.devrt.state import (
 def cudadev_target_init(warp: WarpExec, mask, args):
     """Entry call emitted at the top of every generated kernel: selects the
     execution mode (0 = combined construct, 1 = master/worker)."""
-    devrt = block_state(warp)
     mode = uniform(args[0], mask)
+    devrt = block_state(warp)
     devrt["mode"] = "mw" if mode == 1 else "combined"
     return None
 
 
 @pure
 def cudadev_in_masterwarp(warp: WarpExec, mask, args):
-    thrid = np.broadcast_to(np.asarray(args[0]), (WARP_SIZE,))
+    thrid = np.broadcast_to(np.asarray(args[0]), mask.shape)
     return (thrid < WARP_SIZE).astype(np.int32)
 
 
 @pure
 def cudadev_is_masterthr(warp: WarpExec, mask, args):
-    thrid = np.broadcast_to(np.asarray(args[0]), (WARP_SIZE,))
+    thrid = np.broadcast_to(np.asarray(args[0]), mask.shape)
     return (thrid == 0).astype(np.int32)
 
 
@@ -55,7 +55,7 @@ def cudadev_is_masterthr(warp: WarpExec, mask, args):
 def cudadev_getaddr(warp: WarpExec, mask, args):
     """Identity on device addresses (the generated code routes global
     pointers through this for uniformity with shared-memory pushes)."""
-    return np.broadcast_to(np.asarray(args[0], dtype=np.uint64), (WARP_SIZE,)).copy()
+    return np.broadcast_to(np.asarray(args[0], dtype=np.uint64), mask.shape).copy()
 
 
 def cudadev_register_parallel(warp: WarpExec, mask, args):
@@ -91,7 +91,7 @@ def cudadev_workerfunc(warp: WarpExec, mask, args):
         participate = mask & (my_id >= 0) & (my_id < nthreads)
         if participate.any():
             mw["in_region"] = True
-            arg_vec = np.full(WARP_SIZE, args_addr, dtype=np.uint64)
+            arg_vec = np.full(mask.size, args_addr, dtype=np.uint64)
             yield from warp.call_subfunction(fid, [arg_vec], participate)
             mw["in_region"] = False
             rounded = WARP_SIZE * ((nthreads + WARP_SIZE - 1) // WARP_SIZE)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cuda.sim.warp import WARP_SIZE, WarpExec
+from repro.cuda.sim.warp import WarpExec
 from repro.devrt.state import (
     block_state, pure, region_thread_ids, region_threads, store_out, uniform,
 )
@@ -47,8 +47,8 @@ def cudadev_get_distribute_chunk(warp: WarpExec, mask, args):
     lo = int(uniform(args[0], mask))
     hi = int(uniform(args[1], mask))
     tlo, thi = _team_bounds(warp, lo, hi)
-    store_out(warp, args[2], np.int64, np.full(WARP_SIZE, tlo, dtype=np.int64), mask)
-    store_out(warp, args[3], np.int64, np.full(WARP_SIZE, thi, dtype=np.int64), mask)
+    store_out(warp, args[2], np.int64, np.full(mask.size, tlo, dtype=np.int64), mask)
+    store_out(warp, args[3], np.int64, np.full(mask.size, thi, dtype=np.int64), mask)
     return None
 
 
@@ -86,9 +86,9 @@ def _chunk_call(warp: WarpExec, mask, args, kind: str):
     nthreads = region_threads(warp)
     tids = region_thread_ids(warp)
     state = _sched_state(warp, loop_id, kind, lo, hi, nthreads)
-    tlo = np.zeros(WARP_SIZE, dtype=np.int64)
-    thi = np.zeros(WARP_SIZE, dtype=np.int64)
-    got = np.zeros(WARP_SIZE, dtype=np.int32)
+    tlo = np.zeros(mask.size, dtype=np.int64)
+    thi = np.zeros(mask.size, dtype=np.int64)
+    got = np.zeros(mask.size, dtype=np.int32)
     active = np.flatnonzero(mask)
     if kind == "static":
         got[:] = _static_chunks(state["calls"], tids, active, lo, hi, chunk,
@@ -176,9 +176,9 @@ def cudadev_get_distribute_chunk_dim(warp: WarpExec, mask, args):
     tlo = min(lo + team * chunk, hi)
     thi = min(tlo + chunk, hi)
     store_out(warp, args[3], np.int64,
-              np.full(WARP_SIZE, tlo, dtype=np.int64), mask)
+              np.full(mask.size, tlo, dtype=np.int64), mask)
     store_out(warp, args[4], np.int64,
-              np.full(WARP_SIZE, thi, dtype=np.int64), mask)
+              np.full(mask.size, thi, dtype=np.int64), mask)
     return None
 
 
@@ -207,9 +207,9 @@ def cudadev_get_static_chunk_dim(warp: WarpExec, mask, args):
     if calls is None:
         calls = np.zeros(max(devrt["nthreads_block"], 1), dtype=np.int64)
         devrt["sched"][key] = calls
-    tlo = np.zeros(WARP_SIZE, dtype=np.int64)
-    thi = np.zeros(WARP_SIZE, dtype=np.int64)
-    got = np.zeros(WARP_SIZE, dtype=np.int32)
+    tlo = np.zeros(mask.size, dtype=np.int64)
+    thi = np.zeros(mask.size, dtype=np.int64)
+    got = np.zeros(mask.size, dtype=np.int32)
     active = np.flatnonzero(mask)
     # per-lane call counter indexed by the lane's linear thread id
     lane_ids = warp.lane_linear[active]

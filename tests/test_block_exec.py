@@ -249,6 +249,148 @@ def test_verify_rolls_back_a_mapped_scalar_written_by_a_region():
     assert outs["verify"] == outs["on"]
 
 
+# -- block-wide runtime calls -------------------------------------------------
+
+def spy_block_calls(monkeypatch):
+    """Record the name of every runtime call of block-wide code and every
+    per-warp view a block creates."""
+    calls, views = [], []
+    real_call = sim_compile._bcall
+    real_view = sim_compile.CompiledBlockExec.warp_view
+
+    def bcall(blk, op, regspec, m):
+        calls.append(op.name)
+        return (yield from real_call(blk, op, regspec, m))
+
+    def warp_view(self, k):
+        views.append(k)
+        return real_view(self, k)
+
+    monkeypatch.setitem(sim_compile._GLOBALS, "_bcall", bcall)
+    monkeypatch.setattr(sim_compile.CompiledBlockExec, "warp_view", warp_view)
+    return calls, views
+
+
+COLLAPSE2 = r"""
+int a[20][30];
+int main(void)
+{
+    int i, j;
+    #pragma omp target teams distribute parallel for collapse(2) map(tofrom: a)
+    for (i = 0; i < 20; i++)
+        for (j = 0; j < 30; j++)
+            a[i][j] = a[i][j] + i * 100 + j;
+    return 0;
+}
+"""
+
+SPARSE_TEAMS = r"""
+int out[48];
+int main(void)
+{
+    int i;
+    #pragma omp target teams distribute parallel for num_teams(16) \
+        num_threads(128) map(tofrom: out)
+    for (i = 0; i < 48; i++)
+        out[i] = out[i] + i * 3;
+    return 0;
+}
+"""
+
+QUERIES = r"""
+int tid[256];
+int nth[256];
+int team[256];
+int main(void)
+{
+    int i;
+    #pragma omp target teams distribute parallel for num_teams(4) \
+        num_threads(64) map(tofrom: tid, nth, team)
+    for (i = 0; i < 256; i++) {
+        tid[i] = omp_get_thread_num();
+        nth[i] = omp_get_num_threads();
+        team[i] = omp_get_team_num();
+    }
+    return 0;
+}
+"""
+
+_i = np.arange(600)
+_q = np.arange(256)
+
+
+@pytest.mark.parametrize("src,shape,width,names,want", [
+    # 12x10 blocks: tid.x wraps inside every warp
+    (COLLAPSE2, (12, 10, 1), 128,
+     {"cudadev_get_distribute_chunk_dim", "cudadev_get_static_chunk_dim"},
+     {"a": (_i // 30) * 100 + _i % 30}),
+    # 3 iterations per team: warps 1-3 of every block get no chunk
+    (SPARSE_TEAMS, None, 128,
+     {"cudadev_get_distribute_chunk", "cudadev_get_static_chunk"},
+     {"out": np.arange(48) * 3}),
+    (QUERIES, None, 64,
+     {"omp_get_thread_num", "omp_get_num_threads", "omp_get_team_num"},
+     {"tid": _q % 64, "nth": np.full(256, 64), "team": _q // 64}),
+], ids=["collapse2-static-dim", "sparse-teams", "omp-queries"])
+def test_runtime_calls_run_once_per_block(monkeypatch, src, shape, width,
+                                          names, want):
+    calls, views = spy_block_calls(monkeypatch)
+    prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify",
+                                   block_shape=shape)).compile(src, "calls")
+    run = prog.run()
+    assert run.exit_code == 0
+    assert run.log.count("kernel") == 1
+    cache = run.ort.cudadev.driver.kernel_cache
+    (kernel,) = [k for k, ck in cache._cache.values() if ck is not None]
+    assert cache.widths(kernel) == [width]
+    assert names | {"cudadev_target_init"} <= set(calls)
+    assert views == []          # no call fell back to the per-warp loop
+    for name, values in want.items():
+        got = run.machine.global_array(name).reshape(-1)
+        assert np.array_equal(got, values), name
+
+
+def test_warp_dependent_argument_falls_back_per_warp(monkeypatch):
+    # lo depends on the warp: the chunk call cannot run once for the
+    # block, so each warp makes it alone (and verify mode checks it
+    # against the tree-walk)
+    calls, views = spy_block_calls(monkeypatch)
+    src = r"""
+    __global__ void k(int *out, int n) {
+        long tlo, thi, it;
+        int t = threadIdx.x;
+        cudadev_target_init(0);
+        while (cudadev_get_static_chunk(0, (long) (t / 32) * 7, (long) n,
+                                        3L, &tlo, &thi)) {
+            for (it = tlo; it < thi; it++)
+                out[t] = out[t] * 31 + (int) it;
+        }
+    }
+    """
+    out = np.zeros(96, dtype=np.int32)
+    stats, widths, _, (got,) = run_verified(src, (2, 1, 1), (96, 1, 1),
+                                            [out], [np.int32(500)])
+    assert widths == [96]
+    assert "cudadev_get_static_chunk" in calls
+    assert sorted(set(views)) == [0, 1, 2]
+    assert got.any()
+
+
+def test_block_width_refuses_a_communicating_runtime_call():
+    # block-wide code makes every call once per block, so only the
+    # block-local whitelist may appear in it
+    kernel = kernel_k(r"""
+    __global__ void k(int *out) {
+        long tlo, thi;
+        while (cudadev_get_dynamic_chunk(0, 0L, 64L, 1L, &tlo, &thi))
+            out[tlo] = 1;
+    }
+    """)
+    with pytest.raises(sim_compile.UnsupportedKernel):
+        sim_compile.compile_kernel(kernel, 64)
+    assert sim_compile.compile_kernel(kernel, 32).width == 32
+
+
 # -- communicating kernels stay per warp ---------------------------------------
 
 BARRIER = r"""

@@ -1,16 +1,25 @@
 """Property-based tests on worksharing invariants and more device-code
 control-flow coverage."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
-from repro.cuda.ptx.lower import lower_translation_unit
-from repro.cuda.sim.engine import FunctionalEngine
+from repro.cuda.ptx.ir import CallOp, Imm, KernelIR, Reg, np_dtype
+from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, lower_translation_unit
+from repro.cuda.sim.compile import (
+    CompiledBlockExec, NonUniform, _bcall, _warps_call,
+)
+from repro.cuda.sim.engine import BlockCtx, FunctionalEngine
+from repro.cuda.sim.locality import local_call
 from repro.devrt import INTRINSIC_SIGS, build_intrinsics
+from repro.devrt.state import uniform
 from repro.mem import LinearMemory
 
 GMEM_BASE = 0x2_0000_0000
@@ -218,3 +227,248 @@ def test_device_comma_and_compound_assignment():
     """
     out = run_kernel(src, "k", 1, 4, [np.zeros(4, dtype=np.int32)])[0]
     assert list(out) == [104, 204, 304, 404]
+
+
+# -- block-wide runtime calls ---------------------------------------------------
+#
+# A block-local runtime call is made once for a block-wide executor.  Its
+# oracle is the per-warp loop it replaces (``_warps_call``): the same
+# call made by each active warp on its 32-lane slice, in warp order.
+# Both must leave the same result register, device memory, devrt state
+# and KernelStats.
+
+_BLOCK_LOCAL = sorted(n for n in INTRINSIC_SIGS if local_call(n))
+_CHUNKS = [n for n in _BLOCK_LOCAL if n.endswith("_chunk")
+           or n.endswith("_chunk_dim")]
+#: per-thread local bytes of the test blocks: the _tlo and _thi slots
+_LOCAL = 16
+_GARBAGE = -(1 << 40) + 3
+
+
+def _block_exec(block_dim, grid_dim, block_idx):
+    gmem = LinearMemory(1 << 16, base=GMEM_BASE, name="gmem")
+    engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {})
+    ctx = BlockCtx(block_idx, block_dim, grid_dim, 64, _LOCAL)
+    nthreads = block_dim[0] * block_dim[1] * block_dim[2]
+    nwarps = -(-nthreads // 32)
+    blk = CompiledBlockExec(None, engine, ctx, list(range(nwarps)), nthreads,
+                            KernelIR("k"), [])
+    blk._ret_stack.append(np.zeros(nwarps * 32, dtype=bool))
+    return blk
+
+
+def _call_op(name, scalars, mask, blk, pointers="local"):
+    """A CallOp of ``name`` and its registers, set in ``blk``.  Scalar
+    arguments alternate between immediates and registers that hold the
+    value on active lanes and garbage elsewhere; ``scalars`` may give a
+    per-lane array instead of a value.  Pointers address each lane's own
+    two slots in local or global memory ("mixed": warp parity picks)."""
+    params, ret = INTRINSIC_SIGS[name]
+    width = mask.size
+    args, si = [], 0
+    out_ptr = 0
+    for i, dt in enumerate(params):
+        if dt == "u64":
+            lanes = blk.lane_linear.astype(np.uint64)
+            local = LOCAL_WINDOW_BASE + lanes * np.uint64(_LOCAL)
+            glob = GMEM_BASE + lanes * np.uint64(_LOCAL)
+            if pointers == "local":
+                base = local
+            elif pointers == "global":
+                base = glob
+            else:
+                base = np.where((blk.lane_linear // 32) % 2 == 0, local, glob)
+            blk.regs[f"a{i}"] = base + np.uint64(8 * out_ptr)
+            out_ptr += 1
+            args.append(Reg(f"a{i}", "u64"))
+            continue
+        value = scalars[si]
+        si += 1
+        if np.ndim(value) == 0 and i % 2 == 0:
+            args.append(Imm(int(value), dt))
+            continue
+        arr = np.full(width, _GARBAGE, dtype=np.int64)
+        arr[mask] = np.broadcast_to(value, (width,))[mask]
+        blk.regs[f"a{i}"] = arr.astype(np_dtype(dt))
+        args.append(Reg(f"a{i}", dt))
+    dst = Reg("d", ret) if ret else None
+    if dst is not None:
+        blk.regs["d"] = np.full(width, 7, dtype=np_dtype(ret))
+    op = CallOp(dst=dst, name=name, args=args)
+    spec = tuple((r.name, np_dtype(r.dtype)) for r in [*args, dst]
+                 if type(r) is Reg)
+    return op, spec
+
+
+def _run_call(blk, op, spec, mask, call):
+    gen = call(blk, op, spec, mask)
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a block-local call yielded")
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _image(blk):
+    """Everything a call may change: memory, devrt, stats, registers."""
+    ctx = blk.block
+    return {
+        "gmem": blk.engine.gmem.buf.copy(),
+        "lmem": ctx.lmem.buf.copy(),
+        "smem": ctx.smem.buf.copy(),
+        "devrt": copy.deepcopy(ctx.devrt),
+        "stats": dataclasses.asdict(blk.engine.stats),
+        "regs": {k: v.copy() for k, v in blk.regs.items()},
+    }
+
+
+def _assert_same_image(a, b):
+    for key in a:
+        assert _same(a[key], b[key]), key
+
+
+def _scalars(name, draw):
+    """Drawn scalar arguments of ``name`` (dim, loop id, lo, hi, chunk)."""
+    lo = draw(st.integers(0, 40))
+    hi = draw(st.integers(lo - 3, lo + 90))
+    dim = draw(st.integers(0, 2))
+    loop_id = draw(st.integers(0, 2))
+    chunk = draw(st.integers(-2, 7))
+    return {
+        "cudadev_target_init": [draw(st.sampled_from([0, 1]))],
+        "cudadev_get_distribute_chunk": [lo, hi],
+        "cudadev_get_distribute_chunk_dim": [dim, lo, hi],
+        "cudadev_get_static_chunk": [loop_id, lo, hi, chunk],
+        "cudadev_get_static_chunk_dim": [dim, loop_id, lo, hi, chunk],
+    }.get(name, [])
+
+
+@st.composite
+def _geometry(draw):
+    bx = draw(st.integers(1, 64))
+    by = draw(st.integers(1, 256 // bx))
+    gx = draw(st.integers(1, 4))
+    gy = draw(st.integers(1, 3))
+    bidx = (draw(st.integers(0, gx - 1)), draw(st.integers(0, gy - 1)), 0)
+    return (bx, by, 1), (gx, gy, 1), bidx
+
+
+@st.composite
+def _mask(draw, blk):
+    """Valid lanes, each warp full, empty or a random subset."""
+    nw = blk.lane_linear.size // 32
+    mask = blk.valid.copy()
+    for k in range(nw):
+        kind = draw(st.sampled_from(["full", "empty", "some"]))
+        lanes = mask[32 * k:32 * (k + 1)]
+        if kind == "empty":
+            lanes[:] = False
+        elif kind == "some":
+            lanes &= np.array(draw(st.lists(st.booleans(), min_size=32,
+                                            max_size=32)))
+    return mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(_BLOCK_LOCAL),
+       geometry=_geometry(), mw=st.booleans(),
+       pointers=st.sampled_from(["local", "global", "mixed"]))
+def test_block_wide_call_equals_per_warp_loop(data, name, geometry, mw,
+                                              pointers):
+    """For every block-local intrinsic: one block-wide call equals the
+    per-warp loop in result register, memory, devrt state and every
+    KernelStats field; a chunk loop is repeated until every lane has
+    drained, as ``while (cudadev_get_*_chunk(...))`` does."""
+    sides = [_block_exec(*geometry) for _ in range(2)]
+    mask = data.draw(_mask(sides[0]))
+    assume(mask.any())
+    scalars = _scalars(name, data.draw)
+    for blk in sides:
+        if mw:   # the master/worker mode refuses block-wide chunk calls
+            op, spec = _call_op("cudadev_target_init", [1], mask, blk)
+            _run_call(blk, op, spec, mask, _warps_call)
+    for _ in range(400):
+        outs = []
+        for blk, call in zip(sides, (_bcall, _warps_call)):
+            op, spec = _call_op(name, scalars, mask, blk, pointers)
+            outs.append(_run_call(blk, op, spec, mask, call))
+        assert np.array_equal(outs[0], outs[1])
+        _assert_same_image(*map(_image, sides))
+        if op.dst is None or name not in _CHUNKS:
+            break
+        mask = outs[0] & (sides[0].regs["d"] != 0)
+        if not mask.any():
+            break
+    else:
+        raise AssertionError("chunk loop did not drain")
+
+
+def _per_warp_values(blk, value):
+    """A scalar that differs between warps: ``value`` plus the warp."""
+    return value + blk.lane_linear // 32
+
+
+@pytest.mark.parametrize("name", [n for n in _BLOCK_LOCAL
+                                  if _scalars(n, lambda s: 1)])
+def test_per_warp_arguments_take_the_per_warp_path(name):
+    """A scalar argument that depends on the warp cannot be read once for
+    the block: the call falls back to the per-warp loop and matches it."""
+    geometry = ((24, 5, 1), (3, 1, 1), (1, 0, 0))
+    sides = [_block_exec(*geometry) for _ in range(2)]
+    mask = sides[0].valid.copy()
+    base = _scalars(name, lambda s: 1)
+    for blk, call in zip(sides, (_bcall, _warps_call)):
+        # the last scalar: hi, chunk or the target_init mode
+        scalars = base[:-1] + [_per_warp_values(blk, base[-1])]
+        op, spec = _call_op(name, scalars, mask, blk)
+        out = _run_call(blk, op, spec, mask, call)
+        assert blk._views.count(None) == 0   # every warp called alone
+    _assert_same_image(*map(_image, sides))
+    assert np.array_equal(out, mask)
+
+
+@pytest.mark.parametrize("name", [n for n in _BLOCK_LOCAL
+                                  if _scalars(n, lambda s: 1)])
+def test_rejected_uniform_read_leaves_no_trace(name):
+    """Every ``uniform()`` read precedes the intrinsic's first side
+    effect: with any one scalar argument differing between warps the
+    block-wide call raises and changes no memory, devrt state, stats or
+    register."""
+    geometry = ((32, 4, 1), (2, 2, 1), (1, 1, 0))
+    base = _scalars(name, lambda s: 1)
+    intrinsic = build_intrinsics()[name]
+    for pos in range(len(base)):
+        blk = _block_exec(*geometry)
+        mask = blk.valid.copy()
+        mask[40:64] = False
+        scalars = [_per_warp_values(blk, v) if i == pos else v
+                   for i, v in enumerate(base)]
+        op, _spec = _call_op(name, scalars, mask, blk)
+        before = _image(blk)
+        args = [blk.regs[a.name] if type(a) is Reg else a.value
+                for a in op.args]
+        with pytest.raises(NonUniform):
+            next(intrinsic(blk, mask, args))
+        _assert_same_image(before, _image(blk))
+
+
+def test_uniform_reads_each_warps_first_active_lane():
+    blk = _block_exec((96, 1, 1), (1, 1, 1), (0, 0, 0))
+    mask = np.zeros(96, dtype=bool)
+    mask[[5, 6, 70]] = True          # warp 1 has no active lane
+    value = np.full(96, -1, dtype=np.int64)
+    value[[5, 70]] = 9               # lane 6 is not a first lane
+    assert uniform(value, mask) == 9
+    value[70] = 8
+    with pytest.raises(NonUniform):
+        uniform(value, mask)
+    assert uniform(value, mask[:32]) == 9     # one warp never raises
+    assert uniform(np.int64(4), mask) == 4
