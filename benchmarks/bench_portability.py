@@ -1,15 +1,14 @@
-#!/usr/bin/env python3
-"""Portability matrix: the Figure-4 kernel suite on every device backend.
+"""Portability gate: the Figure-4 kernel suite on every device backend.
 
 The paper's central claim is that one OpenMP source runs unchanged on any
-CUDA device OMPi carries a transformation set for.  This benchmark makes
-that measurable for the reproduction's heterogeneous registry
+CUDA device OMPi carries a transformation set for.  This gate makes that
+measurable for the reproduction's heterogeneous registry
 (``repro.devices``):
 
 * **matrix** — every Figure-4 kernel runs on every named backend
   (``nano``, ``tx2``, ``v100``); outputs must be *bit-identical* to the
-  single-Nano baseline (the kernels are compiled once for the primary
-  arch and retargeted per device), while the modelled times reflect each
+  Nano run (the kernels are compiled once for the primary arch and
+  retargeted per device), while the modelled times reflect each
   device's timing model;
 * **mixed shard** — a ``shard(2)`` GEMM on a ``nano,v100`` registry under
   equal-split vs throughput-balanced planning: both must stay
@@ -19,30 +18,16 @@ that measurable for the reproduction's heterogeneous registry
   equal-split baseline substitutes
   :func:`repro.devices.throughput.equal_split` for the planner.
 
-Writes ``BENCH_portability.json``.  ``--check`` runs the smoke sizes and
-exits non-zero if any invariant fails (used by CI's portability job).
+Run it with ``bench_runner.py portability [--check]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import sys
-import time
-from contextlib import nullcontext
 from unittest import mock
 
-import numpy as np
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.bench import get_app  # noqa: E402
-from repro.bench.harness import _heap_capacity, _prog_name  # noqa: E402
-from repro.devices.throughput import equal_split  # noqa: E402
-from repro.ompi.compiler import OmpiCompiler  # noqa: E402
-from repro.ompi.config import OmpiConfig  # noqa: E402
+from repro.bench import get_app
+from repro.bench.harness import _heap_capacity, _prog_name
+from repro.devices.throughput import equal_split
 
 #: the Fig. 4 suite at bit-identity-friendly sizes (full functional runs)
 MATRIX_POINTS = (("3dconv", 20), ("bicg", 96), ("atax", 96),
@@ -54,148 +39,82 @@ BACKENDS = ("nano", "tx2", "v100")
 SHARD_APP, SHARD_N = "gemm", 64
 
 
-def _digest(machine, outputs) -> str:
-    h = hashlib.sha256()
-    for name in outputs:
-        h.update(np.asarray(machine.global_array(name)).tobytes())
-    return h.hexdigest()[:16]
+def app_spec(point: str, app, n: int, source: str | None = None,
+             name: str | None = None, config: dict | None = None,
+             counters=None, patch=None, **run) -> dict:
+    """A ``run_point`` spec for one run of a suite application at size
+    ``n``: its seed arrays, heap and block shape; ``run`` holds the other
+    ``CompiledProgram.run`` arguments."""
+    return {"point": point, "source": source or app.omp_source(n),
+            "name": name or _prog_name(app, n), "outputs": app.outputs,
+            "config": {"block_shape": app.block_shape, **(config or {})},
+            "run": {"seed_arrays": app.seed(n),
+                    "heap_capacity": _heap_capacity(app, n), **run},
+            "counters": counters, "patch": patch}
 
 
-def _run_on(app, n: int, backends=None, num_devices=None, source=None,
-            profile: bool = False):
-    """One full functional run of ``app`` at size ``n`` on the given
-    registry; compiled fresh so per-arch image maps never leak between
-    configurations."""
-    config = OmpiConfig(block_shape=app.block_shape, profile=profile)
-    prog = OmpiCompiler(config).compile(source or app.omp_source(n),
-                                        _prog_name(app, n))
-    return prog.run(launch_mode="full", seed_arrays=app.seed(n),
-                    heap_capacity=_heap_capacity(app, n),
-                    devices=backends, num_devices=num_devices)
+def shard_source(source: str, shards: int) -> str:
+    """``source`` with ``shard(shards)`` on its first combined construct."""
+    marker = "target teams distribute parallel for"
+    return source.replace(marker, f"{marker} shard({shards})", 1)
 
 
-def matrix_point(name: str, n: int) -> dict:
-    app = get_app(name)
-    entry: dict = {"benchmark": name, "size": n, "backends": {}}
-    baseline = None
-    for backend in BACKENDS:
-        t0 = time.perf_counter()
-        run = _run_on(app, n, backends=[backend])
-        wall = time.perf_counter() - t0
-        digest = _digest(run.machine, app.outputs)
-        if baseline is None:
-            baseline = digest
-        entry["backends"][backend] = {
-            "arch": run.ort.cudadev.backend.arch,
-            "digest": digest,
-            "bit_identical_to_nano": digest == baseline,
-            "modelled_s": run.measured_time,
-            "wall_s": round(wall, 3),
-        }
-    entry["bit_identical"] = all(b["bit_identical_to_nano"]
-                                 for b in entry["backends"].values())
-    return entry
-
-
-def _per_device_kernel_s(run) -> dict[int, float]:
+def _per_device_kernel_s(run) -> dict:
     per: dict[int, float] = {}
-    for rec in run.profile.records():
-        if rec.kind == "kernel":
-            per[rec.device] = per.get(rec.device, 0.0) \
-                + (rec.t_end - rec.t_start)
-    return per
+    for rec in run.profile.records("kernel"):
+        per[rec.device] = per.get(rec.device, 0.0) + (rec.t_end - rec.t_start)
+    return {"per_device_kernel_s": {str(k): v for k, v in sorted(per.items())}}
 
 
-def _imbalance(per_device: dict[int, float]) -> float:
-    busy = [t for t in per_device.values() if t > 0.0]
+def _imbalance(record: dict) -> float:
+    busy = [t for t in record["counters"]["per_device_kernel_s"].values()
+            if t > 0.0]
     return max(busy) / min(busy) if busy else float("inf")
 
 
-def shard_point() -> dict:
-    app = get_app(SHARD_APP)
-    src = app.omp_source(SHARD_N)
-    marker = "target teams distribute parallel for"
-    sharded = src.replace(marker, f"{marker} shard(2)", 1)
-    assert sharded != src, f"{SHARD_APP} has no shardable construct"
+def points(check: bool):
+    """Each run compiles fresh, so per-arch image maps never leak between
+    configurations."""
+    for name, n in CHECK_POINTS if check else MATRIX_POINTS:
+        app = get_app(name)
+        for backend in BACKENDS:
+            yield app_spec(f"{name}:{n}/{backend}", app, n,
+                           launch_mode="full", devices=[backend],
+                           counters=lambda run: {
+                               "arch": run.ort.cudadev.backend.arch})
 
-    single = _run_on(app, SHARD_N, num_devices=1)
-    baseline = _digest(single.machine, app.outputs)
-    entry: dict = {
-        "benchmark": SHARD_APP, "size": SHARD_N,
-        "registry": "nano,v100",
-        "single_nano": {"digest": baseline,
-                        "modelled_s": single.measured_time},
-        "modes": {},
-    }
+    app = get_app(SHARD_APP)
+    sharded = shard_source(app.omp_source(SHARD_N), 2)
+    label = f"{SHARD_APP}:{SHARD_N}"
+    yield app_spec(f"{label}/single-nano", app, SHARD_N, launch_mode="full",
+                   num_devices=1)
     equal = mock.patch("repro.devices.throughput.plan_shards",
                        lambda total, weights: equal_split(total, len(weights)))
-    for mode, planner in (("equal", equal), ("throughput", nullcontext())):
-        with planner:
-            run = _run_on(app, SHARD_N, backends="nano,v100",
-                          source=sharded, profile=True)
-        per = _per_device_kernel_s(run)
-        entry["modes"][mode] = {
-            "digest": _digest(run.machine, app.outputs),
-            "bit_identical_to_nano":
-                _digest(run.machine, app.outputs) == baseline,
-            "modelled_s": run.measured_time,
-            "per_device_kernel_s": {str(k): v for k, v in sorted(per.items())},
-            "imbalance": _imbalance(per),
-        }
-    eq, tp = entry["modes"]["equal"], entry["modes"]["throughput"]
-    entry["bit_identical"] = (eq["bit_identical_to_nano"]
-                              and tp["bit_identical_to_nano"])
-    entry["throughput_beats_equal"] = (
-        tp["modelled_s"] < eq["modelled_s"]
-        and tp["imbalance"] <= eq["imbalance"])
-    return entry
+    for mode, planner in (("equal", equal), ("throughput", None)):
+        yield app_spec(f"{label}/shard(2)-{mode}", app, SHARD_N,
+                       source=sharded, config={"profile": True},
+                       launch_mode="full", devices="nano,v100",
+                       counters=_per_device_kernel_s, patch=planner)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="smoke subset + invariant enforcement (CI)")
-    parser.add_argument("--output", default="BENCH_portability.json")
-    args = parser.parse_args(argv)
-
-    points = CHECK_POINTS if args.check else MATRIX_POINTS
-    report: dict = {"matrix": [], "backends": list(BACKENDS)}
-    ok = True
-    for name, n in points:
-        print(f"[bench] portability {name} n={n} ...", flush=True)
-        entry = matrix_point(name, n)
-        report["matrix"].append(entry)
-        ok &= entry["bit_identical"]
-
-    print(f"[bench] mixed shard {SHARD_APP} n={SHARD_N} ...", flush=True)
-    report["mixed_shard"] = shard_point()
-    ok &= report["mixed_shard"]["bit_identical"]
-    ok &= report["mixed_shard"]["throughput_beats_equal"]
-
-    report["ok"] = bool(ok)
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"[bench] wrote {args.output}")
-
-    for entry in report["matrix"]:
-        times = "  ".join(
-            f"{b}={v['modelled_s'] * 1e3:.3f}ms"
-            for b, v in entry["backends"].items())
-        print(f"  {entry['benchmark']:12s} n={entry['size']:<4d} "
-              f"bit-identical={entry['bit_identical']}  {times}")
-    ms = report["mixed_shard"]
-    print(f"  shard {ms['benchmark']} on {ms['registry']}: "
-          f"equal {ms['modes']['equal']['modelled_s'] * 1e3:.3f}ms "
-          f"(imb {ms['modes']['equal']['imbalance']:.2f}) -> throughput "
-          f"{ms['modes']['throughput']['modelled_s'] * 1e3:.3f}ms "
-          f"(imb {ms['modes']['throughput']['imbalance']:.2f}), "
-          f"bit-identical={ms['bit_identical']}")
-
-    if not ok:
-        print("[bench] PORTABILITY CHECK FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def failures(records: list[dict], budget: dict) -> list[str]:
+    *matrix, single, equal, throughput = records
+    out = []
+    for i in range(0, len(matrix), len(BACKENDS)):
+        nano, *others = matrix[i:i + len(BACKENDS)]
+        for r in others:
+            if r["digest"] != nano["digest"]:
+                out.append(f"{r['point']}: output differs from "
+                           f"{nano['point']}")
+    for r in (equal, throughput):
+        if r["digest"] != single["digest"]:
+            out.append(f"{r['point']}: output differs from the single-Nano "
+                       f"run")
+    if not throughput["simulated_s"] < equal["simulated_s"]:
+        out.append(f"throughput planning ({throughput['simulated_s']:.6g}s) "
+                   f"does not beat equal split ({equal['simulated_s']:.6g}s)")
+    if _imbalance(throughput) > _imbalance(equal):
+        out.append(f"throughput planning imbalance "
+                   f"{_imbalance(throughput):.2f} exceeds equal split's "
+                   f"{_imbalance(equal):.2f}")
+    return out

@@ -19,23 +19,12 @@ The gate asserts, per workload:
 The headline point must show the tree combine strictly beating the
 atomic-merge baseline on modelled time (per-thread atomics serialise in
 the timing model; the tree replaces them with shuffles, shared memory
-and one barrier).  Results land in ``BENCH_reductions.json``.
-
-Usage:
-    PYTHONPATH=src python benchmarks/bench_reductions.py [--check] [--output P]
+and one barrier).  Run it with ``bench_runner.py reductions [--check]``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
-
-from repro.ompi import OmpiCompiler, OmpiConfig
 
 HEAP = 256 << 20
 
@@ -230,16 +219,6 @@ def _teams(total: int, threads: int = 128) -> int:
     return max(1, (total + threads - 1) // threads)
 
 
-def _run(source: str, name: str, seed: dict[str, np.ndarray],
-         num_devices: int = 1, reduction_mode: str = "tree",
-         launch_mode: str = "full"):
-    config = OmpiConfig(num_devices=num_devices,
-                        reduction_mode=reduction_mode)
-    prog = OmpiCompiler(config).compile(source, name)
-    return prog.run(launch_mode=launch_mode, seed_arrays=seed,
-                    heap_capacity=HEAP)
-
-
 def _sources(workload: str, n: int) -> tuple[dict[str, str], dict, str]:
     """(single/sharded sources, seed arrays, checksum source array name)."""
     if workload == "correlation":
@@ -257,48 +236,6 @@ def _sources(workload: str, n: int) -> tuple[dict[str, str], dict, str]:
     return ({"single": _fmt(template, SHARD="", **kw),
              "sharded": _fmt(template, SHARD="shard(2)", **kw)},
             seed, arr)
-
-
-def run_workload(workload: str, n: int) -> dict:
-    sources, seed, arr = _sources(workload, n)
-    entry: dict = {"benchmark": workload, "size": n}
-    results: dict[str, dict] = {}
-    for key, ndev in (("single", 1), ("sharded", 2)):
-        t0 = time.perf_counter()
-        run = _run(sources[key], f"{workload}_{key}", seed,
-                   num_devices=ndev)
-        results[key] = {
-            "array": np.asarray(run.machine.global_array(arr)).copy(),
-            "checksum": float(run.machine.global_array("checksum").item()),
-            "simulated_s": run.log.measured_time,
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-    single, sharded = results["single"], results["sharded"]
-
-    if workload == "correlation":
-        ref = correlation_ref(n, n, seed["data"])
-    elif workload == "covariance":
-        ref = covariance_ref(n, n, seed["data"])
-    else:
-        ref = doitgen_ref(n, seed["A"], seed["C4"])
-    entry["reference_ok"] = bool(np.allclose(
-        single["array"], ref, rtol=2e-3, atol=1e-5))
-
-    # §16 contract on real float data: the reduction scalar equals the
-    # sequential fold of the device-produced matrix in iteration order
-    seq = np.float64(0.0)
-    for v in single["array"].ravel():
-        seq = np.float64(seq + np.float64(v))
-    entry["checksum"] = single["checksum"]
-    entry["checksum_matches_sequential_fold"] = (
-        single["checksum"] == float(seq))
-    entry["shard_bit_identical"] = bool(
-        single["array"].tobytes() == sharded["array"].tobytes()
-        and single["checksum"] == sharded["checksum"])
-    entry["modes"] = {k: {kk: v[kk] for kk in ("checksum", "simulated_s",
-                                               "wall_s")}
-                      for k, v in results.items()}
-    return entry
 
 
 # -------------------------------------------------------- tree vs atomic merge
@@ -322,104 +259,91 @@ int main(void)
 '''
 
 
-def headline_point(n: int = 2048) -> dict:
-    """Tree vs atomic-merge on the n*n sum: the tree must be faster on
-    modelled time (the acceptance bar) with both lowerings agreeing on
-    the value within float tolerance (the atomic merge is order-
-    dependent, that is the point of replacing it)."""
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    seed = {"A": (((i + j) % 17) / np.float32(17)).astype(np.float32)}
-    src = _fmt(_REDUCE2D, N=n, TEAMS=_teams(n * n, 256))
-    entry: dict = {"benchmark": "reduce2d", "size": n, "modes": {}}
-    totals: dict[str, float] = {}
-    for mode in ("tree", "atomic"):
-        t0 = time.perf_counter()
-        run = _run(src, f"reduce2d_{mode}", seed, reduction_mode=mode,
-                   launch_mode="sample")
-        totals[mode] = float(run.machine.global_array("total").item())
-        entry["modes"][mode] = {
-            "simulated_s": run.log.measured_time,
-            "wall_s": round(time.perf_counter() - t0, 4),
-        }
-    tree_s = entry["modes"]["tree"]["simulated_s"]
-    atomic_s = entry["modes"]["atomic"]["simulated_s"]
-    entry["tree_speedup"] = round(atomic_s / max(tree_s, 1e-30), 3)
-    entry["tree_beats_atomic"] = tree_s < atomic_s
-    entry["values_close"] = bool(np.isclose(
-        totals["tree"], totals["atomic"], rtol=1e-9))
-    return entry
+def _reference(workload: str, n: int, seed: dict) -> np.ndarray:
+    if workload == "correlation":
+        return correlation_ref(n, n, seed["data"])
+    if workload == "covariance":
+        return covariance_ref(n, n, seed["data"])
+    return doitgen_ref(n, seed["A"], seed["C4"])
+
+
+def _reduction_counters(array: str, ref: np.ndarray):
+    def counters(run) -> dict:
+        got = np.asarray(run.machine.global_array(array))
+        checksum = float(run.machine.global_array("checksum").item())
+        # §16 contract on real float data: the reduction scalar equals
+        # the sequential fold of the device-produced matrix in order
+        fold = np.float64(0.0)
+        for v in got.ravel():
+            fold = np.float64(fold + np.float64(v))
+        return {"checksum": checksum,
+                "reference_ok": bool(np.allclose(got, ref, rtol=2e-3,
+                                                 atol=1e-5)),
+                "sequential_fold": checksum == float(fold)}
+    return counters
 
 
 WORKLOADS = ("correlation", "covariance", "doitgen")
 DEFAULT_SIZES = {"correlation": 48, "covariance": 48, "doitgen": 20}
 CHECK_SIZES = {"correlation": 32, "covariance": 32, "doitgen": 12}
+HEADLINE_N = 2048
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true",
-                    help="CI smoke: smaller workload sizes (the 2048x2048 "
-                         "headline point always runs)")
-    ap.add_argument("--output", default=None,
-                    help="output JSON path (default: BENCH_reductions.json "
-                         "next to the repo root)")
-    args = ap.parse_args(argv)
-
-    sizes = CHECK_SIZES if args.check else DEFAULT_SIZES
-    results = []
+def points(check: bool):
+    """Each workload single-device then ``shard(2)``, both with the tree
+    lowering; then the headline sum with the tree and the atomic merge.
+    The headline always runs at 2048x2048."""
+    sizes = CHECK_SIZES if check else DEFAULT_SIZES
     for workload in WORKLOADS:
         n = sizes[workload]
-        print(f"[bench] {workload} n={n} (tree, single vs shard(2)) ...",
-              flush=True)
-        entry = run_workload(workload, n)
-        print(f"[bench]   checksum {entry['checksum']:.6g}  "
-              f"ref_ok={entry['reference_ok']}  "
-              f"seq_fold={entry['checksum_matches_sequential_fold']}  "
-              f"shard_identical={entry['shard_bit_identical']}")
-        results.append(entry)
+        sources, seed, array = _sources(workload, n)
+        counters = _reduction_counters(array, _reference(workload, n, seed))
+        for key, ndev in (("single", 1), ("sharded", 2)):
+            yield {"point": f"{workload}:{n}/{key}", "source": sources[key],
+                   "name": f"{workload}_{key}",
+                   "outputs": (array, "checksum"),
+                   "config": {"num_devices": ndev},
+                   "run": {"launch_mode": "full", "seed_arrays": seed,
+                           "heap_capacity": HEAP},
+                   "counters": counters}
 
-    print("[bench] reduce2d n=2048 (tree vs atomic merge) ...", flush=True)
-    headline = headline_point()
-    print(f"[bench]   tree {headline['modes']['tree']['simulated_s']:.6g}s  "
-          f"atomic {headline['modes']['atomic']['simulated_s']:.6g}s  "
-          f"speedup {headline['tree_speedup']}x")
-    results.append(headline)
-
-    out = {
-        "metric": "modelled seconds per reduction lowering; bit-identity "
-                  "of the fixed-order combine across shard layouts",
-        "results": results,
-    }
-    out_path = Path(args.output) if args.output else (
-        Path(__file__).resolve().parent.parent / "BENCH_reductions.json")
-    out_path.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"[bench] wrote {out_path}")
-
-    failures = []
-    for entry in results[:-1]:
-        label = f"{entry['benchmark']}:{entry['size']}"
-        if not entry["reference_ok"]:
-            failures.append(f"{label}: outputs diverge from the numpy "
-                            f"reference")
-        if not entry["checksum_matches_sequential_fold"]:
-            failures.append(f"{label}: reduction checksum is not the "
-                            f"sequential fold of the result matrix")
-        if not entry["shard_bit_identical"]:
-            failures.append(f"{label}: shard(2) run differs from the "
-                            f"single-device run")
-    if not headline["tree_beats_atomic"]:
-        failures.append(
-            f"reduce2d:2048: tree lowering "
-            f"({headline['modes']['tree']['simulated_s']:.6g}s) does not "
-            f"beat the atomic-merge baseline "
-            f"({headline['modes']['atomic']['simulated_s']:.6g}s)")
-    if not headline["values_close"]:
-        failures.append("reduce2d:2048: tree and atomic totals diverge "
-                        "beyond float tolerance")
-    for msg in failures:
-        print(f"[bench] FAIL {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    n = HEADLINE_N
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    seed = {"A": (((i + j) % 17) / np.float32(17)).astype(np.float32)}
+    source = _fmt(_REDUCE2D, N=n, TEAMS=_teams(n * n, 256))
+    for mode in ("tree", "atomic"):
+        yield {"point": f"reduce2d:{n}/{mode}", "source": source,
+               "name": f"reduce2d_{mode}", "outputs": ("total",),
+               "config": {"reduction_mode": mode},
+               "run": {"launch_mode": "sample", "seed_arrays": seed,
+                       "heap_capacity": HEAP},
+               "counters": lambda run: {"total": float(
+                   run.machine.global_array("total").item())}}
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def failures(records: list[dict], budget: dict) -> list[str]:
+    """The atomic merge's total is order-dependent (that is the point of
+    replacing it), so the two headline totals only agree within float
+    tolerance."""
+    *workloads, (tree, atomic) = zip(records[::2], records[1::2])
+    out = []
+    for single, sharded in workloads:
+        label = single["point"].rpartition("/")[0]
+        if not single["counters"]["reference_ok"]:
+            out.append(f"{label}: outputs diverge from the numpy reference")
+        if not single["counters"]["sequential_fold"]:
+            out.append(f"{label}: reduction checksum is not the sequential "
+                       f"fold of the result matrix")
+        if single["digest"] != sharded["digest"]:
+            out.append(f"{label}: shard(2) run differs from the "
+                       f"single-device run")
+    label = tree["point"].rpartition("/")[0]
+    if not tree["simulated_s"] < atomic["simulated_s"]:
+        out.append(f"{label}: tree lowering ({tree['simulated_s']:.6g}s) "
+                   f"does not beat the atomic-merge baseline "
+                   f"({atomic['simulated_s']:.6g}s)")
+    if not np.isclose(tree["counters"]["total"], atomic["counters"]["total"],
+                      rtol=1e-9):
+        out.append(f"{label}: tree and atomic totals diverge beyond float "
+                   f"tolerance")
+    return out

@@ -1,46 +1,39 @@
-"""Serving load test: many concurrent sessions over a shared registry.
+"""Serving gates: many concurrent sessions over a shared registry.
 
 Simulates an open-loop multi-tenant workload against the persistent
 :class:`repro.serving.OffloadServer`: sessions arrive in bursts on the
 virtual clock, submit small offload programs (several distinct kernels,
 so the compile cache and the batcher both see a mix), and run multiple
 rounds so warm-state reuse and quota-driven eviction are exercised.
+Every completed request must equal a standalone ``CompiledProgram.run``
+of the same program and seed.
 
-Reported into ``BENCH_serving.json``:
+``bench_runner.py serving [--check]`` runs the load (64 sessions over 4
+devices with ``--check``, 256 without) and the cold vs warm
+time-to-first-launch of two servers sharing one compile cache.  It fails
+on any failed request, output divergence, p99 latency above the
+checked-in budget (``benchmarks/serving_budget.json``), warm TTFL speedup
+below 5x, no multi-request batches, an idle device or no evictions.
 
-* request latency p50/p95/p99 (simulated seconds — deterministic),
-* throughput (completed requests per simulated second),
-* batch-size histogram, eviction/reuse counters, compile-cache stats,
-* cold vs warm time-to-first-launch (host wall-clock; the compile-cache
-  payoff), and
-* a bit-identity verdict: every session's results must equal a
-  standalone ``CompiledProgram.run`` of the same program and seed.
-
-Usage:
-    PYTHONPATH=src python benchmarks/bench_serving.py             # full load
-    PYTHONPATH=src python benchmarks/bench_serving.py --check     # CI smoke
-    PYTHONPATH=src python benchmarks/bench_serving.py --sessions 512
-
-``--check`` (also reachable as ``bench_runner.py --serving-check``) runs
-64 sessions over 4 devices and fails on: any failed request, output
-divergence, p99 above the checked-in budget
-(``benchmarks/serving_budget.json``), warm TTFL speedup below 5x, no
-multi-request batches, or an idle device.
+``bench_runner.py resilience`` runs the 64x4 load fault-free and under
+``devlost:p=0.02,seed=42`` (each launch may stickily kill its device,
+with per-device decorrelated draws).  It fails on output divergence, a
+request that neither completes nor carries a *typed* rejection
+(``DeadlineExceeded``/``QuotaError``), a chaos run that lost no device or
+triggered no failover, or chaos p99 inflation over the fault-free p99
+above ``benchmarks/resilience_budget.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
+import hashlib
+from functools import partial
 
 import numpy as np
 
 from repro.ompi.cache import CompileCache
 from repro.ompi.config import OmpiConfig
-from repro.serving import OffloadServer, TenantQuota, percentile
+from repro.serving import OffloadServer, TenantQuota
 
 #: simulated seconds between arrival bursts
 BURST_GAP_S = 0.0005
@@ -125,202 +118,199 @@ def standalone_reference(progdef: ProgramDef, cache: CompileCache,
             for out in progdef.outputs}
 
 
-def load_test(num_sessions: int, num_devices: int, rounds: int = 2,
-              tenants: int = 8, max_batch: int = 8,
-              resident_quota: int = 512,
-              cache: CompileCache | None = None,
-              trace_path: str | None = None) -> dict:
-    """Run the workload; returns the BENCH entry (see module docstring)."""
+#: the quota that makes the idle sessions' parked buffers evictable
+QUOTA = TenantQuota(max_resident_bytes=512)
+DEVICES = 4
+#: the chaos plan: every kernel launch may stickily lose its device
+FAULT_SPEC = "devlost:p=0.02,seed=42"
+#: generous per-request deadline budget (simulated seconds) — active so
+#: late completions become typed rejections, loose enough that the
+#: fault-free run never hits it
+DEADLINE_S = 0.25
+#: rejection prefixes that count as *typed* (everything else is silent
+#: degradation and fails the gate)
+TYPED = ("DeadlineExceeded", "QuotaError")
+
+
+def load_test(num_sessions: int, num_devices: int, rounds: int,
+              cache: CompileCache | None = None, faults=None,
+              deadline=None, quota: TenantQuota | None = QUOTA,
+              idle: int = BURST_SIZE) -> tuple:
+    """Run ``rounds`` of bursts; after the first round the first ``idle``
+    sessions go quiet, so quota pressure evicts their warm state.
+
+    Returns ``(makespan_s, digest, counters)``: the simulated span from
+    the first arrival to the last completion, the sha256 of every
+    completed request's outputs in submission order, and the server's
+    summary plus the gate counters.
+    """
     config = OmpiConfig()
     cache = cache if cache is not None else CompileCache()
     programs = program_mix()
-    wall0 = time.perf_counter()
     server = OffloadServer(
         num_devices=num_devices, config=config, compile_cache=cache,
-        max_batch=max_batch,
-        default_quota=TenantQuota(max_resident_bytes=resident_quota),
-        profile=trace_path if trace_path else True,
-    )
-    sessions = [server.open_session(f"tenant{i % tenants}")
+        default_quota=quota, faults=faults, deadline=deadline)
+    sessions = [server.open_session(f"tenant{i % 8}")
                 for i in range(num_sessions)]
     requests = []
     t = 0.0
     for r in range(rounds):
-        # after the first round the first burst of sessions goes idle —
-        # their warm state is what quota pressure then evicts
-        active = sessions if r == 0 else sessions[BURST_SIZE:]
+        active = sessions[idle:] if r else sessions
         for start in range(0, len(active), BURST_SIZE):
-            burst = active[start:start + BURST_SIZE]
-            for s in burst:
-                # one program per session, stable across rounds, so the
-                # second round hits the session's parked buffers
+            for s in active[start:start + BURST_SIZE]:
+                # one program per session, stable across rounds, so later
+                # rounds hit the session's parked buffers
                 p = programs[s.sid % len(programs)]
                 requests.append(server.submit(
                     s, p.source, name=p.name, seed_arrays=p.seed_arrays,
                     outputs=p.outputs, arrival=t))
             t += BURST_GAP_S
-        done = server.drain()
+        server.drain()
         t = max(t, server.clock.now())
-    assert len(done) <= len(requests)
 
-    # bit-identity: every completed request against the standalone run
     refs = {p.name: standalone_reference(p, cache, config)
             for p in programs}
-    mismatches = 0
+    h = hashlib.sha256()
+    mismatches = untyped = 0
     for req in requests:
-        if req.status != "done":
-            continue
-        ref = refs[req.name]
-        for out, arr in req.result.items():
-            if np.asarray(arr).tobytes() != ref[out]:
-                mismatches += 1
-    devices_used = sorted({r.session.device for r in requests})
-    stats = server.stats
-    latencies = stats.latencies
+        if req.status == "done":
+            for out, arr in req.result.items():
+                got = np.asarray(arr).tobytes()
+                h.update(got)
+                mismatches += got != refs[req.name][out]
+        elif not (req.status == "rejected"
+                  and (req.error or "").startswith(TYPED)):
+            untyped += 1
     done_times = [r.done_time for r in requests if r.status == "done"]
-    arrivals = [r.arrival for r in requests]
-    makespan = (max(done_times) - min(arrivals)) if done_times else 0.0
+    makespan = (max(done_times) - min(r.arrival for r in requests)
+                if done_times else 0.0)
+    counters = {**server.summary(),
+                "sessions": num_sessions, "devices": num_devices,
+                "requests": len(requests),
+                "untyped_failures": untyped,
+                "output_mismatches": mismatches,
+                "devices_used": sorted({r.session.device for r in requests}),
+                "lost_devices": [k for k, m in enumerate(server.devices)
+                                 if m.lost]}
+    counters["compile_cache"] = {k: v for k, v in cache.stats.items()
+                                 if k != "compile_wall_s"}
     server.close()
-    return {
-        "sessions": num_sessions,
-        "devices": num_devices,
-        "tenants": tenants,
-        "rounds": rounds,
-        "requests": len(requests),
-        "completed": stats.completed,
-        "failed": stats.failed,
-        "rejected": stats.rejections,
-        "latency_p50_s": percentile(latencies, 50),
-        "latency_p95_s": percentile(latencies, 95),
-        "latency_p99_s": percentile(latencies, 99),
-        "throughput_rps": (stats.completed / makespan) if makespan else 0.0,
-        "batch_histogram": {str(k): v
-                            for k, v in sorted(stats.batches.items())},
-        "evictions": stats.evictions,
-        "evicted_bytes": stats.evicted_bytes,
-        "reuse_hits": stats.reuse_hits,
-        "reuse_bytes": stats.reuse_bytes,
-        "compile_cache": cache.stats,
-        "devices_used": devices_used,
-        "output_mismatches": mismatches,
-        "wall_s": round(time.perf_counter() - wall0, 3),
-    }
+    return makespan, h.hexdigest()[:16], counters
 
 
-def ttfl_experiment() -> dict:
-    """Cold vs warm time-to-first-launch: two servers sharing one compile
-    cache — the second server's first requests skip the whole OMPi+nvcc
-    pipeline and should reach their first kernel submission >= 5x
-    faster."""
+def _ttfl(cache: CompileCache) -> tuple:
+    """One server's first requests: their mean host wall-clock time to
+    first kernel submission."""
+    server = OffloadServer(num_devices=1, compile_cache=cache)
+    sess = server.open_session("ttfl")
+    for p in program_mix():
+        server.submit(sess, p.source, name=p.name,
+                      seed_arrays=p.seed_arrays, outputs=p.outputs)
+    ttfl = [r.ttfl for r in server.drain() if r.ttfl is not None]
+    now = server.clock.now()
+    server.close()
+    return now, None, {"ttfl_wall_s": float(np.mean(ttfl)) if ttfl else 0.0}
+
+
+def points(check: bool):
+    """The load, then two servers sharing one compile cache: the second
+    skips the whole OMPi+nvcc pipeline and must reach its first kernel
+    submission at least 5x sooner."""
+    sessions = 64 if check else 256
+    yield {"point": f"load:{sessions}x{DEVICES}",
+           "load": partial(load_test, sessions, DEVICES, 3)}
     cache = CompileCache()
-    programs = program_mix()
-    ttfl = {}
     for phase in ("cold", "warm"):
-        server = OffloadServer(num_devices=1, compile_cache=cache)
-        sess = server.open_session("ttfl")
-        for p in programs:
-            server.submit(sess, p.source, name=p.name,
-                          seed_arrays=p.seed_arrays, outputs=p.outputs)
-        done = server.drain()
-        ttfl[phase] = [r.ttfl for r in done if r.ttfl is not None]
-        server.close()
-    cold = float(np.mean(ttfl["cold"])) if ttfl["cold"] else 0.0
-    warm = float(np.mean(ttfl["warm"])) if ttfl["warm"] else 0.0
-    return {
-        "ttfl_cold_s": round(cold, 6),
-        "ttfl_warm_s": round(warm, 6),
-        "ttfl_speedup": round(cold / warm, 2) if warm else 0.0,
-    }
+        yield {"point": f"ttfl/{phase}", "load": partial(_ttfl, cache)}
 
 
-def _budget_path() -> Path:
-    return Path(__file__).resolve().parent / "serving_budget.json"
-
-
-def check_failures(entry: dict, budget: dict) -> list[str]:
-    failures = []
-    if entry["failed"]:
-        failures.append(f"{entry['failed']} requests failed")
-    if entry["output_mismatches"]:
-        failures.append(f"{entry['output_mismatches']} outputs diverged "
-                        "from the standalone run")
-    if entry["completed"] != entry["requests"]:
-        failures.append(f"only {entry['completed']}/{entry['requests']} "
-                        "requests completed")
+def failures(records: list[dict], budget: dict) -> list[str]:
+    load, cold, warm = records
+    c = load["counters"]
+    out = []
+    if c["failed"]:
+        out.append(f"{c['failed']} requests failed")
+    if c["output_mismatches"]:
+        out.append(f"{c['output_mismatches']} outputs diverged from the "
+                   f"standalone run")
+    if c["completed"] != c["requests"]:
+        out.append(f"only {c['completed']}/{c['requests']} requests "
+                   f"completed")
     p99_budget = budget.get("p99_latency_s")
-    if p99_budget is not None and entry["latency_p99_s"] > p99_budget:
-        failures.append(f"p99 latency {entry['latency_p99_s']:.6f}s exceeds "
-                        f"budget {p99_budget:.6f}s")
-    if entry["ttfl"]["ttfl_speedup"] < 5.0:
-        failures.append(f"warm TTFL speedup {entry['ttfl']['ttfl_speedup']}x "
-                        "below 5x")
-    if not any(int(k) > 1 for k in entry["batch_histogram"]):
-        failures.append("no multi-request batches were formed")
-    if entry["devices_used"] != list(range(entry["devices"])):
-        failures.append(f"expected sessions on devices "
-                        f"{list(range(entry['devices']))}, "
-                        f"got {entry['devices_used']}")
-    if entry["evictions"] == 0:
-        failures.append("quota pressure produced no evictions")
-    return failures
+    if p99_budget is not None and c["latency_p99_s"] > p99_budget:
+        out.append(f"p99 latency {c['latency_p99_s']:.6f}s exceeds budget "
+                   f"{p99_budget:.6f}s")
+    cold_s = cold["counters"]["ttfl_wall_s"]
+    warm_s = warm["counters"]["ttfl_wall_s"]
+    speedup = cold_s / warm_s if warm_s else 0.0
+    if speedup < 5.0:
+        out.append(f"warm TTFL speedup {speedup:.2f}x below 5x")
+    if not any(int(k) > 1 for k in c["batch_histogram"]):
+        out.append("no multi-request batches were formed")
+    if c["devices_used"] != list(range(c["devices"])):
+        out.append(f"expected sessions on devices "
+                   f"{list(range(c['devices']))}, got {c['devices_used']}")
+    if c["evictions"] == 0:
+        out.append("quota pressure produced no evictions")
+    return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--check", action="store_true",
-                    help="CI smoke: 64 sessions x 4 devices; fail on p99 "
-                         "budget regression, divergence, or missing "
-                         "batching/eviction/TTFL wins")
-    ap.add_argument("--sessions", type=int, default=None)
-    ap.add_argument("--devices", type=int, default=None)
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--trace", default=None,
-                    help="write the serving chrome trace here")
-    ap.add_argument("--output", default=None,
-                    help="output JSON path (default: BENCH_serving.json at "
-                         "the repo root)")
-    ap.add_argument("--update-budget", action="store_true",
-                    help="rewrite serving_budget.json from this run "
-                         "(p99 x 1.5 headroom)")
-    args = ap.parse_args(argv)
-
-    sessions = args.sessions or (64 if args.check else 256)
-    devices = args.devices or 4
-    print(f"[bench] serving load test: {sessions} sessions, "
-          f"{devices} devices, {args.rounds} rounds ...", flush=True)
-    entry = load_test(sessions, devices, rounds=args.rounds,
-                      trace_path=args.trace)
-    print(f"[bench]   {entry['completed']}/{entry['requests']} done  "
-          f"p50 {entry['latency_p50_s'] * 1e3:.3f}ms  "
-          f"p99 {entry['latency_p99_s'] * 1e3:.3f}ms  "
-          f"{entry['throughput_rps']:.0f} req/s  "
-          f"evictions {entry['evictions']}  "
-          f"reuse {entry['reuse_hits']}  wall {entry['wall_s']}s")
-    print("[bench] cold/warm time-to-first-launch ...", flush=True)
-    entry["ttfl"] = ttfl_experiment()
-    print(f"[bench]   cold {entry['ttfl']['ttfl_cold_s'] * 1e3:.1f}ms  "
-          f"warm {entry['ttfl']['ttfl_warm_s'] * 1e3:.1f}ms  "
-          f"speedup {entry['ttfl']['ttfl_speedup']}x")
-
-    out_path = Path(args.output) if args.output else (
-        Path(__file__).resolve().parent.parent / "BENCH_serving.json")
-    out_path.write_text(json.dumps(entry, indent=2) + "\n")
-    print(f"[bench] wrote {out_path}")
-
-    if args.update_budget:
-        budget = {"p99_latency_s": round(entry["latency_p99_s"] * 1.5, 6),
-                  "source": f"{sessions} sessions x {devices} devices"}
-        _budget_path().write_text(json.dumps(budget, indent=2) + "\n")
-        print(f"[bench] wrote {_budget_path()}")
-
-    budget = {}
-    if _budget_path().exists():
-        budget = json.loads(_budget_path().read_text())
-    failures = check_failures(entry, budget) if args.check else []
-    for msg in failures:
-        print(f"[bench] FAIL {msg}", file=sys.stderr)
-    return 1 if failures else 0
+def budget(records: list[dict]) -> dict:
+    c = records[0]["counters"]
+    return {"p99_latency_s": round(c["latency_p99_s"] * 1.5, 6),
+            "source": f"{c['sessions']} sessions x {c['devices']} devices"}
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+# ----------------------------------------------------------------- resilience
+
+
+def chaos_points(check: bool):
+    """Fault-free, then under :data:`FAULT_SPEC`, through one compile
+    cache, with every session active in both rounds and no quota."""
+    cache = CompileCache()
+    for label, faults in (("baseline", None), ("chaos", FAULT_SPEC)):
+        yield {"point": f"load:64x{DEVICES}/{label}",
+               "load": partial(load_test, 64, DEVICES, 2, cache=cache,
+                               faults=faults, deadline=DEADLINE_S,
+                               quota=None, idle=0)}
+
+
+def _inflation(base: dict, chaos: dict) -> float:
+    p99 = base["counters"]["latency_p99_s"]
+    return chaos["counters"]["latency_p99_s"] / p99 if p99 else 0.0
+
+
+def chaos_failures(records: list[dict], budget: dict) -> list[str]:
+    base, chaos = records
+    out = []
+    for r in records:
+        label, c = r["point"].rpartition("/")[2], r["counters"]
+        if c["output_mismatches"]:
+            out.append(f"{label}: {c['output_mismatches']} outputs diverged "
+                       f"from the standalone run")
+        if c["untyped_failures"]:
+            out.append(f"{label}: {c['untyped_failures']} requests neither "
+                       f"completed nor typed-rejected")
+    b, c = base["counters"], chaos["counters"]
+    if b["completed"] != b["requests"]:
+        out.append(f"baseline: only {b['completed']}/{b['requests']} "
+                   f"requests completed")
+    if not c["lost_devices"]:
+        out.append("chaos: the fault plan lost no device — the run "
+                   "exercised nothing")
+    if c["retries"] == 0 and c["migrations"] == 0:
+        out.append("chaos: device loss triggered no failover (no retries, "
+                   "no migrations)")
+    factor = budget.get("p99_inflation_max")
+    if factor is not None and _inflation(base, chaos) > factor:
+        out.append(f"chaos p99 inflation {_inflation(base, chaos):.2f}x "
+                   f"exceeds budget {factor:.2f}x")
+    return out
+
+
+def chaos_budget(records: list[dict]) -> dict:
+    c = records[0]["counters"]
+    return {"p99_inflation_max":
+            round(max(_inflation(*records), 1.0) * 1.5, 2),
+            "source": f"{c['sessions']} sessions x {c['devices']} devices, "
+                      f"{FAULT_SPEC}"}

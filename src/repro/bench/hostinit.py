@@ -15,7 +15,7 @@ interpreter; ``on`` runs them as closure-compiled numpy plans
 (:mod:`repro.cfront.hostcompile`).  Outputs must be bit-identical
 between the modes — the fast path implements the interpreter's exact
 C99 float semantics — which is what ``bench_runner
---host-fastpath-check`` and ``BENCH_host_fastpath.json`` assert.
+host-fastpath --check`` and ``BENCH_host_fastpath.json`` assert.
 """
 
 from __future__ import annotations
