@@ -267,7 +267,9 @@ def _loop_header(stmt: A.For):
     return None
 
 
-def _loop_step(step: Optional[A.Expr], var: str) -> Optional[int]:
+def loop_step(step: Optional[A.Expr], var: str) -> Optional[int]:
+    """The constant increment of a ``for`` step on ``var`` (``var++``,
+    ``var += c``, ``var = var + c``), or None for any other step."""
     if step is None:
         return None
     if isinstance(step, A.Unary) and step.op in ("++", "p++") \
@@ -418,7 +420,7 @@ def _analyze_loop(stmt: A.For, allow_approx: bool, top: bool) -> Optional[LoopSp
     if init is not None and init[0] == "decl" and init[2] is not None \
             and not _expr_ok(init[2], allow_approx, vector=False):
         return None
-    step = _loop_step(stmt.step, var)
+    step = loop_step(stmt.step, var)
     if step is None or step <= 0:
         return None
     stmts = stmt.body.body if isinstance(stmt.body, A.Compound) else [stmt.body]

@@ -65,6 +65,8 @@ from repro.timing.stats import EventLog
 DEVICE_MEM_BASE = 0x2_0000_0000
 #: DRAM the OS/display reserve on the 2GB board
 RESERVED_MEM = 288 * 1024 * 1024
+#: ``launch_mode="auto"`` samples launches with more threads than this
+SAMPLE_THRESHOLD_THREADS = 1 << 15
 
 
 @dataclass
@@ -94,7 +96,6 @@ class CudaDriver:
         gmem_capacity: Optional[int] = None,
         gmem_base: int = DEVICE_MEM_BASE,
         launch_mode: str = "auto",
-        sample_threshold_threads: int = 1 << 15,
         intrinsics: Optional[dict] = None,
         fastpath: Optional[str] = None,
         profile=None,
@@ -118,7 +119,6 @@ class CudaDriver:
         self.clock = clock or VirtualClock()
         self.jit_cache = jit_cache
         self.launch_mode = launch_mode
-        self.sample_threshold = sample_threshold_threads
         capacity = gmem_capacity or device.arena_bytes or \
             (device.total_global_mem - RESERVED_MEM)
         # multi-device registries hand each driver a disjoint base so the
@@ -715,12 +715,7 @@ class CudaDriver:
             slope = 0.0
         run_warps = max(s0.warps_launched, 1)
         scale = total_warps / run_warps
-        for name in ("instructions", "alu_f32", "alu_f64", "alu_int",
-                     "special_ops", "load_instructions", "store_instructions",
-                     "global_mem_instructions", "global_transactions",
-                     "shared_accesses", "local_accesses",
-                     "barriers", "atomics", "divergent_branches",
-                     "loop_iterations", "spins"):
+        for name in KernelStats.DYNAMIC:
             v0 = getattr(s0, name)
             v1 = getattr(s1, name)
             est = v0 + (v0 - v1) * slope
@@ -786,7 +781,7 @@ class CudaDriver:
         sample = (
             self.launch_mode == "sample"
             or (self.launch_mode == "auto"
-                and total_blocks * block.count > self.sample_threshold)
+                and total_blocks * block.count > SAMPLE_THRESHOLD_THREADS)
         )
         # never sample a shard: every retained block must actually run so
         # sharded output stays bit-identical to the single-device run

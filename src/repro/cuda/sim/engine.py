@@ -165,16 +165,19 @@ class KernelStats:
         else:
             self.alu_int += active
 
+    #: the dynamic counters sampled launches scale and extrapolate
+    DYNAMIC = (
+        "instructions", "alu_f32", "alu_f64", "alu_int", "special_ops",
+        "load_instructions", "store_instructions",
+        "global_mem_instructions", "global_transactions",
+        "shared_accesses", "local_accesses", "barriers", "atomics",
+        "divergent_branches", "loop_iterations", "spins",
+    )
+
     def merge_scaled(self, other: "KernelStats", factor: float) -> None:
         """Accumulate ``other`` scaled by ``factor`` (representative-block
         extrapolation in the timing engine)."""
-        for name in (
-            "instructions", "alu_f32", "alu_f64", "alu_int", "special_ops",
-            "load_instructions", "store_instructions",
-            "global_mem_instructions", "global_transactions",
-            "shared_accesses", "local_accesses", "barriers", "atomics",
-            "divergent_branches", "loop_iterations", "spins",
-        ):
+        for name in self.DYNAMIC:
             setattr(self, name, getattr(self, name) + int(getattr(other, name) * factor))
 
 
@@ -313,18 +316,17 @@ class FunctionalEngine:
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
         only_warps: Optional[set[int]] = None,
-        fresh_stats: bool = True,
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
             compiled = self._compiled_for(kernel, self._lane_width(
                 kernel, Dim3.of(block), only_warps))
-        if compiled is not None and self.fastpath == "verify" and fresh_stats:
+        if compiled is not None and self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
         else:
             stats = self._launch(kernel, grid, block, params, only_blocks,
-                                 only_warps, fresh_stats, compiled)
+                                 only_warps, compiled)
         if self.recorder is not None:
             self.recorder.emit(KernelExecActivity(
                 name=kernel.name, grid=stats.grid, block=stats.block,
@@ -393,7 +395,7 @@ class FunctionalEngine:
         alloc_snap = dict(gmem._allocated)
         out_mark = len(self.stdout)
         fast = self._launch(kernel, grid, block, params, only_blocks,
-                            only_warps, True, compiled)
+                            only_warps, compiled)
         fast_image = gmem.snapshot_blocks()
         fast_out = self.stdout[out_mark:]
         gmem.restore_blocks(start)
@@ -401,7 +403,7 @@ class FunctionalEngine:
         gmem._allocated = alloc_snap
         del self.stdout[out_mark:]
         ref = self._launch(kernel, grid, block, params, only_blocks,
-                           only_warps, True, None)
+                           only_warps, None)
         same = all(
             np.array_equal(gmem.buf[addr - gmem.base:
                                     addr - gmem.base + data.size], data)
@@ -429,15 +431,12 @@ class FunctionalEngine:
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
         only_warps: Optional[set[int]] = None,
-        fresh_stats: bool = True,
         compiled=None,
     ) -> KernelStats:
         grid = Dim3.of(grid)
         block = Dim3.of(block)
         self._validate_launch(kernel, grid, block)
-        if fresh_stats:
-            self.stats = KernelStats()
-        stats = self.stats
+        stats = self.stats = KernelStats()
         stats.grid = (grid.x, grid.y, grid.z)
         stats.block = (block.x, block.y, block.z)
         stats.smem_per_block = kernel.smem_static

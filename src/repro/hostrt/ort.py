@@ -25,6 +25,7 @@ back into host memory.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine, Ptr
 from repro.cuda.errors import CudaError
 from repro.faults.recovery import DeviceLost, OffloadFailure
-from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.devices import HostDevice
 from repro.hostrt.icv import ICVs
 from repro.hostrt.mapping import (
@@ -48,23 +48,36 @@ from repro.rt_async.taskgraph import (
 )
 
 
-class _ShardScope:
-    """State of one active ``shard`` region: the participating device
-    ordinals, per-device pending kernel arguments, and the launch-time
-    device-content baselines the copy-back merge diffs against."""
+class _Region:
+    """The target region being set up: its kernel arguments translated
+    per device, their host twins (what the ``*_hostfn`` receives if the
+    region falls back to the host), the tree-mode reductions it
+    registered and, for a ``shard`` region, the launch-time device
+    baselines the copy-back merge diffs against.
 
-    def __init__(self, devices: list[int]):
+    A plain region has ``devices=None``: its one device is resolved on
+    every argument call and again at launch."""
+
+    def __init__(self, devices: Optional[list[int]] = None):
         self.devices = devices
-        #: the region degraded to the host path (no healthy device, or a
-        #: launch failed): remaining maps/launches take the host route
-        self.failed = not devices
-        #: device ordinal -> pending (translated) kernel arguments
-        self.kargs: dict[int, list] = {k: [] for k in devices}
+        #: the region degraded to the host path (no healthy shard device,
+        #: one died mid-setup, or the launch failed over): a shard
+        #: region's remaining maps take the host route and its unmaps
+        #: skip the merge — host memory holds the result
+        self.failed = devices == []
+        #: device ordinal -> translated kernel arguments
+        self.kargs: dict[int, list] = defaultdict(list)
         self.hostargs: list = []
+        #: (kernel-arg index, host addr, opcode, typecode)
+        self.reds: list[tuple[int, int, int, int]] = []
         #: (device ordinal, host addr) -> device bytes at map time
         self.baselines: dict[tuple[int, int], np.ndarray] = {}
         #: host_addr -> size, for the merge at unmap
         self.sizes: dict[int, int] = {}
+
+    @property
+    def shard(self) -> bool:
+        return self.devices is not None
 
 
 class Ort:
@@ -103,10 +116,10 @@ class Ort:
                          else {k: DataEnv(mod)
                                for k, mod in enumerate(self.devices)})
         self.teams = TeamStack(self.icvs.nthreads_var)
-        self._pending_kargs: list = []
-        #: host-address twins of the pending kernel arguments — what the
-        #: ``*_hostfn`` receives if the launch has to fall back to the host
-        self._pending_hostargs: list = []
+        #: the target region whose arguments the ``ort_arg_*`` natives
+        #: queue: a ``shard`` region between ``ort_shard_begin`` and
+        #: ``ort_shard_end`` (no nesting), a plain region otherwise
+        self._region = _Region()
         self._pending_pargs: list = []
         # -- asynchronous offload (target nowait + depend) ---------------
         self._pending_deps: list[tuple[int, int]] = []
@@ -116,13 +129,7 @@ class Ort:
         #: device ordinal -> stream-pool task scheduler (lazily created)
         self._schedulers: dict[int, StreamPoolScheduler] = {}
         self._task_count = 0
-        #: active ``shard`` region, if any (no nesting)
-        self._shard: Optional[_ShardScope] = None
-        # -- deterministic reductions (tree mode) ------------------------
-        #: reductions registered for the *next* offload:
-        #: (kernel-arg index, host addr, opcode, typecode)
-        self._pending_reds: list[tuple[int, int, int, int]] = []
-        #: launched reductions awaiting the cross-team combine at
+        #: launched tree-mode reductions awaiting the cross-team combine at
         #: ort_red_end (dicts: addr/opcode/dtype/nteams/chunks)
         self._active_reds: list[dict] = []
         machine.natives.update(self._natives())
@@ -221,7 +228,7 @@ class Ort:
 
     def _ort_map(self, machine, args, loc):
         dev, ptr, size, map_type = args
-        if self._shard is not None:
+        if self._region.shard:
             return self._shard_map(ptr, int(size), int(map_type), loc)
         dev = self._resolve_device(int(dev), loc)
         if dev >= self.initial_device:
@@ -241,7 +248,7 @@ class Ort:
 
     def _ort_unmap(self, machine, args, loc):
         dev, ptr, map_type = args
-        if self._shard is not None:
+        if self._region.shard:
             return self._shard_unmap(ptr, int(map_type), loc)
         dev = self._resolve_device(int(dev), loc)
         if dev >= self.initial_device:
@@ -305,6 +312,17 @@ class Ort:
                                     src_addr, size)
 
     # -- offload natives ------------------------------------------------------------
+    def _arg_devices(self, dev, loc) -> list[int]:
+        """The devices the next kernel argument is translated for: a
+        shard region's participants (none once it degraded to the host),
+        or a plain region's one device, resolved on this call (none for
+        the initial device)."""
+        region = self._region
+        if region.shard:
+            return [] if region.failed else region.devices
+        dev = self._resolve_device(int(dev), loc)
+        return [dev] if dev < self.initial_device else []
+
     def _ort_arg_ptr(self, machine, args, loc):
         """Queue one kernel argument.  ``base`` is the pointer the kernel
         will index from; ``mapped`` is an address known to be inside the
@@ -312,48 +330,29 @@ class Ort:
         bound: the kernel still receives a device pointer positioned so
         that kernel-side indices match host-side indices)."""
         dev, base, mapped = args
-        scope = self._shard
-        if scope is not None:
+        region = self._region
+        devices = self._arg_devices(dev, loc)
+        if devices:
             base_addr = self._addr_of(base, loc)
             mapped_addr = self._addr_of(mapped, loc)
-            if not scope.failed:
-                try:
-                    for k in scope.devices:
-                        dev_mapped = self.dataenvs[k].translate(mapped_addr)
-                        scope.kargs[k].append(
-                            np.uint64(dev_mapped - (mapped_addr - base_addr)))
-                except MappingError as exc:
-                    raise InterpError(str(exc), loc) from exc
-            scope.hostargs.append(base)
-            return 0
-        dev = self._resolve_device(int(dev), loc)
-        if dev >= self.initial_device:
-            self._pending_kargs.append(base)   # host fallback: host pointer
-            self._pending_hostargs.append(base)
-            return 0
-        env = self.dataenvs[dev]
-        base_addr = self._addr_of(base, loc)
-        mapped_addr = self._addr_of(mapped, loc)
-        try:
-            dev_mapped = env.translate(mapped_addr)
-        except MappingError as exc:
-            raise InterpError(str(exc), loc) from exc
-        self._pending_kargs.append(np.uint64(dev_mapped - (mapped_addr - base_addr)))
-        self._pending_hostargs.append(base)
+            try:
+                for k in devices:
+                    dev_mapped = self.dataenvs[k].translate(mapped_addr)
+                    region.kargs[k].append(
+                        np.uint64(dev_mapped - (mapped_addr - base_addr)))
+            except MappingError as exc:
+                raise InterpError(str(exc), loc) from exc
+        region.hostargs.append(base)
         return 0
 
     def _ort_arg_val(self, machine, args, loc):
         """Queue a by-value scalar kernel argument (firstprivate-style:
         never enters the device data environment)."""
-        _dev, value = args
-        scope = self._shard
-        if scope is not None:
-            for k in scope.devices:
-                scope.kargs[k].append(value)
-            scope.hostargs.append(value)
-            return 0
-        self._pending_kargs.append(value)
-        self._pending_hostargs.append(value)
+        dev, value = args
+        region = self._region
+        for k in self._arg_devices(dev, loc):
+            region.kargs[k].append(value)
+        region.hostargs.append(value)
         return 0
 
     def _ort_red_scalar(self, machine, args, loc):
@@ -367,41 +366,15 @@ class Ort:
         with it the slot count — is not known yet) and patched in.  The
         sequential ``*_hostfn`` twin computes the whole reduction itself,
         so the host-argument twin stays a null pointer."""
-        _dev, ptr, opcode, typecode = args
+        dev, ptr, opcode, typecode = args
         addr = self._addr_of(ptr, loc)
-        scope = self._shard
-        if scope is not None:
-            index = -1
-            if not scope.failed and scope.devices:
-                for k in scope.devices:
-                    scope.kargs[k].append(np.uint64(0))
-                index = len(scope.kargs[scope.devices[0]]) - 1
-            scope.hostargs.append(np.uint64(0))
-        else:
-            self._pending_kargs.append(np.uint64(0))
-            self._pending_hostargs.append(np.uint64(0))
-            index = len(self._pending_kargs) - 1
-        self._pending_reds.append((index, addr, int(opcode), int(typecode)))
+        region = self._region
+        for k in self._arg_devices(dev, loc):
+            region.kargs[k].append(np.uint64(0))
+        region.hostargs.append(np.uint64(0))
+        region.reds.append((len(region.hostargs) - 1, addr, int(opcode),
+                            int(typecode)))
         return 0
-
-    def _alloc_red_buffers(self, reds, nteams: int,
-                           ranges: list[tuple[int, int, int]]) -> list[dict]:
-        """One device partials buffer per (reduction, participating
-        device): ``nteams`` slots indexed by *global* team id, of which a
-        device owns only its ``[blo, bhi)`` block range.  Returns the
-        combine records ``ort_red_end`` will fold; the caller patches the
-        buffer addresses into the pending kernel arguments."""
-        records: list[dict] = []
-        for index, addr, opcode, typecode in reds:
-            dtype = dtype_of(typecode)
-            chunks: list[tuple[int, int, int, int]] = []
-            for k, blo, bhi in ranges:
-                buf = self.devices[k].mem_alloc(nteams * dtype.itemsize)
-                chunks.append((k, blo, bhi, buf))
-            records.append({"index": index, "addr": addr, "opcode": opcode,
-                            "dtype": dtype, "nteams": nteams,
-                            "chunks": chunks})
-        return records
 
     def _cancel_reductions(self, records: list[dict]) -> None:
         """Drop launched-reduction state after a host fallback: the
@@ -461,92 +434,121 @@ class Ort:
 
     def _ort_offload(self, machine, args, loc):
         dev, name_ptr, gx, gy, gz, bx, by, bz = args
-        if self._shard is not None:
-            return self._shard_offload(machine, args, loc)
-        requested = int(dev)
-        if requested < 0:
-            requested = self.icvs.default_device_var
-        dev = self._resolve_device(requested, loc)
+        region = self._region
+        if not region.shard:
+            self._region = _Region()  # the next plain region starts empty
         name = machine.read_cstring(name_ptr)
-        kargs = self._pending_kargs
-        hostargs = self._pending_hostargs
-        reds = self._pending_reds
-        self._pending_kargs = []
-        self._pending_hostargs = []
-        self._pending_reds = []
         teams = (max(int(gx), 1), max(int(gy), 1), max(int(gz), 1))
         threads = (max(int(bx), 1), max(int(by), 1), max(int(bz), 1))
-        if dev >= self.initial_device:
-            if 0 <= requested < self.initial_device:
+        if region.shard:
+            launches = [] if region.failed else list(zip(
+                region.devices, self._plan_shard_ranges(
+                    teams[0] * teams[1] * teams[2], region.devices)))
+        else:
+            requested = int(dev)
+            if requested < 0:
+                requested = self.icvs.default_device_var
+            dev = self._resolve_device(requested, loc)
+            launches = [(dev, None)] if dev < self.initial_device else []
+            if not launches and 0 <= requested < self.initial_device:
                 # region targeted a lost device: record the reroute so the
                 # degradation is visible in the profile/fault log
                 self.devices[requested].faultlog.note(
                     "fallback", api=name,
                     detail=f"device lost: target region {name!r} -> host")
-            # the hostfn computes any reductions in full: reds dropped
-            self.host_device.offload(name, hostargs, teams, threads)
-            return 0
-        module = self.devices[dev]
-        task = self._task_stack[-1] if self._task_stack else None
-        if task is not None and task.dead:
-            return 0  # cancelled/failed deferred task: the body launches nothing
-        red_records: list[dict] = []
-        if reds:
-            nteams_total = teams[0] * teams[1] * teams[2]
-            try:
-                red_records = self._alloc_red_buffers(
-                    reds, nteams_total, [(dev, 0, nteams_total)])
-            except (DeviceLost, CudaError) as exc:
-                self._offload_failed(machine, exc, dev, name, hostargs,
-                                     teams, threads, task, loc)
-                return 0
-            for rec in red_records:
-                kargs[rec["index"]] = np.uint64(rec["chunks"][0][3])
-        if self.ompt.active:
-            self.ompt.dispatch("target_begin", device=dev, kernel=name,
-                               teams=teams, threads=threads)
-        try:
-            module.offload(name, kargs, teams, threads)
-        except (OffloadFailure, DeviceLost) as exc:
-            self._cancel_reductions(red_records)
-            self._offload_failed(machine, exc, dev, name, hostargs,
-                                 teams, threads, task, loc)
+        if launches:
+            self._launch(machine, region, name, launches, teams, threads, loc)
         else:
-            self._active_reds.extend(red_records)
-        if self.ompt.active:
-            self.ompt.dispatch("target_end", device=dev, kernel=name,
-                               teams=teams, threads=threads)
-        if isinstance(module, CudadevModule) and module.stdout:
-            machine.stdout.extend(module.stdout)
-            module.stdout.clear()
+            self._run_on_host(region, name, region.devices or [], teams,
+                              threads)
         return 0
 
-    def _offload_failed(self, machine, exc, dev: int, name: str,
-                        hostargs: list, teams, threads, task, loc) -> None:
-        """A kernel offload failed beyond the module's recovery budget.
+    def _run_on_host(self, region: _Region, name: str, devices: list[int],
+                     teams, threads) -> None:
+        """Run the region's ``*_hostfn`` on the initial device (it
+        computes any reductions in full), then resync each of ``devices``
+        still alive host -> device so later regions and the eventual
+        copy-back observe the host-computed values."""
+        self.host_device.offload(name, region.hostargs, teams, threads)
+        for k in devices:
+            if not self.devices[k].lost:
+                self._resync_device(k, region.hostargs)
 
-        Inside a deferred (``nowait``) task there is no inline fallback:
-        the task is marked failed, its dependents cancel, and the error
-        surfaces at the joining ``taskwait``.  Synchronous regions fall
-        back to the registered ``*_hostfn`` on the initial device; when
-        the device itself is still healthy (a launch-only failure) the
-        mapped data is then resynced host -> device so later regions and
-        the eventual copy-back observe the host-computed values."""
-        module = self.devices[dev]
+    def _launch(self, machine, region: _Region, name: str, launches: list,
+                teams, threads, loc) -> None:
+        """Launch one target region on its ``(device, block range)``
+        list: ``[(dev, None)]`` (the whole grid) for a plain region, the
+        planner's contiguous slices of the *global* grid for a shard
+        region (the device runtime computes team chunks from global block
+        ids).  Each tree-mode reduction gets one partials buffer per
+        device, sized for the global grid; a device fills only its own
+        block range's slots.
+
+        One failure policy covers both kinds of region.  When a buffer or
+        a launch fails beyond the module's recovery budget the region's
+        reductions are cancelled.  Inside a deferred (``nowait``) task the
+        task is marked failed, its dependents cancel, and the error
+        surfaces at the joining ``taskwait``.  Otherwise the region falls
+        back to its ``*_hostfn`` and every participating device still
+        alive is resynced: partial device results are discarded."""
+        task = self._task_stack[-1] if self._task_stack else None
+        if task is not None and task.dead:
+            return  # cancelled/failed deferred task: the body launches nothing
+        nteams = teams[0] * teams[1] * teams[2]
+        records: list[dict] = []
+        failed = None  # (device, exception) that sends the region to the host
+        try:
+            for index, addr, opcode, typecode in region.reds:
+                dtype = dtype_of(typecode)
+                chunks: list[tuple[int, int, int, int]] = []
+                records.append({"index": index, "addr": addr,
+                                "opcode": opcode, "dtype": dtype,
+                                "nteams": nteams, "chunks": chunks})
+                for k, block_range in launches:
+                    blo, bhi = block_range or (0, nteams)
+                    buf = self.devices[k].mem_alloc(nteams * dtype.itemsize)
+                    chunks.append((k, blo, bhi, buf))
+                    region.kargs[k][index] = np.uint64(buf)
+        except (DeviceLost, CudaError) as exc:
+            failed = (k, exc)
+        for k, block_range in launches if failed is None else ():
+            if block_range is not None and block_range[0] >= block_range[1]:
+                continue  # the planner left this device no blocks
+            module = self.devices[k]
+            if self.ompt.active:
+                self.ompt.dispatch("target_begin", device=k, kernel=name,
+                                   teams=teams, threads=threads)
+            try:
+                module.offload(name, region.kargs[k], teams, threads,
+                               block_range=block_range)
+            except (OffloadFailure, DeviceLost) as exc:
+                failed = (k, exc)
+            if self.ompt.active:
+                self.ompt.dispatch("target_end", device=k, kernel=name,
+                                   teams=teams, threads=threads)
+            if module.stdout:
+                machine.stdout.extend(module.stdout)
+                module.stdout.clear()
+            if failed is not None:
+                break
+        if failed is None:
+            self._active_reds.extend(records)
+            return
+        k, exc = failed
+        region.failed = True
+        self._cancel_reductions(records)
         if task is not None:
             self.scheduler_for(task.device).fail_task(task, exc)
             return
         if not self.recovery.host_fallback:
             raise InterpError(str(exc), loc) from exc
-        lost = getattr(exc, "device_lost", False) or isinstance(exc, DeviceLost)
         cause = getattr(exc, "cause", exc)
-        module.faultlog.note(
+        self.devices[k].faultlog.note(
             "fallback", api=name,
             fault=getattr(getattr(cause, "result", None), "name", ""),
             detail=f"target region {name!r} -> host ({cause})")
-        self.host_device.offload(name, hostargs, teams, threads)
-        if not lost:
-            self._resync_device(dev, hostargs)
+        self._run_on_host(region, name, [k for k, _range in launches],
+                          teams, threads)
 
     def _resync_device(self, dev: int, hostargs: list) -> None:
         """After a host-fallback on a *healthy* device, push the host
@@ -705,7 +707,7 @@ class Ort:
         its dedicated shard stream so per-device work overlaps, and start
         replicating maps.  An empty device set degrades the whole region to
         the host path (identity maps + host execution)."""
-        if self._shard is not None:
+        if self._region.shard:
             raise InterpError("nested shard regions are not supported", loc)
         if self._task_stack:
             raise InterpError(
@@ -730,7 +732,7 @@ class Ort:
             except DeviceLost:
                 continue
             devs.append(k)
-        self._shard = _ShardScope(devs)
+        self._region = _Region(devs)
         return 0
 
     def _ort_shard_end(self, machine, args, loc):
@@ -738,12 +740,12 @@ class Ort:
         device's shard stream drains (the host clock advances to the
         slowest shard — this is the join) and restore synchronous
         default-stream routing."""
-        scope = self._shard
-        if scope is None:
+        region = self._region
+        if not region.shard:
             raise InterpError(
                 "ort_shard_end without a matching ort_shard_begin", loc)
-        self._shard = None
-        for k in scope.devices:
+        self._region = _Region()
+        for k in region.devices:
             module = self.devices[k]
             module.current_stream = None
             if module.lost:
@@ -758,12 +760,12 @@ class Ort:
         """Replicate one map on every shard device, snapshotting each
         device's mapped bytes as the baseline the copy-back diff-merge
         compares against."""
-        scope = self._shard
+        region = self._region
         addr = self._addr_of(ptr, loc)
-        if scope.failed:
+        if region.failed:
             return 0  # host route: identity mapping
-        scope.sizes[addr] = size
-        for k in scope.devices:
+        region.sizes[addr] = size
+        for k in region.devices:
             module = self.devices[k]
             env = self.dataenvs[k]
             try:
@@ -775,13 +777,13 @@ class Ort:
                     # leaves untouched merge back unchanged
                     module.write(entry.dev_addr + (addr - entry.host_addr),
                                  addr, size)
-                scope.baselines[(k, addr)] = np.frombuffer(
+                region.baselines[(k, addr)] = np.frombuffer(
                     module.driver.gmem.copy_out(env.translate(addr), size),
                     dtype=np.uint8)
             except MappingError as exc:
                 raise InterpError(str(exc), loc) from exc
             except DeviceLost:
-                scope.failed = True  # device died mid-setup: host route
+                region.failed = True  # device died mid-setup: host route
                 return 0
         return 0
 
@@ -794,14 +796,14 @@ class Ort:
         drops its reference without the single-device copy-back (the merge
         already produced the result), and a copy that survives under an
         enclosing ``target data`` is resynced from the merged host bytes."""
-        scope = self._shard
+        region = self._region
         addr = self._addr_of(ptr, loc)
-        size = scope.sizes.get(addr, 0)
-        merge = (not scope.failed and size > 0
+        size = region.sizes.get(addr, 0)
+        merge = (not region.failed and size > 0
                  and map_type in (MAP_FROM, MAP_TOFROM))
         if merge:
             host_view = self.machine.heap.view(addr, size, np.uint8)
-            for k in scope.devices:
+            for k in region.devices:
                 module = self.devices[k]
                 env = self.dataenvs[k]
                 if module.lost or env.find(addr) is None:
@@ -815,17 +817,17 @@ class Ort:
                 except (DeviceLost, CudaError):
                     continue  # lost shard: its slice keeps the host values
                 dev_bytes = np.frombuffer(data, dtype=np.uint8)
-                baseline = scope.baselines.get((k, addr))
+                baseline = region.baselines.get((k, addr))
                 if baseline is None:
                     host_view[:] = dev_bytes
                 else:
                     changed = dev_bytes != baseline
                     host_view[changed] = dev_bytes[changed]
         exit_type = MAP_DELETE if map_type == MAP_DELETE else MAP_RELEASE
-        for k in scope.devices:
+        for k in region.devices:
             module = self.devices[k]
             env = self.dataenvs[k]
-            scope.baselines.pop((k, addr), None)
+            region.baselines.pop((k, addr), None)
             if env.find(addr) is None:
                 continue
             try:
@@ -865,89 +867,6 @@ class Ort:
         weights = registry_weights(
             [self.devices[k].throughput for k in devices])
         return plan_shards(total_blocks, weights)
-
-    def _shard_offload(self, machine, args, loc) -> int:
-        """Launch one ``target teams distribute`` region as per-device
-        shards: the linear team-block range is split contiguously, each
-        device launches its slice with the *global* grid dimensions (the
-        device runtime computes team chunks from global block ids), on its
-        own shard stream.  A failed shard degrades the whole region to the
-        host fallback — partial device results are discarded by the merge."""
-        _dev, name_ptr, gx, gy, gz, bx, by, bz = args
-        scope = self._shard
-        name = machine.read_cstring(name_ptr)
-        kargs = scope.kargs
-        hostargs = scope.hostargs
-        reds = self._pending_reds
-        scope.kargs = {k: [] for k in scope.devices}
-        scope.hostargs = []
-        self._pending_reds = []
-        teams = (max(int(gx), 1), max(int(gy), 1), max(int(gz), 1))
-        threads = (max(int(bx), 1), max(int(by), 1), max(int(bz), 1))
-        red_records: list[dict] = []
-        if not scope.failed:
-            total_blocks = teams[0] * teams[1] * teams[2]
-            ranges = self._plan_shard_ranges(total_blocks, scope.devices)
-            if reds:
-                # per-device partials buffers sized for the *global* grid:
-                # each device fills only its own block range's slots, and
-                # the combine gathers every slot from its owning device
-                try:
-                    red_records = self._alloc_red_buffers(
-                        reds, total_blocks,
-                        [(k, ranges[i][0], ranges[i][1])
-                         for i, k in enumerate(scope.devices)])
-                    for rec in red_records:
-                        for k, _blo, _bhi, buf in rec["chunks"]:
-                            kargs[k][rec["index"]] = np.uint64(buf)
-                except (DeviceLost, CudaError) as exc:
-                    scope.failed = True
-                    self._cancel_reductions(red_records)
-                    red_records = []
-                    self.cudadev.faultlog.note(
-                        "fallback", api=name,
-                        detail=f"shard reduction setup failed: target "
-                               f"region {name!r} -> host ({exc})")
-        if not scope.failed:
-            for i, k in enumerate(scope.devices):
-                blo, bhi = ranges[i]
-                if blo >= bhi:
-                    continue
-                module = self.devices[k]
-                if self.ompt.active:
-                    self.ompt.dispatch("target_begin", device=k, kernel=name,
-                                       teams=teams, threads=threads)
-                try:
-                    module.offload(name, kargs[k], teams, threads,
-                                   block_range=(blo, bhi))
-                except (OffloadFailure, DeviceLost) as exc:
-                    scope.failed = True
-                    module.faultlog.note(
-                        "fallback", api=name,
-                        detail=f"shard launch failed: target region "
-                               f"{name!r} -> host ({exc})")
-                finally:
-                    if self.ompt.active:
-                        self.ompt.dispatch("target_end", device=k,
-                                           kernel=name, teams=teams,
-                                           threads=threads)
-                if module.stdout:
-                    machine.stdout.extend(module.stdout)
-                    module.stdout.clear()
-                if scope.failed:
-                    break
-        if scope.failed:
-            # the hostfn computes any reductions in full — never fold
-            # device partials on top of its result
-            self._cancel_reductions(red_records)
-            if not self.recovery.host_fallback:
-                raise InterpError(
-                    f"sharded target region {name!r} failed and host "
-                    "fallback is disabled", loc)
-            self.host_device.offload(name, hostargs, teams, threads)
-        else:
-            self._active_reds.extend(red_records)
-        return 0
 
     # -- host parallel natives ----------------------------------------------------
     def _ort_parg(self, machine, args, loc):

@@ -27,8 +27,6 @@ class OmpiConfig:
     #: dimensions of the equivalent cuda applications" (§5).  None applies
     #: the default rule (x = min(n, 32), y = n/32); a tuple forces a shape.
     block_shape: Optional[tuple[int, int, int]] = None
-    #: emit the generated sources into this dict for inspection (--keep)
-    keep_generated: bool = True
     #: closure-compiled kernel execution ('on' by default, 'off', 'verify'):
     #: 'verify' runs both the compiled fast path and the tree-walk reference
     #: on every launch and fails if memory, stdout or stats diverge.

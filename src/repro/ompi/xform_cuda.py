@@ -28,6 +28,7 @@ from repro.cfront.ctypes_ import (
     ArrayType, BasicType, CType, INT, LONG, PointerType, VOID, VOIDP,
 )
 from repro.cfront.errors import CFrontError
+from repro.cfront.hostcompile import loop_step
 from repro.cfront.unparse import unparse
 from repro.openmp.clauses import (
     AtomicClause, DataSharingClause, ExprClause, MapClause, NameClause,
@@ -138,7 +139,7 @@ def analyze_canonical_loop(loop: A.For) -> LoopInfo:
     if not (isinstance(cond, A.Binary) and cond.op in ("<", "<=")
             and isinstance(cond.left, A.Ident) and cond.left.name == var):
         raise CudaXformError("loop is not in canonical form (condition)", loop.loc)
-    step = _const_step(loop.step, var)
+    step = loop_step(loop.step, var)
     if step is None or step <= 0:
         raise CudaXformError("loop requires a positive constant step", loop.loc)
     ub = cond.right
@@ -172,25 +173,6 @@ def collect_collapsed_loops(body: A.Stmt, d: Directive) -> list[LoopInfo]:
         loops.append(info)
         node = info.body
     return loops
-
-
-def _const_step(step: Optional[A.Expr], var: str) -> Optional[int]:
-    if step is None:
-        return None
-    if isinstance(step, A.Unary) and step.op in ("++", "p++") \
-            and isinstance(step.operand, A.Ident) and step.operand.name == var:
-        return 1
-    if isinstance(step, A.Assign) and isinstance(step.target, A.Ident) \
-            and step.target.name == var:
-        if step.op == "+" and isinstance(step.value, A.IntLit):
-            return step.value.value
-        if step.op is None and isinstance(step.value, A.Binary) \
-                and step.value.op == "+" \
-                and isinstance(step.value.left, A.Ident) \
-                and step.value.left.name == var \
-                and isinstance(step.value.right, A.IntLit):
-            return step.value.right.value
-    return None
 
 
 class CudaKernelBuilder:

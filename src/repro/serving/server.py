@@ -105,7 +105,7 @@ class Request:
     #: synchronised against it even if the session migrated afterwards)
     device: Optional[int] = None
     #: failover re-executions consumed (bounded by the server's
-    #: ``max_retries``)
+    #: ``MAX_RETRIES``)
     retries: int = 0
     #: the last execution observed a device-originated fault (loss,
     #: poisoning, host fallback) — set by outcome classification
@@ -175,6 +175,13 @@ class OffloadServer:
     """A long-lived multi-tenant offload service over a shared device
     registry (see module docstring)."""
 
+    #: streams in each device's serving pool
+    POOL_SIZE = 4
+    #: share of a device's arena that idle sessions may keep resident
+    MAX_RESIDENT_FRACTION = 0.5
+    #: failover re-executions one request may consume
+    MAX_RETRIES = 2
+
     def __init__(
         self,
         num_devices: Optional[int] = None,
@@ -186,14 +193,10 @@ class OffloadServer:
         faults=None,
         recovery=None,
         max_batch: int = 8,
-        pool_size: int = 4,
-        max_resident_fraction: float = 0.5,
         default_quota: Optional[TenantQuota] = None,
-        compact_logs: bool = True,
         devices=None,
         deadline=None,
         breaker=None,
-        max_retries: int = 2,
     ):
         self.config = config or OmpiConfig()
         # the same resolution as CompiledProgram.run: explicit argument,
@@ -215,9 +218,6 @@ class OffloadServer:
             self.compile_cache = GLOBAL_COMPILE_CACHE
         self.launch_mode = launch_mode
         self.max_batch = int(max_batch)
-        self.pool_size = int(pool_size)
-        self.max_resident_fraction = float(max_resident_fraction)
-        self.compact_logs = compact_logs
         #: the device registry every request's Ort leases
         self.registry = DeviceRegistry(
             s, device=device, launch_mode=launch_mode,
@@ -254,7 +254,6 @@ class OffloadServer:
                           for k in range(num_devices)]
                          if policy is not None else None)
         self.health = DeviceHealthMonitor(self.devices, self.clock)
-        self.max_retries = int(max_retries)
         #: devices under a planned drain (excluded from placement/routing)
         self._draining: set[int] = set()
         #: sessions whose task chain was poisoned by a *device* fault —
@@ -541,9 +540,8 @@ class OffloadServer:
                 sched.release_events()
             except (CudaError, DeviceLost):
                 pass
-        if self.compact_logs:
-            for mod in self.devices:
-                mod.driver.log.compact()
+        for mod in self.devices:
+            mod.driver.log.compact()
         if self.prof is not None and inflight:
             for k in range(self.num_devices):
                 self._rnote("health", device=k, score=self.health.score(k))
@@ -566,7 +564,7 @@ class OffloadServer:
             except (CudaError, DeviceLost):
                 return None
             sched = StreamPoolScheduler(self.devices[k].driver,
-                                        pool_size=self.pool_size)
+                                        pool_size=self.POOL_SIZE)
             self._sched[k] = sched
         return sched
 
@@ -762,7 +760,7 @@ class OffloadServer:
         """Failover: a request that failed because its *device* failed
         (directly, or cancelled behind a fault-poisoned session chain)
         re-executes on another healthy device after a backoff, bounded by
-        ``max_retries`` and the request deadline.  Returns the retry
+        ``MAX_RETRIES`` and the request deadline.  Returns the retry
         arrival time when the request was re-enqueued, else None (the
         request's current outcome stands)."""
         if req.status != "failed":
@@ -772,7 +770,7 @@ class OffloadServer:
         if not (req.device_fault or (cancelled
                                      and sid in self._session_fault)):
             return None                     # program error: not retryable
-        if req.retries >= self.max_retries:
+        if req.retries >= self.MAX_RETRIES:
             return None
         failed_dev = req.device
         target = self._pick_target(exclude=failed_dev)
@@ -960,7 +958,7 @@ class OffloadServer:
             if self.quotas.resident_over(session.tenant, size):
                 return False
         cap = int(device_module.driver.gmem.capacity
-                  * self.max_resident_fraction)
+                  * self.MAX_RESIDENT_FRACTION)
         if self._device_resident[k] + size > cap:
             self.evict_idle(k, need=self._device_resident[k] + size - cap)
             if self._device_resident[k] + size > cap:

@@ -274,9 +274,12 @@ def test_shard_devlost_on_mixed_registry_degrades_whole_region_to_host():
     assert v100.fault_stats["device_lost"] == 1
     assert v100.fault_stats["fallback"] == 1
     # ... while the healthy nano was neither faulted nor lost (dict
-    # faults target exactly one ordinal)
+    # faults target exactly one ordinal); as a surviving participant it
+    # was resynced after the fallback
     assert not nano.lost
-    assert not nano.fault_stats
+    for op in ("inject", "retry", "fallback", "device_lost"):
+        assert op not in nano.fault_stats
+    assert nano.fault_stats["resync_skip"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,44 @@ def test_shard_preserves_enclosing_target_data():
     assert (run.machine.global_array("x") == expect).all()
 
 
+FAILOVER_SRC = r'''
+float x[512];
+int main(void)
+{
+    int i;
+    #pragma omp target data map(tofrom: x)
+    {
+        #pragma omp target teams distribute parallel for num_teams(4) \
+            %SHARD% map(tofrom: x)
+        for (i = 0; i < 512; i++) x[i] = (float)(i + 1);
+        #pragma omp target teams distribute parallel for num_teams(4) \
+            map(tofrom: x)
+        for (i = 0; i < 512; i++) x[i] = x[i] * 2.0f;
+    }
+    return 0;
+}
+'''
+
+
+@pytest.mark.parametrize("shard, run_kw", [
+    ("shard(2)", dict(num_devices=2, faults={
+        1: "launch_failed@cuLaunchKernel:probability=1"})),
+    ("", dict(num_devices=1, recovery="retries=0", faults={
+        0: "launch_failed@cuLaunchKernel:count=1"})),
+    # device 1 dies while the shard region replicates its maps
+    ("shard(2)", dict(num_devices=2, faults={
+        1: "device_unavailable@cuMemAlloc:count=1,sticky=1"})),
+], ids=["shard", "plain", "shard-setup"])
+def test_failover_inside_target_data_resyncs_devices(shard, run_kw):
+    # the first region runs on the host instead of its device(s); the
+    # device copy held by the enclosing target data must then carry the
+    # host result, or its exit copies stale device bytes back over it
+    _, run = compile_run(FAILOVER_SRC.replace("%SHARD%", shard), **run_kw)
+    assert run.ort.fault_stats["inject"] >= 1
+    expect = (np.arange(512, dtype=np.float32) + 1) * 2
+    assert (run.machine.global_array("x") == expect).all()
+
+
 def test_shard_partitions_work_disjointly():
     # per-device kernels see disjoint team subranges: total instructions
     # across shards stay close to the single-device count (no duplicate
