@@ -9,6 +9,7 @@ tree in place, and so do we.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -22,8 +23,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (descending into lists/tuples)."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        for name in child_slots(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
@@ -37,19 +38,24 @@ class Node:
         for child in self.children():
             yield from child.walk()
 
-    def replace_child(self, old: "Node", new: "Node") -> bool:
-        """Replace a direct child ``old`` with ``new``; returns success."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is old:
-                setattr(self, f.name, new)
-                return True
-            if isinstance(value, list):
-                for i, item in enumerate(value):
-                    if item is old:
-                        value[i] = new
-                        return True
-        return False
+
+_CHILD_SLOTS: dict[type, tuple[str, ...]] = {}
+
+
+def child_slots(cls: type) -> tuple[str, ...]:
+    """Names of the fields of node class ``cls`` that can hold child nodes:
+    those whose annotation names a Node class.  Built once per class."""
+    slots = _CHILD_SLOTS.get(cls)
+    if slots is None:
+        slots = _CHILD_SLOTS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls)
+            if any(map(_names_node, re.findall(r"\w+", f.type))))
+    return slots
+
+
+def _names_node(word: str) -> bool:
+    t = globals().get(word)
+    return isinstance(t, type) and issubclass(t, Node)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +359,3 @@ class TranslationUnit(Node):
 
     def functions(self) -> list[FuncDef]:
         return [d for d in self.decls if isinstance(d, FuncDef)]
-
-    def find_function(self, name: str) -> Optional[FuncDef]:
-        for d in self.decls:
-            if isinstance(d, FuncDef) and d.name == name:
-                return d
-        return None

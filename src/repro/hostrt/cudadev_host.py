@@ -411,13 +411,6 @@ class CudadevModule(DeviceModule):
                                              src_addr, size, stream=stream))
 
     @property
-    def shard_weight(self) -> float:
-        """Relative throughput weight the shard planner uses for this
-        device: observed kernel rate when available, else the backend's
-        calibrated hint, else 1.0 (→ the uniform/legacy split)."""
-        return self.throughput.weight
-
-    @property
     def shard_stream(self) -> int:
         """The per-device stream sharded launches are placed on (created
         on first use; non-default so shards across devices overlap)."""

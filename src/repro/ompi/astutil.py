@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import copy
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.cfront import astnodes as A
-from repro.cfront.ctypes_ import CType, INT, LONG, PointerType
+from repro.cfront.ctypes_ import CType, LONG
 
 
 def clone(node):
@@ -95,22 +95,22 @@ def product(exprs: Sequence[A.Expr]) -> A.Expr:
 def rename_idents(node: A.Node, mapping: dict[str, A.Expr]) -> A.Node:
     """Deep-copy ``node`` replacing every Ident whose name is in ``mapping``
     (except call targets and declarations, which carry names, not Idents)."""
+    if isinstance(node, A.Ident):
+        return clone(mapping.get(node.name, node))
     node = clone(node)
     _rename_in_place(node, mapping)
     return node
 
 
 def _rename_in_place(node: A.Node, mapping: dict[str, A.Expr]) -> None:
-    import dataclasses
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in A.child_slots(type(node)):
+        value = getattr(node, name)
         if isinstance(value, A.Ident):
             if value.name in mapping and not (
                 isinstance(node, A.Call) and node.func is value
             ):
-                setattr(node, f.name, clone(mapping[value.name]))
-            continue
-        if isinstance(value, A.Node):
+                setattr(node, name, clone(mapping[value.name]))
+        elif isinstance(value, A.Node):
             _rename_in_place(value, mapping)
         elif isinstance(value, list):
             for i, item in enumerate(value):
@@ -121,34 +121,40 @@ def _rename_in_place(node: A.Node, mapping: dict[str, A.Expr]) -> None:
                     _rename_in_place(item, mapping)
 
 
+def map_stmts(stmt: A.Stmt, pragma: Callable[[A.PragmaStmt], A.Stmt],
+              expr: Callable[[A.Node], A.Node]) -> A.Stmt:
+    """Copy a statement tree, keeping every ``loc``: each PragmaStmt at any
+    depth becomes ``pragma(p)``; every expression and leaf statement
+    becomes ``expr(x)``.  The one statement walk of the transformers."""
+    def stmts(s: Optional[A.Stmt]) -> Optional[A.Stmt]:
+        return None if s is None else map_stmts(s, pragma, expr)
+
+    def exprs(x: Optional[A.Node]) -> Optional[A.Node]:
+        return None if x is None else expr(x)
+
+    if isinstance(stmt, A.PragmaStmt):
+        return pragma(stmt)
+    if isinstance(stmt, A.Compound):
+        return A.Compound([stmts(s) for s in stmt.body], loc=stmt.loc)
+    if isinstance(stmt, A.If):
+        return A.If(expr(stmt.cond), stmts(stmt.then), stmts(stmt.other),
+                    loc=stmt.loc)
+    if isinstance(stmt, A.While):
+        return A.While(expr(stmt.cond), stmts(stmt.body), loc=stmt.loc)
+    if isinstance(stmt, A.DoWhile):
+        return A.DoWhile(stmts(stmt.body), expr(stmt.cond), loc=stmt.loc)
+    if isinstance(stmt, A.For):
+        return A.For(exprs(stmt.init), exprs(stmt.cond), exprs(stmt.step),
+                     stmts(stmt.body), loc=stmt.loc)
+    return expr(stmt)
+
+
 def strip_pragmas(stmt: A.Stmt) -> A.Stmt:
-    """Deep-copy with every PragmaStmt replaced by its body (or dropped):
-    used for sequential host-fallback code."""
-    stmt = clone(stmt)
-    _strip_in_place(stmt)
-    return stmt
-
-
-def _strip_in_place(node: A.Node) -> None:
-    import dataclasses
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, A.PragmaStmt):
-            replacement = value.body if value.body is not None \
-                else A.ExprStmt(None)
-            _strip_in_place(replacement)
-            setattr(node, f.name, replacement)
-        elif isinstance(value, A.Node):
-            _strip_in_place(value)
-        elif isinstance(value, list):
-            for i, item in enumerate(value):
-                if isinstance(item, A.PragmaStmt):
-                    replacement = item.body if item.body is not None \
-                        else A.ExprStmt(None)
-                    _strip_in_place(replacement)
-                    value[i] = replacement
-                elif isinstance(item, A.Node):
-                    _strip_in_place(item)
+    """Deep copy with every PragmaStmt, ``stmt`` itself included, replaced
+    by its body (or dropped): used for sequential host-fallback code."""
+    def body(p: A.PragmaStmt) -> A.Stmt:
+        return A.ExprStmt(None) if p.body is None else strip_pragmas(p.body)
+    return map_stmts(stmt, body, clone)
 
 
 def written_names(stmt: A.Stmt) -> set[str]:

@@ -83,13 +83,3 @@ class OmpiConfig:
     #: 'off' disables, or 'threshold=2,cooldown=1e-3' overrides knobs.
     #: Runtime-only — stays out of the compile-cache fingerprint.
     breaker: object = None
-
-    def block_dims(self, num_threads: int) -> tuple[int, int, int]:
-        if self.block_shape is not None:
-            return self.block_shape
-        n = max(1, num_threads)
-        if n <= 32:
-            return (n, 1, 1)
-        x = 32
-        y = max(1, n // 32)
-        return (x, y, 1)

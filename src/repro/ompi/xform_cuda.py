@@ -31,14 +31,14 @@ from repro.cfront.errors import CFrontError
 from repro.cfront.hostcompile import loop_step
 from repro.cfront.unparse import unparse
 from repro.openmp.clauses import (
-    AtomicClause, DataSharingClause, ExprClause, MapClause, NameClause,
-    NowaitClause, ReductionClause, ScheduleClause,
+    AtomicClause, DataSharingClause, ExprClause, NameClause, NowaitClause,
+    ReductionClause, ScheduleClause,
 )
 from repro.openmp.directives import Directive
 from repro.ompi.astutil import (
     addr_of, assign, binop, block, call, callstmt, cast, ceil_div, clone,
-    decl, decl_long, deref, ident, intlit, product, rename_idents,
-    sizeof_expr, written_names,
+    decl, decl_long, deref, ident, intlit, map_stmts, product,
+    rename_idents, sizeof_expr, written_names,
 )
 from repro.ompi.config import OmpiConfig
 from repro.ompi.outline import CapturedVar, TargetRegion, collect_identifiers, locally_declared
@@ -175,6 +175,36 @@ def collect_collapsed_loops(body: A.Stmt, d: Directive) -> list[LoopInfo]:
     return loops
 
 
+def linearize(loops: list[LoopInfo], prefix: str,
+              renames: dict[str, A.Expr],
+              ) -> tuple[list[A.Stmt], A.Expr, list[A.Expr]]:
+    """The one ``collapse(n)`` linearisation: declarations of the trip
+    counts ``<prefix>0 .. <prefix>n-1``, their product, and each loop
+    variable as an expression of the linear iteration number ``__it``
+    (row-major: the innermost loop varies fastest)."""
+    counts = [decl_long(f"{prefix}{i}",
+                        cast(LONG, rename_idents(info.count, renames)))
+              for i, info in enumerate(loops)]
+    total = product([ident(f"{prefix}{i}") for i in range(len(loops))])
+    values: list[A.Expr] = []
+    for i, info in enumerate(loops):
+        expr: A.Expr = ident("__it")
+        for j in range(i + 1, len(loops)):
+            expr = binop("/", expr, ident(f"{prefix}{j}"))
+        if i > 0:
+            expr = binop("%", expr, ident(f"{prefix}{i}"))
+        values.append(_loop_value(info, expr, renames))
+    return counts, total, values
+
+
+def _loop_value(info: LoopInfo, k: A.Expr,
+               renames: dict[str, A.Expr]) -> A.Expr:
+    """``lb + k * step``: the loop variable at logical iteration ``k``."""
+    if info.step != 1:
+        k = binop("*", k, intlit(info.step))
+    return binop("+", cast(info.var_type, k), rename_idents(info.lb, renames))
+
+
 class CudaKernelBuilder:
     """Builds the kernel-file AST for one target region."""
 
@@ -296,36 +326,15 @@ class CudaKernelBuilder:
             else:
                 red_epilogue = [_tree_epilogue(reds)]
 
-        # iteration-space linearisation
-        kernel_counts: list[A.Expr] = []
-        for i, info in enumerate(loops):
-            count = rename_idents(info.count, renames)
-            prologue.append(decl_long(f"__n{i}", cast(LONG, count)))
-            kernel_counts.append(ident(f"__n{i}"))
-        niter = product([ident(f"__n{i}") for i in range(len(loops))])
-
-        # index reconstruction from the linear iteration number __it
-        recon: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            expr: A.Expr = ident("__it")
-            for j in range(i + 1, len(loops)):
-                expr = binop("/", expr, ident(f"__n{j}"))
-            if i > 0:
-                expr = binop("%", expr, ident(f"__n{i}"))
-            if info.step != 1:
-                expr = binop("*", expr, intlit(info.step))
-            expr = binop("+", cast(info.var_type, expr),
-                         rename_idents(info.lb, renames))
-            recon.append(decl(info.var, info.var_type, expr))
-        # per-dimension reconstruction (2D/3D scheme): var = lb + it*step
-        recon_dim: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            expr = ident(f"__it{i}")
-            if info.step != 1:
-                expr = binop("*", expr, intlit(info.step))
-            expr = binop("+", cast(info.var_type, expr),
-                         rename_idents(info.lb, renames))
-            recon_dim.append(decl(info.var, info.var_type, expr))
+        # iteration-space linearisation; the 2D/3D scheme reconstructs
+        # each variable from its own dimension's counter __it<i> instead
+        counts, niter, values = linearize(loops, "__n", renames)
+        prologue.extend(counts)
+        recon = [decl(info.var, info.var_type, value)
+                 for info, value in zip(loops, values)]
+        recon_dim = [decl(info.var, info.var_type,
+                          _loop_value(info, ident(f"__it{i}"), renames))
+                     for i, info in enumerate(loops)]
 
         schedule = ("static", None)
         scl = directive.first(ScheduleClause)
@@ -342,10 +351,9 @@ class CudaKernelBuilder:
             if scl.chunk is not None:
                 chunk_expr = rename_idents(scl.chunk, renames)
 
-        new_body = rename_idents(body, renames)
-        # inner synchronisation constructs (atomic/critical/barrier) still
-        # present in the loop body are lowered by the region transformer
-        new_body = _RegionTransformer(self, {}).transform_stmt(new_body)
+        # inner synchronisation constructs (atomic/critical/barrier) in the
+        # loop body are lowered by the region transformer
+        new_body = _RegionTransformer(self, renames).transform_stmt(body)
         # lastprivate: private local + conditional write-back from the
         # logically-last iteration of the collapsed nest
         last_cvs = [cv for cv in self.region.captured if cv.lastprivate]
@@ -751,25 +759,8 @@ class _MwTransformer:
 
     # sequential (master) context ------------------------------------------------
     def transform_stmt(self, stmt: A.Stmt) -> A.Stmt:
-        if isinstance(stmt, A.Compound):
-            return A.Compound([self.transform_stmt(s) for s in stmt.body])
-        if isinstance(stmt, A.PragmaStmt):
-            return self._transform_pragma(stmt)
-        if isinstance(stmt, A.If):
-            return A.If(rename_idents(stmt.cond, self.scalar_renames),
-                        self.transform_stmt(stmt.then),
-                        self.transform_stmt(stmt.other) if stmt.other else None)
-        if isinstance(stmt, A.While):
-            return A.While(rename_idents(stmt.cond, self.scalar_renames),
-                           self.transform_stmt(stmt.body))
-        if isinstance(stmt, A.For):
-            return A.For(
-                rename_idents(stmt.init, self.scalar_renames) if stmt.init else None,
-                rename_idents(stmt.cond, self.scalar_renames) if stmt.cond else None,
-                rename_idents(stmt.step, self.scalar_renames) if stmt.step else None,
-                self.transform_stmt(stmt.body),
-            )
-        return rename_idents(stmt, self.scalar_renames)
+        return map_stmts(stmt, self._transform_pragma,
+                         lambda x: rename_idents(x, self.scalar_renames))
 
     def _transform_pragma(self, stmt: A.PragmaStmt) -> A.Stmt:
         d: Directive = stmt.directive
@@ -923,10 +914,6 @@ class _MwTransformer:
         return A.Compound(reg)
 
 
-def _declared_in(stmt: A.Stmt, name: str) -> bool:
-    return any(isinstance(n, A.VarDecl) and n.name == name for n in stmt.walk())
-
-
 class _RegionTransformer:
     """Rewrites a parallel-region body for worker-thread execution."""
 
@@ -935,60 +922,36 @@ class _RegionTransformer:
         self.renames = renames
 
     def transform_stmt(self, stmt: A.Stmt) -> A.Stmt:
-        if isinstance(stmt, A.Compound):
-            return A.Compound([self.transform_stmt(s) for s in stmt.body])
-        if isinstance(stmt, A.PragmaStmt):
-            return self._transform_pragma(stmt)
-        if isinstance(stmt, (A.If, A.While, A.For, A.DoWhile)):
-            out = clone(stmt)
-            # rename, then recurse into sub-statements
-            out = rename_idents(out, self.renames)
-            self._recurse_pragmas(out)
-            return out
-        return rename_idents(stmt, self.renames)
+        return map_stmts(stmt, self._transform_pragma, self._rename)
 
-    def _recurse_pragmas(self, node: A.Node) -> None:
-        import dataclasses
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            if isinstance(value, A.PragmaStmt):
-                setattr(node, f.name, self._transform_pragma(value,
-                                                             prerenamed=True))
-            elif isinstance(value, A.Node):
-                self._recurse_pragmas(value)
-            elif isinstance(value, list):
-                for i, item in enumerate(value):
-                    if isinstance(item, A.PragmaStmt):
-                        value[i] = self._transform_pragma(item, prerenamed=True)
-                    elif isinstance(item, A.Node):
-                        self._recurse_pragmas(item)
+    def _rename(self, node: A.Node) -> A.Node:
+        return rename_idents(node, self.renames)
 
-    def _transform_pragma(self, stmt: A.PragmaStmt, prerenamed: bool = False) -> A.Stmt:
+    def _transform_pragma(self, stmt: A.PragmaStmt) -> A.Stmt:
         from repro.openmp.pragma_parser import parse_omp_pragma
         d: Directive = stmt.directive
         if d is None:
             d = parse_omp_pragma(stmt.text)
-        rn = {} if prerenamed else self.renames
         if d.name in ("for", "for simd"):
-            return self._worksharing_for(stmt, d, rn)
+            return self._worksharing_for(stmt, d)
         if d.name == "simd":
             # warps already execute in lockstep; simd is a no-op hint here
-            return self.transform_stmt(rename_idents(stmt.body, rn))
+            return self.transform_stmt(stmt.body)
         if d.name == "barrier":
             return callstmt("cudadev_barrier")
         if d.name == "critical":
-            return self._critical(stmt, d, rn)
+            return self._critical(stmt, d)
         if d.name in ("single", "master"):
-            body = self.transform_stmt(rename_idents(stmt.body, rn))
+            body = self.transform_stmt(stmt.body)
             guarded = A.If(binop("==", call("omp_get_thread_num"), intlit(0)),
                            body)
             if d.name == "single" and not d.has(NowaitClause):
                 return block(guarded, callstmt("cudadev_barrier"))
             return guarded
         if d.name == "sections":
-            return self._sections(stmt, d, rn)
+            return self._sections(stmt, d)
         if d.name == "atomic":
-            return self._atomic(stmt, d, rn)
+            return self._atomic(stmt, d)
         if d.name == "parallel":
             raise CudaXformError(
                 "nested parallel regions inside a device parallel region "
@@ -999,8 +962,7 @@ class _RegionTransformer:
             "not supported", stmt.loc
         )
 
-    def _worksharing_for(self, stmt: A.PragmaStmt, d: Directive,
-                         rn: dict[str, A.Expr]) -> A.Stmt:
+    def _worksharing_for(self, stmt: A.PragmaStmt, d: Directive) -> A.Stmt:
         # collapse(n) folds n perfectly nested canonical loops into the
         # same linearised iteration space the combined construct uses
         loops = collect_collapsed_loops(stmt.body, d)
@@ -1014,26 +976,11 @@ class _RegionTransformer:
             elif scl.schedule == "guided":
                 sched_fn = "cudadev_get_guided_chunk"
             if scl.chunk is not None:
-                chunk = rename_idents(scl.chunk, rn)
-        count_decls: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            count_decls.append(decl_long(
-                f"__wsn{i}", cast(LONG, rename_idents(info.count, rn))))
-        total = product([ident(f"__wsn{i}") for i in range(len(loops))])
-        # index reconstruction from the linear iteration number __it
-        recon_stmts: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            expr: A.Expr = ident("__it")
-            for j in range(i + 1, len(loops)):
-                expr = binop("/", expr, ident(f"__wsn{j}"))
-            if i > 0:
-                expr = binop("%", expr, ident(f"__wsn{i}"))
-            if info.step != 1:
-                expr = binop("*", expr, intlit(info.step))
-            expr = binop("+", cast(info.var_type, expr),
-                         rename_idents(info.lb, rn))
-            recon_stmts.append(assign(ident(info.var), expr))
-        body = self.transform_stmt(rename_idents(loops[-1].body, rn))
+                chunk = self._rename(scl.chunk)
+        count_decls, total, values = linearize(loops, "__wsn", self.renames)
+        recon_stmts = [assign(ident(info.var), value)
+                       for info, value in zip(loops, values)]
+        body = self.transform_stmt(loops[-1].body)
         inner = A.For(
             A.ExprStmt(A.Assign(ident("__it"), ident("__tlo"))),
             binop("<", ident("__it"), ident("__thi")),
@@ -1055,11 +1002,10 @@ class _RegionTransformer:
             out.body.append(callstmt("cudadev_barrier"))
         return out
 
-    def _critical(self, stmt: A.PragmaStmt, d: Directive,
-                  rn: dict[str, A.Expr]) -> A.Stmt:
+    def _critical(self, stmt: A.PragmaStmt, d: Directive) -> A.Stmt:
         name_clause = d.first(NameClause)
         lock_id = self.b.lock_id(name_clause.name if name_clause else "")
-        body = self.transform_stmt(rename_idents(stmt.body, rn))
+        body = self.transform_stmt(stmt.body)
         return block(
             decl("__done", INT, intlit(0)),
             A.While(
@@ -1078,8 +1024,7 @@ class _RegionTransformer:
             ),
         )
 
-    def _sections(self, stmt: A.PragmaStmt, d: Directive,
-                  rn: dict[str, A.Expr]) -> A.Stmt:
+    def _sections(self, stmt: A.PragmaStmt, d: Directive) -> A.Stmt:
         body = stmt.body
         if not isinstance(body, A.Compound):
             raise CudaXformError("sections requires a block", stmt.loc)
@@ -1095,7 +1040,7 @@ class _RegionTransformer:
         sid = next(self.b._loop_ids)
         chain: Optional[A.Stmt] = None
         for i in range(len(sections) - 1, -1, -1):
-            sec = self.transform_stmt(rename_idents(sections[i], rn))
+            sec = self.transform_stmt(sections[i])
             chain = A.If(binop("==", ident("__s"), intlit(i)), sec, chain)
         out = block(
             callstmt("cudadev_sections_init", intlit(sid),
@@ -1113,8 +1058,7 @@ class _RegionTransformer:
             out.body.append(callstmt("cudadev_barrier"))
         return out
 
-    def _atomic(self, stmt: A.PragmaStmt, d: Directive,
-                rn: dict[str, A.Expr]) -> A.Stmt:
+    def _atomic(self, stmt: A.PragmaStmt, d: Directive) -> A.Stmt:
         """Lower ``atomic [read|write|update|capture]`` onto the sim's
         atomic ops.  Aligned word loads/stores are atomic on the device
         (and in the lockstep simulator), so read/write emit the plain
@@ -1131,9 +1075,9 @@ class _RegionTransformer:
             if not (isinstance(expr, A.Assign) and expr.op is None):
                 raise CudaXformError(
                     f"atomic {kind} requires a plain assignment", stmt.loc)
-            return A.ExprStmt(rename_idents(clone(expr), rn))
+            return A.ExprStmt(self._rename(expr))
         if kind == "capture":
-            return self._atomic_capture(stmt, body, rn)
+            return self._atomic_capture(stmt, body)
         upd = _match_atomic_update(body)
         if upd is None:
             raise CudaXformError(
@@ -1141,11 +1085,9 @@ class _RegionTransformer:
                 "x++/x--, x = x op expr, or x = expr op x)", stmt.loc)
         target, op, value = upd
         return A.ExprStmt(_atomic_update_call(
-            op, rename_idents(clone(target), rn),
-            rename_idents(clone(value), rn)))
+            op, self._rename(target), self._rename(value)))
 
-    def _atomic_capture(self, stmt: A.PragmaStmt, body: A.Stmt,
-                        rn: dict[str, A.Expr]) -> A.Stmt:
+    def _atomic_capture(self, stmt: A.PragmaStmt, body: A.Stmt) -> A.Stmt:
         # v = x++ / v = x--  (old value)
         if isinstance(body, A.ExprStmt) and isinstance(body.expr, A.Assign) \
                 and body.expr.op is None \
@@ -1154,9 +1096,8 @@ class _RegionTransformer:
             unary = body.expr.value
             op = "+" if "++" in unary.op else "-"
             update = _atomic_update_call(
-                op, rename_idents(clone(unary.operand), rn), intlit(1))
-            return A.ExprStmt(A.Assign(
-                rename_idents(clone(body.expr.target), rn), update))
+                op, self._rename(unary.operand), intlit(1))
+            return A.ExprStmt(A.Assign(self._rename(body.expr.target), update))
         # { v = x; x op= e; }  (old)  /  { x op= e; v = x; }  (new)
         if isinstance(body, A.Compound) and len(body.body) == 2:
             first, second = body.body
@@ -1167,18 +1108,16 @@ class _RegionTransformer:
             if isinstance(fe, A.Assign) and fe.op is None and s_upd is not None:
                 target, op, value = s_upd
                 update = _atomic_update_call(
-                    op, rename_idents(clone(target), rn),
-                    rename_idents(clone(value), rn))
-                return A.ExprStmt(A.Assign(
-                    rename_idents(clone(fe.target), rn), update))
+                    op, self._rename(target), self._rename(value))
+                return A.ExprStmt(A.Assign(self._rename(fe.target), update))
             if f_upd is not None and isinstance(se, A.Assign) and se.op is None:
                 # new-value capture: old OP e recomputes the stored value
                 target, op, value = f_upd
-                value_rn = rename_idents(clone(value), rn)
+                value_rn = self._rename(value)
                 update = _atomic_update_call(
-                    op, rename_idents(clone(target), rn), value_rn)
+                    op, self._rename(target), value_rn)
                 return A.ExprStmt(A.Assign(
-                    rename_idents(clone(se.target), rn),
+                    self._rename(se.target),
                     _red_combine(op if op != "-" else "+", update,
                                  clone(value_rn) if op != "-"
                                  else A.Unary("-", clone(value_rn)))))

@@ -13,26 +13,26 @@ from typing import Optional
 
 from repro.cfront import astnodes as A
 from repro.cfront.ctypes_ import (
-    ArrayType, BasicType, CType, INT, LONG, PointerType, VOID, VOIDP,
+    ArrayType, BasicType, CType, INT, LONG, PointerType, VOID,
 )
 from repro.cfront.errors import CFrontError
 from repro.openmp.clauses import (
     DataSharingClause, DependClause, DeviceClause, ExprClause, IfClause,
-    MapClause, MotionClause, NowaitClause, ReductionClause, ScheduleClause,
+    MapClause, MotionClause, NowaitClause, ScheduleClause,
 )
 from repro.rt_async.taskgraph import DEP_CODES
 from repro.openmp.directives import Directive
 from repro.ompi.astutil import (
     addr_of, assign, binop, block, call, callstmt, cast, ceil_div, clone,
-    decl, decl_long, deref, ident, intlit, rename_idents, sizeof_expr,
-    sizeof_type, string, strip_pragmas,
+    decl, decl_long, deref, ident, intlit, map_stmts, rename_idents,
+    sizeof_expr, sizeof_type, string, strip_pragmas,
 )
 from repro.ompi.config import OmpiConfig
 from repro.ompi.outline import (
     CapturedVar, collect_identifiers, locally_declared,
 )
 from repro.ompi.xform_cuda import (
-    KernelPlan, analyze_canonical_loop, collect_collapsed_loops,
+    KernelPlan, analyze_canonical_loop, collect_collapsed_loops, linearize,
 )
 from repro.hostrt.reduction import RED_OPS, typecode_of
 
@@ -69,11 +69,6 @@ def map_ptr_and_size(cv: CapturedVar) -> tuple[A.Expr, A.Expr, A.Expr]:
             "(pointer mapped without an array section)"
         )
     return base, mapped, size
-
-
-def motion_ptr_and_size(name: str, section, scope: dict[str, CType]):
-    cv = CapturedVar(name, scope[name], "to", section)
-    return map_ptr_and_size(cv)
 
 
 @dataclass
@@ -469,25 +464,8 @@ class _HostRegionTransformer:
         self.renames = renames
 
     def transform_stmt(self, stmt: A.Stmt) -> A.Stmt:
-        if isinstance(stmt, A.Compound):
-            return A.Compound([self.transform_stmt(s) for s in stmt.body])
-        if isinstance(stmt, A.PragmaStmt):
-            return self._transform_pragma(stmt)
-        if isinstance(stmt, A.If):
-            return A.If(rename_idents(stmt.cond, self.renames),
-                        self.transform_stmt(stmt.then),
-                        self.transform_stmt(stmt.other) if stmt.other else None)
-        if isinstance(stmt, A.For):
-            return A.For(
-                rename_idents(stmt.init, self.renames) if stmt.init else None,
-                rename_idents(stmt.cond, self.renames) if stmt.cond else None,
-                rename_idents(stmt.step, self.renames) if stmt.step else None,
-                self.transform_stmt(stmt.body),
-            )
-        if isinstance(stmt, A.While):
-            return A.While(rename_idents(stmt.cond, self.renames),
-                           self.transform_stmt(stmt.body))
-        return rename_idents(stmt, self.renames)
+        return map_stmts(stmt, self._transform_pragma,
+                         lambda x: rename_idents(x, self.renames))
 
     def _transform_pragma(self, stmt: A.PragmaStmt) -> A.Stmt:
         from repro.openmp.pragma_parser import parse_omp_pragma
@@ -538,26 +516,9 @@ class _HostRegionTransformer:
         # collapse(n) linearises exactly like the device side, so the
         # per-thread iteration order matches across host and kernel runs
         loops = collect_collapsed_loops(stmt.body, d)
-        count_decls: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            count_decls.append(decl_long(
-                f"__wsn{i}",
-                cast(LONG, rename_idents(info.count, self.renames))))
-        total: A.Expr = ident("__wsn0")
-        for i in range(1, len(loops)):
-            total = binop("*", total, ident(f"__wsn{i}"))
-        recon_stmts: list[A.Stmt] = []
-        for i, info in enumerate(loops):
-            expr: A.Expr = ident("__it")
-            for j in range(i + 1, len(loops)):
-                expr = binop("/", expr, ident(f"__wsn{j}"))
-            if i > 0:
-                expr = binop("%", expr, ident(f"__wsn{i}"))
-            if info.step != 1:
-                expr = binop("*", expr, intlit(info.step))
-            expr = binop("+", cast(info.var_type, expr),
-                         rename_idents(info.lb, self.renames))
-            recon_stmts.append(assign(ident(info.var), expr))
+        count_decls, total, values = linearize(loops, "__wsn", self.renames)
+        recon_stmts = [assign(ident(info.var), value)
+                       for info, value in zip(loops, values)]
         body = self.transform_stmt(loops[-1].body)
         return block(
             count_decls,

@@ -1,12 +1,24 @@
-"""Golden structural checks on generated code (host side and kernel side).
+"""Golden checks on generated code (host side and kernel side).
 
-These pin down the *shape* of the translator output — runtime-call
-ordering, launch-geometry computation, Fig. 3b structure — so codegen
-regressions surface as readable text diffs rather than downstream
-execution failures.
+The structural tests pin down the *shape* of the translator output —
+runtime-call ordering, launch-geometry computation, Fig. 3b structure —
+so codegen regressions surface as readable text diffs rather than
+downstream execution failures.
+
+``test_codegen_digests_match_table`` pins the exact bytes: sha256
+digests of the host program and of every kernel file, for each suite app
+at its smallest size and each host workload at n=256, under both
+reduction modes, against ``codegen_digests.json``.  Regenerate the table
+with ``PYTHONPATH=src python tests/test_ompi_codegen_golden.py --write``
+only for a deliberate codegen change, and record that change in
+CHANGES.md.
 """
 
+import hashlib
+import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +180,52 @@ def test_mw_launch_dims():
     host = prog.host_source
     assert "long __bx = 128;" in host      # the paper's fixed 128 threads
     assert "long __gx = (long) 1;" in host or "long __gx = 1;" in host
+
+
+DIGESTS = Path(__file__).with_name("codegen_digests.json")
+
+
+def _digest_sources():
+    """(key, source, program name, block shape) for every pinned program."""
+    from repro.bench.harness import _prog_name
+    from repro.bench.hostinit import HOST_WORKLOADS
+    from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
+    for name in ALL_APPS + EXTENDED_APP_NAMES:
+        app = get_app(name)
+        n = min(app.sizes)
+        yield (f"{name}:{n}", app.omp_source(n), _prog_name(app, n),
+               app.block_shape)
+    for name, w in HOST_WORKLOADS.items():
+        yield f"host-{name}:256", w.source(256), f"host_{name}_256", None
+
+
+def codegen_digests() -> dict[str, dict[str, str]]:
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    table: dict[str, dict[str, str]] = {}
+    for mode in ("tree", "atomic"):
+        for key, source, prog_name, shape in _digest_sources():
+            prog = OmpiCompiler(OmpiConfig(
+                block_shape=shape, reduction_mode=mode)).compile(
+                    source, prog_name)
+            entry = {"host": sha(prog.host_source)}
+            entry.update((kernel, sha(text)) for kernel, text
+                         in sorted(prog.kernel_sources.items()))
+            table[f"{mode}/{key}"] = entry
+    return table
+
+
+def test_codegen_digests_match_table():
+    expected = json.loads(DIGESTS.read_text())
+    actual = codegen_digests()
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert not changed, f"generated code changed for {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_ompi_codegen_golden.py --write")
+    DIGESTS.write_text(json.dumps(codegen_digests(), indent=1,
+                                  sort_keys=True) + "\n")

@@ -581,3 +581,103 @@ def test_thread_limit_caps_num_threads():
     assert (run.machine.global_array("v") == 3.0).all()
     stats = run.ort.cudadev.driver.last_kernel_stats
     assert stats.block[0] * stats.block[1] * stats.block[2] == 64
+
+
+# -- equivalent spellings translate alike ---------------------------------------
+# A pragma under a do-while, or a combined construct split over nested
+# pragmas, must behave like its while-loop or one-line twin.
+
+def _while_twin(src):
+    """``src`` with its ``do { ... } while (r < 3);`` loop as a while loop."""
+    head, rest = src.split("do {", 1)
+    body, tail = rest.split("} while (r < 3);", 1)
+    return head + "while (r < 3) {" + body + "}" + tail
+
+
+def _twin_outputs(srcs, array, **run_kw):
+    """The global ``array`` after running each program, as lists."""
+    return [list(compile_run(src, f"twin{i}", **run_kw)[1]
+                 .machine.global_array(array))
+            for i, src in enumerate(srcs)]
+
+
+HOST_DO_SINGLE = r'''
+int hits[4];
+int main(void)
+{
+    int total = 0;
+    #pragma omp parallel num_threads(4)
+    {
+        int r = 0;
+        do {
+            #pragma omp single
+            { total = total + 1; }
+            hits[omp_get_thread_num()] += 1;
+            r++;
+        } while (r < 3);
+    }
+    hits[0] += 10 * total;
+    return 0;
+}
+'''
+
+
+def test_do_while_with_single_in_host_parallel_region():
+    do, twin = _twin_outputs(
+        (HOST_DO_SINGLE, _while_twin(HOST_DO_SINGLE)), "hits")
+    assert do == twin == [33, 3, 3, 3]
+
+
+TARGET_DO_PARALLEL = r'''
+int out[64];
+int main(void)
+{
+    #pragma omp target map(tofrom: out)
+    {
+        int r = 0;
+        do {
+            #pragma omp parallel num_threads(64)
+            { out[omp_get_thread_num()] += r + 1; }
+            r++;
+        } while (r < 3);
+    }
+    return 0;
+}
+'''
+
+
+def test_do_while_with_parallel_in_target_master_region():
+    do, twin = _twin_outputs(
+        (TARGET_DO_PARALLEL, _while_twin(TARGET_DO_PARALLEL)), "out")
+    assert do == twin == [6] * 64
+
+
+SPLIT_TARGET = r'''
+float a[64];
+int main(void)
+{
+    int i;
+    for (i = 0; i < 64; i++) a[i] = i;
+    #pragma omp target if(0) map(tofrom: a)
+    #pragma omp teams distribute parallel for
+    for (i = 0; i < 64; i++)
+        a[i] = 2.0f * a[i] + 1.0f;
+    return 0;
+}
+'''
+ONE_LINE_TARGET = SPLIT_TARGET.replace(
+    "target if(0) map(tofrom: a)\n    #pragma omp teams distribute parallel for",
+    "target teams distribute parallel for if(0) map(tofrom: a)")
+
+
+@pytest.mark.parametrize("device", [False, True], ids=["if0", "launch-failed"])
+def test_split_combined_region_host_fallback(device):
+    # on the device every launch fails, so both spellings run the hostfn
+    kw = {}
+    srcs = (SPLIT_TARGET, ONE_LINE_TARGET)
+    if device:
+        srcs = tuple(s.replace(" if(0)", "") for s in srcs)
+        kw = dict(faults="launch_failed@cuLaunchKernel:probability=1",
+                  recovery="retries=0")
+    split, one_line = _twin_outputs(srcs, "a", **kw)
+    assert split == one_line == list(2.0 * np.arange(64) + 1.0)
