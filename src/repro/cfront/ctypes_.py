@@ -19,6 +19,13 @@ import numpy as np
 class CType:
     """Base class for all C types."""
 
+    # immutable: copies of an AST share its types
+    def __copy__(self) -> "CType":
+        return self
+
+    def __deepcopy__(self, memo) -> "CType":
+        return self
+
     def sizeof(self) -> int:
         raise NotImplementedError
 

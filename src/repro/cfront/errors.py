@@ -21,6 +21,16 @@ class SourceLoc:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.filename}:{self.line}:{self.col}"
 
+    # immutable: copies share it, and it pickles as a plain tuple
+    def __copy__(self) -> "SourceLoc":
+        return self
+
+    def __deepcopy__(self, memo) -> "SourceLoc":
+        return self
+
+    def __reduce__(self):
+        return SourceLoc, (self.filename, self.line, self.col)
+
 
 class CFrontError(Exception):
     """Base class for all frontend diagnostics."""

@@ -11,24 +11,56 @@ Design notes
 * The CUDA kernel-launch punctuators ``<<<`` / ``>>>`` are lexed as single
   tokens.  Valid C never juxtaposes three of those characters, so this is
   safe for plain C input too, mirroring what nvcc's frontend does.
+* Scanning is one master regular expression matched at the current
+  position; only ``#`` directives and char/string literals (rare, and
+  the only places with escapes or line continuations) are finished by
+  hand.  Locations count every character, tabs included, as one column.
+  ``tests/reference_lexer.py`` keeps the character-at-a-time scanner
+  this replaced, and ``tests/test_lexer_oracle.py`` holds the two to the
+  same tokens, locations and errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.cfront.errors import LexError, SourceLoc
 from repro.cfront.tokens import KEYWORDS, PUNCTUATORS, TokenKind
-
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 _SIMPLE_ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
+
+#: one alternative per lexical class, tried in order at the scan position;
+#: ``num`` only recognises a number's start, ``ucom`` an unterminated
+#: ``/*``, and ``char`` takes one character the scan loop finishes by hand
+#: ('#', a quote, or a stray character)
+_MASTER = re.compile("|".join((
+    r"(?P<trivia>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<num>(?=\.?[0-9]))",
+    r"(?P<ucom>/\*)",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    r"(?P<char>.)",
+)), re.S)
+
+_NUMBER = re.compile(
+    r"0[xX](?P<hex>[0-9a-fA-F]*)(?P<hsuf>[A-Za-z_]*)"
+    r"|(?P<dec>[0-9]*(?P<frac>\.[0-9]*)?(?P<exp>[eE][+-]?[0-9]+)?)"
+    r"(?P<suf>[A-Za-z_]*)")
+_INT_SUFFIXES = frozenset(("", "u", "l", "ul", "lu", "ll", "ull", "llu", "f"))
+_FLOAT_SUFFIXES = frozenset(("", "f", "l"))
+
+#: a directive line's pieces: a backslash continuation, a comment, or text
+_DIRECTIVE = re.compile(
+    r"(?P<cont>\\(?:\n|\r.?))|(?P<lcom>//[^\n]*)|(?P<bcom>/\*.*?\*/)"
+    r"|(?P<ucom>/\*)|(?P<text>[^\\\n/]+|[\\/])", re.S)
+
+_HEX_RUN = re.compile(r"[0-9a-fA-F]*")
+_STRING_RUN = re.compile(r'[^"\\\n]*')
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,225 +86,157 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<memory>"):
         self.src = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._at_line_start = True
 
-    # -- low-level helpers -------------------------------------------------
-    def _loc(self) -> SourceLoc:
-        return SourceLoc(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def _advance(self, n: int = 1) -> str:
-        taken = self.src[self.pos : self.pos + n]
-        for ch in taken:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-                self._at_line_start = True
+    def _scan(self) -> Iterator[Token]:
+        src, filename = self.src, self.filename
+        n = len(src)
+        match = _MASTER.match
+        keywords = KEYWORDS
+        IDENT, KEYWORD, PUNCT = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+        pos = line_start = 0
+        line = 1
+        while pos < n:
+            m = match(src, pos)
+            kind = m.lastgroup
+            end = m.end()
+            if kind == "trivia":
+                newlines = src.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", pos, end) + 1
+                pos = end
+                continue
+            loc = SourceLoc(filename, line, pos - line_start + 1)
+            if kind == "ident":
+                text = m.group()
+                yield Token(KEYWORD if text in keywords else IDENT, text, loc)
+            elif kind == "punct":
+                yield Token(PUNCT, m.group(), loc)
+            elif kind == "num":
+                tok, end = self._number(pos, loc)
+                yield tok
+            elif kind == "ucom":
+                raise LexError("unterminated block comment", loc)
             else:
-                self.col += 1
-                if ch not in " \t":
-                    self._at_line_start = False
-        self.pos += n
-        return taken
-
-    # -- whitespace / comments ---------------------------------------------
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                loc = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.src):
-                        raise LexError("unterminated block comment", loc)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
+                ch = m.group()
+                if ch == "#":
+                    if src[line_start:pos].strip(" \t"):
+                        raise LexError("'#' must start a line", loc)
+                    tok, end = self._directive(pos, loc)
+                elif ch == "'":
+                    tok, end = self._char(pos, loc)
+                elif ch == '"':
+                    tok, end = self._string(pos, loc)
+                else:
+                    raise LexError(f"stray character {ch!r}", loc)
+                # a continued directive or a raw newline quoted as a char
+                # spans lines
+                newlines = src.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    line_start = src.rindex("\n", pos, end) + 1
+                if tok is not None:
+                    yield tok
+            pos = end
+        yield Token(TokenKind.EOF, "", SourceLoc(filename, line,
+                                                 pos - line_start + 1))
 
     # -- directive lines ----------------------------------------------------
-    def _read_directive_line(self) -> str:
-        """Consume to end-of-line honouring backslash continuations; return
-        the accumulated text (without the leading ``#``)."""
+    def _directive(self, pos: int, loc: SourceLoc) -> tuple[Token | None, int]:
+        """The ``#`` line at ``pos``, continuations folded and comments
+        blanked: a PRAGMA token, or None for a skipped directive."""
+        src = self.src
         parts: list[str] = []
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch == "\\" and self._peek(1) in ("\n", "\r"):
-                self._advance(1)          # backslash
-                if self._peek() == "\r":
-                    self._advance(1)
-                self._advance(1)          # newline — continuation
-                parts.append(" ")
-            elif ch == "\n":
+        i = pos + 1
+        match = _DIRECTIVE.match
+        while (m := match(src, i)) is not None:   # stops at a newline
+            kind = m.lastgroup
+            i = m.end()
+            if kind == "text":
+                parts.append(m.group())
+            elif kind == "lcom":
                 break
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-                break
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.src):
-                        raise LexError("unterminated comment in directive", self._loc())
-                    self._advance()
-                self._advance(2)
-                parts.append(" ")
+            elif kind == "ucom":   # reported where the input ends
+                raise LexError("unterminated comment in directive", SourceLoc(
+                    self.filename, src.count("\n") + 1,
+                    len(src) - src.rfind("\n")))
             else:
-                parts.append(self._advance())
-        return "".join(parts)
-
-    def _lex_hash(self, loc: SourceLoc) -> Token | None:
-        self._advance()  # '#'
-        body = self._read_directive_line().strip()
+                parts.append(" ")
+        body = "".join(parts).strip()
         if body.startswith("pragma"):
-            return Token(TokenKind.PRAGMA, body[len("pragma"):].strip(), loc)
-        if body.startswith("include"):
-            return None  # headers are builtin; ignore
-        if body == "":
-            return None  # null directive
+            return Token(TokenKind.PRAGMA, body[len("pragma"):].strip(), loc), i
+        if body.startswith("include") or body == "":
+            return None, i  # headers are builtin; null directive
         raise LexError(f"unsupported preprocessor directive: #{body.split()[0]}", loc)
 
     # -- literals ------------------------------------------------------------
-    def _lex_number(self, loc: SourceLoc) -> Token:
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if self._peek() not in _HEX_DIGITS:
+    def _number(self, pos: int, loc: SourceLoc) -> tuple[Token, int]:
+        m = _NUMBER.match(self.src, pos)
+        full = m.group()
+        if m.group("dec") is None:
+            digits = m.group("hex")
+            if not digits:
                 raise LexError("malformed hex literal", loc)
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            text = self.src[start : self.pos]
-            value = int(text, 16)
+            value: int | float = int(digits, 16)
+            suffix = m.group("hsuf").lower()
         else:
-            while self._peek() in _DIGITS:
-                self._advance()
-            if self._peek() == ".":
-                is_float = True
-                self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-            if self._peek() in ("e", "E") and (
-                self._peek(1) in _DIGITS
-                or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-            text = self.src[start : self.pos]
-            value = float(text) if is_float else int(text, 10)
-        # suffixes
-        suffix_start = self.pos
-        while self._peek() in _IDENT_START:
-            self._advance()
-        suffix = self.src[suffix_start : self.pos].lower()
-        if is_float:
-            if suffix not in ("", "f", "l"):
-                raise LexError(f"bad float suffix {suffix!r}", loc)
-            full = self.src[start : self.pos]
-            return Token(TokenKind.FLOAT_LIT, full, loc, value)
-        if suffix not in ("", "u", "l", "ul", "lu", "ll", "ull", "llu", "f"):
+            suffix = m.group("suf").lower()
+            if m.group("frac") is not None or m.group("exp") is not None:
+                if suffix not in _FLOAT_SUFFIXES:
+                    raise LexError(f"bad float suffix {suffix!r}", loc)
+                return Token(TokenKind.FLOAT_LIT, full, loc,
+                             float(m.group("dec"))), m.end()
+            value = int(m.group("dec"), 10)
+        if suffix not in _INT_SUFFIXES:
             raise LexError(f"bad integer suffix {suffix!r}", loc)
-        full = self.src[start : self.pos]
         if suffix == "f":
-            return Token(TokenKind.FLOAT_LIT, full, loc, float(value))
-        return Token(TokenKind.INT_LIT, full, loc, value)
+            return Token(TokenKind.FLOAT_LIT, full, loc, float(value)), m.end()
+        return Token(TokenKind.INT_LIT, full, loc, value), m.end()
 
-    def _lex_escape(self, loc: SourceLoc) -> str:
-        self._advance()  # backslash
-        ch = self._advance()
+    def _escape(self, pos: int, loc: SourceLoc) -> tuple[str, int]:
+        """Decode the escape whose backslash is at ``pos``."""
+        ch = self.src[pos + 1 : pos + 2]
         if ch in _SIMPLE_ESCAPES:
-            return _SIMPLE_ESCAPES[ch]
+            return _SIMPLE_ESCAPES[ch], pos + 2
         if ch == "x":
-            digits = ""
-            while self._peek() in _HEX_DIGITS:
-                digits += self._advance()
+            digits = _HEX_RUN.match(self.src, pos + 2).group()
             if not digits:
                 raise LexError("\\x with no hex digits", loc)
-            return chr(int(digits, 16))
+            return chr(int(digits, 16)), pos + 2 + len(digits)
         raise LexError(f"unsupported escape \\{ch}", loc)
 
-    def _lex_char(self, loc: SourceLoc) -> Token:
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            ch = self._lex_escape(loc)
+    def _char(self, pos: int, loc: SourceLoc) -> tuple[Token, int]:
+        src = self.src
+        i = pos + 1
+        if src[i : i + 1] == "\\":
+            ch, i = self._escape(i, loc)
         else:
-            ch = self._advance()
-        if self._peek() != "'":
+            ch = src[i : i + 1]
+            i += 1
+        if src[i : i + 1] != "'":
             raise LexError("multi-character char literal", loc)
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, f"'{ch}'", loc, ord(ch))
+        return Token(TokenKind.CHAR_LIT, f"'{ch}'", loc, ord(ch)), i + 1
 
-    def _lex_string(self, loc: SourceLoc) -> Token:
-        self._advance()  # opening quote
+    def _string(self, pos: int, loc: SourceLoc) -> tuple[Token, int]:
+        src = self.src
         chars: list[str] = []
+        i = pos + 1
         while True:
-            if self.pos >= len(self.src) or self._peek() == "\n":
-                raise LexError("unterminated string literal", loc)
-            if self._peek() == '"':
-                self._advance()
-                break
-            if self._peek() == "\\":
-                chars.append(self._lex_escape(loc))
-            else:
-                chars.append(self._advance())
-        return Token(TokenKind.STRING_LIT, '"' + "".join(chars) + '"', loc, "".join(chars))
-
-    # -- main loop -------------------------------------------------------------
-    def next_token(self) -> Token:
-        while True:
-            self._skip_trivia()
-            loc = self._loc()
-            if self.pos >= len(self.src):
-                return Token(TokenKind.EOF, "", loc)
-            ch = self._peek()
-            if ch == "#":
-                if not self._at_line_start:
-                    raise LexError("'#' must start a line", loc)
-                tok = self._lex_hash(loc)
-                if tok is not None:
-                    return tok
-                continue  # skipped directive; keep scanning
-            if ch in _IDENT_START:
-                start = self.pos
-                while self._peek() in _IDENT_CONT:
-                    self._advance()
-                text = self.src[start : self.pos]
-                kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-                return Token(kind, text, loc)
-            if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-                return self._lex_number(loc)
-            if ch == "'":
-                return self._lex_char(loc)
+            run = _STRING_RUN.match(src, i).group()
+            chars.append(run)
+            i += len(run)
+            ch = src[i : i + 1]
             if ch == '"':
-                return self._lex_string(loc)
-            for punct in PUNCTUATORS:
-                if self.src.startswith(punct, self.pos):
-                    self._advance(len(punct))
-                    return Token(TokenKind.PUNCT, punct, loc)
-            raise LexError(f"stray character {ch!r}", loc)
+                break
+            if ch != "\\":     # end of input or a newline
+                raise LexError("unterminated string literal", loc)
+            text, i = self._escape(i, loc)
+            chars.append(text)
+        value = "".join(chars)
+        return Token(TokenKind.STRING_LIT, '"' + value + '"', loc, value), i + 1
 
     def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
+        return list(self._scan())
 
 
 def tokenize(source: str, filename: str = "<memory>") -> list[Token]:

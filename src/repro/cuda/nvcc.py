@@ -43,6 +43,10 @@ def compile_device(
 ) -> Union[PtxImage, CubinImage]:
     """Compile the device code of a CUDA C source to a kernel image.
 
+    ``source`` is CUDA C text, or its already-parsed translation unit:
+    ompicc hands over the kernel tree it built (see
+    :func:`repro.ompi.compiler.kernel_file_unit`), which is only read.
+
     ``mode='ptx'`` produces an architecture-agnostic image whose final
     compilation (and device-library linking) happens at module-load time
     with disk caching; ``mode='cubin'`` (the OMPi default) performs all

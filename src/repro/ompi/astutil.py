@@ -9,16 +9,42 @@ from repro.cfront import astnodes as A
 from repro.cfront.ctypes_ import CType, LONG
 
 
+#: the non-child node fields that hold mutable objects: copied, not shared
+_MUTABLE_FIELDS = ("directive", "fields_")
+
+
 def clone(node):
-    return copy.deepcopy(node)
+    """Deep copy of an AST subtree.  Every node and child list is new;
+    the immutable leaves (types, locations, names, literal values) are
+    shared; a pragma's directive and a struct's field list are copied."""
+    if isinstance(node, list):
+        return [clone(item) for item in node]
+    if not isinstance(node, A.Node):
+        return copy.deepcopy(node)
+    new = object.__new__(type(node))
+    fields = new.__dict__
+    fields.update(node.__dict__)
+    for name in A.child_slots(type(node)):
+        value = fields[name]
+        if isinstance(value, (A.Node, list)):
+            fields[name] = clone(value)
+    for name in _MUTABLE_FIELDS:
+        if name in fields:
+            fields[name] = copy.deepcopy(fields[name])
+    return new
 
 
 def ident(name: str) -> A.Ident:
     return A.Ident(name)
 
 
-def intlit(value: int) -> A.IntLit:
-    return A.IntLit(int(value))
+def intlit(value: int) -> A.Expr:
+    """An integer literal as the parser builds it from its text: C has no
+    negative literals, so ``-1`` is unary minus applied to ``1``."""
+    value = int(value)
+    if value < 0:
+        return A.Unary("-", A.IntLit(-value))
+    return A.IntLit(value)
 
 
 def call(name: str, *args: A.Expr) -> A.Call:

@@ -83,6 +83,8 @@ class CompileCache:
         self.evictions = 0
         self.disk_hits = 0
         self.disk_misses = 0
+        #: disk-tier writes that raised (the compile itself still succeeds)
+        self.store_errors = 0
         #: actual OmpiCompiler.compile invocations (misses both tiers)
         self.compiles = 0
         #: host wall-clock spent inside OmpiCompiler.compile (compiles only)
@@ -147,8 +149,9 @@ class CompileCache:
         try:
             self.disk.store(key, replace(prog, config=canon))
         except Exception:
-            # a full disk or unpicklable image must not fail compilation
-            pass
+            # a full disk or unpicklable image must not fail compilation,
+            # but a disk tier that never fills must show in the stats
+            self.store_errors += 1
 
     def clear(self) -> None:
         self._cache.clear()
@@ -166,6 +169,7 @@ class CompileCache:
         if self.disk is not None:
             out["disk_hits"] = self.disk_hits
             out["disk_misses"] = self.disk_misses
+            out["store_errors"] = self.store_errors
             out["disk"] = self.disk.stats
         return out
 

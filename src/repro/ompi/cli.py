@@ -125,7 +125,8 @@ def _print_cache_stats(cache: CompileCache) -> None:
         d = s["disk"]
         print("ompicc: disk cache: "
               f"hits={s['disk_hits']} misses={s['disk_misses']} "
-              f"stores={d['stores']} evictions={d['evictions']} "
+              f"stores={d['stores']} store_errors={s['store_errors']} "
+              f"evictions={d['evictions']} "
               f"corrupt_dropped={d['corrupt_dropped']} "
               f"lock_degraded={d['lock_degraded']} "
               f"entries={d['entries']} bytes={d['size_bytes']} "

@@ -4,9 +4,11 @@
 :class:`CompiledProgram` holding
 
 * the transformed host program (an AST, also unparse-able to C text),
-* one standalone CUDA C *kernel file* per target construct (pure text —
-  it is re-parsed and compiled by the nvcc simulator, exercising the real
-  pipeline boundary),
+* one standalone CUDA C *kernel file* per target construct (the paper's
+  artifact: the device-library header plus the unparsed kernel tree).
+  The nvcc simulator lowers the tree the translator built, not a re-parse
+  of that text; ``tests/test_ompi_codegen_golden.py`` checks that parsing
+  the text lowers to the same IR and PTX,
 * the compiled kernel images (PTX or cubin, per configuration).
 
 ``CompiledProgram.run()`` executes the host program under the cfront
@@ -16,6 +18,7 @@ simulated Jetson Nano GPU.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +47,22 @@ from repro.timing.clock import VirtualClock
 
 class OmpiError(CFrontError):
     pass
+
+
+@functools.cache
+def _header_decls() -> tuple[A.Node, ...]:
+    """The device-library header's prototypes, parsed once per process.
+    Nothing downstream mutates them, so every kernel unit shares them."""
+    return tuple(parse_translation_unit(DEVICE_LIBRARY_HEADER,
+                                        "cudadev.h").decls)
+
+
+def kernel_file_unit(plan: KernelPlan) -> A.TranslationUnit:
+    """The translation unit of ``plan``'s kernel file — header prototypes
+    followed by the kernel tree — as handed to nvcc: the same declarations
+    its text ``kernel_sources[plan.kernel_name]`` parses to."""
+    return A.TranslationUnit([*_header_decls(), *plan.kernel_unit.decls],
+                             filename=f"{plan.kernel_name}.cu")
 
 
 @dataclass
@@ -318,15 +337,16 @@ class OmpiCompiler:
             filename=f"{name}_ompi.c",
         )
 
-        # device compilation (paper Fig. 2, nvcc box)
+        # device compilation (paper Fig. 2, nvcc box): the kernel file's
+        # text is emitted as the artifact, its tree goes to nvcc
         kernel_sources: dict[str, str] = {}
         images: dict[str, object] = {}
         for plan in plans:
-            text = DEVICE_LIBRARY_HEADER + "\n" + unparse(plan.kernel_unit)
-            kernel_sources[plan.kernel_name] = text
+            kernel_sources[plan.kernel_name] = (
+                DEVICE_LIBRARY_HEADER + "\n" + unparse(plan.kernel_unit))
             images[plan.kernel_name] = compile_device(
-                text, plan.kernel_name, mode=self.config.binary_mode,
-                arch=self.config.arch,
+                kernel_file_unit(plan), plan.kernel_name,
+                mode=self.config.binary_mode, arch=self.config.arch,
             )
         return CompiledProgram(
             name=name,

@@ -263,3 +263,70 @@ def test_disk_cached_program_runs_under_every_host_fastpath(tmp_path, mode):
     run = prog.run()
     assert run.exit_code == 0
     assert run.stdout.startswith("76.0")
+
+
+def test_failing_store_still_compiles_and_is_counted(tmp_path, capsys):
+    from repro.ompi.cli import _print_cache_stats
+
+    disk = DiskCompileCache(tmp_path / "store")
+
+    def full_disk(key, obj):
+        raise OSError("no space left on device")
+
+    disk.store = full_disk
+    cache = CompileCache(disk=disk)
+    prog = cache.get(SRC, "t")
+    assert cache.compiles == 1 and cache.store_errors == 1
+    assert cache.stats["store_errors"] == 1
+    assert prog.run().stdout.startswith("76.0")
+    _print_cache_stats(cache)
+    assert "store_errors=1" in capsys.readouterr().err
+    # nothing reached the store: the next process compiles again
+    again = CompileCache(disk=DiskCompileCache(tmp_path / "store"))
+    again.get(SRC, "t")
+    assert again.compiles == 1 and again.store_errors == 0
+
+
+REDUCTION_SRC = r"""
+#include <stdio.h>
+float a[256];
+double s;
+int main(void) {
+    int i;
+    for (i = 0; i < 256; i++) a[i] = (i % 17) * 0.25f;
+    s = 0.0;
+    #pragma omp target teams distribute parallel for \
+        map(to: a) map(tofrom: s) reduction(+: s) num_teams(2) num_threads(64)
+    for (i = 0; i < 256; i++) s += a[i];
+    printf("%f\n", s);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("binary_mode", ["cubin", "ptx"])
+def test_disk_hit_of_tree_reduction_equals_cold_compile(tmp_path,
+                                                        binary_mode):
+    """The tree-mode reduction kernel (shuffles, a barrier) comes back
+    from a schema-3 entry exactly as compiled: host text, kernel files
+    and the PTX of every image."""
+    from repro.cuda.ptx.ptxwriter import module_to_ptx
+
+    assert SCHEMA_VERSION == 3
+    config = OmpiConfig(binary_mode=binary_mode, reduction_mode="tree")
+    root = tmp_path / "store"
+    cold_cache = CompileCache(disk=DiskCompileCache(root))
+    cold = cold_cache.get(REDUCTION_SRC, "red", config)
+    assert cold_cache.store_errors == 0
+    assert list((root / "v3").glob("*.pkl"))
+    warm_cache = CompileCache(disk=DiskCompileCache(root))
+    hit = warm_cache.get(REDUCTION_SRC, "red", config)
+    assert warm_cache.disk_hits == 1 and warm_cache.compiles == 0
+    assert "__shfl_down_sync" in "".join(cold.kernel_sources.values())
+    assert hit.host_source == cold.host_source
+    assert hit.kernel_sources == cold.kernel_sources
+    assert sorted(hit.images) == sorted(cold.images)
+    for name, image in cold.images.items():
+        assert module_to_ptx(hit.images[name].module) == \
+            module_to_ptx(image.module)
+    assert hit.run().stdout == cold.run().stdout

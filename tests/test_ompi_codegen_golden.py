@@ -12,8 +12,17 @@ reduction modes, against ``codegen_digests.json``.  Regenerate the table
 with ``PYTHONPATH=src python tests/test_ompi_codegen_golden.py --write``
 only for a deliberate codegen change, and record that change in
 CHANGES.md.
+
+``test_handed_over_tree_lowers_like_its_text`` guards the nvcc boundary:
+the compiler hands nvcc the kernel tree it built rather than re-parsing
+the kernel file it emits, so the tree and the parse of its text must
+lower to equal IR and identical PTX.  It covers the pinned programs plus
+the reduction gate's programs and a master-worker region without
+``num_threads``, whose kernels hold the literals the translator builds
+itself (``__shfl_down_sync``'s ``-1`` mask, the default thread count).
 """
 
+import functools
 import hashlib
 import json
 import re
@@ -22,8 +31,18 @@ from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import bench_reductions  # noqa: E402
+from repro.cfront import astnodes as A
 from repro.cfront.parser import parse_translation_unit
+from repro.cfront.unparse import unparse
+from repro.cuda.ptx.lower import lower_translation_unit
+from repro.cuda.ptx.ptxwriter import module_to_ptx
+from repro.devrt import INTRINSIC_SIGS
+from repro.devrt.api import DEVICE_LIBRARY_HEADER
 from repro.ompi import OmpiCompiler, OmpiConfig
+from repro.ompi.compiler import _header_decls, kernel_file_unit
 
 COMBINED = r'''
 float A[4096], B[4096];
@@ -199,20 +218,42 @@ def _digest_sources():
         yield f"host-{name}:256", w.source(256), f"host_{name}_256", None
 
 
+def _reduction_sources():
+    """The reduction gate's programs at check size, single and shard(2),
+    and a master-worker region left at the default thread count."""
+    for workload in bench_reductions.WORKLOADS:
+        n = bench_reductions.CHECK_SIZES[workload]
+        sources = bench_reductions._sources(workload, n)[0]
+        for layout, source in sources.items():
+            yield (f"{workload}-{layout}:{n}", source,
+                   f"{workload}_{layout}_{n}", None)
+    yield "mw-default-threads", MW.replace(" num_threads(64)", ""), "mwd", None
+
+
+@functools.cache
+def _compiled(sources) -> dict:
+    """``{"<mode>/<key>": CompiledProgram}`` over both reduction modes."""
+    return {
+        f"{mode}/{key}": OmpiCompiler(OmpiConfig(
+            block_shape=shape, reduction_mode=mode)).compile(source, prog_name)
+        for mode in ("tree", "atomic")
+        for key, source, prog_name, shape in sources()}
+
+
+def _digest_programs() -> dict:
+    return _compiled(_digest_sources)
+
+
 def codegen_digests() -> dict[str, dict[str, str]]:
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
     table: dict[str, dict[str, str]] = {}
-    for mode in ("tree", "atomic"):
-        for key, source, prog_name, shape in _digest_sources():
-            prog = OmpiCompiler(OmpiConfig(
-                block_shape=shape, reduction_mode=mode)).compile(
-                    source, prog_name)
-            entry = {"host": sha(prog.host_source)}
-            entry.update((kernel, sha(text)) for kernel, text
-                         in sorted(prog.kernel_sources.items()))
-            table[f"{mode}/{key}"] = entry
+    for key, prog in _digest_programs().items():
+        entry = {"host": sha(prog.host_source)}
+        entry.update((kernel, sha(text)) for kernel, text
+                     in sorted(prog.kernel_sources.items()))
+        table[key] = entry
     return table
 
 
@@ -222,6 +263,32 @@ def test_codegen_digests_match_table():
     assert sorted(actual) == sorted(expected)
     changed = [key for key in expected if actual[key] != expected[key]]
     assert not changed, f"generated code changed for {changed}"
+
+
+def test_handed_over_tree_lowers_like_its_text():
+    mismatched = []
+    programs = {**_digest_programs(), **_compiled(_reduction_sources)}
+    header = A.TranslationUnit(list(_header_decls()))
+    header_text = unparse(header)
+    for key, prog in programs.items():
+        for plan in prog.plans:
+            name = plan.kernel_name
+            text = prog.kernel_sources[name]
+            tree = lower_translation_unit(kernel_file_unit(plan),
+                                          INTRINSIC_SIGS, name)
+            reparsed = lower_translation_unit(
+                parse_translation_unit(text, f"{name}.cu"), INTRINSIC_SIGS,
+                name)
+            if (tree.kernels != reparsed.kernels
+                    or module_to_ptx(tree) != module_to_ptx(reparsed)):
+                mismatched.append(f"{key}:{name}")
+            # lowering reads the tree, never rewrites it
+            assert DEVICE_LIBRARY_HEADER + "\n" + unparse(
+                plan.kernel_unit) == text, f"{key}:{name} tree changed"
+    assert not mismatched, f"tree and text lower differently: {mismatched}"
+    # every kernel unit shares the header's prototypes, which stay as parsed
+    assert unparse(header) == header_text == unparse(
+        parse_translation_unit(DEVICE_LIBRARY_HEADER))
 
 
 if __name__ == "__main__":

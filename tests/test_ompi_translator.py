@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cfront import astnodes as A
 from repro.ompi import OmpiCompiler, OmpiConfig
 
 
@@ -681,3 +682,27 @@ def test_split_combined_region_host_fallback(device):
                   recovery="retries=0")
     split, one_line = _twin_outputs(srcs, "a", **kw)
     assert split == one_line == list(2.0 * np.arange(64) + 1.0)
+
+
+def test_clone_copies_nodes_and_shares_immutable_leaves():
+    from repro.cfront.parser import parse_translation_unit
+    from repro.cfront.unparse import unparse
+    from repro.ompi.astutil import clone
+    from repro.openmp.validator import validate_unit
+
+    unit = parse_translation_unit(SAXPY, "saxpy.c")
+    validate_unit(unit)
+    body = next(d.body for d in unit.functions() if d.name == "saxpy_device")
+    copy = clone(body)
+    assert unparse(copy) == unparse(body)
+    old, new = list(body.walk()), list(copy.walk())
+    assert len(old) == len(new)
+    assert not {id(n) for n in old} & {id(n) for n in new}
+    for a, b in zip(old, new):
+        assert type(a) is type(b) and b.loc is a.loc
+        if hasattr(a, "type"):
+            assert b.type is a.type
+        if isinstance(a, A.PragmaStmt):
+            assert b.directive == a.directive
+            assert b.directive is not a.directive
+    assert any(isinstance(n, A.PragmaStmt) for n in old)
