@@ -16,27 +16,37 @@ from typing import Any, Iterator, Optional
 from repro.cfront.ctypes_ import CType
 from repro.cfront.errors import SourceLoc
 
+#: the location of a node built by a pass rather than parsed: one shared
+#: immutable value, so copies and pickles of a translated tree carry it once
+NO_LOC = SourceLoc()
+
 
 @dataclass
 class Node:
     """Base AST node.  Subclasses must place ``loc`` last with a default."""
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (descending into lists/tuples)."""
+    def children(self) -> list["Node"]:
+        """Direct child nodes in field order (descending into
+        lists/tuples)."""
+        out = []
         for name in child_slots(type(self)):
             value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                out.append(value)
             elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+                out += [item for item in value if isinstance(item, Node)]
+        return out
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants, pre-order.  A node's
+        children are read when the walk resumes after yielding it."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            kids = node.children()
+            kids.reverse()
+            stack += kids
 
 
 _CHILD_SLOTS: dict[type, tuple[str, ...]] = {}
@@ -70,7 +80,7 @@ class Expr(Node):
 @dataclass
 class IntLit(Expr):
     value: int
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -78,25 +88,25 @@ class FloatLit(Expr):
     value: float
     #: True when the literal carried an 'f' suffix (single precision).
     single: bool = False
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class CharLit(Expr):
     value: int
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class StringLit(Expr):
     value: str
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Ident(Expr):
     name: str
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 #: Unary operator spellings.  ``p++``/``p--`` are post forms.
@@ -107,7 +117,7 @@ UNARY_OPS = ("-", "+", "!", "~", "*", "&", "++", "--", "p++", "p--")
 class Unary(Expr):
     op: str
     operand: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -115,7 +125,7 @@ class Binary(Expr):
     op: str
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -125,7 +135,7 @@ class Assign(Expr):
     target: Expr
     value: Expr = None  # type: ignore[assignment]
     op: Optional[str] = None
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -135,20 +145,20 @@ class Cond(Expr):
     cond: Expr
     then: Expr = None  # type: ignore[assignment]
     other: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Comma(Expr):
     parts: list[Expr] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Call(Expr):
     func: Expr
     args: list[Expr] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -160,14 +170,14 @@ class CudaKernelCall(Expr):
     block: Expr = None  # type: ignore[assignment]
     shmem: Optional[Expr] = None
     args: list[Expr] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Index(Expr):
     base: Expr
     index: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -177,26 +187,26 @@ class Member(Expr):
     base: Expr
     name: str = ""
     arrow: bool = False
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Cast(Expr):
     type: CType
     operand: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class SizeofExpr(Expr):
     operand: Expr
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class SizeofType(Expr):
     type: CType
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +221,7 @@ class Stmt(Node):
 @dataclass
 class ExprStmt(Stmt):
     expr: Optional[Expr]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -223,19 +233,19 @@ class VarDecl(Node):
     init: Optional[Expr] = None
     storage: Optional[str] = None          # 'static' | 'extern' | None
     quals: tuple[str, ...] = ()            # e.g. ('__shared__',), ('const',)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class DeclStmt(Stmt):
     decls: list[VarDecl] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Compound(Stmt):
     body: list[Stmt] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -243,21 +253,21 @@ class If(Stmt):
     cond: Expr
     then: Stmt = None  # type: ignore[assignment]
     other: Optional[Stmt] = None
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class While(Stmt):
     cond: Expr
     body: Stmt = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class DoWhile(Stmt):
     body: Stmt
     cond: Expr = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -266,23 +276,23 @@ class For(Stmt):
     cond: Optional[Expr] = None
     step: Optional[Expr] = None
     body: Stmt = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Break(Stmt):
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class Continue(Stmt):
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -295,7 +305,7 @@ class PragmaStmt(Stmt):
     body: Optional[Stmt] = None
     #: Filled by the OpenMP layer: the parsed directive object.
     directive: Any = None
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +316,7 @@ class PragmaStmt(Stmt):
 class Param(Node):
     name: str
     type: CType = None  # type: ignore[assignment]
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -316,7 +326,7 @@ class FuncDef(Node):
     params: list[Param] = field(default_factory=list)
     body: Compound = None  # type: ignore[assignment]
     quals: tuple[str, ...] = ()            # ('__global__',) / ('__device__',) / ('static',)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -325,7 +335,7 @@ class FuncProto(Node):
     return_type: CType = None  # type: ignore[assignment]
     params: list[Param] = field(default_factory=list)
     quals: tuple[str, ...] = ()
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -333,13 +343,13 @@ class StructDef(Node):
     name: str
     #: (field name, field type) in declaration order.
     fields_: list[tuple[str, CType]] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class GlobalDecl(Node):
     decls: list[VarDecl] = field(default_factory=list)
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
@@ -348,14 +358,14 @@ class PragmaDecl(Node):
 
     text: str
     directive: Any = None
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
 
 @dataclass
 class TranslationUnit(Node):
     decls: list[Node] = field(default_factory=list)
     filename: str = "<memory>"
-    loc: SourceLoc = field(default_factory=SourceLoc)
+    loc: SourceLoc = NO_LOC
 
     def functions(self) -> list[FuncDef]:
         return [d for d in self.decls if isinstance(d, FuncDef)]

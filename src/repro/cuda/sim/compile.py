@@ -25,15 +25,18 @@ The generated closures are still generators (they ``yield`` the same
 scheduling, named barriers and the master/worker scheme are untouched.
 
 The lane width is a compile parameter.  At 32 lanes a closure runs one
-warp.  A *block-local* kernel (no barrier, atomic, printf or
-communicating runtime call, see :mod:`repro.cuda.sim.locality`) is also
-compiled at ``nwarps x 32`` lanes and run by one
-:class:`CompiledBlockExec` per block, so each numpy call serves every
-warp at once.  The wide code keeps per-warp accounting: each per-warp
-counter grows by the number of warps with an active lane and
-transactions are summed per warp.  A block-local runtime call runs once
-for the block when its scalar arguments agree across warps, else per
-warp on 32-lane slices.
+warp.  A kernel whose communication is all phase-safe (no atomic,
+printf, communicating runtime call, or barrier other than a
+``__syncthreads`` under block-uniform control, see
+:mod:`repro.cuda.sim.locality`) is also compiled at ``nwarps x 32``
+lanes and run by one :class:`CompiledBlockExec` per block, so each numpy
+call serves every warp at once.  The wide code keeps per-warp
+accounting: each per-warp counter grows by the number of warps with an
+active lane and transactions are summed per warp.  A barrier is counted
+once per warp with an active lane, not scheduled: the warps already run
+in step.  A whitelisted runtime call or warp shuffle runs once for the
+block when its scalar arguments agree across warps, else per warp on
+32-lane slices.
 
 Compilation is conservative: any construct outside the supported set
 raises :class:`UnsupportedKernel` and the caller silently falls back to
@@ -54,7 +57,9 @@ from repro.cuda.ptx.ir import (
     Imm, KernelIR, Ld, LoopOp, Mov, PrintfOp, Reg, RetOp, SelOp, Sreg, St,
     UnOp, np_dtype, walk_ops,
 )
-from repro.cuda.sim.locality import local_call, loop_may_block
+from repro.cuda.sim.locality import (
+    kernel_locality, local_call, loop_may_block,
+)
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
     _unop,
@@ -219,6 +224,14 @@ def _barcnt(v) -> int:
     return int(c.reshape(-1)[0] if c.ndim else c)
 
 
+def _bbar(engine, bar_id: int, count, n: int) -> None:
+    """A phase-safe barrier at block width: every warp with an active
+    lane (``n`` of them) arrives together, so it is only checked, as the
+    block scheduler checks an arrival, and counted once per warp."""
+    engine.check_barrier(bar_id, count)
+    engine.stats.barriers += n
+
+
 # -- block width: per-warp accounting over an nwarps x 32 lane axis ---------
 
 _NO_LANES = bytes(WARP_SIZE)
@@ -322,7 +335,7 @@ _GLOBALS = {
     "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
     "_bop": _binop, "_fload": _fload, "_fstore": _fstore,
     "_ldargv": _ldargv, "_barid": _barid, "_barcnt": _barcnt,
-    "_nw": _nw, "_bbranch": _bbranch, "_bcall": _bcall,
+    "_bbar": _bbar, "_nw": _nw, "_bbranch": _bbranch, "_bcall": _bcall,
 }
 
 
@@ -527,6 +540,10 @@ class _KernelCompiler:
     (immediates, dtypes, delegated-op objects, folded constants)."""
 
     def __init__(self, kernel: KernelIR, width: int = WARP_SIZE):
+        if width != WARP_SIZE and not kernel_locality(kernel).block_wide:
+            # barriers are only counted at block width: that is sound
+            # for phase-safe ones alone
+            raise UnsupportedKernel("kernel cannot run block-wide")
         self.kernel = kernel
         self.width = width
         self.an = _Analysis(kernel)
@@ -879,8 +896,7 @@ class _FnGen:
                 self.emit_loop(op, maybe_empty)
                 maybe_empty = True
             elif cls is BarOp:
-                self.narrow_only("barrier")
-                self.emit_bar(op, maybe_empty)
+                self.emit_bar(op, maybe_empty, known_nw)
             elif cls is CallOp:
                 if not local_call(op.name):
                     self.narrow_only(f"runtime call {op.name}")
@@ -1245,7 +1261,8 @@ class _FnGen:
             self.w(f"m = ex{k} | lv{k}")
         self.guard_close(maybe_empty)
 
-    def emit_bar(self, op: BarOp, maybe_empty: bool) -> None:
+    def emit_bar(self, op: BarOp, maybe_empty: bool,
+                 known_nw: Optional[str] = None) -> None:
         b = self.operand(op.barrier)
         bid_t = str(int(b.const)) if b.has_const else f"_barid({b.text})"
         if op.count is None:
@@ -1254,7 +1271,11 @@ class _FnGen:
             c = self.operand(op.count)
             cnt_t = str(int(c.const)) if c.has_const else f"_barcnt({c.text})"
         self.guard_open(maybe_empty)
-        self.w(f"yield ('bar', {bid_t}, {cnt_t})")
+        if self.wide:
+            # phase-safe (the kernel is block-wide): count, don't schedule
+            self.w(f"_bbar(engine, {bid_t}, {cnt_t}, {known_nw or '_nw(m)'})")
+        else:
+            self.w(f"yield ('bar', {bid_t}, {cnt_t})")
         self.guard_close(maybe_empty)
 
 
@@ -1280,7 +1301,7 @@ class CompiledKernel:
 
 def compile_kernel(kernel: KernelIR, width: int = WARP_SIZE) -> CompiledKernel:
     """Lower ``kernel`` to closures over ``width`` lanes; raises
-    :class:`UnsupportedKernel`.  A width above 32 is for block-local
+    :class:`UnsupportedKernel`.  A width above 32 is for block-wide
     kernels only (see :mod:`repro.cuda.sim.locality`)."""
     return _KernelCompiler(kernel, width).compile()
 
@@ -1374,8 +1395,8 @@ class CompiledWarpExec(WarpExec):
 
 
 class CompiledBlockExec:
-    """All executed warps of one block on one lane axis: the block-wide
-    executor of a block-local kernel.
+    """All executed warps of one block on one lane axis: the executor
+    of a block-wide kernel.
 
     ``warp_ids`` are the block's warps that run (every warp, or the
     sampled picks), in order; lane ``32*k + i`` is lane ``i`` of warp

@@ -8,11 +8,14 @@ an arriving warp contributes 32 threads towards the count; release happens
 when ``ceil(n / 32)`` warps have arrived (counts must be multiples of the
 warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
 
-With the compiled fast path on, a block-local kernel (see
+With the compiled fast path on, a block-wide kernel (see
 :mod:`repro.cuda.sim.locality`) skips the scheduler: each block runs as
 one :class:`~repro.cuda.sim.compile.CompiledBlockExec` whose lane axis
 covers every executed warp, with per-warp accounting, so ``KernelStats``
-and the activity records are the ones the per-warp run produces.
+and the activity records are the ones the per-warp run produces.  Its
+barriers are phase-safe ``__syncthreads``: the executor checks each one
+as :meth:`FunctionalEngine.check_barrier` checks an arrival and counts
+one arrival per warp with an active lane.
 """
 
 from __future__ import annotations
@@ -299,6 +302,21 @@ class FunctionalEngine:
         else:
             self.stats.local_accesses += int(mask.sum())
 
+    def check_barrier(self, bar_id: int, count: Optional[int]) -> None:
+        """Refuse a barrier id past the device's named barriers and a
+        thread count that is not a whole number of warps."""
+        max_barriers = self.device.named_barriers_per_block
+        if bar_id >= max_barriers or bar_id < 0:
+            raise LaunchError(
+                f"barrier id {bar_id} out of range (device has "
+                f"{max_barriers} named barriers per block)"
+            )
+        if count is not None and count % WARP_SIZE != 0:
+            raise LaunchError(
+                f"bar.sync count {count} is not a multiple of the "
+                f"warp size {WARP_SIZE}"
+            )
+
     # -- loop classification -----------------------------------------------------
     def loop_may_block(self, loop: LoopOp) -> bool:
         cached = self._loop_block_cache.get(id(loop))
@@ -349,7 +367,7 @@ class FunctionalEngine:
 
     def _lane_width(self, kernel: KernelIR, block: Dim3, only_warps) -> int:
         """Lanes per compiled executor: the whole block's executed warps
-        when the kernel is block-local and runs more than one warp."""
+        when the kernel is block-wide and runs more than one warp."""
         nwarps = (block.count + WARP_SIZE - 1) // WARP_SIZE
         n = len(self._run_warps(nwarps, only_warps))
         if n > 1 and kernel_locality(kernel).block_wide:
@@ -524,7 +542,6 @@ class FunctionalEngine:
         status = [READY] * n
         # bar_id -> {"arrived": set[int], "count": Optional[int]}
         bars: dict[int, dict] = {}
-        max_barriers = self.device.named_barriers_per_block
 
         def try_release(bar_id: int) -> None:
             state = bars.get(bar_id)
@@ -569,16 +586,7 @@ class FunctionalEngine:
                 if event[0] == "bar":
                     _tag, bar_id, count = event
                     self.stats.barriers += 1
-                    if bar_id >= max_barriers or bar_id < 0:
-                        raise LaunchError(
-                            f"barrier id {bar_id} out of range (device has "
-                            f"{max_barriers} named barriers per block)"
-                        )
-                    if count is not None and count % WARP_SIZE != 0:
-                        raise LaunchError(
-                            f"bar.sync count {count} is not a multiple of the "
-                            f"warp size {WARP_SIZE}"
-                        )
+                    self.check_barrier(bar_id, count)
                     state = bars.setdefault(bar_id, {"arrived": set(), "count": count})
                     if state["count"] != count:
                         raise LaunchError(

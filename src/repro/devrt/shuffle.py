@@ -1,4 +1,4 @@
-"""Warp shuffle intrinsics (``__shfl_*_sync``) on the lockstep warp.
+"""Warp shuffle intrinsics (``__shfl_*_sync``) on lockstep lanes.
 
 The functional simulator executes a warp as 32 numpy lanes in lockstep,
 so a shuffle is a permutation gather over the value register.  Matching
@@ -13,10 +13,12 @@ CUDA semantics for the cases the reduction epilogue generates:
   itself (``if (lane + off < warp_active)``), exactly as hand-written
   CUDA reductions do.
 
-Shuffles never suspend, so they are :func:`~repro.devrt.state.pure`
-intrinsics; in the compiled fast path they dispatch through the same
-``warp._call`` path as the tree-walk reference, keeping verify-mode
-stats identical by construction.
+The shuffles are width-generic, like the other block-local intrinsics
+(:mod:`repro.devrt.state`): the lane count is ``mask.size``, a multiple
+of 32, and each 32-lane segment is one warp.  A source lane is the
+segment's base plus the lane, so one block-wide call gathers within
+every warp at once, and an out-of-range source keeps the lane's own
+value per warp.  They never suspend (:func:`~repro.devrt.state.pure`).
 """
 
 from __future__ import annotations
@@ -26,45 +28,60 @@ import numpy as np
 from repro.cuda.sim.warp import WARP_SIZE
 from repro.devrt.state import pure
 
-_LANES = np.arange(WARP_SIZE)
+#: lane count -> (lane within its warp, first lane of its warp)
+_LANE_MAPS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _lanes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    maps = _LANE_MAPS.get(n)
+    if maps is None:
+        idx = np.arange(n)
+        lane = idx % WARP_SIZE
+        base = idx - lane
+        lane.setflags(write=False)
+        base.setflags(write=False)
+        maps = _LANE_MAPS[n] = (lane, base)
+    return maps
 
 
 def _pick(value, src: np.ndarray) -> np.ndarray:
-    """Gather ``value[src]`` per lane; out-of-range sources keep own value."""
+    """Gather ``value`` at lane ``src`` of each lane's own warp; an
+    out-of-range source keeps the lane's own value."""
+    n = src.size
     value = np.asarray(value)
     if value.ndim == 0:
-        value = np.full(WARP_SIZE, value)
+        value = np.full(n, value)
+    lane, base = _lanes(n)
     valid = (src >= 0) & (src < WARP_SIZE)
-    picked = value[np.where(valid, src, _LANES)]
-    return np.where(valid, picked, value).astype(value.dtype, copy=False)
+    return value[base + np.where(valid, src, lane)]
 
 
-def _sel(arg) -> np.ndarray:
+def _sel(arg, n: int) -> np.ndarray:
     sel = np.asarray(arg)
     if sel.ndim == 0:
-        sel = np.full(WARP_SIZE, sel)
+        sel = np.full(n, sel)
     return sel.astype(np.int64, copy=False)
 
 
 @pure
 def shfl_sync(warp, mask, args):
     _member, value, src_lane = args
-    return _pick(value, _sel(src_lane))
+    return _pick(value, _sel(src_lane, mask.size))
 
 
 @pure
 def shfl_down_sync(warp, mask, args):
     _member, value, delta = args
-    return _pick(value, _LANES + _sel(delta))
+    return _pick(value, _lanes(mask.size)[0] + _sel(delta, mask.size))
 
 
 @pure
 def shfl_up_sync(warp, mask, args):
     _member, value, delta = args
-    return _pick(value, _LANES - _sel(delta))
+    return _pick(value, _lanes(mask.size)[0] - _sel(delta, mask.size))
 
 
 @pure
 def shfl_xor_sync(warp, mask, args):
     _member, value, lane_mask = args
-    return _pick(value, _LANES ^ _sel(lane_mask))
+    return _pick(value, _lanes(mask.size)[0] ^ _sel(lane_mask, mask.size))

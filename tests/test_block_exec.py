@@ -1,17 +1,21 @@
 """Differential tests for block-wide kernel execution.
 
-A block-local kernel (no barrier, atomic, printf or communicating
-runtime call) runs each block as one executor over ``nwarps x 32``
-lanes.  Every launch here runs in ``verify`` mode, which replays it
-through the per-warp tree-walk and requires bit-identical global memory,
-stdout and ``KernelStats``; the compile cache then tells which lane
-width actually ran.
+A block-wide kernel (no atomic, printf or communicating runtime call,
+and only phase-safe ``__syncthreads`` barriers) runs each block as one
+executor over ``nwarps x 32`` lanes.  Every launch here runs in
+``verify`` mode, which replays it through the per-warp tree-walk and
+requires bit-identical global memory, stdout and ``KernelStats``; the
+compile cache then tells which lane width actually ran.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import harness
 from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
@@ -25,6 +29,9 @@ from repro.cuda.sim.locality import kernel_locality
 from repro.devrt import INTRINSIC_SIGS, build_intrinsics
 from repro.mem import LinearMemory
 from repro.ompi import OmpiCompiler, OmpiConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import bench_reductions  # noqa: E402
 
 GMEM_BASE = 0x2_0000_0000
 
@@ -391,7 +398,7 @@ def test_block_width_refuses_a_communicating_runtime_call():
     assert sim_compile.compile_kernel(kernel, 32).width == 32
 
 
-# -- communicating kernels stay per warp ---------------------------------------
+# -- barrier phases ------------------------------------------------------------
 
 BARRIER = r"""
 __global__ void k(float *a) {
@@ -399,6 +406,264 @@ __global__ void k(float *a) {
     int t = threadIdx.x;
     s[t] = a[t];
     __syncthreads();
+    a[t] = s[127 - t];
+}
+"""
+
+
+def test_phase_safe_barrier_runs_block_wide():
+    # a __syncthreads under no condition: the warps are in step on one
+    # lane axis, so the barrier is counted per warp, not scheduled
+    a = np.arange(128, dtype=np.float32)
+    stats, widths, _, (got,) = run_verified(BARRIER, (1, 1, 1), (128, 1, 1),
+                                            [a])
+    assert widths == [128]
+    loc = kernel_locality(kernel_k(BARRIER))
+    assert loc.communicates and loc.block_wide
+    assert stats.barriers == 4
+    assert np.array_equal(got, a[::-1])
+
+
+def test_block_wide_barrier_checks_the_barrier_id():
+    # the block executor refuses a bad id with the scheduler's message
+    src = r"""
+    __global__ void k(int *a) {
+        a[threadIdx.x] = 1;
+        __bar_sync(99);
+    }
+    """
+    kernel = kernel_k(src)
+    assert kernel_locality(kernel).block_wide
+    assert sim_compile.compile_kernel(kernel, 64).width == 64
+    for mode in ("on", "off"):
+        with pytest.raises(LaunchError, match="barrier id 99 out of range"):
+            run_verified(src, (1, 1, 1), (64, 1, 1),
+                         [np.zeros(64, dtype=np.int32)], mode=mode)
+
+
+@pytest.mark.parametrize("body", [
+    # under a thread-dependent if
+    "if (t < 64) __syncthreads();",
+    # in a loop whose trip count depends on the thread
+    "for (i = 0; i < t % 3; i++) __syncthreads();",
+    # in a uniform loop a thread-dependent break can leave early
+    "for (i = 0; i < 4; i++) { if (t == 70 + i) break; __syncthreads(); }",
+    # a loaded id, and a partial thread count
+    "__bar_sync(a[0]);",
+    "__bar_sync(1, 64);",
+], ids=["tid-if", "tid-loop", "tid-break", "loaded-id", "partial"])
+def test_barriers_that_are_not_phase_safe(body):
+    kernel = kernel_k(r"""
+    __global__ void k(int *a) {
+        int t = threadIdx.x;
+        int i;
+        BODY
+        a[t] = t;
+    }
+    """.replace("BODY", body))
+    loc = kernel_locality(kernel)
+    assert loc.communicates and not loc.block_wide
+    with pytest.raises(sim_compile.UnsupportedKernel):
+        sim_compile.compile_kernel(kernel, 128)
+
+
+@pytest.mark.parametrize("body", [
+    "if (n > 3) __syncthreads();",
+    "for (i = 0; i < n; i++) { __syncthreads(); }",
+    "for (i = blockIdx.x; i < blockDim.x / 32; i++) __syncthreads();",
+    "if (t >= n) return; __syncthreads();",
+    "for (i = 0; i < n; i++) { if (i == 2) break; __syncthreads(); }",
+    "for (i = 0; i < n; i++) { if (t < 5) a[t] = i; __syncthreads(); }",
+], ids=["param-if", "param-loop", "block-loop", "tid-return",
+        "uniform-break", "tid-if-beside"])
+def test_barriers_under_uniform_control_are_phase_safe(body):
+    src = r"""
+    __global__ void k(int *a, int n) {
+        int t = threadIdx.x;
+        int i;
+        BODY
+        a[t] = a[t] + t;
+    }
+    """.replace("BODY", body)
+    assert kernel_locality(kernel_k(src)).block_wide
+    stats, widths, _, _ = run_verified(src, (2, 1, 1), (128, 1, 1),
+                                       [np.zeros(128, dtype=np.int32)],
+                                       [np.int32(6)])
+    assert widths == [128]
+    assert stats.barriers > 0
+
+
+# generated barrier-phase kernels: each phase writes shared memory at a
+# permutation of the threads, waits, reads across warps and waits again
+# before the next phase writes, so no two warps race
+
+_SHUFFLES = ("__shfl_sync", "__shfl_down_sync", "__shfl_up_sync",
+             "__shfl_xor_sync")
+#: block-uniform loop bounds (n is a parameter)
+_BOUNDS = ("3", "n % 4", "blockDim.x / 64 + 1", "blockIdx.x + 1")
+
+
+@st.composite
+def _exchange(draw, bar="__syncthreads();"):
+    d = draw(st.integers(0, 300))
+    m, e = draw(st.integers(1, 7)), draw(st.integers(0, 300))
+    return (f"s[(t + {d}) % blockDim.x] = v + i;\n"
+            f"{bar}\n"
+            f"v = v * 3 + s[(t * {m} + {e}) % blockDim.x];\n"
+            "__syncthreads();\n")
+
+
+@st.composite
+def _shuffle(draw):
+    name = draw(st.sampled_from(_SHUFFLES))
+    arg = draw(st.integers(-3, 40))
+    return f"v = v + {name}(-1, v, {arg});\n"
+
+
+@st.composite
+def _phase(draw):
+    kind = draw(st.sampled_from(["exchange", "loop", "shuffle",
+                                 "shuffle-loop", "tid-branch", "param-if"]))
+    if kind == "exchange":
+        return draw(_exchange())
+    if kind == "loop":
+        bound = draw(st.sampled_from(_BOUNDS))
+        return (f"for (i = 0; i < {bound}; i++) {{\n"
+                f"{draw(_exchange())}}}\ni = 0;\n")
+    if kind == "shuffle":
+        return draw(_shuffle())
+    if kind == "shuffle-loop":
+        name = draw(st.sampled_from(_SHUFFLES))
+        return (f"for (i = 1; i < 32; i = i * 2) "
+                f"v = v + {name}(-1, v, i);\ni = 0;\n")
+    if kind == "tid-branch":
+        cut = draw(st.integers(0, 40))
+        return f"if (lane < {cut}) v = v * 5 + w; else v = v - 1;\n"
+    k = draw(st.integers(0, 8))
+    return f"if (n > {k}) {{\n{draw(_exchange())}}}\n"
+
+
+@st.composite
+def _phase_kernel(draw):
+    """(source, threads per block, whether a barrier sits under a
+    thread-dependent if)."""
+    phases = draw(st.lists(_phase(), min_size=1, max_size=4))
+    divergent = draw(st.booleans())
+    if divergent:
+        cut = draw(st.integers(1, 250))
+        bar = f"if (t < {cut}) {{ __syncthreads(); }}"
+        phases.insert(draw(st.integers(0, len(phases))),
+                      draw(_exchange(bar)))
+    if draw(st.booleans()):
+        phases.insert(0, "if (t >= n + 20) return;\n")
+    src = ("__global__ void k(int *a, int *out, int n) {\n"
+           "    __shared__ int s[256];\n"
+           "    int t = threadIdx.x;\n"
+           "    int g = blockIdx.x * blockDim.x + t;\n"
+           "    int lane = t % 32;\n"
+           "    int w = t / 32;\n"
+           "    int i = 0;\n"
+           "    int v = a[g];\n"
+           + "".join(phases) +
+           "    out[g] = v;\n"
+           "}\n")
+    return src, draw(st.integers(1, 256)), divergent
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_phase_kernel(), nblocks=st.integers(1, 2), n=st.integers(0, 12))
+def test_generated_barrier_phase_kernels(case, nblocks, n):
+    """Generated shared-memory exchanges, uniform loops around barriers,
+    shuffles with random deltas, partial last warps and 1-8 warps: every
+    launch is checked against the per-warp tree-walk (``verify``) and
+    runs block-wide exactly when no barrier is under a thread-dependent
+    if."""
+    src, nthreads, divergent = case
+    total = nblocks * nthreads
+    a = (np.arange(total, dtype=np.int32) * 7919) % 1000
+    stats, widths, _, (_a, out) = run_verified(
+        src, (nblocks, 1, 1), (nthreads, 1, 1),
+        [a, np.zeros(total, dtype=np.int32)], [np.int32(n)])
+    nwarps = -(-nthreads // 32)
+    assert kernel_locality(kernel_k(src)).block_wide is not divergent
+    assert widths == [nwarps * 32 if nwarps > 1 and not divergent else 32]
+    assert stats.warps_launched == nblocks * nwarps
+
+
+# the deterministic reductions: a shuffle tree and one __syncthreads
+
+#: sizes of the reduction programs below
+_RED_SIZES = {"correlation": 16, "covariance": 16, "doitgen": 8}
+
+
+def _reduction_sources():
+    for workload in bench_reductions.WORKLOADS:
+        sources = bench_reductions._sources(workload,
+                                            _RED_SIZES[workload])[0]
+        for variant, src in sources.items():
+            yield f"{workload}_{variant}", src
+
+
+@pytest.mark.parametrize("variant", ["single", "sharded"])
+@pytest.mark.parametrize("workload", bench_reductions.WORKLOADS)
+def test_tree_reduction_kernels_run_block_wide(workload, variant):
+    n = _RED_SIZES[workload]
+    sources, seed, _arr = bench_reductions._sources(workload, n)
+    devices = "nano,v100" if variant == "sharded" else None
+    prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify",
+                                   devices=devices)).compile(
+        sources[variant], f"{workload}_{variant}")
+    run = prog.run(launch_mode="full", seed_arrays=seed,
+                   heap_capacity=bench_reductions.HEAP)
+    assert run.exit_code == 0
+    # a verify divergence would be retried and then run on the host
+    assert run.ort.fault_stats == {}
+    trees = []
+    for dev in run.ort.devices:
+        cache = dev.driver.kernel_cache
+        for kernel, ck in list(cache._cache.values()):
+            if ck is not None and kernel_locality(kernel).communicates:
+                trees.append(kernel.name)
+                # every team is 128 threads: one 4-warp executor per block
+                assert cache.widths(kernel) == [4 * 32], kernel.name
+    assert trees
+
+
+#: every pinned kernel that communicates; sampling reads the flag, so
+#: block-wide barriers must not change it
+_COMMUNICATING = {
+    "gramschmidt_kernel0",      # master/worker: stays per warp
+    "correlation_single_kernel3", "correlation_sharded_kernel3",
+    "covariance_single_kernel2", "covariance_sharded_kernel2",
+    "doitgen_single_kernel1", "doitgen_sharded_kernel1",
+}
+
+
+def test_communicates_is_pinned_for_suite_and_reduction_kernels():
+    programs = [(name, get_app(name).omp_source(32),
+                 OmpiConfig(block_shape=get_app(name).block_shape))
+                for name in ALL_APPS + EXTENDED_APP_NAMES]
+    programs += [(name, src, OmpiConfig())
+                 for name, src in _reduction_sources()]
+    seen = set()
+    for name, src, cfg in programs:
+        for image in OmpiCompiler(cfg).compile(src, name).images.values():
+            for kname, kernel in image.module.kernels.items():
+                loc = kernel_locality(kernel)
+                assert loc.communicates == (kname in _COMMUNICATING), kname
+                assert loc.block_wide == (kname != "gramschmidt_kernel0")
+                seen.add(kname)
+    assert _COMMUNICATING <= seen
+
+
+# -- communicating kernels stay per warp ---------------------------------------
+
+DIVERGENT_BARRIER = r"""
+__global__ void k(float *a) {
+    __shared__ float s[128];
+    int t = threadIdx.x;
+    s[t] = a[t];
+    if (threadIdx.x < 64) __syncthreads();
     a[t] = s[127 - t];
 }
 """
@@ -418,7 +683,7 @@ __global__ void k(int *c) {
 
 
 @pytest.mark.parametrize("src,arr", [
-    (BARRIER, np.arange(128, dtype=np.float32)),
+    (DIVERGENT_BARRIER, np.arange(128, dtype=np.float32)),
     (ATOMIC, np.zeros(1, dtype=np.int32)),
     (PRINTF, np.zeros(1, dtype=np.int32)),
 ], ids=["barrier", "atomic", "printf"])
@@ -481,6 +746,7 @@ def test_suite_app_block_wide_matches_tree_walk(name, launch_mode):
                    seed_arrays=app.seed(n),
                    heap_capacity=harness._heap_capacity(app, n))
     assert run.exit_code == 0
+    assert run.ort.fault_stats == {}
     cache = run.ort.cudadev.driver.kernel_cache
     kernels = [k for k, ck in cache._cache.values() if ck is not None]
     assert kernels

@@ -237,7 +237,10 @@ def test_device_comma_and_compound_assignment():
 # Both must leave the same result register, device memory, devrt state
 # and KernelStats.
 
-_BLOCK_LOCAL = sorted(n for n in INTRINSIC_SIGS if local_call(n))
+#: the warp shuffles are value-polymorphic: they get their own test
+_SHUFFLES = sorted(n for n in INTRINSIC_SIGS if n.startswith("__shfl"))
+_BLOCK_LOCAL = sorted(n for n in INTRINSIC_SIGS
+                      if local_call(n) and n not in _SHUFFLES)
 _CHUNKS = [n for n in _BLOCK_LOCAL if n.endswith("_chunk")
            or n.endswith("_chunk_dim")]
 #: per-thread local bytes of the test blocks: the _tlo and _thi slots
@@ -409,6 +412,40 @@ def test_block_wide_call_equals_per_warp_loop(data, name, geometry, mw,
             break
     else:
         raise AssertionError("chunk loop did not drain")
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(_SHUFFLES),
+       geometry=_geometry(), dtype=st.sampled_from(["s32", "u64", "f32",
+                                                    "f64"]))
+def test_block_wide_shuffle_equals_per_warp_loop(data, name, geometry,
+                                                 dtype):
+    """One block-wide shuffle gathers inside every warp at once: result
+    register and every KernelStats field equal the per-warp loop's, for
+    an immediate or per-lane source/delta, in or out of the warp."""
+    sides = [_block_exec(*geometry) for _ in range(2)]
+    mask = data.draw(_mask(sides[0]))
+    assume(mask.any())
+    width = mask.size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-1000, 1000, width)
+    deltas = rng.integers(-3, 41, width).astype(np.int32)
+    if data.draw(st.booleans()):
+        sel = Imm(data.draw(st.integers(-3, 40)), "s32")
+    else:
+        sel = Reg("d", "s32")
+    results = []
+    for blk, call in zip(sides, (_bcall, _warps_call)):
+        blk.regs["v"] = values.astype(np_dtype(dtype))
+        blk.regs["d"] = deltas.copy()
+        blk.regs["r"] = np.full(width, 7, dtype=np_dtype(dtype))
+        op = CallOp(dst=Reg("r", dtype), name=name,
+                    args=[Imm(0xFFFFFFFF, "u32"), Reg("v", dtype), sel])
+        spec = tuple((r.name, np_dtype(r.dtype))
+                     for r in [*op.args, op.dst] if type(r) is Reg)
+        results.append(_run_call(blk, op, spec, mask, call))
+    assert np.array_equal(*results)
+    _assert_same_image(*map(_image, sides))
 
 
 def _per_warp_values(blk, value):

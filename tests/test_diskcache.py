@@ -330,3 +330,39 @@ def test_disk_hit_of_tree_reduction_equals_cold_compile(tmp_path,
         assert module_to_ptx(hit.images[name].module) == \
             module_to_ptx(image.module)
     assert hit.run().stdout == cold.run().stdout
+
+
+def test_disk_hit_of_gramschmidt_equals_cold_compile(tmp_path):
+    """Nodes the translator builds share one default location
+    (``NO_LOC``), which the store pickles once.  A disk hit still equals
+    the cold compile: host text, kernel files, the PTX of every image
+    and the run's stdout and modelled time."""
+    from repro.bench import harness
+    from repro.bench.suite import get_app
+    from repro.cfront.astnodes import NO_LOC
+    from repro.cuda.ptx.ptxwriter import module_to_ptx
+
+    app = get_app("gramschmidt")
+    n = 16
+    source = app.omp_source(n)
+    config = OmpiConfig(block_shape=app.block_shape)
+    root = tmp_path / "store"
+    cold = CompileCache(disk=DiskCompileCache(root)).get(source, "gs", config)
+    warm_cache = CompileCache(disk=DiskCompileCache(root))
+    hit = warm_cache.get(source, "gs", config)
+    assert warm_cache.disk_hits == 1 and warm_cache.compiles == 0
+    for prog in (cold, hit):
+        defaults = {id(node.loc) for node in prog.host_unit.walk()
+                    if node.loc == NO_LOC}
+        assert len(defaults) == 1
+    assert hit.host_source == cold.host_source
+    assert hit.kernel_sources == cold.kernel_sources
+    assert sorted(hit.images) == sorted(cold.images)
+    for name, image in cold.images.items():
+        assert module_to_ptx(hit.images[name].module) == \
+            module_to_ptx(image.module)
+    runs = [prog.run(seed_arrays=app.seed(n),
+                     heap_capacity=harness._heap_capacity(app, n))
+            for prog in (cold, hit)]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].log.measured_time == runs[1].log.measured_time
