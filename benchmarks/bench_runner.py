@@ -155,6 +155,9 @@ def kernel_failures(records: list[dict], budget: dict) -> list[str]:
 HOST_SPEEDUP_FLOOR = 3.0
 #: speedup two of the three must clear
 HOST_SPEEDUP = 10.0
+#: loop nests each program runs over its whole index grid: every init
+#: nest, mvt's transposed fold and atax's A.tmp / A^T.t nest
+HOST_NESTS = {"gemm": 1, "mvt": 2, "atax": 2}
 _CACHE_KEYS = ("hits", "misses", "compiles", "disk_hits", "disk_misses")
 
 
@@ -174,7 +177,8 @@ def host_points(check: bool):
                        "run": {"launch_mode": "sample",
                                "heap_capacity": w.heap_capacity(n)},
                        "counters": lambda run, c=cache: {
-                           k: c.stats[k] for k in _CACHE_KEYS}}
+                           **{k: c.stats[k] for k in _CACHE_KEYS},
+                           **run.machine.host_stats}}
 
 
 def host_failures(records: list[dict], budget: dict) -> list[str]:
@@ -190,6 +194,12 @@ def host_failures(records: list[dict], budget: dict) -> list[str]:
         if cc["compiles"] != 0 or cc["disk_hits"] != 1:
             out.append(f"{label}: second compile not served from the disk "
                        f"cache")
+        nests = HOST_NESTS[label.partition(":")[0]]
+        if (cc["nest_whole"], cc["nest_rows"], cc["loop_fallback"]) \
+                != (nests, 0, 0):
+            out.append(f"{label}: {cc['nest_whole']}/{nests} nests ran "
+                       f"whole, {cc['nest_rows']} per row, "
+                       f"{cc['loop_fallback']} loops tree-walked")
         speedup = off["wall_s"] / max(on["wall_s"], 1e-9)
         cleared += speedup >= HOST_SPEEDUP
         if speedup < HOST_SPEEDUP_FLOOR:

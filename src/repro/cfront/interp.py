@@ -169,6 +169,7 @@ class Machine:
         self.host_stats: dict[str, int] = {
             "loop_fast": 0, "loop_fallback": 0,
             "fn_fast": 0, "fn_fallback": 0, "verified_regions": 0,
+            "nest_whole": 0, "nest_rows": 0,
         }
         self._hc_loop_plans: dict[int, tuple] = {}
         self._hc_fn_plans: dict[int, tuple] = {}

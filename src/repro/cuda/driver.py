@@ -46,7 +46,9 @@ from repro.cuda.ptx.images import CubinImage, PtxImage, identify_image
 from repro.cuda.ptx.ir import KernelIR, ModuleIR, np_dtype
 from repro.cuda.ptx.jit import JitCache, jit_compile
 from repro.cuda.sim.compile import CompiledKernelCache
-from repro.cuda.sim.engine import FunctionalEngine, KernelStats, LaunchError
+from repro.cuda.sim.engine import (
+    FunctionalEngine, KernelStats, KernelVerifyError, LaunchError,
+)
 from repro.cuda.sim.locality import kernel_locality
 from repro.faults.injector import FaultInjector, FaultLog
 from repro.mem import LinearMemory
@@ -806,6 +808,8 @@ class CudaDriver:
                                       only_blocks=shard_blocks)
             else:
                 stats = engine.launch(kernel, grid, block, params)
+        except KernelVerifyError:
+            raise
         except LaunchError as exc:
             raise CudaError(CUresult.CUDA_ERROR_LAUNCH_FAILED, str(exc)) from exc
         wall_s = time.perf_counter() - wall0

@@ -84,11 +84,11 @@ def estimate_resources(kernel: KernelIR) -> dict:
     """Static resource estimate recorded in cubins (register pressure is
     approximated by the number of distinct virtual registers, which the
     timing model uses for its occupancy term)."""
-    from repro.cuda.ptx.ir import Reg, walk_ops
+    from repro.cuda.ptx.ir import Reg, costed_ops
 
     regs: set[str] = set()
     ops = 0
-    for op in walk_ops(kernel.body):
+    for op in costed_ops(kernel.body):
         ops += 1
         for attr in ("dst", "a", "b", "addr", "value", "cond", "pred"):
             v = getattr(op, attr, None)

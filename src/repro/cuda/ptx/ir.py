@@ -167,17 +167,20 @@ class IfOp(Op):
 @dataclass
 class LoopOp(Op):
     """``while``: execute ``cond_ops``, lanes where ``cond`` holds run
-    ``body_ops``; repeat until no lane is active.  The engine yields to the
-    block scheduler between iterations so spin-wait loops (CAS locks) make
-    progress."""
+    ``body_ops`` and then ``step_ops`` (a ``for`` step clause, also run by
+    lanes that ``continue``); repeat until no lane is active.  The engine
+    yields to the block scheduler between iterations so spin-wait loops
+    (CAS locks) make progress."""
 
     cond_ops: list[Op] = field(default_factory=list)
     cond: Operand = None  # type: ignore[assignment]
     body_ops: list[Op] = field(default_factory=list)
+    step_ops: list[Op] = field(default_factory=list)
 
     def sub_blocks(self):
         yield self.cond_ops
         yield self.body_ops
+        yield self.step_ops
 
 
 @dataclass
@@ -243,14 +246,8 @@ class KernelIR:
     subfunctions: dict[str, "KernelIR"] = field(default_factory=dict)
 
     def static_op_count(self) -> int:
-        def count(ops: list[Op]) -> int:
-            total = 0
-            for op in ops:
-                total += 1
-                for blk in op.sub_blocks():
-                    total += count(blk)
-            return total
-        return count(self.body)
+        """Ops the JIT cost model charges for (:func:`costed_ops`)."""
+        return sum(1 for _ in costed_ops(self.body))
 
 
 @dataclass
@@ -282,6 +279,16 @@ def walk_ops(ops: list[Op]) -> Iterator[Op]:
         yield op
         for blk in op.sub_blocks():
             yield from walk_ops(blk)
+
+
+def costed_ops(ops: list[Op]) -> Iterator[Op]:
+    """:func:`walk_ops` without ``for`` step clauses: the static JIT-cost
+    and register estimates are calibrated on cond and body ops only."""
+    for op in ops:
+        yield op
+        for blk in op.sub_blocks():
+            if not (type(op) is LoopOp and blk is op.step_ops):
+                yield from costed_ops(blk)
 
 
 class RegAllocator:

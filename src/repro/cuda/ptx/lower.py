@@ -253,9 +253,7 @@ class KernelLowerer:
             step_ops: list = []
             if stmt.step is not None:
                 self.lower_expr_effects(stmt.step, scopes, step_ops)
-            loop = LoopOp(cond_ops, pred, body_ops)
-            loop.step_ops = step_ops  # type: ignore[attr-defined]
-            ops.append(loop)
+            ops.append(LoopOp(cond_ops, pred, body_ops, step_ops))
             scopes.pop()
             return ops
         if isinstance(stmt, A.Return):

@@ -100,7 +100,7 @@ class _Writer:
             self.emit(f"@!{_operand(op.cond)} bra  {end};")
             self.block(op.body_ops, end, step)
             self.emit(f"{step}:")
-            for s in getattr(op, "step_ops", []) or []:
+            for s in op.step_ops:
                 self.op(s, end, step)
             self.emit(f"bra  {head};")
             self.indent -= 1

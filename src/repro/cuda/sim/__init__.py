@@ -11,6 +11,9 @@
   block-wide, and which loops may suspend a warp.
 """
 
-from repro.cuda.sim.engine import FunctionalEngine, KernelStats, LaunchError
+from repro.cuda.sim.engine import (
+    FunctionalEngine, KernelStats, KernelVerifyError, LaunchError,
+)
 
-__all__ = ["FunctionalEngine", "KernelStats", "LaunchError"]
+__all__ = ["FunctionalEngine", "KernelStats", "KernelVerifyError",
+           "LaunchError"]

@@ -445,9 +445,8 @@ class _Analysis:
                 # the loop condition is read after cond_ops runs
                 self._use(op.cond, fi, cbid, len(op.cond_ops))
                 self._scan(op.body_ops, fi, bid, i)
-                step = getattr(op, "step_ops", None) or []
-                if step:
-                    self._scan(step, fi, bid, i)
+                if op.step_ops:
+                    self._scan(op.step_ops, fi, bid, i)
             elif cls is BarOp:
                 self._pin(op.barrier)
                 if op.count is not None:
@@ -1195,7 +1194,7 @@ class _FnGen:
         k = self.uid()
         may_block = loop_may_block(op)
         W = self.W
-        step_ops = getattr(op, "step_ops", None) or []
+        step_ops = op.step_ops
         # break/continue/return trackers are emitted only when the loop can
         # actually produce them — the common counted loop carries none
         has_b, has_c = _scan_bc(op.body_ops)

@@ -43,6 +43,14 @@ class LaunchError(Exception):
     """Kernel execution failed (deadlock, bad barrier, resource limits)."""
 
 
+class KernelVerifyError(LaunchError):
+    """``verify`` mode: the compiled kernel diverged from the tree walk.
+
+    A simulator defect, not a device fault: the driver passes it through
+    instead of reporting a launch failure, so the recovery policy
+    neither retries it nor falls back to the region's host version."""
+
+
 # -- memoized coalescing ------------------------------------------------------
 # A kernel's warps repeat a handful of address *shapes*: the same relative
 # stride pattern at different bases (each loop iteration, each block).  The
@@ -435,7 +443,7 @@ class FunctionalEngine:
             if getattr(fast, fld.name) != getattr(ref, fld.name):
                 problems.append(f"stats.{fld.name}")
         if problems:
-            raise LaunchError(
+            raise KernelVerifyError(
                 f"fast path diverged from tree-walk on kernel "
                 f"{kernel.name!r}: {', '.join(problems)}"
             )

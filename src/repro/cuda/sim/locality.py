@@ -182,8 +182,7 @@ def _taint(ops, div: bool, tainted: set) -> bool:
         elif isinstance(op, LoopOp):
             d = (div or _varies(op.cond, tainted)
                  or _exits_vary(op.body_ops, tainted))
-            step = getattr(op, "step_ops", None) or []
-            for ops_ in (op.cond_ops, op.body_ops, step):
+            for ops_ in op.sub_blocks():
                 safe &= _taint(ops_, d, tainted)
         elif isinstance(op, BarOp):
             safe &= (not div and op.count is None

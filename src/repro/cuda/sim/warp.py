@@ -196,7 +196,7 @@ class WarpExec:
         may_block = self.engine.loop_may_block(op)
         live = mask.copy()
         exited = np.zeros(WARP_SIZE, dtype=bool)
-        step_ops = getattr(op, "step_ops", None) or []
+        step_ops = op.step_ops
         while True:
             live &= ~self._ret_stack[-1]
             if not live.any():

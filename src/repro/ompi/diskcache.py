@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover
 
 #: bump when the pickled entry format (or anything reachable from a
 #: CompiledProgram pickle) changes incompatibly
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: default size bound for the store (256 MiB is hundreds of programs)
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024

@@ -53,7 +53,9 @@ PASSING = {
     "host-fastpath": (
         [r for w in ("gemm", "mvt", "atax") for r in (
             rec(f"{w}:96/off", wall_s=2.0, compiles=1, disk_hits=0),
-            rec(f"{w}:96/on", wall_s=0.05, compiles=0, disk_hits=1))],
+            rec(f"{w}:96/on", wall_s=0.05, compiles=0, disk_hits=1,
+                nest_whole=bench_runner.HOST_NESTS[w], nest_rows=0,
+                loop_fallback=0))],
         {}),
     "profile-overhead": (
         [rec(f"gramschmidt:256/{m}", wall_s=1.0 if m == "off" else 1.05,
@@ -105,6 +107,10 @@ BROKEN = [
     ("host-fastpath", 5, dict(compiles=1, disk_hits=0),
      "not served from the disk cache"),
     ("host-fastpath", 1, dict(wall_s=1.0), "below the 3.0x floor"),
+    ("host-fastpath", 3, dict(nest_whole=1, nest_rows=1),
+     "mvt:96: 1/2 nests ran whole, 1 per row"),
+    ("host-fastpath", 5, dict(nest_whole=1, loop_fallback=1),
+     "atax:96: 1/2 nests ran whole, 0 per row, 1 loops tree-walked"),
     ("host-fastpath", [1, 3], dict(wall_s=0.5),
      "only 1/3 workloads cleared the 10.0x speedup"),
     ("profile-overhead", [1, 2, 5, 6], dict(wall_s=1.2),

@@ -21,6 +21,7 @@ from repro.bench import harness
 from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
+from repro.cuda.ptx.ir import Atom, LoopOp, walk_ops
 from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim import compile as sim_compile
 from repro.cuda.sim.compile import CompiledKernelCache
@@ -422,6 +423,21 @@ def test_phase_safe_barrier_runs_block_wide():
     assert loc.communicates and loc.block_wide
     assert stats.barriers == 4
     assert np.array_equal(got, a[::-1])
+
+
+def test_atomic_in_for_step_communicates():
+    # a for step clause is a sub-block of its loop: the scan sees the
+    # atomic there, so sampling keeps every warp of this kernel
+    kernel = kernel_k(r"""
+    __global__ void k(int *c) {
+        int i;
+        for (i = 0; i < 4; atomicAdd(&c[0], 1)) i++;
+    }
+    """)
+    loop = next(op for op in walk_ops(kernel.body) if isinstance(op, LoopOp))
+    assert any(isinstance(op, Atom) for op in loop.step_ops)
+    assert kernel_locality(kernel).communicates
+    assert not kernel_locality(kernel).block_wide
 
 
 def test_block_wide_barrier_checks_the_barrier_id():

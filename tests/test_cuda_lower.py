@@ -77,7 +77,7 @@ def test_structured_control_flow_ops():
     """, "k")
     loops = [op for op in walk_ops(kernel.body) if isinstance(op, LoopOp)]
     assert len(loops) == 1
-    assert getattr(loops[0], "step_ops", None)
+    assert loops[0].step_ops
 
 
 def test_syncthreads_becomes_bar0():

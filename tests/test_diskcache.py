@@ -308,17 +308,17 @@ int main(void) {
 def test_disk_hit_of_tree_reduction_equals_cold_compile(tmp_path,
                                                         binary_mode):
     """The tree-mode reduction kernel (shuffles, a barrier) comes back
-    from a schema-3 entry exactly as compiled: host text, kernel files
+    from a schema-4 entry exactly as compiled: host text, kernel files
     and the PTX of every image."""
     from repro.cuda.ptx.ptxwriter import module_to_ptx
 
-    assert SCHEMA_VERSION == 3
+    assert SCHEMA_VERSION == 4
     config = OmpiConfig(binary_mode=binary_mode, reduction_mode="tree")
     root = tmp_path / "store"
     cold_cache = CompileCache(disk=DiskCompileCache(root))
     cold = cold_cache.get(REDUCTION_SRC, "red", config)
     assert cold_cache.store_errors == 0
-    assert list((root / "v3").glob("*.pkl"))
+    assert list((root / "v4").glob("*.pkl"))
     warm_cache = CompileCache(disk=DiskCompileCache(root))
     hit = warm_cache.get(REDUCTION_SRC, "red", config)
     assert warm_cache.disk_hits == 1 and warm_cache.compiles == 0

@@ -14,7 +14,9 @@ import pytest
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
 from repro.cuda.ptx.lower import lower_translation_unit
-from repro.cuda.sim.engine import FunctionalEngine, LaunchError
+from repro.cuda.sim.engine import (
+    FunctionalEngine, KernelVerifyError, LaunchError,
+)
 from repro.cuda.sim.compile import (
     CompiledKernelCache, UnsupportedKernel, compile_kernel,
 )
@@ -279,6 +281,28 @@ def test_masterworker_parallel_inside_target():
     '''
     c = _run_ompi_modes(src, "mw")
     assert np.allclose(c, np.full(512, 3.0))
+
+
+def test_ompi_verify_divergence_fails_the_run(monkeypatch):
+    """A compiled kernel that writes a wrong value fails a verify-mode
+    program run: the divergence is neither retried nor sent to the
+    region's host version, which would hide it behind a correct result."""
+    real = FunctionalEngine._launch
+
+    def broken(self, kernel, grid, block, params, only_blocks=None,
+               only_warps=None, compiled=None):
+        stats = real(self, kernel, grid, block, params, only_blocks,
+                     only_warps, compiled)
+        if compiled is not None:
+            for addr in self.gmem._allocated:
+                self.gmem.buf[addr - self.gmem.base] ^= 1
+        return stats
+
+    monkeypatch.setattr(FunctionalEngine, "_launch", broken)
+    prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify")).compile(
+        OMPI_FOR.replace("SCHEDULE", ""), "vfy_broken")
+    with pytest.raises(KernelVerifyError, match="diverged"):
+        prog.run()
 
 
 def test_ompi_verify_mode_runs_clean():
