@@ -29,24 +29,32 @@ warp.  A kernel whose communication is all phase-safe (no atomic,
 printf, communicating runtime call, or barrier other than a
 ``__syncthreads`` under block-uniform control, see
 :mod:`repro.cuda.sim.locality`) is also compiled at ``nwarps x 32``
-lanes and run by one :class:`CompiledBlockExec` per block, so each numpy
-call serves every warp at once.  The wide code keeps per-warp
-accounting: each per-warp counter grows by the number of warps with an
-active lane and transactions are summed per warp.  A barrier is counted
-once per warp with an active lane, not scheduled: the warps already run
-in step.  A whitelisted runtime call or warp shuffle runs once for the
-block when its scalar arguments agree across warps, else per warp on
-32-lane slices.
+lanes, the lanes of one *block segment*, and run by one
+:class:`CompiledBlockExec` whose lane axis lays the segments of many
+blocks end to end, so each numpy call serves every warp of every block
+at once.  The wide code reads its lane count from the executor, and the
+block id (``ctaid``) is a lane vector.  It keeps per-warp accounting:
+each per-warp counter grows by the number of warps with an active lane
+and transactions are summed per warp.  A barrier is counted once per
+warp with an active lane, not scheduled: the warps already run in step.
+A shared- or local-memory address is the one a block run alone would
+use; the executor moves it into the lane's own block segment.  A
+whitelisted runtime call runs once per block segment, on that block's
+lanes and state, when its scalar arguments agree across the block's
+warps, else per warp on 32-lane slices; a warp shuffle runs once for the
+whole axis.
 
 Compilation is conservative: any construct outside the supported set
-raises :class:`UnsupportedKernel` and the caller silently falls back to
-the tree-walker.  ``CompiledKernelCache`` memoizes per (kernel image id,
+raises :class:`UnsupportedKernel` and the caller falls back to the
+tree-walker; any other exception is a compiler defect and fails the
+launch.  ``CompiledKernelCache`` memoizes per (kernel image id,
 param dtypes, lane width) so repeated ``cuLaunchKernel`` calls skip
 re-lowering.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,7 +66,7 @@ from repro.cuda.ptx.ir import (
     UnOp, np_dtype, walk_ops,
 )
 from repro.cuda.sim.locality import (
-    kernel_locality, local_call, loop_may_block,
+    SHUFFLES, kernel_locality, local_call, loop_may_block,
 )
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
@@ -127,7 +135,8 @@ def _fload(engine, warp, addrs, dtype, mask, n=1):
     Block-wide code passes a mask over several warps and ``n``, the number
     of warps with an active lane (``_nw(mask)``): one gather serves every
     warp, one load is counted per active warp, and a load whose active
-    warps do not all fall in one address space is split per warp."""
+    warps do not all fall in one address space, or whose shared or local
+    addresses leave a lane's own block window, is split per warp."""
     lanes = mask.tobytes()
     if not n or b"\x01" not in lanes:
         # predicated off: mirrors mem_load's early return exactly (no
@@ -142,7 +151,10 @@ def _fload(engine, warp, addrs, dtype, mask, n=1):
     # the gather's range check (before any read) passes exactly when every
     # active lane lies in ``space``, so every warp resolves to it too
     try:
-        vals = space.gather(a if full else a[mask], dtype)
+        mem, at = space, a
+        if space is not engine.gmem and mask.size != WARP_SIZE:
+            mem, at = warp.window(space, a, mask, dtype.itemsize)
+        vals = mem.gather(at if full else at[mask], dtype)
     except MemoryError_:
         if mask.size == WARP_SIZE:
             raise
@@ -182,13 +194,16 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n=1):
     if v.dtype.kind == "f" and dtype.kind in "iu":
         v = np.trunc(v)
     try:
+        mem, at = space, a
+        if space is not engine.gmem and mask.size != WARP_SIZE:
+            mem, at = warp.window(space, a, mask, dtype.itemsize)
         # scatter range-checks every lane before it writes any
         with np.errstate(over="ignore", invalid="ignore"):
             if full:
-                space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
+                mem.scatter(at, dtype, v.astype(dtype, casting="unsafe"))
             else:
-                space.scatter(a[mask], dtype,
-                              v[mask].astype(dtype, casting="unsafe"))
+                mem.scatter(at[mask], dtype,
+                            v[mask].astype(dtype, casting="unsafe"))
     except MemoryError_:
         if mask.size == WARP_SIZE:
             raise
@@ -235,14 +250,22 @@ def _bbar(engine, bar_id: int, count, n: int) -> None:
 # -- block width: per-warp accounting over an nwarps x 32 lane axis ---------
 
 _NO_LANES = bytes(WARP_SIZE)
+#: widest mask whose warps :func:`_nw` compares one by one (below about
+#: ten warps the byte compares beat one numpy reduction's set-up)
+_NW_SCAN_LANES = 8 * WARP_SIZE
 
 
 def _nw(mask) -> int:
     """Number of warps with an active lane.  A bool mask's bytes are 0 or
-    1, and byte scans beat numpy reductions at these sizes."""
+    1: a byte scan settles a full mask; a few warps are compared one by
+    one, more with one reduction, so the cost stays bounded at any
+    width."""
     lanes = mask.tobytes()
     if b"\x00" not in lanes:
         return len(lanes) // WARP_SIZE
+    if len(lanes) > _NW_SCAN_LANES:
+        return int(np.count_nonzero(
+            np.logical_or.reduce(mask.reshape(-1, WARP_SIZE), axis=1)))
     n = 0
     for lo in range(0, len(lanes), WARP_SIZE):
         if lanes[lo:lo + WARP_SIZE] != _NO_LANES:
@@ -279,7 +302,30 @@ def _bval(blk, o, width: int):
 
 
 def _bcall(blk, op, regspec, m):
-    """A runtime call at block width, made once for the block.
+    """A runtime call at block width.
+
+    A warp shuffle reads lanes of the calling warp only: it is made once
+    over the executor's whole lane axis.  Any other call is made once per
+    block segment with an active lane, in block order, on that block's
+    executor (:meth:`CompiledBlockExec.segment`), whose registers are
+    slices of the launch's, so the call sees its own block's state and
+    lanes exactly as a block run alone shows them."""
+    if blk.segments is None or op.name in SHUFFLES:
+        return (yield from _bcall_block(blk, op, regspec, m))
+    out = m.copy()
+    regs = blk.regs
+    ret = blk._ret_stack[-1]
+    width = m.size
+    for seg, lo, hi in blk.active_segments(m):
+        seg.regs = {name: _reg(regs, name, dt, width)[lo:hi]
+                    for name, dt in regspec}
+        seg._ret_stack = [ret[lo:hi]]
+        out[lo:hi] = yield from _bcall_block(seg, op, regspec, m[lo:hi])
+    return out
+
+
+def _bcall_block(blk, op, regspec, m):
+    """A runtime call made once for ``blk``'s lanes.
 
     Block-wide code calls only block-local intrinsics (see
     :func:`~repro.cuda.sim.locality.local_call`), which run over the
@@ -547,10 +593,6 @@ class _KernelCompiler:
         self.width = width
         self.an = _Analysis(kernel)
         self.ns: dict[str, object] = {}
-        if width != WARP_SIZE:
-            z = np.zeros(width, dtype=bool)
-            z.setflags(write=False)
-            self.ns.update(_SHP=(width,), _Z=z)
         self._pool_n = 0
         self._imm_pool: dict = {}
         self._dt_pool: dict[str, str] = {}
@@ -651,9 +693,10 @@ class _FnGen:
         self.temp_names: dict[str, str] = {}
         self.pend_order: list[str] = []
         self.loop_ctx: list[tuple[str, str]] = []
-        #: lane width; ``wide`` code covers several warps (see _fload)
-        self.W = kc.width
+        #: ``wide`` code covers several warps (see _fload) and reads its
+        #: lane count ``W`` from the executor; ``self.W`` is its text
         self.wide = kc.width != WARP_SIZE
+        self.W = "W" if self.wide else str(WARP_SIZE)
         #: a local already holding ``_nw(m)`` for the next op, if any
         self.m_nw: Optional[str] = None
 
@@ -696,6 +739,10 @@ class _FnGen:
         put(1, "stats = engine.stats")
         put(1, "regs = warp.regs")
         put(1, "m = m.copy()")
+        if self.wide:
+            put(1, "W = warp.width")
+            put(1, "_SHP = (W,)")
+            put(1, "_Z = warp.no_lanes")
         wide_arg = f", {self.W}" if self.wide else ""
         for name, (local, dtstr) in self.reg_locals.items():
             put(1, f"{local} = _reg(regs, {name!r}, "
@@ -764,6 +811,9 @@ class _FnGen:
             return _Val("warp.laneid" if self.wide else "_LANEID", u32, False)
         if name == "warpid" and self.wide:
             return _Val("warp.warpid", u32, False)
+        if name.startswith("ctaid.") and self.wide:
+            # one block id per lane: the axis holds several blocks
+            return _Val(f"warp.ctaid_{name[-1]}", u32, False)
         exprs = {
             "ntid.x": "np.uint32(warp.block.block_dim[0])",
             "ntid.y": "np.uint32(warp.block.block_dim[1])",
@@ -1294,7 +1344,7 @@ class CompiledKernel:
     body_fn: Optional[Callable]
     sub_fns: list
     source: str
-    #: lanes per executor: 32 (one warp) or nwarps x 32 (one block)
+    #: lanes per warp executor (32) or per block segment (nwarps x 32)
     width: int = WARP_SIZE
 
 
@@ -1311,8 +1361,9 @@ class CompiledKernelCache:
 
     Shared by every engine a driver creates, so the benchmark steady
     state (same image, thousands of launches) compiles exactly once.
-    Kernels the compiler rejects are cached as ``None`` (permanent
-    tree-walk fallback, counted in ``fallbacks``).
+    Kernels the compiler rejects (:class:`UnsupportedKernel`) are cached
+    as ``None`` (permanent tree-walk fallback, counted in ``fallbacks``);
+    any other exception is a compiler defect and propagates.
 
     ``max_entries`` bounds the cache with LRU eviction.  A standalone run
     launches a handful of kernels, so the default is unbounded; a
@@ -1346,7 +1397,7 @@ class CompiledKernelCache:
         try:
             ck = compile_kernel(kernel, width)
             self.compiled += 1
-        except Exception:
+        except UnsupportedKernel:
             ck = None
             self.fallbacks += 1
         if (self.max_entries is not None
@@ -1393,50 +1444,132 @@ class CompiledWarpExec(WarpExec):
             self._arg_stack.pop()
 
 
-class CompiledBlockExec:
-    """All executed warps of one block on one lane axis: the executor
-    of a block-wide kernel.
+@functools.lru_cache(maxsize=64)
+def _segment_lanes(warp_ids: tuple, nthreads: int, block_dim: tuple,
+                   nseg: int) -> tuple:
+    """Read-only lane vectors of ``nseg`` block segments laid end to end:
+    linear thread id, valid, tid.x/y/z, lane id and warp id within the
+    block, and a lane's segment index (lane ``32*k + i`` of a segment is
+    lane ``i`` of warp ``warp_ids[k]``)."""
+    lanes = np.arange(WARP_SIZE, dtype=np.int64)
+    one = (np.asarray(warp_ids, dtype=np.int64)[:, None] * WARP_SIZE
+           + lanes).reshape(-1)
+    linear = np.tile(one, nseg)
+    bx, by, _bz = block_dim
+    out = (linear, linear < nthreads,
+           (linear % bx).astype(np.uint32),
+           ((linear // bx) % by).astype(np.uint32),
+           (linear // (bx * by)).astype(np.uint32),
+           (linear % WARP_SIZE).astype(np.uint32),
+           (linear // WARP_SIZE).astype(np.uint32),
+           np.repeat(np.arange(nseg, dtype=np.uint64), one.size),
+           np.zeros(linear.size, dtype=bool))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
-    ``warp_ids`` are the block's warps that run (every warp, or the
-    sampled picks), in order; lane ``32*k + i`` is lane ``i`` of warp
-    ``warp_ids[k]``.  Generated code reads the same attributes it reads
-    from a :class:`WarpExec`, at block width, and so do the block-local
-    runtime intrinsics.  Runtime calls made per warp and loads or stores
+
+class CompiledBlockExec:
+    """The executor of a block-wide kernel: the executed warps of one or
+    more blocks on one lane axis.
+
+    ``blocks`` are the blocks' contexts, in launch order; each owns one
+    *block segment* of ``len(warp_ids) * 32`` lanes, and lane ``32*k + i``
+    of a segment is lane ``i`` of warp ``warp_ids[k]`` of its block.
+    Generated code reads the same attributes it reads from a
+    :class:`WarpExec`, at block width: thread ids are block-relative, the
+    block ids ``ctaid_*`` are per lane, and ``block`` carries the
+    geometry every block shares.  A shared or local address is the one a
+    block run alone would use: :meth:`window` moves it into the lane's
+    own block segment of ``windows`` (name -> memory holding every
+    block's window end to end, whose per-block pieces are the blocks'
+    ``smem``/``lmem``).  Runtime calls go to one executor per block
+    (:meth:`segment`); runtime calls made per warp and loads or stores
     that must split go through one :class:`WarpExec` view per warp,
     created on first use, whose registers are slices of the block's.
     """
 
-    def __init__(self, compiled: CompiledKernel, engine, block,
+    def __init__(self, compiled: CompiledKernel, engine, blocks: list,
                  warp_ids: list[int], nthreads: int, kernel: KernelIR,
-                 params: list):
+                 params: list, windows: Optional[dict] = None):
         self._compiled = compiled
         self.engine = engine
-        self.block = block
+        self.blocks = blocks
+        self.block = blocks[0]
         self.warp_ids = warp_ids
+        self.nthreads = nthreads
         self.kernel = kernel
         self.params = params
-        lanes = np.arange(WARP_SIZE, dtype=np.int64)
-        self.lane_linear = (np.asarray(warp_ids, dtype=np.int64)[:, None]
-                            * WARP_SIZE + lanes).reshape(-1)
-        self.valid = self.lane_linear < nthreads
-        bx, by, _bz = block.block_dim
-        self.tid_x = (self.lane_linear % bx).astype(np.uint32)
-        self.tid_y = ((self.lane_linear // bx) % by).astype(np.uint32)
-        self.tid_z = (self.lane_linear // (bx * by)).astype(np.uint32)
-        self.laneid = (self.lane_linear % WARP_SIZE).astype(np.uint32)
-        self.warpid = (self.lane_linear // WARP_SIZE).astype(np.uint32)
+        nseg = len(blocks)
+        (self.lane_linear, self.valid, self.tid_x, self.tid_y, self.tid_z,
+         self.laneid, self.warpid, seg_of_lane, self.no_lanes) = \
+            _segment_lanes(tuple(warp_ids), nthreads,
+                           tuple(blocks[0].block_dim), nseg)
+        self.width = self.lane_linear.size
+        self.seg_width = self.width // nseg
+        ids = np.asarray([b.block_idx for b in blocks], dtype=np.uint32)
+        self.ctaid_x, self.ctaid_y, self.ctaid_z = (
+            np.repeat(ids[:, d], self.seg_width) for d in range(3))
+        if nseg == 1:
+            #: one executor per block segment (None: this is the block's)
+            self.segments = None
+            self._windows = None
+        else:
+            self.segments = [None] * nseg
+            self._windows = {
+                name: (mem, seg_of_lane * np.uint64(mem.capacity // nseg))
+                for name, mem in (windows or {}).items() if mem is not None}
         self.regs: dict[str, np.ndarray] = {}
         self._ret_stack: list[np.ndarray] = []
         self._views: list[Optional[WarpExec]] = [None] * len(warp_ids)
 
+    def window(self, space, addrs: np.ndarray, mask: np.ndarray,
+               itemsize: int):
+        """The memory and addresses an access of one block's shared or
+        local ``space`` at ``addrs`` touches on this axis: each lane's
+        address moved into its own block's window.  Raises
+        :class:`~repro.mem.MemoryError_` when an active lane leaves its
+        block's window, so block k never reaches block k+1's memory."""
+        if self._windows is None:
+            return space, addrs
+        mem, shift = self._windows[space.name]
+        off = addrs - np.uint64(space.base)
+        if np.count_nonzero((off > np.uint64(space.capacity - itemsize))
+                            & mask):
+            raise MemoryError_(
+                f"{space.name}: access out of its block's window")
+        return mem, addrs + shift
+
     def active_warps(self, mask: np.ndarray):
         """``(k, lo, hi)`` of each warp with an active lane, in order."""
-        lanes = mask.tobytes()
-        for k, lo in enumerate(range(0, len(lanes), WARP_SIZE)):
-            if lanes[lo:lo + WARP_SIZE] != _NO_LANES:
-                yield k, lo, lo + WARP_SIZE
+        live = mask.reshape(-1, WARP_SIZE).any(1)
+        for k in np.flatnonzero(live).tolist():
+            lo = k * WARP_SIZE
+            yield k, lo, lo + WARP_SIZE
+
+    def active_segments(self, mask: np.ndarray):
+        """``(executor, lo, hi)`` of each block segment with an active
+        lane, in block order."""
+        live = mask.reshape(len(self.blocks), -1).any(1)
+        for k in np.flatnonzero(live).tolist():
+            lo = k * self.seg_width
+            yield self.segment(k), lo, lo + self.seg_width
+
+    def segment(self, k: int) -> "CompiledBlockExec":
+        """The executor of block segment ``k`` alone."""
+        if self.segments is None:
+            return self
+        seg = self.segments[k]
+        if seg is None:
+            seg = self.segments[k] = CompiledBlockExec(
+                None, self.engine, [self.blocks[k]], self.warp_ids,
+                self.nthreads, self.kernel, self.params)
+        return seg
 
     def warp_view(self, k: int) -> WarpExec:
+        nw = len(self.warp_ids)
+        if self.segments is not None:
+            return self.segment(k // nw).warp_view(k % nw)
         view = self._views[k]
         if view is None:
             lo, hi = k * WARP_SIZE, (k + 1) * WARP_SIZE

@@ -67,7 +67,7 @@ _LOCAL_CALLS = frozenset({
 
 #: warp shuffles: they read other lanes of the calling warp, so they
 #: communicate, but a block-wide call serves every warp at once
-_SHUFFLES = frozenset({
+SHUFFLES = frozenset({
     "__shfl_sync", "__shfl_down_sync", "__shfl_up_sync", "__shfl_xor_sync",
 })
 
@@ -87,7 +87,7 @@ def local_call(name: str) -> bool:
     whitelist."""
     return (name.startswith("__ld") or name == "__local_base"
             or name.startswith("omp_") or name in _LOCAL_CALLS
-            or name in _SHUFFLES)
+            or name in SHUFFLES)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _scan(kernel: KernelIR) -> Locality:
             elif isinstance(op, Atom):
                 communicates = True
                 phase_safe = False
-            elif isinstance(op, CallOp) and op.name in _SHUFFLES:
+            elif isinstance(op, CallOp) and op.name in SHUFFLES:
                 communicates = True
             elif isinstance(op, CallOp) and not local_call(op.name):
                 communicates = True

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cfront import hostcompile
+from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine
 from repro.cfront.parser import parse_translation_unit
 
@@ -222,6 +224,80 @@ def test_modulo_and_division_patterns():
     """)
     iv = np.arange(100)
     assert np.array_equal(m.global_array("xs"), iv % 7 + iv // 9)
+
+
+#: loops that divide by a zero ``z`` on some lane they evaluate
+_DIV_ZERO = {
+    "loop": "for (i = 0; i < 8; i++) x[i] = (i + 5) OP z;",
+    "nest": "for (i = 0; i < 8; i++) for (j = 0; j < 8; j++) "
+            "x[i * 8 + j] = (i + j + 5) OP z;",
+    "compound": "for (i = 0; i < 8; i++) x[i] OP= z;",
+    "nest-compound": "for (i = 0; i < 8; i++) for (j = 0; j < 8; j++) "
+                     "x[i * 8 + j] OP= z;",
+    "taken-arm": "for (i = 0; i < 8; i++) x[i] = i > 5 ? (i + 5) OP z : 1;",
+    "float-mod": "for (i = 0; i < 8; i++) x[i] = (i + 5.5f) % f;",
+}
+
+
+@pytest.mark.parametrize("mode", ["on", "off", "verify"])
+@pytest.mark.parametrize("op,case", [
+    (op, case) for op in "/%" for case in sorted(_DIV_ZERO)
+    # a float divided by zero is no error
+    if not (op == "/" and case == "float-mod")])
+def test_integer_division_by_zero_raises(op, case, mode):
+    # the tree walk's error, in every mode; the fast path raises before
+    # it stores anything (the tree walk stores the iterations before the
+    # failing one)
+    machine = Machine(parse_translation_unit("""
+    int x[64];
+    int main(void) {
+        int i, j, z;
+        float f;
+        z = 0;
+        f = 0.5f;
+        for (i = 0; i < 64; i++) x[i] = i + 1;
+        BODY
+        return 0;
+    }
+    """.replace("BODY", _DIV_ZERO[case].replace("OP", op))),
+        host_fastpath=mode)
+    what = "division" if op == "/" else "modulo"
+    with pytest.raises(InterpError, match=f"integer {what} by zero"):
+        machine.run()
+    if mode != "off":
+        assert np.array_equal(machine.global_array("x"), np.arange(1, 65))
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_division_by_zero_in_an_untaken_arm(op, monkeypatch):
+    # a conditional expression computes both arms on every lane: a zero
+    # divisor on a lane that takes the other arm is no error
+    checks = []
+    real = hostcompile._check_divisor
+
+    def spy(op, lhs, rhs, live=None, loc=None):
+        checks.append(live is not None)
+        real(op, lhs, rhs, live, loc)
+
+    monkeypatch.setattr(hostcompile, "_check_divisor", spy)
+    src = """
+    int x[16], d[16]; float y[16];
+    int main(void) {
+        int i, z;
+        z = 0;
+        for (i = 0; i < 16; i++) d[i] = i % 3;
+        for (i = 0; i < 16; i++) x[i] = i > 99 ? (i + 5) OP z : i;
+        for (i = 0; i < 16; i++) x[i] = d[i] != 0 ? x[i] OP d[i] : -1;
+        for (i = 0; i < 16; i++) y[i] = (i - 7) / (float) z;
+        return 0;
+    }
+    """.replace("OP", op)
+    on, off = run(src, "on"), run(src, "off")
+    # the vector path checked the divisions inside the arms
+    assert checks.count(True) >= 2
+    for name in ("x", "y"):
+        assert on.global_array(name).tobytes() == off.global_array(name).tobytes()
+    run(src, "verify")
 
 
 def test_empty_iteration_space():

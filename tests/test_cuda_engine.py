@@ -134,7 +134,7 @@ def test_transactions_memo_stays_under_its_byte_bound():
                    for lo in range(0, mask.size, 32))
         assert memo(addrs, 4, mask) == want
         assert 0 < memo.nbytes <= memo.max_bytes
-    # block-wide keys are larger, so fewer of them fit
+    # 400 entries overflow the bound, so fewer of them stay
     assert len(memo) < 400
     assert transactions_memo.nbytes <= transactions_memo.max_bytes
 

@@ -254,7 +254,7 @@ def _block_exec(block_dim, grid_dim, block_idx):
     ctx = BlockCtx(block_idx, block_dim, grid_dim, 64, _LOCAL)
     nthreads = block_dim[0] * block_dim[1] * block_dim[2]
     nwarps = -(-nthreads // 32)
-    blk = CompiledBlockExec(None, engine, ctx, list(range(nwarps)), nthreads,
+    blk = CompiledBlockExec(None, engine, [ctx], list(range(nwarps)), nthreads,
                             KernelIR("k"), [])
     blk._ret_stack.append(np.zeros(nwarps * 32, dtype=bool))
     return blk

@@ -17,6 +17,7 @@ from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim.engine import (
     FunctionalEngine, KernelVerifyError, LaunchError,
 )
+from repro.cuda.sim import compile as sim_compile
 from repro.cuda.sim.compile import (
     CompiledKernelCache, UnsupportedKernel, compile_kernel,
 )
@@ -211,6 +212,55 @@ def test_cache_compiles_once_and_hits_after():
     assert cache.compiled == 1
     assert cache.hits == 1
     assert cache.fallbacks == 0
+
+
+SCALE = r"""
+__global__ void k(float *a) {
+    int i = threadIdx.x;
+    a[i] = a[i] * 2.0f;
+}
+"""
+
+
+def _launch_scale(mode="on", cache=None):
+    unit = parse_translation_unit(SCALE, "t.cu")
+    kern = lower_translation_unit(unit, INTRINSIC_SIGS, "t").kernels["k"]
+    gmem = LinearMemory(1 << 16, base=GMEM_BASE, name="gmem")
+    addr = gmem.alloc(64 * 4)
+    gmem.view(addr, 64, np.float32)[:] = np.arange(64)
+    engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {},
+                              fastpath=mode, compile_cache=cache)
+    engine.launch(kern, Dim3.of(1), Dim3.of(64), [np.uint64(addr)])
+    return engine, gmem.view(addr, 64, np.float32)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_code_generator_bug_fails_the_launch(monkeypatch, shared):
+    # a defect in the compiler is not a construct it refuses: it must
+    # fail the launch instead of quietly tree-walking, with a shared
+    # cache and with the engine's own
+    def broken(self, *args):
+        raise TypeError("generator defect")
+
+    monkeypatch.setattr(sim_compile._FnGen, "emit_segment", broken)
+    with pytest.raises(TypeError, match="generator defect"):
+        _launch_scale(cache=CompiledKernelCache() if shared else None)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_unsupported_construct_falls_back_and_counts(monkeypatch, shared):
+    def refuse(self, *args):
+        raise UnsupportedKernel("not here")
+
+    monkeypatch.setattr(sim_compile._FnGen, "emit_segment", refuse)
+    cache = CompiledKernelCache() if shared else None
+    engine, out = _launch_scale(cache=cache)
+    assert np.array_equal(out, 2 * np.arange(64, dtype=np.float32))
+    if shared:
+        assert engine.compile_cache is cache
+    # refused at 64 lanes, then at warp width: two tree-walk entries
+    assert engine.compile_cache.fallbacks == 2
+    assert engine.compile_cache.compiled == 0
 
 
 # -- OMPi pipeline ----------------------------------------------------------
