@@ -544,6 +544,38 @@ def test_pinned_nests(ihead, jhead, stmt, cat, path):
     _check_nest_program(src, path)
 
 
+#: nests whose folds divide by a value that is only known once the nest
+#: runs: an expanded scalar of the outer body, or a cell an earlier pass
+#: of the same nest stores (the plan's dtype probe must not check them)
+_DIVISOR_NESTS = {
+    "column-fold-scalar":
+        "for (i = 0; i < n; i++) { int k = i + 1;"
+        " for (j = 0; j < n; j++) y[j] += A[i * n + j] OP k; }",
+    "row-fold-scalar":
+        "for (i = 0; i < n; i++) { int k = i + 1; int t = 0;"
+        " for (j = 0; j < n; j++) t += A[i * n + j] OP k; y[i] = t; }",
+    "column-fold-stored-cell":
+        "for (i = 0; i < n; i++) { d[i] = i + 1;"
+        " for (j = 0; j < n; j++) y[j] += A[i * n + j] OP d[i]; }",
+}
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+@pytest.mark.parametrize("case", sorted(_DIVISOR_NESTS))
+def test_nest_folds_divide_by_values_the_nest_makes(case, op):
+    src = """
+    int A[64], d[8], y[8];
+    int main(void) {
+        int i, j, n;
+        n = 8;
+        for (i = 0; i < 64; i++) A[i] = 3 * i + 1;
+        BODY
+        return 0;
+    }
+    """.replace("BODY", _DIVISOR_NESTS[case].replace("OP", op))
+    _check_nest_program(src, "whole")
+
+
 @pytest.mark.parametrize("breaker", sorted(_BREAKERS))
 def test_nest_rule_rejects(breaker):
     """Every breaker sends an otherwise whole nest to the per-row path,
