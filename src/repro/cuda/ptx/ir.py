@@ -292,14 +292,19 @@ def costed_ops(ops: list[Op]) -> Iterator[Op]:
 
 
 class RegAllocator:
-    """Generates uniquely named virtual registers."""
+    """Generates uniquely named virtual registers, ``{hint}{n}``: a name
+    another hint already made (``m`` and 20, ``m2`` and 0) is skipped."""
 
     def __init__(self, prefix: str = "r"):
         self.prefix = prefix
         self.counts: dict[str, int] = {}
+        self.names: set[str] = set()
 
     def new(self, dtype: str, hint: str = "") -> Reg:
         key = hint or self.prefix
         n = self.counts.get(key, 0)
+        while f"{key}{n}" in self.names:
+            n += 1
         self.counts[key] = n + 1
+        self.names.add(f"{key}{n}")
         return Reg(f"{key}{n}", dtype)

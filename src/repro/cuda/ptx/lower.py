@@ -122,6 +122,9 @@ class KernelLowerer:
         self.subfunctions: dict[str, KernelIR] = {}
         self._subfn_ids: dict[str, int] = {}
         self._inline_stack: list[str] = []
+        #: loops around the statement being lowered, in the function
+        #: being lowered (break and continue need one)
+        self._loops = 0
         self._device_fns = {
             d.name: d for d in unit.decls
             if isinstance(d, A.FuncDef) and "__device__" in d.quals
@@ -225,7 +228,7 @@ class KernelLowerer:
             cond_ops: list = []
             cond, _ = self.lower_rvalue(stmt.cond, scopes, cond_ops)
             pred = self._to_pred(cond, cond_ops)
-            body_ops = self.lower_block(stmt.body, scopes)
+            body_ops = self._loop_body(stmt.body, scopes)
             return [LoopOp(cond_ops, pred, body_ops)]
         if isinstance(stmt, A.DoWhile):
             # do { B } while (c)  ==  first = 1; while (first || c) { B; first = 0 }
@@ -235,7 +238,7 @@ class KernelLowerer:
             cpred = self._to_pred(cond, cond_ops)
             merged = self.regs.new("pred", "docond")
             cond_ops.append(BinOp(merged, "or", first, cpred))
-            body_ops = self.lower_block(stmt.body, scopes)
+            body_ops = self._loop_body(stmt.body, scopes)
             body_ops.append(Mov(first, Imm(False, "pred")))
             return [Mov(first, Imm(True, "pred")), LoopOp(cond_ops, merged, body_ops)]
         if isinstance(stmt, A.For):
@@ -249,7 +252,7 @@ class KernelLowerer:
                 pred = self._to_pred(cond, cond_ops)
             else:
                 pred = Imm(True, "pred")
-            body_ops = self.lower_block(stmt.body, scopes)
+            body_ops = self._loop_body(stmt.body, scopes)
             step_ops: list = []
             if stmt.step is not None:
                 self.lower_expr_effects(stmt.step, scopes, step_ops)
@@ -265,16 +268,24 @@ class KernelLowerer:
                 self.lower_rvalue(stmt.value, scopes, ops)
             ops.append(RetOp())
             return ops
-        if isinstance(stmt, A.Break):
-            return [BreakOp()]
-        if isinstance(stmt, A.Continue):
-            return [ContinueOp()]
+        if isinstance(stmt, (A.Break, A.Continue)):
+            if not self._loops:
+                raise LowerError(f"{type(stmt).__name__.lower()} outside a "
+                                 "loop", stmt.loc)
+            return [BreakOp() if isinstance(stmt, A.Break) else ContinueOp()]
         if isinstance(stmt, A.PragmaStmt):
             raise LowerError(
                 f"unlowered pragma in device code: #pragma {stmt.text}", stmt.loc
             )
         raise LowerError(f"unsupported device statement {type(stmt).__name__}",
                          getattr(stmt, "loc", None))
+
+    def _loop_body(self, body: A.Stmt, scopes) -> list:
+        self._loops += 1
+        try:
+            return self.lower_block(body, scopes)
+        finally:
+            self._loops -= 1
 
     def _lower_decl(self, stmt: A.DeclStmt, scopes: list[dict[str, _Var]]) -> list:
         ops: list = []
@@ -415,6 +426,9 @@ class KernelLowerer:
 
     def _lower_member_rvalue(self, expr: A.Member, scopes, ops) -> tuple[Operand, CType]:
         if isinstance(expr.base, A.Ident) and expr.base.name in _SREGS:
+            if expr.name not in ("x", "y", "z"):
+                raise LowerError(f"{expr.base.name} has no member "
+                                 f"{expr.name!r}", expr.loc)
             reg = self.regs.new("u32", "sr")
             ops.append(Sreg(reg, f"{_SREGS[expr.base.name]}.{expr.name}"))
             return reg, BasicType("int", signed=False)
@@ -537,6 +551,9 @@ class KernelLowerer:
             return dst, vtype2
         if op == "~":
             vtype2 = promote(vtype)
+            if vtype2.is_floating:
+                raise LowerError("operator ~ requires an integer operand",
+                                 expr.loc)
             value = self._convert(value, vtype, vtype2, ops)
             dst = self.regs.new(ctype_to_ir(vtype2), "not")
             ops.append(UnOp(dst, "not", value))
@@ -805,6 +822,8 @@ class KernelLowerer:
         if len(expr.args) != len(fn.params):
             raise LowerError(f"{fn.name}: wrong argument count", expr.loc)
         self._inline_stack.append(fn.name)
+        # the callee's break and continue cannot bind to the caller's loops
+        loops, self._loops = self._loops, 0
         try:
             frame: dict[str, _Var] = {}
             for p, arg in zip(fn.params, expr.args):
@@ -830,6 +849,7 @@ class KernelLowerer:
             return Imm(0, "s32"), INT
         finally:
             self._inline_stack.pop()
+            self._loops = loops
 
     def _inline_body(self, stmt: A.Stmt, scopes, ret_reg, ret_type) -> list:
         """Lower an inlined function body with Return -> (set ret; Break)."""

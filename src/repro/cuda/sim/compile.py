@@ -44,12 +44,15 @@ lanes and state, when its scalar arguments agree across the block's
 warps, else per warp on 32-lane slices; a warp shuffle runs once for the
 whole axis.
 
-Compilation is conservative: any construct outside the supported set
-raises :class:`UnsupportedKernel` and the caller falls back to the
-tree-walker; any other exception is a compiler defect and fails the
-launch.  ``CompiledKernelCache`` memoizes per (kernel image id,
-param dtypes, lane width) so repeated ``cuLaunchKernel`` calls skip
-re-lowering.
+Under ``kernel_fastpath='on'`` every launch runs compiled code: there
+is no fallback to the tree-walker, which stays as the ``off`` reference
+that ``verify`` replays.  A construct the compiler does not handle
+raises :class:`UnsupportedKernel`, naming it, and fails the launch like
+any other compiler exception.  The lowerer does not emit such a
+construct, and the engine compiles at block width only the kernels
+:mod:`repro.cuda.sim.locality` clears for it.  ``CompiledKernelCache``
+memoizes per (kernel image id, param dtypes, lane width) so repeated
+``cuLaunchKernel`` calls skip re-lowering.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from repro.cuda.ptx.ir import (
     UnOp, np_dtype, walk_ops,
 )
 from repro.cuda.sim.locality import (
-    SHUFFLES, kernel_locality, local_call, loop_may_block,
+    SHUFFLES, local_call, loop_may_block,
 )
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
@@ -76,7 +79,9 @@ from repro.mem import MemoryError_
 
 
 class UnsupportedKernel(Exception):
-    """Kernel uses a construct the closure compiler does not handle."""
+    """Kernel uses a construct the closure compiler does not handle.  Not
+    a ``CudaError``: it fails the run instead of being retried or sent to
+    the region's host version."""
 
 
 _PSEUDO = ("__ldparam", "__ldarg", "__local_base")
@@ -499,8 +504,6 @@ class _Analysis:
                     self._pin(op.count)
             elif cls is CallOp:
                 if op.name in _PSEUDO:
-                    if op.dst is None:
-                        raise UnsupportedKernel(f"{op.name} without dst")
                     for a in op.args:
                         self._pin(a)
                     self._def(op.dst, fi, bid, i, op)
@@ -526,11 +529,11 @@ class _Analysis:
         return bid
 
     def _classify(self) -> None:
-        for info in self.regs.values():
+        for name, info in self.regs.items():
             if info.conflict:
                 # same virtual register used at two dtypes: the lazy
                 # creation dtype would depend on runtime touch order
-                raise UnsupportedKernel("register dtype conflict")
+                raise UnsupportedKernel(f"register {name} at two dtypes")
             if info.pinned or info.ndefs != 1 or info.def_op is None:
                 continue
             op = info.def_op
@@ -585,10 +588,6 @@ class _KernelCompiler:
     (immediates, dtypes, delegated-op objects, folded constants)."""
 
     def __init__(self, kernel: KernelIR, width: int = WARP_SIZE):
-        if width != WARP_SIZE and not kernel_locality(kernel).block_wide:
-            # barriers are only counted at block width: that is sound
-            # for phase-safe ones alone
-            raise UnsupportedKernel("kernel cannot run block-wide")
         self.kernel = kernel
         self.width = width
         self.an = _Analysis(kernel)
@@ -638,33 +637,20 @@ class _KernelCompiler:
         return n
 
     def compile(self) -> "CompiledKernel":
-        fns = [("f0", self.kernel.body)]
+        fns = [self.kernel.body]
         # a block-wide kernel never enters a subfunction (only the
         # master/worker runtime calls them)
-        subs = self.kernel.subfunctions.values() \
-            if self.width == WARP_SIZE else ()
-        for i, sub in enumerate(subs):
-            fns.append((f"f{i + 1}", sub.body))
-        srcs: list[Optional[str]] = []
-        for fi, (fname, ops) in enumerate(fns):
-            try:
-                srcs.append(_FnGen(self, fi, ops).generate(fname))
-            except UnsupportedKernel:
-                srcs.append(None)
-        if all(s is None for s in srcs):
-            raise UnsupportedKernel("no function compiled")
-        if srcs[0] is None and self.width != WARP_SIZE:
-            raise UnsupportedKernel("block-wide body did not compile")
-        module_src = "\n\n".join(s for s in srcs if s is not None)
+        if self.width == WARP_SIZE:
+            fns += [sub.body for sub in self.kernel.subfunctions.values()]
+        module_src = "\n\n".join(_FnGen(self, ops).generate(f"f{fi}")
+                                  for fi, ops in enumerate(fns))
         glb = dict(_GLOBALS)
         glb.update(self.ns)
         code = compile(module_src, f"<fastpath:{self.kernel.name}>", "exec")
         exec(code, glb)
-        body_fn = glb["f0"] if srcs[0] is not None else None
-        sub_fns = [glb[f"f{i + 1}"] if srcs[i + 1] is not None else None
-                   for i in range(len(fns) - 1)]
-        return CompiledKernel(self.kernel, body_fn, sub_fns, module_src,
-                              self.width)
+        return CompiledKernel(self.kernel, glb["f0"],
+                              [glb[f"f{fi}"] for fi in range(1, len(fns))],
+                              module_src, self.width)
 
 
 # --------------------------------------------------------------------------
@@ -678,10 +664,9 @@ _INLINE_BIN = {
 
 
 class _FnGen:
-    def __init__(self, kc: _KernelCompiler, fi: int, ops: list):
+    def __init__(self, kc: _KernelCompiler, ops: list):
         self.kc = kc
         self.an = kc.an
-        self.fi = fi
         self.ops = ops
         self.lines: list[tuple[int, str]] = []
         self.ind = 0
@@ -1082,15 +1067,11 @@ class _FnGen:
             mask = "m, _n" if self.wide else "m"
             self.w(f"_fstore(engine, warp, {a.text}, {self.kc.dt(dt)}, "
                    f"{val.text}, {mask})")
-        elif cls is CallOp:
+        else:  # CallOp: _is_seg_op admits only the _PSEUDO calls
             self.emit_pseudo(op)
-        else:  # pragma: no cover - block_ops only sends seg ops here
-            raise UnsupportedKernel(f"seg op {cls.__name__}")
 
     def emit_pseudo(self, op: CallOp) -> None:
         dt = np_dtype(op.dst.dtype)
-        if not op.args or type(op.args[0]) is not Imm:
-            raise UnsupportedKernel(f"{op.name} with non-immediate arg")
         idx = int(op.args[0].value)
         if op.name == "__ldparam":
             v = _Val(f"np.full({self.W}, warp.params[{idx}], "
@@ -1098,20 +1079,15 @@ class _FnGen:
         elif op.name == "__ldarg":
             self.narrow_only("subfunction argument")
             v = _Val(f"_ldargv(warp, {idx}, {self.kc.dt(dt)})", dt, False)
-        elif op.name == "__local_base":
+        else:  # __local_base
             v = _Val(f"(warp.block.local_base(warp.lane_linear) "
                      f"+ np.uint64({idx}))", np.dtype(np.uint64), False)
-        else:  # pragma: no cover - _PSEUDO is closed
-            raise UnsupportedKernel(op.name)
         self.write_dst(op.dst, v)
 
     # -- expression builders ----------------------------------------------
     def _meta(self, fn, *dummies):
-        try:
-            with np.errstate(all="ignore"):
-                return fn(*dummies)
-        except Exception as exc:
-            raise UnsupportedKernel(f"meta eval failed: {exc}") from None
+        with np.errstate(all="ignore"):
+            return fn(*dummies)
 
     def bin_val(self, op: BinOp) -> _Val:
         a = self.operand(op.a)
@@ -1334,15 +1310,13 @@ class _FnGen:
 
 @dataclass
 class CompiledKernel:
-    """A kernel lowered to generated Python closures.
-
-    ``sub_fns`` is indexed like ``WarpExec._subfn_by_id``; a ``None``
-    entry means that subfunction fell back to the tree-walker.
-    """
+    """A kernel lowered to generated Python closures: ``body_fn`` runs the
+    kernel body, ``sub_fns`` the subfunctions, indexed like
+    ``WarpExec._subfn_by_id`` (none at block width)."""
 
     kernel: KernelIR
-    body_fn: Optional[Callable]
-    sub_fns: list
+    body_fn: Callable
+    sub_fns: list[Callable]
     source: str
     #: lanes per warp executor (32) or per block segment (nwarps x 32)
     width: int = WARP_SIZE
@@ -1361,85 +1335,55 @@ class CompiledKernelCache:
 
     Shared by every engine a driver creates, so the benchmark steady
     state (same image, thousands of launches) compiles exactly once.
-    Kernels the compiler rejects (:class:`UnsupportedKernel`) are cached
-    as ``None`` (permanent tree-walk fallback, counted in ``fallbacks``);
-    any other exception is a compiler defect and propagates.
-
-    ``max_entries`` bounds the cache with LRU eviction.  A standalone run
-    launches a handful of kernels, so the default is unbounded; a
-    long-lived driver (the serving runtime) sets a bound matched to its
-    program population, and an evicted kernel simply recompiles on its
-    next launch.
+    Every entry is a compiled kernel: a refusal
+    (:class:`UnsupportedKernel`) or any other compiler exception
+    propagates, fails the launch and caches nothing.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
+    def __init__(self):
         self._cache: dict = {}
-        self.max_entries = max_entries
         self.compiled = 0
-        self.fallbacks = 0
         self.hits = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def get(self, kernel: KernelIR,
-            width: int = WARP_SIZE) -> Optional[CompiledKernel]:
+    def get(self, kernel: KernelIR, width: int = WARP_SIZE) -> CompiledKernel:
         key = (id(kernel), tuple(p.dtype for p in kernel.params), width)
-        try:
-            entry = self._cache.pop(key)
-        except KeyError:
-            pass
-        else:
+        entry = self._cache.get(key)
+        if entry is not None:
             self.hits += 1
-            self._cache[key] = entry        # LRU touch (re-insertion order)
             return entry[1]
-        try:
-            ck = compile_kernel(kernel, width)
-            self.compiled += 1
-        except UnsupportedKernel:
-            ck = None
-            self.fallbacks += 1
-        if (self.max_entries is not None
-                and len(self._cache) >= self.max_entries):
-            self._cache.pop(next(iter(self._cache)))
-            self.evictions += 1
+        ck = compile_kernel(kernel, width)
+        self.compiled += 1
         # keep a reference to the kernel so its id() cannot be recycled
         self._cache[key] = (kernel, ck)
         return ck
 
     def widths(self, kernel: KernelIR) -> list[int]:
         """Lane widths ``kernel`` has been compiled at, in first-use
-        order of the entries still cached."""
-        return [key[2] for key, (_k, ck) in self._cache.items()
-                if key[0] == id(kernel) and ck is not None]
+        order."""
+        return [key[2] for key in self._cache if key[0] == id(kernel)]
 
 
 class CompiledWarpExec(WarpExec):
-    """WarpExec that runs compiled closures, with per-function fallback
-    to the inherited tree-walker."""
+    """A warp that runs the compiled closures of its kernel body and
+    subfunctions.  It inherits from :class:`WarpExec` only the
+    runtime-call model the generated code delegates to (``val``,
+    ``setreg``, ``_call``, ``_printf``, ``_atomic``), never the
+    tree-walker."""
 
     def __init__(self, compiled: CompiledKernel, *args):
         super().__init__(*args)
         self._compiled = compiled
 
     def run_kernel(self):
-        fn = self._compiled.body_fn
-        if fn is None:
-            yield from self.run_activation(self.kernel.body, self.valid.copy())
-        else:
-            yield from fn(self, self.valid)
-        self.done = True
+        yield from self._compiled.body_fn(self, self.valid)
 
     def call_subfunction(self, fid: int, args: list, mask: np.ndarray):
-        sub_fns = self._compiled.sub_fns
-        fn = sub_fns[fid] if 0 <= fid < len(sub_fns) else None
-        if fn is None:
-            yield from WarpExec.call_subfunction(self, fid, args, mask)
-            return
         self._arg_stack.append(args)
         try:
-            yield from fn(self, mask)
+            yield from self._compiled.sub_fns[fid](self, mask)
         finally:
             self._arg_stack.pop()
 

@@ -383,9 +383,9 @@ class FunctionalEngine:
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self._compiled_for(kernel, self._lane_width(
+            compiled = self.compile_cache.get(kernel, self._lane_width(
                 kernel, Dim3.of(block), only_warps))
-        if compiled is not None and self.fastpath == "verify":
+        if self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
         else:
@@ -412,21 +412,15 @@ class FunctionalEngine:
                 if only_warps is None or w in only_warps]
 
     def _lane_width(self, kernel: KernelIR, block: Dim3, only_warps) -> int:
-        """Lanes per compiled executor: the whole block's executed warps
-        when the kernel is block-wide and runs more than one warp."""
+        """Lanes per compiled executor, the one width decision: the whole
+        block's executed warps when the kernel is block-wide (its barriers
+        are phase-safe, so counting them is sound) and runs more than one
+        warp, else one warp."""
         nwarps = (block.count + WARP_SIZE - 1) // WARP_SIZE
         n = len(self._run_warps(nwarps, only_warps))
         if n > 1 and kernel_locality(kernel).block_wide:
             return n * WARP_SIZE
         return WARP_SIZE
-
-    def _compiled_for(self, kernel: KernelIR, width: int = WARP_SIZE):
-        """The kernel compiled at ``width`` lanes, else at warp width,
-        else None (tree-walk)."""
-        ck = self.compile_cache.get(kernel, width)
-        if ck is None and width != WARP_SIZE:
-            ck = self.compile_cache.get(kernel, WARP_SIZE)
-        return ck
 
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
                          only_warps, compiled) -> KernelStats:

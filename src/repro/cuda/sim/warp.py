@@ -63,7 +63,6 @@ class WarpExec:
         self.tid_x = (lane_linear % bx).astype(np.uint32)
         self.tid_y = ((lane_linear // bx) % by).astype(np.uint32)
         self.tid_z = (lane_linear // (bx * by)).astype(np.uint32)
-        self.done = False
 
     # -- operand access ---------------------------------------------------------
     def val(self, operand) -> np.ndarray:
@@ -93,9 +92,7 @@ class WarpExec:
 
     # -- activations -----------------------------------------------------------
     def run_kernel(self) -> Iterator:
-        mask = self.valid.copy()
-        yield from self.run_activation(self.kernel.body, mask)
-        self.done = True
+        yield from self.run_activation(self.kernel.body, self.valid)
 
     def run_activation(self, ops: list[Op], mask: np.ndarray) -> Iterator:
         """Execute a function activation (kernel body or subfunction)."""

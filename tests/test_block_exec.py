@@ -22,6 +22,7 @@ from repro.bench import harness
 from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
+from repro.cuda.driver import CudaDriver
 from repro.cuda.ptx.ir import Atom, LoopOp, walk_ops
 from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim import compile as sim_compile
@@ -365,7 +366,7 @@ def test_runtime_calls_run_once_per_block(monkeypatch, src, shape, width,
     assert run.exit_code == 0
     assert run.log.count("kernel") == 1
     cache = run.ort.cudadev.driver.kernel_cache
-    (kernel,) = [k for k, ck in cache._cache.values() if ck is not None]
+    (kernel,) = [k for k, _ck in cache._cache.values()]
     assert cache.widths(kernel) == [width]
     assert names | {"cudadev_target_init"} <= set(calls)
     assert views == []          # no call fell back to the per-warp loop
@@ -476,6 +477,16 @@ def test_block_wide_barrier_checks_the_barrier_id():
                          [np.zeros(64, dtype=np.int32)], mode=mode)
 
 
+KERNEL_T = r"""
+__global__ void k(int *a) {
+    int t = threadIdx.x;
+    int i;
+    BODY
+    a[t] = t;
+}
+"""
+
+
 @pytest.mark.parametrize("body", [
     # under a thread-dependent if
     "if (t < 64) __syncthreads();",
@@ -488,18 +499,14 @@ def test_block_wide_barrier_checks_the_barrier_id():
     "__bar_sync(1, 64);",
 ], ids=["tid-if", "tid-loop", "tid-break", "loaded-id", "partial"])
 def test_barriers_that_are_not_phase_safe(body):
-    kernel = kernel_k(r"""
-    __global__ void k(int *a) {
-        int t = threadIdx.x;
-        int i;
-        BODY
-        a[t] = t;
-    }
-    """.replace("BODY", body))
-    loc = kernel_locality(kernel)
+    src = KERNEL_T.replace("BODY", body)
+    loc = kernel_locality(kernel_k(src))
     assert loc.communicates and not loc.block_wide
-    with pytest.raises(sim_compile.UnsupportedKernel):
-        sim_compile.compile_kernel(kernel, 128)
+    # the engine's width decision keeps them per warp, where the block
+    # scheduler runs their barriers
+    _stats, widths, _, _ = run_verified(src, (1, 1, 1), (128, 1, 1),
+                                        [np.zeros(128, dtype=np.int32)])
+    assert widths == [32]
 
 
 @pytest.mark.parametrize("body", [
@@ -793,14 +800,24 @@ def _reduction_sources():
             yield f"{workload}_{variant}", src
 
 
-@pytest.mark.parametrize("variant", ["single", "sharded"])
-@pytest.mark.parametrize("workload", bench_reductions.WORKLOADS)
-def test_tree_reduction_kernels_run_block_wide(workload, variant,
-                                               monkeypatch):
+def spy_device_launches(mp):
+    """Record ``(driver, kernel, block range, grid blocks)`` of every
+    launch on a device."""
+    launches = []
+    real = CudaDriver.cuLaunchKernel
+
+    def launch(self, fn, gx, gy, gz, *args, block_range=None, **kw):
+        launches.append((self, fn.name, block_range, gx * gy * gz))
+        return real(self, fn, gx, gy, gz, *args, block_range=block_range,
+                    **kw)
+
+    mp.setattr(CudaDriver, "cuLaunchKernel", launch)
+    return launches
+
+
+def _run_reduction(workload, variant, devices=None):
     n = _RED_SIZES[workload]
-    sources, seed, _arr = bench_reductions._sources(workload, n)
-    devices = "nano,v100" if variant == "sharded" else None
-    launches = spy_executors(monkeypatch)
+    sources, seed, arr = bench_reductions._sources(workload, n)
     prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify",
                                    devices=devices)).compile(
         sources[variant], f"{workload}_{variant}")
@@ -809,6 +826,25 @@ def test_tree_reduction_kernels_run_block_wide(workload, variant,
     assert run.exit_code == 0
     # a verify divergence would be retried and then run on the host
     assert run.ort.fault_stats == {}
+    return run, [run.machine.global_array(name).copy()
+                 for name in (arr, "checksum")]
+
+
+#: the sharded source on two Nanos splits every sharded launch between
+#: them; on a Nano and a V100 the V100 takes every block (retargeting)
+_REDUCTION_RUNS = {"single": ("single", None),
+                   "sharded": ("sharded", "nano,v100"),
+                   "split": ("sharded", "nano,nano")}
+
+
+@pytest.mark.parametrize("variant", list(_REDUCTION_RUNS))
+@pytest.mark.parametrize("workload", bench_reductions.WORKLOADS)
+def test_tree_reduction_kernels_run_block_wide(workload, variant,
+                                               monkeypatch):
+    source, devices = _REDUCTION_RUNS[variant]
+    launches = spy_executors(monkeypatch)
+    on_device = spy_device_launches(monkeypatch)
+    run, outputs = _run_reduction(workload, source, devices)
     # every block-wide launch ran one executor over all its blocks
     assert launches
     assert any(blocks > 1 for _name, blocks, _execs in launches)
@@ -817,12 +853,28 @@ def test_tree_reduction_kernels_run_block_wide(workload, variant,
     trees = []
     for dev in run.ort.devices:
         cache = dev.driver.kernel_cache
-        for kernel, ck in list(cache._cache.values()):
-            if ck is not None and kernel_locality(kernel).communicates:
+        for kernel, _ck in list(cache._cache.values()):
+            if kernel_locality(kernel).communicates:
                 trees.append(kernel.name)
                 # every team is 128 threads: one 4-warp executor per block
                 assert cache.widths(kernel) == [4 * 32], kernel.name
     assert trees
+    if variant == "split":
+        # some kernel ran on both devices, on blocks that tile its grid
+        ranges = {}
+        for driver, name, block_range, nblocks in on_device:
+            if block_range is not None:
+                ranges.setdefault((name, nblocks), {})[driver] = block_range
+        split = [(nblocks, sorted(by_dev.values()))
+                 for (_name, nblocks), by_dev in ranges.items()
+                 if len(by_dev) == 2]
+        assert split
+        for nblocks, ((lo0, hi0), (lo1, hi1)) in split:
+            assert lo0 == 0 and hi0 == lo1 and hi1 == nblocks
+            assert lo0 < hi0 < hi1
+        _single, want = _run_reduction(workload, "single")
+        for got, ref in zip(outputs, want):
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("name", ["3dconv", "gemm"])
@@ -855,6 +907,8 @@ _COMMUNICATING = {
 
 
 def test_communicates_is_pinned_for_suite_and_reduction_kernels():
+    # ... and every kernel compiles at the widths the engine can ask for:
+    # one warp, and its whole block when it runs block-wide
     programs = [(name, get_app(name).omp_source(32),
                  OmpiConfig(block_shape=get_app(name).block_shape))
                 for name in ALL_APPS + EXTENDED_APP_NAMES]
@@ -862,13 +916,74 @@ def test_communicates_is_pinned_for_suite_and_reduction_kernels():
                  for name, src in _reduction_sources()]
     seen = set()
     for name, src, cfg in programs:
+        # the reduction programs run teams of 128 threads
+        threads = int(np.prod(cfg.block_shape or 128))
+        block_lanes = -(-threads // 32) * 32
         for image in OmpiCompiler(cfg).compile(src, name).images.values():
             for kname, kernel in image.module.kernels.items():
                 loc = kernel_locality(kernel)
                 assert loc.communicates == (kname in _COMMUNICATING), kname
                 assert loc.block_wide == (kname != "gramschmidt_kernel0")
                 seen.add(kname)
+                ck = sim_compile.compile_kernel(kernel, 32)
+                assert len(ck.sub_fns) == len(kernel.subfunctions), kname
+                if loc.block_wide:
+                    assert sim_compile.compile_kernel(
+                        kernel, block_lanes).width == block_lanes, kname
     assert _COMMUNICATING <= seen
+
+
+MASTER_WORKER = r"""
+float C[512];
+
+int main(void)
+{
+    int i;
+    for (i = 0; i < 512; i++) C[i] = 1.0f;
+    #pragma omp target map(tofrom: C[0:512])
+    {
+        int i;
+        #pragma omp parallel for
+        for (i = 0; i < 512; i++)
+            C[i] = C[i] * 2.0f + 1.0f;
+    }
+    return 0;
+}
+"""
+
+
+def test_on_mode_never_walks_the_tree(monkeypatch):
+    # under on every launch runs compiled code: master/worker kernels per
+    # warp (their parallel-region subfunction too), the others block-wide
+    def walk(self, ops, mask):
+        raise AssertionError("tree walk under kernel_fastpath='on'")
+
+    monkeypatch.setattr(sim_engine.WarpExec, "_exec", walk)
+    widths = {}
+    for name in ("gramschmidt", "gemm"):
+        app = get_app(name)
+        n = SMALL.get(name, 32)
+        prog = OmpiCompiler(OmpiConfig(block_shape=app.block_shape,
+                                       kernel_fastpath="on")).compile(
+            app.omp_source(n), harness._prog_name(app, n))
+        run = prog.run(launch_mode="full", seed_arrays=app.seed(n),
+                       heap_capacity=harness._heap_capacity(app, n))
+        assert run.exit_code == 0
+        assert run.ort.fault_stats == {}
+        cache = run.ort.cudadev.driver.kernel_cache
+        widths.update((f"{name}:{k.name.rsplit('_', 1)[1]}", cache.widths(k))
+                      for k, _ck in cache._cache.values())
+    assert widths == {"gramschmidt:kernel0": [32],
+                      "gramschmidt:kernel1": [256],
+                      "gramschmidt:kernel2": [256], "gemm:kernel0": [256]}
+    run = OmpiCompiler(OmpiConfig(kernel_fastpath="on")).compile(
+        MASTER_WORKER, "mw_on").run()
+    assert run.exit_code == 0
+    assert run.ort.fault_stats == {}
+    cache = run.ort.cudadev.driver.kernel_cache
+    (kernel,) = [k for k, _ck in cache._cache.values()]
+    assert kernel.subfunctions
+    assert np.array_equal(run.machine.global_array("C"), np.full(512, 3.0))
 
 
 # -- communicating kernels stay per warp ---------------------------------------
@@ -963,7 +1078,7 @@ def test_suite_app_block_wide_matches_tree_walk(name, launch_mode):
     assert run.exit_code == 0
     assert run.ort.fault_stats == {}
     cache = run.ort.cudadev.driver.kernel_cache
-    kernels = [k for k, ck in cache._cache.values() if ck is not None]
+    kernels = [k for k, _ck in cache._cache.values()]
     assert kernels
     wide = [k for k in kernels if any(w > 32 for w in cache.widths(k))]
     assert wide, f"no {name} kernel ran block-wide"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
-from repro.cuda.ptx.ir import BarOp, CallOp, IfOp, LoopOp, walk_ops
+from repro.cuda.ptx.ir import BarOp, CallOp, IfOp, LoopOp, Mov, walk_ops
 from repro.cuda.ptx.lower import LowerError, lower_translation_unit
 from repro.cuda.ptx.ptxwriter import module_to_ptx
 from repro.cuda.sim.engine import FunctionalEngine
@@ -133,9 +133,52 @@ def test_sreg_access():
     assert np.array_equal(outs[0], expect)
 
 
+def test_register_names_never_collide():
+    # the 21st math unop register would be m20, the name of the first
+    # binary math register (m2 and 0): powf must not overwrite sqrtf
+    terms = " + ".join(["sqrtf(x)"] * 20)
+    src = """
+    __global__ void k(float *p) {
+        float x = p[threadIdx.x];
+        float s = TERMS;
+        p[threadIdx.x] = sqrtf(x) + powf(x, 2.0f) + s * 0.0f;
+    }
+    """.replace("TERMS", terms)
+    outs, _, _ = run_k(src, "k", 1, 32, [np.full(32, 4.0, np.float32)])
+    assert np.array_equal(outs[0], np.full(32, 18.0, np.float32))
+    kernel = compile_k(src, "k")
+    defs = [op.dst.name for op in walk_ops(kernel.body)
+            if getattr(op, "dst", None) is not None
+            and not isinstance(op, Mov)]
+    assert len(defs) == len(set(defs))
+
+
 def test_unknown_function_rejected():
     with pytest.raises(LowerError):
         compile_k("__global__ void k(void) { frobnicate(); }")
+
+
+_K = "__global__ void k(int *p) { int i; BODY }"
+
+
+@pytest.mark.parametrize("src,match", [
+    (_K.replace("BODY", "break;"), "break outside a loop"),
+    (_K.replace("BODY", "if (p[0]) continue;"), "continue outside a loop"),
+    # a callee's break cannot leave the caller's loop
+    ("__device__ int f(void) { break; return 1; }\n"
+     + _K.replace("BODY", "for (i = 0; i < 2; i++) p[i] = f();"),
+     "break outside a loop"),
+    (_K.replace("BODY", "p[0] = threadIdx.w;"),
+     "threadIdx has no member 'w'"),
+    (_K.replace("BODY", "p[0] = ~(float) p[1];"),
+     "requires an integer operand"),
+], ids=["break", "continue", "break-in-callee", "sreg-member", "float-not"])
+def test_constructs_no_executor_runs_are_rejected(src, match):
+    # no executor runs these as C means them: the tree walk and the
+    # kernel compiler fail on each but the callee's break, which both
+    # would run as a return from the callee
+    with pytest.raises(LowerError, match=match):
+        compile_k(src)
 
 
 def test_pragma_in_device_code_rejected():

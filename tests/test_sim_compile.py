@@ -211,7 +211,6 @@ def test_cache_compiles_once_and_hits_after():
     assert first is not None and first is second
     assert cache.compiled == 1
     assert cache.hits == 1
-    assert cache.fallbacks == 0
 
 
 SCALE = r"""
@@ -247,20 +246,26 @@ def test_code_generator_bug_fails_the_launch(monkeypatch, shared):
         _launch_scale(cache=CompiledKernelCache() if shared else None)
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_unsupported_construct_falls_back_and_counts(monkeypatch, shared):
-    def refuse(self, *args):
-        raise UnsupportedKernel("not here")
+def _refuse_segments(monkeypatch):
+    def refuse(self, seg, *args):
+        raise UnsupportedKernel(f"segment from {type(seg[0]).__name__}")
 
     monkeypatch.setattr(sim_compile._FnGen, "emit_segment", refuse)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("mode", ["on", "verify"])
+def test_refused_construct_fails_the_launch(monkeypatch, mode, shared):
+    # there is no tree-walk fallback: a refusal fails the launch, names
+    # the construct and caches nothing, while off never compiles
+    _refuse_segments(monkeypatch)
     cache = CompiledKernelCache() if shared else None
-    engine, out = _launch_scale(cache=cache)
-    assert np.array_equal(out, 2 * np.arange(64, dtype=np.float32))
+    with pytest.raises(UnsupportedKernel, match="segment from CallOp"):
+        _launch_scale(mode, cache=cache)
     if shared:
-        assert engine.compile_cache is cache
-    # refused at 64 lanes, then at warp width: two tree-walk entries
-    assert engine.compile_cache.fallbacks == 2
-    assert engine.compile_cache.compiled == 0
+        assert len(cache) == 0 and cache.compiled == 0
+    _engine, out = _launch_scale("off", cache=cache)
+    assert np.array_equal(out, 2 * np.arange(64, dtype=np.float32))
 
 
 # -- OMPi pipeline ----------------------------------------------------------
@@ -352,6 +357,16 @@ def test_ompi_verify_divergence_fails_the_run(monkeypatch):
     prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify")).compile(
         OMPI_FOR.replace("SCHEDULE", ""), "vfy_broken")
     with pytest.raises(KernelVerifyError, match="diverged"):
+        prog.run()
+
+
+def test_ompi_refusal_fails_the_run(monkeypatch):
+    """A compile refusal is not a device fault: the run fails instead of
+    retrying the launch or running the region's host version."""
+    _refuse_segments(monkeypatch)
+    prog = OmpiCompiler(OmpiConfig(kernel_fastpath="on")).compile(
+        OMPI_FOR.replace("SCHEDULE", ""), "refused")
+    with pytest.raises(UnsupportedKernel, match="segment from"):
         prog.run()
 
 
