@@ -77,8 +77,10 @@ Modes (``REPRO_HOST_FASTPATH``, mirrored by ``OmpiConfig.host_fastpath``):
 
 * ``on``      (default) compile what is supported, tree-walk the rest
 * ``off``     pure tree-walk interpreter (no vectorization at all)
-* ``verify``  run every compiled region twice — compiled and tree-walked —
-              and require bit-identical memory; the tree-walk result wins.
+* ``verify``  run every compiled region twice — compiled and tree-walked,
+              from the same memory (:func:`repro.mem.differential_run`) —
+              and require identical allocation maps and bytes in every
+              space; the tree-walk result wins.
 
 Safety model: a region is only committed after a *structural validation*
 pass that resolves every identifier/type without reading memory, so plans
@@ -100,6 +102,7 @@ from repro.cfront import astnodes as A
 from repro.cfront.ctypes_ import ArrayType, BasicType, CType, PointerType
 from repro.cfront.errors import InterpError
 from repro.cfront.unparse import unparse
+from repro.mem import differential_run
 from repro.settings import parse_mode
 
 
@@ -1972,67 +1975,9 @@ def _run_pass(machine, frame: Frame, p: NestPass, plan, vecs: dict,
 
 
 # --------------------------------------------------------------------------
-# verify mode: differential execution with block snapshots
+# verify mode: differential execution (repro.mem.differential_run over every
+# memory space of the machine; the tree-walk result wins)
 # --------------------------------------------------------------------------
-
-def _snapshot(machine):
-    return [(mem, mem.snapshot_blocks()) for mem in machine.spaces]
-
-
-def _restore(machine, snap) -> None:
-    for mem, blocks in snap:
-        mem.restore_blocks(blocks)
-
-
-def _diff_snapshots(fast, ref) -> Optional[str]:
-    for (mem_f, blocks_f), (_, blocks_r) in zip(fast, ref):
-        if blocks_f.keys() != blocks_r.keys():
-            return f"{mem_f.name}: allocation sets differ"
-        for addr, data_r in blocks_r.items():
-            data_f = blocks_f[addr]
-            if not np.array_equal(data_f, data_r):
-                bad = int(np.nonzero(data_f != data_r)[0][0])
-                return (f"{mem_f.name}: block {addr:#x} differs at byte "
-                        f"{bad} (fastpath {data_f[bad]} != "
-                        f"interp {data_r[bad]})")
-    return None
-
-
-def _treewalk_loop(machine, stmt: A.For, env) -> None:
-    from repro.cfront.interp import _Break, _Continue
-    while stmt.cond is None or machine._truthy(machine.eval(stmt.cond, env)):
-        try:
-            machine.exec_stmt(stmt.body, env)
-        except _Break:
-            break
-        except _Continue:
-            pass
-        if stmt.step is not None:
-            machine.eval(stmt.step, env)
-
-
-def _exec_loop_verified(machine, frame: Frame, spec: LoopSpec,
-                        stmt: A.For, env) -> bool:
-    pre = _snapshot(machine)
-    _exec_loop(machine, frame, spec, run_init=False)
-    frame.flush()
-    post_fast = _snapshot(machine)
-    _restore(machine, pre)
-    prev = machine.host_fastpath
-    machine.host_fastpath = "off"
-    try:
-        _treewalk_loop(machine, stmt, env)
-    finally:
-        machine.host_fastpath = prev
-    post_ref = _snapshot(machine)
-    machine.host_stats["verified_regions"] += 1
-    diff = _diff_snapshots(post_fast, post_ref)
-    if diff:
-        raise HostFastpathVerifyError(
-            f"host fastpath verify: loop at {stmt.loc} diverged — {diff}")
-    machine.host_stats["loop_fast"] += 1
-    return True
-
 
 def _results_equal(a, b) -> bool:
     from repro.cfront.interp import Ptr
@@ -2046,27 +1991,32 @@ def _results_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _call_fn_verified(machine, frame: Frame, spec: FnSpec, fn, args, loc):
-    pre = _snapshot(machine)
-    result = _exec_fn(machine, frame, spec)
-    frame.flush()
-    post_fast = _snapshot(machine)
-    _restore(machine, pre)
-    prev = machine.host_fastpath
-    machine.host_fastpath = "off"
-    try:
-        ref = machine._call_interpreted(fn, args, loc)
-    finally:
-        machine.host_fastpath = prev
-    post_ref = _snapshot(machine)
+def _verified(machine, frame: Frame, fast, reference, what: str,
+              counter: str):
+    """Run the compiled region ``fast``, then from the same memory its
+    tree-walk ``reference`` with the host fast path off; memory and the
+    result must agree, and the reference's result is returned."""
+    def run_fast():
+        result = fast()
+        frame.flush()
+        return result
+
+    def tree_walk():
+        prev = machine.host_fastpath
+        machine.host_fastpath = "off"
+        try:
+            return reference()
+        finally:
+            machine.host_fastpath = prev
+
+    result, ref, diff = differential_run(machine.spaces, run_fast, tree_walk)
     machine.host_stats["verified_regions"] += 1
-    diff = _diff_snapshots(post_fast, post_ref)
     if diff is None and not _results_equal(result, ref):
         diff = f"return value {result!r} != {ref!r}"
     if diff:
         raise HostFastpathVerifyError(
-            f"host fastpath verify: {spec.name}() diverged — {diff}")
-    machine.host_stats["fn_fast"] += 1
+            f"host fastpath verify: {what} diverged — {diff}")
+    machine.host_stats[counter] += 1
     return ref
 
 
@@ -2100,7 +2050,11 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
         machine.host_stats["loop_fallback"] += 1
         return False
     if mode == "verify":
-        return _exec_loop_verified(machine, frame, spec, stmt, env)
+        _verified(machine, frame,
+                  lambda: _exec_loop(machine, frame, spec, run_init=False),
+                  lambda: machine.run_for_loop(stmt, env),
+                  f"loop at {stmt.loc}", "loop_fast")
+        return True
     try:
         _exec_loop(machine, frame, spec, run_init=False)
     except _BailDry:
@@ -2163,7 +2117,10 @@ def maybe_call_compiled(machine, fn, args, loc=None):
         machine.host_stats["fn_fallback"] += 1
         return False, None
     if machine.host_fastpath == "verify":
-        return True, _call_fn_verified(machine, frame, spec, fn, args, loc)
+        return True, _verified(
+            machine, frame, lambda: _exec_fn(machine, frame, spec),
+            lambda: machine._call_interpreted(fn, args, loc),
+            f"{spec.name}()", "fn_fast")
     try:
         result = _exec_fn(machine, frame, spec)
     except _Bail as exc:

@@ -465,18 +465,22 @@ class Machine:
                 self.exec_stmt(stmt.init, env)
             if self.host_fastpath != "off" and exec_for_fastpath(self, stmt, env):
                 return
-            while stmt.cond is None or self._truthy(self.eval(stmt.cond, env)):
-                try:
-                    self.exec_stmt(stmt.body, env)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if stmt.step is not None:
-                    self.eval(stmt.step, env)
+            self.run_for_loop(stmt, env)
         finally:
             env.pop()
             self._free_scope(scope)
+
+    def run_for_loop(self, stmt: A.For, env: list[dict]) -> None:
+        """Tree-walk an initialised ``for``: condition, body, step."""
+        while stmt.cond is None or self._truthy(self.eval(stmt.cond, env)):
+            try:
+                self.exec_stmt(stmt.body, env)
+            except _Break:
+                break
+            except _Continue:
+                pass
+            if stmt.step is not None:
+                self.eval(stmt.step, env)
 
     @staticmethod
     def _truthy(value) -> bool:

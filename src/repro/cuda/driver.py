@@ -254,7 +254,7 @@ class CudaDriver:
         self._fault("cuDevicePrimaryCtxReset")
         if dev != 0:
             raise CudaError(CUresult.CUDA_ERROR_INVALID_DEVICE)
-        for addr in list(self.gmem._allocated):
+        for addr in self.gmem.allocations():
             self.gmem.free(addr)
         self._modules.clear()
         self._ctx_count = 0

@@ -836,9 +836,12 @@ class KernelLowerer:
             ret_type = fn.return_type
             has_value = not (isinstance(ret_type, BasicType) and ret_type.is_void)
             ret_reg = self.regs.new(ctype_to_ir(ret_type), "ret") if has_value else None
-            body = self._inline_body(fn.body, [frame], ret_reg, ret_type)
+            rewriter = _ReturnRewriter(self, ret_reg, ret_type)
+            body = rewriter.lower(fn.body, [frame])
             # single-iteration loop so early returns (lowered to Break) work
             once = self.regs.new("pred", "once")
+            if rewriter.returned is not None:
+                ops.append(Mov(rewriter.returned, Imm(False, "pred")))
             ops.append(Mov(once, Imm(True, "pred")))
             body.insert(0, Mov(once, Imm(False, "pred")))
             cond_reg = self.regs.new("pred", "oncec")
@@ -850,11 +853,6 @@ class KernelLowerer:
         finally:
             self._inline_stack.pop()
             self._loops = loops
-
-    def _inline_body(self, stmt: A.Stmt, scopes, ret_reg, ret_type) -> list:
-        """Lower an inlined function body with Return -> (set ret; Break)."""
-        marker = _ReturnRewriter(self, ret_reg, ret_type)
-        return marker.lower(stmt, scopes)
 
     # -- conversions / predicates -----------------------------------------------
     def _convert(self, value: Operand, from_t: CType, to_t: CType, ops) -> Operand:
@@ -926,12 +924,21 @@ class KernelLowerer:
 
 class _ReturnRewriter:
     """Lowers an inlined function body, turning ``return`` into
-    (optional value mov; BreakOp) inside the single-iteration loop."""
+    (optional value mov; BreakOp) inside the single-iteration loop.
+
+    A ``BreakOp`` leaves only the innermost loop, so a return inside a
+    loop of the callee also sets the call's ``returned`` predicate, and
+    every callee loop that holds such a return is followed by
+    ``if (returned) break``: the lanes that returned leave each enclosing
+    loop in turn, up to the wrapper loop."""
 
     def __init__(self, lowerer: KernelLowerer, ret_reg, ret_type):
         self.lowerer = lowerer
         self.ret_reg = ret_reg
         self.ret_type = ret_type
+        #: the ``returned`` predicate, made by the first return in a loop
+        self.returned: Optional[Reg] = None
+        self._loop_returns = 0
 
     def lower(self, stmt: A.Stmt, scopes) -> list:
         original = self.lowerer.lower_stmt
@@ -944,9 +951,20 @@ class _ReturnRewriter:
                     value, vtype = rewriter.lowerer.lower_rvalue(s.value, sc, ops)
                     value = rewriter.lowerer._convert(value, vtype, rewriter.ret_type, ops)
                     ops.append(Mov(rewriter.ret_reg, value))
+                if rewriter.lowerer._loops:
+                    if rewriter.returned is None:
+                        rewriter.returned = rewriter.lowerer.regs.new(
+                            "pred", "returned")
+                    rewriter._loop_returns += 1
+                    ops.append(Mov(rewriter.returned, Imm(True, "pred")))
                 ops.append(BreakOp())
                 return ops
-            return original(s, sc)
+            before = rewriter._loop_returns
+            ops = original(s, sc)
+            if (isinstance(s, (A.For, A.While, A.DoWhile))
+                    and rewriter._loop_returns != before):
+                ops.append(IfOp(rewriter.returned, [BreakOp()], []))
+            return ops
 
         self.lowerer.lower_stmt = patched  # type: ignore[method-assign]
         try:

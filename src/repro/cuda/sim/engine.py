@@ -44,7 +44,7 @@ from repro.cuda.sim.compile import (
 )
 from repro.cuda.sim.locality import kernel_locality, loop_may_block
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
-from repro.mem import LinearMemory
+from repro.mem import LinearMemory, differential_run
 from repro.prof.activity import KernelExecActivity
 
 
@@ -283,6 +283,9 @@ class FunctionalEngine:
         self.recorder = recorder
         self.stdout: list[str] = []
         self.stats = KernelStats()
+        #: lock id -> address of its global-memory cell, allocated by
+        #: :mod:`repro.devrt.sync` on the first ``critical`` of a launch
+        self.lock_cells: dict[int, int] = {}
         self._loop_block_cache: dict[int, bool] = {}
 
     # -- memory routing ------------------------------------------------------
@@ -424,38 +427,28 @@ class FunctionalEngine:
 
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
                          only_warps, compiled) -> KernelStats:
-        """Differential execution: run the compiled fast path, roll global
-        memory back, run the tree-walker, and require bit-identical global
-        memory, stdout and ``KernelStats``.
-
-        Global memory is saved and compared block by block, like host
-        verify mode does (:meth:`~repro.mem.LinearMemory.snapshot_blocks`),
-        so the cost follows the allocated bytes, not the arena size.  The
-        comparison covers every block allocated after the fast run."""
+        """Differential execution (:func:`~repro.mem.differential_run`):
+        the compiled fast path, then the tree walk from the same global
+        memory.  Global memory (allocation map and bytes), stdout and
+        every ``KernelStats`` field must agree; the tree walk's run is the
+        one that stays."""
         import dataclasses
 
-        gmem = self.gmem
-        start = gmem.snapshot_blocks()
-        free_snap = list(gmem._free)
-        alloc_snap = dict(gmem._allocated)
         out_mark = len(self.stdout)
-        fast = self._launch(kernel, grid, block, params, only_blocks,
-                            only_warps, compiled)
-        fast_image = gmem.snapshot_blocks()
-        fast_out = self.stdout[out_mark:]
-        gmem.restore_blocks(start)
-        gmem._free = free_snap
-        gmem._allocated = alloc_snap
-        del self.stdout[out_mark:]
-        ref = self._launch(kernel, grid, block, params, only_blocks,
-                           only_warps, None)
-        same = all(
-            np.array_equal(gmem.buf[addr - gmem.base:
-                                    addr - gmem.base + data.size], data)
-            for addr, data in fast_image.items())
-        problems = []
-        if not same:
-            problems.append("global memory")
+        fast_out: list[str] = []
+
+        def run_fast() -> KernelStats:
+            stats = self._launch(kernel, grid, block, params, only_blocks,
+                                 only_warps, compiled)
+            fast_out.extend(self.stdout[out_mark:])
+            del self.stdout[out_mark:]
+            return stats
+
+        fast, ref, diff = differential_run(
+            [self.gmem], run_fast,
+            lambda: self._launch(kernel, grid, block, params, only_blocks,
+                                 only_warps, None))
+        problems = [diff] if diff is not None else []
         if self.stdout[out_mark:] != fast_out:
             problems.append("stdout")
         for fld in dataclasses.fields(KernelStats):
@@ -468,7 +461,18 @@ class FunctionalEngine:
             )
         return ref
 
-    def _launch(
+    def _launch(self, kernel: KernelIR, grid, block, params: list,
+                only_blocks=None, only_warps=None, compiled=None) -> KernelStats:
+        """One execution of a launch.  The lock cells its ``critical``
+        regions took (:attr:`lock_cells`) are freed when it ends."""
+        try:
+            return self._execute(kernel, grid, block, params, only_blocks,
+                                 only_warps, compiled)
+        finally:
+            while self.lock_cells:
+                self.gmem.free(self.lock_cells.popitem()[1])
+
+    def _execute(
         self,
         kernel: KernelIR,
         grid,

@@ -35,14 +35,14 @@ if TYPE_CHECKING:  # repro.ompi imports the runtime; keep this leaf-light
 class XformSet:
     """Per-arch parameters of the CUDA transformation set.
 
-    These are exactly the :class:`~repro.ompi.config.OmpiConfig` fields
-    that enter the compile-cache fingerprint (plus the binary mode): two
-    backends with different sets can never share a compiled image, and
-    the cache keys keep them apart by construction.
+    These are the :class:`~repro.ompi.config.OmpiConfig` fields of the
+    compile-cache fingerprint that depend on the backend (the binary and
+    reduction modes do not): two backends with different sets can never
+    share a compiled image, and the cache keys keep them apart by
+    construction.
     """
 
     arch: str = "sm_53"
-    mw_block_threads: int = 128
     default_num_threads: int = 128
     block_shape: Optional[tuple[int, int, int]] = None
 
@@ -67,7 +67,6 @@ class DeviceBackend:
         this backend.  Runtime knobs pass through untouched."""
         return replace(config,
                        arch=self.xform.arch,
-                       mw_block_threads=self.xform.mw_block_threads,
                        default_num_threads=self.xform.default_num_threads,
                        block_shape=(config.block_shape
                                     if config.block_shape is not None

@@ -41,8 +41,7 @@ BACKENDS: dict[str, DeviceBackend] = {
         "v100", TESLA_V100_GPU,
         # a Volta SM runs 64 resident warps; 256-thread blocks keep more
         # of them resident per block without starving the 80-SM spread
-        xform=XformSet(arch="sm_70", mw_block_threads=128,
-                       default_num_threads=256),
+        xform=XformSet(arch="sm_70", default_num_threads=256),
         description="Tesla V100 (Volta sm_70, 80 SMs, HBM2)"),
 }
 

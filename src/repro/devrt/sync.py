@@ -35,9 +35,10 @@ from repro.devrt.state import pure, uniform
 
 
 def _lock_cell(warp: WarpExec, lock_id: int) -> int:
-    """Address of the lock's global control variable (lazily allocated)."""
+    """Address of the lock's global control variable (allocated on the
+    launch's first use; the engine frees it when the launch ends)."""
     engine = warp.engine
-    cells = engine.__dict__.setdefault("_devrt_lock_cells", {})
+    cells = engine.lock_cells
     addr = cells.get(lock_id)
     if addr is None:
         addr = engine.gmem.alloc(4, align=4)

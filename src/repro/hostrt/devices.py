@@ -6,15 +6,15 @@ of two parts: the host part and the device part.  The former enables the
 host cpu to access any of the available module's devices through a fixed
 interface and is loaded on demand as a plugin."
 
-:class:`DeviceModule` is that fixed interface.  Two implementations ship:
-the cudadev module (:mod:`repro.hostrt.cudadev_host`) and the initial
-(host) device used for fallback execution.
+:class:`DeviceModule` is that fixed interface, implemented by the cudadev
+module (:mod:`repro.hostrt.cudadev_host`).  The initial (host) device
+needs no module: a region that runs there calls its ``*_hostfn`` directly
+on host memory (``Ort._run_on_host``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
 
 
 class DeviceModule(ABC):
@@ -56,50 +56,3 @@ class DeviceModule(ABC):
 
     def shutdown(self) -> None:  # pragma: no cover - optional
         pass
-
-
-class HostDevice(DeviceModule):
-    """The initial device.  ``target`` regions offloaded here execute the
-    translator's host-fallback function directly on host memory: there is
-    no separate address space, so mapping is the identity and transfers
-    are no-ops (paper §2: "actual transfers may not be needed if the host
-    and the device physically share memory")."""
-
-    name = "host"
-
-    def __init__(self, machine=None):
-        self.machine = machine
-        self._fallbacks: dict[str, str] = {}
-
-    def initialize(self) -> None:
-        pass
-
-    @property
-    def initialized(self) -> bool:
-        return True
-
-    def mem_alloc(self, size: int) -> int:
-        # identity mapping: the "device address" is the host address; the
-        # data env never sees this because Ort short-circuits host maps.
-        raise NotImplementedError("host device uses the identity mapping")
-
-    def mem_free(self, addr: int) -> None:
-        raise NotImplementedError("host device uses the identity mapping")
-
-    def write(self, dev_addr: int, host_addr: int, size: int) -> None:
-        pass
-
-    def read(self, host_addr: int, dev_addr: int, size: int) -> None:
-        pass
-
-    def register_kernel_image(self, kernel_name: str, image) -> None:
-        pass
-
-    def register_fallback(self, kernel_name: str, host_fn: str) -> None:
-        self._fallbacks[kernel_name] = host_fn
-
-    def offload(self, kernel_name: str, args: list, teams, threads) -> None:
-        fn = self._fallbacks.get(kernel_name, kernel_name + "_hostfn")
-        if self.machine is None:
-            raise RuntimeError("host device has no interpreter attached")
-        self.machine.call(fn, *args)

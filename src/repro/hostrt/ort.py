@@ -34,7 +34,6 @@ from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine, Ptr
 from repro.cuda.errors import CudaError
 from repro.faults.recovery import DeviceLost, OffloadFailure
-from repro.hostrt.devices import HostDevice
 from repro.hostrt.icv import ICVs
 from repro.hostrt.mapping import (
     MAP_DELETE, MAP_FROM, MAP_RELEASE, MAP_TO, MAP_TOFROM, DataEnv,
@@ -111,7 +110,6 @@ class Ort:
         self.icvs = ICVs(default_device_var=int(default_device))
         self.cudadev = self.devices[0]
         self.recovery = self.cudadev.recovery
-        self.host_device = HostDevice(machine)
         self.dataenvs = (dict(dataenvs) if dataenvs is not None
                          else {k: DataEnv(mod)
                                for k, mod in enumerate(self.devices)})
@@ -459,17 +457,16 @@ class Ort:
         if launches:
             self._launch(machine, region, name, launches, teams, threads, loc)
         else:
-            self._run_on_host(region, name, region.devices or [], teams,
-                              threads)
+            self._run_on_host(region, name, region.devices or [])
         return 0
 
-    def _run_on_host(self, region: _Region, name: str, devices: list[int],
-                     teams, threads) -> None:
+    def _run_on_host(self, region: _Region, name: str,
+                     devices: list[int]) -> None:
         """Run the region's ``*_hostfn`` on the initial device (it
         computes any reductions in full), then resync each of ``devices``
         still alive host -> device so later regions and the eventual
         copy-back observe the host-computed values."""
-        self.host_device.offload(name, region.hostargs, teams, threads)
+        self.machine.call(name + "_hostfn", *region.hostargs)
         for k in devices:
             if not self.devices[k].lost:
                 self._resync_device(k, region.hostargs)
@@ -547,8 +544,7 @@ class Ort:
             "fallback", api=name,
             fault=getattr(getattr(cause, "result", None), "name", ""),
             detail=f"target region {name!r} -> host ({cause})")
-        self._run_on_host(region, name, [k for k, _range in launches],
-                          teams, threads)
+        self._run_on_host(region, name, [k for k, _range in launches])
 
     def _resync_device(self, dev: int, hostargs: list) -> None:
         """After a host-fallback on a *healthy* device, push the host

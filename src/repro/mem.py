@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,13 +52,26 @@ class _Block:
     size: int
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """Copies of a memory's allocated blocks and of its free list and
+    allocation map (``_starts`` is the map's sorted keys)."""
+
+    blocks: dict[int, np.ndarray]
+    free: tuple[_Block, ...]
+    allocated: dict[int, int]
+
+
 class LinearMemory:
     """A contiguous byte-addressable memory of fixed capacity.
 
     Addresses start at ``base`` (never 0, so that 0 keeps its C meaning of
     NULL).  The allocator is a simple first-fit free list with coalescing —
     adequate for the allocation patterns of benchmark programs, and it
-    makes double-free/overlap bugs detectable in tests.
+    makes double-free/overlap bugs detectable in tests.  Only this module
+    touches the allocator state (``_free``, ``_allocated``, ``_starts``):
+    :meth:`checkpoint` and :meth:`rollback` save and restore it together
+    with the block contents, which is what :func:`differential_run` needs.
     """
 
     def __init__(self, capacity: int, base: int = 0x1000, name: str = "mem"):
@@ -130,6 +144,52 @@ class LinearMemory:
     @property
     def bytes_in_use(self) -> int:
         return sum(self._allocated.values())
+
+    def allocations(self) -> list[int]:
+        """Start addresses of the allocated blocks, in address order."""
+        return list(self._starts)
+
+    # -- checkpoints ----------------------------------------------------------
+    def checkpoint(self) -> Checkpoint:
+        """Copies of every allocated block and of the allocator state; the
+        cost follows the allocated bytes, not the capacity."""
+        blocks = {}
+        for addr, size in self._allocated.items():
+            off = addr - self.base
+            blocks[addr] = self.buf[off : off + size].copy()
+        return Checkpoint(blocks, tuple(self._free), dict(self._allocated))
+
+    def rollback(self, cp: Checkpoint) -> None:
+        """Restore the block contents and the allocator state of ``cp``
+        (taken from this memory).  Bytes outside the blocks allocated at
+        ``cp`` keep what they hold now."""
+        for addr, data in cp.blocks.items():
+            off = addr - self.base
+            self.buf[off : off + data.size] = data
+        self._free = list(cp.free)
+        self._allocated = dict(cp.allocated)
+        self._starts = sorted(cp.allocated)
+
+    def first_difference(self, cp: Checkpoint) -> Optional[str]:
+        """The first way this memory differs from ``cp``: a block the two
+        allocation maps disagree on, else the first differing byte of a
+        block; None when they are the same.  Worded for
+        :func:`differential_run`, where ``cp`` is the fast path's result
+        and this memory holds the reference's."""
+        if self._allocated != cp.allocated:
+            addr = min(a for a in self._allocated.keys() | cp.allocated.keys()
+                       if self._allocated.get(a) != cp.allocated.get(a))
+            return (f"{self.name}: allocation maps differ at {addr:#x} "
+                    f"(fastpath {cp.allocated.get(addr, 'unallocated')} != "
+                    f"interp {self._allocated.get(addr, 'unallocated')})")
+        for addr, data in cp.blocks.items():
+            off = addr - self.base
+            now = self.buf[off : off + data.size]
+            if not np.array_equal(data, now):
+                bad = int(np.flatnonzero(data != now)[0])
+                return (f"{self.name}: block {addr:#x} differs at byte {bad} "
+                        f"(fastpath {data[bad]} != interp {now[bad]})")
+        return None
 
     # -- access ---------------------------------------------------------------
     def _check(self, addr: int, size: int) -> int:
@@ -248,25 +308,6 @@ class LinearMemory:
         idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
         self.buf[idx.reshape(-1)] = raw.reshape(-1)
 
-    def snapshot_blocks(self) -> dict[int, np.ndarray]:
-        """Copies of all allocated blocks, keyed by address (verify mode)."""
-        out: dict[int, np.ndarray] = {}
-        for addr, size in self._allocated.items():
-            off = addr - self.base
-            out[addr] = self.buf[off : off + size].copy()
-        return out
-
-    def restore_blocks(self, blocks: dict[int, np.ndarray]) -> None:
-        """Restore block contents taken by :meth:`snapshot_blocks`.
-
-        Only block *contents* are restored; the allocation map is left as
-        is (verify mode snapshots/restores around a region that must not
-        leak allocations either way).
-        """
-        for addr, data in blocks.items():
-            off = addr - self.base
-            self.buf[off : off + data.size] = data
-
     def copy_out(self, addr: int, size: int) -> bytes:
         off = self._check(addr, size)
         return self.buf[off : off + size].tobytes()
@@ -280,3 +321,23 @@ class LinearMemory:
         so = self._check(src, size)
         do = self._check(dst, size)
         self.buf[do : do + size] = self.buf[so : so + size]
+
+
+def differential_run(spaces: Sequence[LinearMemory], fast: Callable,
+                     reference: Callable) -> tuple[object, object, Optional[str]]:
+    """Run ``fast``, roll every space back to where it started, run
+    ``reference`` from there, and compare the spaces the two runs left.
+
+    Returns both results and the first difference (allocation map or
+    block byte, see :meth:`LinearMemory.first_difference`), or None.  The
+    spaces are left as the reference run left them: its result wins.
+    What a caller compares besides memory (stdout, stats, a return value)
+    it compares itself."""
+    start = [mem.checkpoint() for mem in spaces]
+    fast_result = fast()
+    fast_end = [mem.checkpoint() for mem in spaces]
+    for mem, cp in zip(spaces, start):
+        mem.rollback(cp)
+    ref_result = reference()
+    diffs = (mem.first_difference(cp) for mem, cp in zip(spaces, fast_end))
+    return fast_result, ref_result, next((d for d in diffs if d), None)

@@ -43,7 +43,6 @@ def config_fingerprint(config: OmpiConfig) -> str:
     return "|".join((
         config.binary_mode,
         config.arch,
-        str(config.mw_block_threads),
         str(config.default_num_threads),
         str(config.block_shape),
         config.reduction_mode,
@@ -142,7 +141,6 @@ class CompileCache:
         # (recorders, fault injectors) never reach the pickle
         canon = OmpiConfig(binary_mode=prog.config.binary_mode,
                            arch=prog.config.arch,
-                           mw_block_threads=prog.config.mw_block_threads,
                            default_num_threads=prog.config.default_num_threads,
                            block_shape=prog.config.block_shape,
                            reduction_mode=prog.config.reduction_mode)

@@ -131,8 +131,7 @@ class CompiledProgram:
     def bind(self, ort: Ort, seed_arrays: Optional[dict] = None) -> None:
         """Attach this program to a runtime: register the kernel images
         with every device module (retargeted to each device's arch on a
-        heterogeneous registry), install the ``*_hostfn`` fallback twins
-        on the initial device, seed global arrays and give declare-target
+        heterogeneous registry), seed global arrays and give declare-target
         globals their device residence.  Shared by :meth:`run` and by the
         serving runtime, which drives a leased :class:`Ort` itself."""
         machine = ort.machine
@@ -146,9 +145,6 @@ class CompiledProgram:
                         else None)
                 module.register_kernel_image(
                     kernel_name, self.image_for_arch(kernel_name, arch))
-        for plan in self.plans:
-            ort.host_device.register_fallback(plan.kernel_name,
-                                              plan.kernel_name + "_hostfn")
         if seed_arrays:
             for name, values in seed_arrays.items():
                 if name in machine.globals:

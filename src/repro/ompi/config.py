@@ -17,9 +17,6 @@ class OmpiConfig:
     binary_mode: str = "cubin"
     #: target architecture for cubins
     arch: str = "sm_53"
-    #: threads per block for master/worker kernels (paper §4.2.2: fixed 128,
-    #: matching the 128 cores of the Nano's single SM)
-    mw_block_threads: int = 128
     #: default threads per block for combined constructs without num_threads
     default_num_threads: int = 128
     #: how a flat num_threads value maps to 2D block dimensions: OMPi "maps

@@ -16,6 +16,7 @@ from repro.cfront.ctypes_ import (
     ArrayType, BasicType, CType, INT, LONG, PointerType, VOID,
 )
 from repro.cfront.errors import CFrontError
+from repro.devrt.state import MW_BLOCK_THREADS
 from repro.openmp.clauses import (
     DataSharingClause, DependClause, DeviceClause, ExprClause, IfClause,
     MapClause, MotionClause, NowaitClause, ScheduleClause,
@@ -196,7 +197,7 @@ class HostRewriter:
             stmts.append(decl_long("__gx", cast(LONG, teams)))
             stmts.append(decl_long("__gy", intlit(1)))
             stmts.append(decl_long("__gz", intlit(1)))
-            stmts.append(decl_long("__bx", intlit(self.config.mw_block_threads)))
+            stmts.append(decl_long("__bx", intlit(MW_BLOCK_THREADS)))
             stmts.append(decl_long("__by", intlit(1)))
             stmts.append(decl_long("__bz", intlit(1)))
             return stmts

@@ -221,8 +221,9 @@ def test_warp_count_matches_a_per_warp_any(data, nwarps):
 @pytest.mark.parametrize("fault", ["corrupt", "drop"])
 def test_verify_catches_a_block_executor_memory_divergence(monkeypatch,
                                                            fault):
-    # a wrong value where both runs write, and a position only the
-    # reference writes: both must show up as a global-memory divergence
+    # a wrong value where both runs write (y[0] = 1.0f, not 0), and a
+    # position only the reference writes (y[1]): both must show up as a
+    # global-memory divergence at the first differing byte
     real = sim_compile._fstore
 
     def broken(engine, blk, addrs, dtype, values, mask, n=1):
@@ -233,7 +234,10 @@ def test_verify_catches_a_block_executor_memory_divergence(monkeypatch,
     monkeypatch.setitem(sim_compile._GLOBALS, "_fstore", broken)
     x = np.arange(256, dtype=np.float32)
     y = np.zeros(256, dtype=np.float32)
-    with pytest.raises(LaunchError, match="global memory"):
+    byte = {"corrupt": 2, "drop": 6}[fault]
+    with pytest.raises(LaunchError,
+                       match=f"gmem: block {GMEM_BASE:#x} differs at byte "
+                             f"{byte} "):
         run_verified(SAXPY, (1, 1, 1), (256, 1, 1), [y, x],
                      [np.float32(1.0), np.int32(256)])
 
@@ -775,7 +779,9 @@ def test_cross_block_race_is_caught_by_verify():
     }
     """
     a = np.zeros(128, dtype=np.int32)
-    with pytest.raises(KernelVerifyError, match="global memory"):
+    with pytest.raises(KernelVerifyError,
+                       match=rf"gmem: block {GMEM_BASE:#x} differs at byte 0 "
+                             r"\(fastpath 0 != interp 7\)"):
         run_verified(src, (2, 1, 1), (64, 1, 1), [a])
     _stats, widths, _e, (got,) = run_verified(src, (2, 1, 1), (64, 1, 1),
                                               [a], mode="on")

@@ -23,7 +23,8 @@ def compile_k(src, name=None):
     return module
 
 
-def run_k(src, kernel, grid, block, arrays, scalars=(), n_out=None):
+def run_k(src, kernel, grid, block, arrays, scalars=(), n_out=None,
+          fastpath="off"):
     """Compile, allocate arrays in gmem, run, return views of the arrays."""
     module = compile_k(src)
     gmem = LinearMemory(32 << 20, base=GMEM_BASE, name="gmem")
@@ -36,7 +37,7 @@ def run_k(src, kernel, grid, block, arrays, scalars=(), n_out=None):
         views.append((addr, arr))
     from repro.devrt import build_intrinsics
     engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(),
-                              {})
+                              {}, fastpath=fastpath)
     params = [np.uint64(a) for a in addrs] + [s for s in scalars]
     stats = engine.launch(module.kernels[kernel], Dim3.of(grid), Dim3.of(block), params)
     outs = [gmem.view(addr, arr.size, arr.dtype).reshape(arr.shape)
@@ -120,6 +121,78 @@ def test_early_return_in_inlined_function():
         scalars=(np.int32(32),))
     expect = np.clip(np.linspace(-1, 2, 32, dtype=np.float32), 0, 1)
     assert np.allclose(outs[0], expect)
+
+
+def _collatz(v):
+    n = 0
+    while v != 1:
+        if v > 40:
+            return -n
+        v = 3 * v + 1 if v % 2 else v // 2
+        n += 1
+    return n
+
+
+_RETURN_IN_LOOP = {
+    "one-loop": ("""
+    __device__ int first_at_least(int v) {
+        int j;
+        for (j = 0; j < 10; j++) { if (j >= v) return j; }
+        return 100;
+    }
+    __global__ void k(int *p) { p[threadIdx.x] = first_at_least(threadIdx.x % 4); }
+    """, [t % 4 for t in range(32)]),
+    "two-loops": ("""
+    __device__ int find(int v) {
+        int i, j;
+        for (i = 0; i < 4; i++)
+            for (j = 0; j < 4; j++)
+                if (i * 4 + j == v) return i * 10 + j;
+        return -1;
+    }
+    __global__ void k(int *p) { p[threadIdx.x] = find(threadIdx.x % 20); }
+    """, [(t % 20) // 4 * 10 + t % 4 if t % 20 < 16 else -1
+          for t in range(32)]),
+    # lanes return at different trips, leave the loop by break, or stay
+    # in it; each call starts with no lane returned
+    "divergent": ("""
+    __device__ int steps(int v) {
+        int n = 0;
+        while (1) {
+            if (v == 1) return n;
+            if (v > 40) break;
+            v = (v % 2) ? 3 * v + 1 : v / 2;
+            n++;
+        }
+        return -n;
+    }
+    __global__ void k(int *p) {
+        int r, acc = 0;
+        for (r = 0; r < 2; r++) acc = acc * 100 + steps(threadIdx.x + 1 + r);
+        p[threadIdx.x] = acc;
+    }
+    """, [_collatz(t + 1) * 100 + _collatz(t + 2) for t in range(32)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "verify"])
+@pytest.mark.parametrize("case", sorted(_RETURN_IN_LOOP))
+def test_return_in_a_callee_loop_leaves_the_call(case, mode):
+    # both engines run the same IR, so verify alone cannot catch a wrong
+    # lowering: each case is checked by value
+    src, want = _RETURN_IN_LOOP[case]
+    outs, _, _ = run_k(src, "k", 1, 32, [np.zeros(32, dtype=np.int32)],
+                       fastpath=mode)
+    assert outs[0].tolist() == want
+
+
+def test_return_outside_callee_loops_adds_no_predicate():
+    kernel = compile_k("""
+    __device__ int f(int v) { int j; for (j = 0; j < v; j++) v--; return v; }
+    __global__ void k(int *p) { p[0] = f(p[1]); }
+    """, "k")
+    assert not [op for op in walk_ops(kernel.body)
+                if isinstance(op, Mov) and op.dst.name.startswith("returned")]
 
 
 def test_sreg_access():

@@ -1,6 +1,6 @@
 """Tests for the fault-injection subsystem and fault-tolerant offload:
 deterministic seeded injection, bounded retry, OOM eviction, context
-poisoning, device-loss host fallback, and host-fallback registration."""
+poisoning, device-loss host fallback, and the host fallback's call."""
 
 import json
 
@@ -14,7 +14,6 @@ from repro.faults import (
     FaultLog, FaultPlan, FaultSpecError, RecoveryPolicy, resolve_faults,
     resolve_recovery,
 )
-from repro.hostrt.devices import HostDevice
 from repro.ompi.compiler import OmpiCompiler
 from repro.ompi.config import OmpiConfig
 
@@ -373,47 +372,43 @@ def test_declare_target_module_pinned_against_eviction():
 
 
 # ---------------------------------------------------------------------------
-# Host-fallback registration and lookup (HostDevice)
+# Host fallback runs the region's *_hostfn
 # ---------------------------------------------------------------------------
 
-class _FakeMachine:
-    def __init__(self):
-        self.calls = []
+def test_host_device_default_hostfn_suffix(offload_prog, monkeypatch):
+    """A region sent to the host calls ``<kernel>_hostfn`` with the
+    region's host arguments."""
+    from repro.cfront.interp import Machine
+    from repro.hostrt.ort import Ort
 
-    def call(self, fn, *args):
-        self.calls.append((fn, args))
+    regions, calls = [], []
+    real_run_on_host, real_call = Ort._run_on_host, Machine.call
 
+    def run_on_host(self, region, name, devices):
+        regions.append((name + "_hostfn", list(region.hostargs)))
+        return real_run_on_host(self, region, name, devices)
 
-def test_host_device_default_hostfn_suffix():
-    m = _FakeMachine()
-    host = HostDevice(m)
-    host.offload("kern_a", [1, 2], (1, 1, 1), (1, 1, 1))
-    assert m.calls == [("kern_a_hostfn", (1, 2))]
+    def call(self, name, *args):
+        calls.append((name, list(args)))
+        return real_call(self, name, *args)
 
-
-def test_host_device_explicit_fallback_registration():
-    m = _FakeMachine()
-    host = HostDevice(m)
-    host.register_fallback("kern_b", "custom_host_impl")
-    host.offload("kern_b", [], (1, 1, 1), (1, 1, 1))
-    host.offload("kern_c", [7], (1, 1, 1), (1, 1, 1))  # unregistered: suffix
-    assert m.calls == [("custom_host_impl", ()), ("kern_c_hostfn", (7,))]
-
-
-def test_host_device_requires_machine():
-    host = HostDevice(None)
-    with pytest.raises(RuntimeError, match="no interpreter"):
-        host.offload("kern", [], (1, 1, 1), (1, 1, 1))
+    monkeypatch.setattr(Ort, "_run_on_host", run_on_host)
+    monkeypatch.setattr(Machine, "call", call)
+    offload_prog.run(faults="launch_failed@cuLaunchKernel:p=1.0,times=1000")
+    assert len(regions) == 1
+    assert [c for c in calls if c[0].endswith("_hostfn")] == regions
 
 
 def test_compiled_program_registers_hostfn_fallbacks(offload_prog):
+    """Every plan's ``<kernel>_hostfn`` fallback is a function of the
+    translated host program, where a host fallback looks it up."""
+    from repro.cfront.interp import FuncValue
+
     run = offload_prog.run(main=False)
-    fallbacks = run.ort.host_device._fallbacks
-    assert fallbacks
-    assert all(v == k + "_hostfn" for k, v in fallbacks.items())
-    # every registered fallback exists in the translated host program
-    for fn in fallbacks.values():
-        assert fn in run.machine.globals
+    assert offload_prog.plans
+    for plan in offload_prog.plans:
+        fn = run.machine.globals[plan.kernel_name + "_hostfn"]
+        assert isinstance(fn, FuncValue) and fn.defn is not None
 
 
 # ---------------------------------------------------------------------------

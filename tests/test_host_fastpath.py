@@ -10,6 +10,8 @@ divergence detector, the per-region fallback discipline and the
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,59 @@ def test_verify_raises_on_injected_divergence(monkeypatch):
     machine = Machine(unit, host_fastpath="verify")
     with pytest.raises(HostFastpathVerifyError):
         machine.run()
+
+
+VERIFY_SITES_SRC = r"""
+float a[16];
+float fill(int n) {
+    int i;
+    for (i = 0; i < n; i++) a[i] = i * 0.5f;
+    return a[3];
+}
+int main(void) {
+    int i;
+    float s = fill(16);
+    for (i = 0; i < 16; i++) a[i] = a[i] + s;
+    return 0;
+}
+"""
+
+
+def _flip_first_byte(machine):
+    first = machine.heap.allocations()[0]
+    machine.heap.buf[first - machine.heap.base] ^= 1
+    return rf"host: block {first:#x} differs at byte 0 \(fastpath"
+
+
+def _alloc_extra_block(machine):
+    extra = machine.heap.alloc(16)
+    return (rf"host: allocation maps differ at {extra:#x} "
+            rf"\(fastpath 16 != interp unallocated\)")
+
+
+@pytest.mark.parametrize("tamper", [_flip_first_byte, _alloc_extra_block],
+                         ids=["byte", "extra-block"])
+@pytest.mark.parametrize("site", ["_exec_loop", "_exec_fn"],
+                         ids=["loop", "function"])
+def test_verify_names_the_first_difference(monkeypatch, site, tamper):
+    """One changed byte or one extra block left by the compiled run of a
+    loop (``fill``'s caller) or of a whole function (``fill``) fails
+    verify mode, naming the block and byte or the allocation map."""
+    real = getattr(hostcompile, site)
+    wants = []
+
+    def tampered(machine, *args, **kwargs):
+        result = real(machine, *args, **kwargs)
+        wants.append(tamper(machine))
+        return result
+
+    monkeypatch.setattr(hostcompile, site, tampered)
+    machine = Machine(parse_translation_unit(VERIFY_SITES_SRC, "v.c"),
+                      host_fastpath="verify")
+    with pytest.raises(HostFastpathVerifyError) as info:
+        machine.run()
+    assert len(wants) == 1
+    assert re.search(wants[0], str(info.value))
 
 
 def test_on_mode_trusts_the_compiled_result(monkeypatch):

@@ -221,3 +221,70 @@ def test_property_block_of_matches_allocation_map(ops, probes):
         addr = mem.base + off
         want = [a for a in live if a <= addr < a + mem.allocated_size(a)]
         assert mem.block_of(addr) == (want[0] if want else None)
+
+
+def _allocator_state(mem):
+    return ([(b.addr, b.size) for b in mem._free], dict(mem._allocated),
+            list(mem._starts))
+
+
+def _contents(mem):
+    return {a: mem.copy_out(a, mem.allocated_size(a))
+            for a in mem.allocations()}
+
+
+_MEM_OPS = st.one_of(
+    st.tuples(st.just("alloc"), st.integers(1, 300),
+              st.sampled_from([1, 4, 16, 256])),
+    st.tuples(st.just("free"), st.integers(0, 50)),
+    st.tuples(st.just("write"), st.integers(0, 50), st.integers(0, 255)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("rollback"), st.integers(0, 10)),
+)
+
+
+@settings(max_examples=80)
+@given(st.lists(_MEM_OPS, min_size=1, max_size=40))
+def test_property_rollback_restores_contents_and_allocator(ops):
+    """``rollback`` brings back the bytes of every block allocated at the
+    checkpoint and the free list, allocation map and sorted starts
+    exactly, however the memory was allocated, freed and written since
+    (a checkpoint can be rolled back to more than once)."""
+    mem = LinearMemory(1 << 12, base=0x100)
+    saved = []      # (checkpoint, allocator state, contents)
+    for op in ops:
+        live = mem.allocations()
+        if op[0] == "alloc":
+            try:
+                mem.alloc(op[1], align=op[2])
+            except MemoryError_:
+                pass
+        elif op[0] == "free" and live:
+            mem.free(live[op[1] % len(live)])
+        elif op[0] == "write" and live:
+            addr = live[op[1] % len(live)]
+            mem.view(addr, mem.allocated_size(addr), np.uint8)[:] = op[2]
+        elif op[0] == "checkpoint":
+            saved.append((mem.checkpoint(), _allocator_state(mem),
+                          _contents(mem)))
+        elif op[0] == "rollback" and saved:
+            cp, state, contents = saved[op[1] % len(saved)]
+            mem.rollback(cp)
+            assert _allocator_state(mem) == state
+            assert _contents(mem) == contents
+            assert mem._starts == sorted(mem._allocated)
+            assert mem.first_difference(cp) is None
+
+
+def test_first_difference_names_the_map_or_the_byte():
+    mem = LinearMemory(1 << 12, base=0x1000, name="gmem")
+    a = mem.alloc(64)
+    cp = mem.checkpoint()
+    mem.store(a + 5, np.uint8, 7)
+    assert mem.first_difference(cp) == (
+        "gmem: block 0x1000 differs at byte 5 (fastpath 0 != interp 7)")
+    mem.rollback(cp)
+    extra = mem.alloc(16)
+    assert mem.first_difference(cp) == (
+        f"gmem: allocation maps differ at {extra:#x} "
+        "(fastpath unallocated != interp 16)")

@@ -7,6 +7,7 @@ bit-identical device memory plus identical KernelStats on every field.
 
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_ompi_verify_divergence_fails_the_run(monkeypatch):
         stats = real(self, kernel, grid, block, params, only_blocks,
                      only_warps, compiled)
         if compiled is not None:
-            for addr in self.gmem._allocated:
+            for addr in self.gmem.allocations():
                 self.gmem.buf[addr - self.gmem.base] ^= 1
         return stats
 
@@ -358,6 +359,80 @@ def test_ompi_verify_divergence_fails_the_run(monkeypatch):
         OMPI_FOR.replace("SCHEDULE", ""), "vfy_broken")
     with pytest.raises(KernelVerifyError, match="diverged"):
         prog.run()
+
+
+def _flip_byte_5(gmem, addr):
+    gmem.buf[addr - gmem.base + 5] ^= 1
+    return rf"gmem: block {addr:#x} differs at byte 5 \(fastpath"
+
+
+def _alloc_extra_block(gmem, addr):
+    extra = gmem.alloc(16)
+    return (rf"gmem: allocation maps differ at {extra:#x} "
+            rf"\(fastpath 16 != interp unallocated\)")
+
+
+@pytest.mark.parametrize("tamper", [_flip_byte_5, _alloc_extra_block],
+                         ids=["byte", "extra-block"])
+def test_verify_names_the_first_difference(monkeypatch, tamper):
+    """One changed byte or one extra block left by the compiled run fails
+    the launch, naming the block and byte or the allocation map."""
+    real = FunctionalEngine._launch
+    wants = []
+
+    def tampered(self, kernel, grid, block, params, only_blocks=None,
+                 only_warps=None, compiled=None):
+        stats = real(self, kernel, grid, block, params, only_blocks,
+                     only_warps, compiled)
+        if compiled is not None:
+            wants.append(tamper(self.gmem, int(params[0])))
+        return stats
+
+    monkeypatch.setattr(FunctionalEngine, "_launch", tampered)
+    with pytest.raises(KernelVerifyError) as info:
+        _launch_scale("verify")
+    assert len(wants) == 1
+    assert re.search(wants[0], str(info.value))
+
+
+CRITICAL = r'''
+int total[1];
+int main(void)
+{
+    int r;
+    total[0] = 0;
+    for (r = 0; r < ROUNDS; r++) {
+        #pragma omp target map(tofrom: total)
+        {
+            #pragma omp parallel num_threads(96)
+            {
+                #pragma omp critical
+                {
+                    total[0] = total[0] + 1;
+                }
+            }
+        }
+    }
+    return 0;
+}
+'''
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "verify"])
+def test_critical_lock_cells_are_freed_with_their_launch(mode):
+    """Each launch frees the lock cell its ``critical`` took: one launch
+    and five leave the same allocations, and verify's rollback keeps the
+    allocator's sorted starts equal to its map."""
+    left = {}
+    for rounds in (1, 5):
+        prog = OmpiCompiler(OmpiConfig(kernel_fastpath=mode)).compile(
+            CRITICAL.replace("ROUNDS", str(rounds)), f"crit{rounds}")
+        run = prog.run()
+        assert run.machine.global_array("total")[0] == 96 * rounds
+        gmem = run.ort.cudadev.driver.gmem
+        assert gmem._starts == sorted(gmem._allocated)
+        left[rounds] = gmem.allocations()
+    assert left[5] == left[1]
 
 
 def test_ompi_refusal_fails_the_run(monkeypatch):
