@@ -150,6 +150,40 @@ int main(void)
 }
 '''
 
+_TRIANGLE = r'''
+float L[{NN}], U[{NN}], r[{N}];
+
+int main(void)
+{
+    int i, j;
+    int n = {N};
+    double s;
+
+    /* lower-triangle fill: the inner bound moves with the row */
+    for (i = 0; i < n; i++)
+    {
+        for (j = 0; j <= i; j++)
+        {
+            L[i * n + j] = ((i * 7 + j * 3) % 97) * 0.01f + 0.5f;
+            U[i * n + j] = L[i * n + j] * 0.5f - 0.125f;
+        }
+    }
+
+    /* column fold below the diagonal: the inner start moves with the row */
+    for (i = 0; i < n; i++)
+    {
+        for (j = i; j < n; j++)
+            r[i] += L[j * n + i] * U[j * n + j];
+    }
+
+    s = 0.0;
+    for (i = 0; i < n; i++)
+        s += r[i];
+    printf("triangle-host checksum %.6f\n", s);
+    return 0;
+}
+'''
+
 
 @dataclass(frozen=True)
 class HostWorkload:
@@ -176,5 +210,10 @@ HOST_WORKLOADS: dict[str, HostWorkload] = {
     )
 }
 
+#: a triangular workload whose two nests run per row (their inner ranges
+#: move with the outer index); kept out of HOST_WORKLOADS, which the e2e
+#: benchmark's host-init workload runs
+ROWS_WORKLOAD = HostWorkload("triangle", _TRIANGLE, 256, ("L", "U", "r"))
+
 #: smaller sizes for the CI smoke check
-CHECK_SIZES = {"gemm": 128, "mvt": 96, "atax": 96}
+CHECK_SIZES = {"gemm": 128, "mvt": 96, "atax": 96, "triangle": 128}

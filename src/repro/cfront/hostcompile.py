@@ -5,52 +5,66 @@ loops, loop nests and whole functions of the recognised C subset are
 lowered to vectorized numpy execution plans instead of being tree-walked
 cell by cell.  A plan covers
 
-* multi-statement loop bodies (several array assignments + reductions),
+* multi-statement loop bodies (array stores, folds, declared temps),
 * scalar accumulators (``s += a[i]*b[i]``) and scalar temps/decls,
 * whole ``*_hostfn`` twins / init / verify functions, compiled per-function
   with fallback to the tree-walk interpreter when a construct is
   unsupported,
 * rectangular two-level loop nests, run over their whole index grid.
 
-**Whole nests.**  A nest whose inner loops vectorize and whose inner
-bounds and starts do not depend on the outer loop runs as a sequence of
-*passes*, one per statement, each over its own index grid: an
-outer-level statement over ``[i]``, an inner statement over ``[i, j]``
-(axis values broadcast as ``(rows, 1)`` and ``(1, cols)``).  Running
-statement after statement over all rows is loop distribution; it is
-legal because of the nest rule below.  Two more transformations make the
-paper's PolyBench patterns fit:
+**One loop executor.**  Every compiled ``for`` is a nest of depth one or
+two: a single loop is a nest without inner loops, whose statements run
+over ``[i]``.  One rule (:func:`_analyze_nest`) decides what a nest may
+do and one driver (:func:`_plan_nest`, then the passes of
+:func:`_run_nest`) runs it.  A nest whose inner bounds and starts do not
+depend on the outer loop runs as a sequence of *passes*, one per
+statement, each over its own index grid: an outer-level statement over
+``[i]``, an inner statement over ``[i, j]`` (axis values broadcast as
+``(rows, 1)`` and ``(1, cols)``).  Running statement after statement
+over all rows is loop distribution; it is legal because of the nest rule
+below.  (A depth-one nest has one grid, so it runs every statement of a
+chunk before the next chunk.)  Two more transformations make the paper's
+PolyBench patterns fit:
 
-* *folds*: an inner statement that updates fewer cells than its grid
+* *folds*: a statement that updates fewer cells than its grid
   (``x2[i] += A[j*n+i]*y2[j]`` folds along ``j``, ``y[j] += ...`` along
-  ``i``) runs as one ``ufunc.accumulate`` along the fold axis, sequential
-  per cell, so every cell keeps the tree-walk's fold order;
+  ``i``, ``s[0] += a[i]`` into one cell) runs as one ``ufunc.accumulate``
+  along the fold axis, sequential per cell, so every cell keeps the
+  tree-walk's fold order; a plain store into one cell keeps the last
+  value;
 * *scalar expansion*: a scalar declared in the outer body (atax's
-  ``float t``) becomes a vector over the outer index; its inner fold
-  accumulates along ``j`` and later statements read it per row.
+  ``float t``, or a temp of a single loop) becomes a vector over the
+  outer index; its inner fold accumulates along ``j`` and later
+  statements read it per row.
 
-The nest rule lifts the single-loop discipline to the nest: each written
-array has one write shape; reads of a written base use the identical
-subscript; an inner write that covers its whole grid must be injective
-there and is read only from loops with the same header; a fold target
-(array cell or outer scalar) is touched only by its fold, whose addends
-do not read it, and an expanded scalar only by its own fold inside the
-loop that folds it.
+The nest rule: each written array has one write shape; reads of a
+written base use the identical subscript; an inner write that covers its
+whole grid must be injective there and is read only from loops with the
+same header; a write to fewer cells than its grid (a fold, or a plain
+store whose last value wins) is touched by no other statement, and its
+value does not read it; a scalar of the enclosing scope is touched only
+by its fold, and an expanded scalar only by its own fold inside the loop
+that folds it.
 What the analysis cannot see is checked once per execution, before any
 store: written subscripts must be affine with integer coefficients,
 their strides injective, written arrays must not share an allocation
-with another array the nest touches (a single vector loop with such an
-alias runs one iteration at a time), and an axis fold must accumulate
+with another array the nest touches, and an axis fold must accumulate
 exactly (double cell, float cell with float addends, int cell with int
-``+ - *``).  A nest that fails any of this runs per row: the outer loop
-iterates in Python and each inner loop runs vectorized, its alias check
-and affine addresses worked out once per execution of the nest and
-shifted to each row.
+``+ - *``).  A single loop whose store has no affine address
+(``a[idx[i]] += ...``) gets a *dry pass* over the whole loop instead: its
+subscripts must not read an array the loop writes, and its cells must be
+distinct, or repeat only for a store that nothing else touches and that
+keeps the last value or folds into one cell.
 
-Every pass — and every single vector loop, except one whose stores need
-the dry pass below — runs in chunks of about ``CHUNK`` grid cells (whole
-rows of a 2-D grid), so temporaries stay a few hundred KiB whatever the
-trip count.  Folds carry their partial
+A nest that fails any of this runs per row: the outer loop iterates in
+Python and each inner loop runs as a nest of depth one, its alias check,
+affine addresses and checks worked out once per execution of the nest
+and shifted to each row.  A single loop that fails runs one iteration at
+a time, each statement compiled.
+
+Every pass runs in chunks of about ``CHUNK`` grid cells (whole rows of a
+2-D grid), so temporaries stay a few hundred KiB whatever the trip
+count.  Folds carry their partial
 result from chunk to chunk through the cell (exact: the stored value is
 the accumulator's own dtype).  Subscripts that are affine in the loop
 variables read and write ``LinearMemory`` through strided views with one
@@ -84,10 +98,10 @@ Modes (``REPRO_HOST_FASTPATH``, mirrored by ``OmpiConfig.host_fastpath``):
 
 Safety model: a region is only committed after a *structural validation*
 pass that resolves every identifier/type without reading memory, so plans
-that cannot execute bail out before any store.  Loops whose vector safety
-is data-dependent (non-affine store indices) are only taken at the top
-statement level, where a dry pass performs the runtime checks before any
-memory is modified.
+that cannot execute bail out before any store.  A store whose cells
+depend on memory read at the loop index (``a[idx[i]]``) is compiled only
+in a loop the interpreter hands over directly, where a refused dry pass
+falls back to the tree walk in every mode.
 """
 
 from __future__ import annotations
@@ -157,7 +171,6 @@ class ArrSpec:
     target: A.Index
     op: Optional[str]
     value: A.Expr
-    dest: str            # 'distinct' | 'cell' | 'general'
     base: str            # outermost base array name
     ttext: str           # unparse of the target (dependence discipline)
     indices: list        # index exprs, innermost first
@@ -178,17 +191,24 @@ class DeclSpec:
 
 @dataclass
 class NestPass:
-    """One statement of a whole nest, run over its own index grid."""
+    """One statement of a nest, run over its own index grid."""
     kind: str                    # 'arr' | 'set' | 'decl'
     item: object                 # ArrSpec | SetSpec | (name, ctype, init)
     loop: Optional["LoopSpec"]   # enclosing inner loop; None = outer body
-    fold: bool = False           # updates fewer cells than its grid
+    #: may update fewer cells than its grid: a fold, or an array store
+    #: that nothing else in the nest touches
+    fold: bool = False
+    #: the index nodes the statement reads or writes
+    nodes: tuple = field(init=False)
+
+    def __post_init__(self):
+        self.nodes = tuple(_item_indices([self.item]))
 
 
 @dataclass
 class NestSpec:
     passes: list                 # NestPass, in body order
-    loops: list                  # the inner LoopSpecs, in body order
+    loops: list                  # the inner LoopSpecs (none: a single loop)
     expanded: dict               # outer-body scalar -> ctype (one per row)
     folded: frozenset            # outer scalars accumulated by a fold
 
@@ -201,11 +221,12 @@ class LoopSpec:
     bound: A.Expr
     step: int
     items: list                  # ArrSpec | SetSpec | DeclSpec | LoopSpec
-    vector: bool
-    strict: bool
     written: set = field(default_factory=set)
-    nest: Optional[NestSpec] = None   # whole-nest plan of an iterate loop
-    nodes: tuple = ()            # index nodes a vector body reads or writes
+    #: the nest plan; None when a loop with inner loops can only run per row
+    nest: Optional[NestSpec] = None
+    #: handed over by the interpreter, its init already run: a refused dry
+    #: pass falls back to the tree walk
+    top: bool = False
 
 
 @dataclass
@@ -277,45 +298,6 @@ def _expr_ok(expr: A.Expr, vector: bool) -> bool:
     return True
 
 
-def _affine_coeff(expr: A.Expr, var: str) -> Optional[int]:
-    """Net literal coefficient of ``var`` if ``expr`` is affine in it."""
-    if isinstance(expr, A.Ident):
-        return 1 if expr.name == var else 0
-    if isinstance(expr, (A.IntLit, A.CharLit)):
-        return 0
-    if isinstance(expr, A.Binary):
-        if expr.op in ("+", "-"):
-            lc = _affine_coeff(expr.left, var)
-            rc = _affine_coeff(expr.right, var)
-            if lc is None or rc is None:
-                return None
-            return lc + rc if expr.op == "+" else lc - rc
-        if expr.op == "*":
-            lm, rm = _mentions(expr.left, var), _mentions(expr.right, var)
-            if not lm and not rm:
-                return 0
-            if lm and rm:
-                return None
-            dep, other = (expr.left, expr.right) if lm else (expr.right, expr.left)
-            c = _affine_coeff(dep, var)
-            if c is None or not isinstance(other, A.IntLit):
-                return None
-            return c * other.value
-        return 0 if not _mentions(expr, var) else None
-    if isinstance(expr, A.Unary):
-        if expr.op == "-":
-            c = _affine_coeff(expr.operand, var)
-            return None if c is None else -c
-        if expr.op == "+":
-            return _affine_coeff(expr.operand, var)
-        return 0 if not _mentions(expr, var) else None
-    if isinstance(expr, A.Cast):
-        if isinstance(expr.type, BasicType) and expr.type.is_integer:
-            return _affine_coeff(expr.operand, var)
-        return None
-    return 0 if not _mentions(expr, var) else None
-
-
 def _loop_header(stmt: A.For):
     init = stmt.init
     if isinstance(init, A.ExprStmt) and isinstance(init.expr, A.Assign) \
@@ -367,7 +349,7 @@ def _invariant_names(expr: A.Expr) -> Optional[set]:
     return names
 
 
-def _make_arr_spec(a: A.Assign, var: str) -> Optional[ArrSpec]:
+def _make_arr_spec(a: A.Assign) -> Optional[ArrSpec]:
     if a.op is not None and a.op not in _SCALAR_OPS:
         return None
     indices = []
@@ -377,94 +359,17 @@ def _make_arr_spec(a: A.Assign, var: str) -> Optional[ArrSpec]:
             return None
         indices.append(node.index)
         node = node.base
-    if not isinstance(node, A.Ident) or node.name == var:
+    if not isinstance(node, A.Ident) or not _expr_ok(a.value, vector=True):
         return None
-    if not _expr_ok(a.value, vector=True):
-        return None
-    dep = [ix for ix in indices if _mentions(ix, var)]
-    if not dep:
-        dest = "cell"
-    elif len(dep) == 1:
-        c = _affine_coeff(dep[0], var)
-        if c is None:
-            dest = "general"
-        elif c == 0:
-            dest = "cell"
-        else:
-            dest = "distinct"
-    else:
-        dest = "general"
-    return ArrSpec(a.target, a.op, a.value, dest, node.name,
+    return ArrSpec(a.target, a.op, a.value, node.name,
                    unparse(a.target).strip(), indices)
 
 
-def _read_indices(spec: ArrSpec):
-    """Index nodes this statement *reads* (value + subscript expressions)."""
-    out = [n for n in spec.value.walk() if isinstance(n, A.Index)]
-    for ix in spec.indices:
-        out.extend(n for n in ix.walk() if isinstance(n, A.Index))
-    return out
-
-
-def _try_vector(items: list):
-    """Classify a loop body as one vector pass; None if ineligible."""
-    arrs, order = [], []
-    red_names = set()
-    for it in items:
-        if isinstance(it, ArrSpec):
-            arrs.append(it)
-            order.append(it)
-        elif isinstance(it, SetSpec) and it.op in _REDUCE_OPS \
-                and _expr_ok(it.value, vector=True):
-            if it.name in red_names:
-                return None
-            red_names.add(it.name)
-            order.append(it)
-        else:
-            return None
-    if not order:
-        return None
-    # reduction accumulators must not be read/written anywhere else
-    for name in red_names:
-        for it in order:
-            exprs = [it.value]
-            if isinstance(it, ArrSpec):
-                exprs += it.indices
-            for e in exprs:
-                if _mentions(e, name):
-                    return None
-    # one write shape per base; reads of a written base must match it exactly
-    wtext = {}
-    for a2 in arrs:
-        if a2.base in wtext and wtext[a2.base] != a2.ttext:
-            return None
-        wtext[a2.base] = a2.ttext
-    reads = []
-    for it in order:
-        if isinstance(it, ArrSpec):
-            reads.extend(_read_indices(it))
-        else:
-            reads.extend(n for n in it.value.walk() if isinstance(n, A.Index))
-    for n in reads:
-        k = _base_key(n)
-        if k in wtext and unparse(n).strip() != wtext[k]:
-            return None
-    # single-cell stores: a reduction must be the only statement and must
-    # not read its own cell, and a plain cell store must not be read back
-    # (either value evolves with i)
-    for a2 in arrs:
-        if a2.dest != "cell":
-            continue
-        if a2.op is not None:
-            if a2.op not in _REDUCE_OPS or len(order) != 1 \
-                    or _mentions(a2.value, a2.base):
-                return None
-        else:
-            for n in reads:
-                if _base_key(n) == a2.base:
-                    return None
-    strict = all(a2.dest != "general" for a2 in arrs)
-    return order, strict
+def _data_dependent(spec: ArrSpec, var: str) -> bool:
+    """Whether the cells a store writes depend on memory read as ``var``
+    moves (``a[idx[i]]``): only the dry pass can check them."""
+    return any(isinstance(n, (A.Index, A.Call)) and _mentions(n, var)
+               for ix in spec.indices for n in ix.walk())
 
 
 def _analyze_loop(stmt: A.For, top: bool) -> Optional[LoopSpec]:
@@ -499,7 +404,7 @@ def _analyze_loop(stmt: A.For, top: bool) -> Optional[LoopSpec]:
         if isinstance(s, A.ExprStmt) and isinstance(s.expr, A.Assign):
             a = s.expr
             if isinstance(a.target, A.Index):
-                arr = _make_arr_spec(a, var)
+                arr = _make_arr_spec(a)
                 if arr is None:
                     return None
                 items.append(arr)
@@ -527,7 +432,7 @@ def _analyze_loop(stmt: A.For, top: bool) -> Optional[LoopSpec]:
             items.append(DeclSpec(ds))
         elif isinstance(s, A.For):
             inner = _analyze_loop(s, top=False)
-            if inner is None or not inner.strict:
+            if inner is None:
                 return None
             items.append(inner)
             written |= inner.written
@@ -539,21 +444,17 @@ def _analyze_loop(stmt: A.For, top: bool) -> Optional[LoopSpec]:
         return None
     if var in written or (bound_names & written):
         return None
-    vec = _try_vector(items)
-    if vec is not None:
-        order, strict = vec
-        if strict or top:
-            return LoopSpec(var, init, cond.op, cond.right, step, order,
-                            vector=True, strict=strict, written=written,
-                            nodes=tuple(_item_indices(order)))
-    # iterate mode: only worthwhile (and only exact-cost-safe) when the body
-    # contains at least one compiled inner loop; a scalar-only body is
-    # cheaper to tree-walk than to re-dispatch per iteration
-    if not has_loop:
+    nest = _analyze_nest(var, items, written)
+    # a single loop the nest rule rejects is left to the tree walk: run
+    # one iteration at a time it would cost more.  A data-dependent store
+    # needs the dry pass, and only a loop the interpreter hands over can
+    # fall back when that refuses.
+    if not has_loop and (nest is None or not top and any(
+            isinstance(it, ArrSpec) and _data_dependent(it, var)
+            for it in items)):
         return None
-    return LoopSpec(var, init, cond.op, cond.right, step, items,
-                    vector=False, strict=True, written=written,
-                    nest=_analyze_nest(var, items, written))
+    return LoopSpec(var, init, cond.op, cond.right, step, items, written,
+                    nest, top)
 
 
 def _header_key(loop: LoopSpec) -> tuple:
@@ -575,14 +476,15 @@ def _stmt_exprs(item) -> list:
 
 
 def _analyze_nest(var: str, items: list, written: set) -> Optional[NestSpec]:
-    """The whole-nest plan of a two-level loop body, or None (per row).
+    """The nest plan of a loop body (depth one, or two with rectangular
+    inner loops), or None: per row.
 
     Checks everything the nest rule (module docstring) can decide from
     the AST; :func:`_plan_nest` checks the rest before any store."""
     loops = [it for it in items if isinstance(it, LoopSpec)]
-    if not loops or any(not L.vector or L.init is None
-                        or (L.init[0] == "decl" and L.init[2] is None)
-                        for L in loops):
+    if any(L.nest is None or L.nest.loops or L.nest.expanded
+           or L.init is None or (L.init[0] == "decl" and L.init[2] is None)
+           for L in loops):
         return None
     nest_vars = {var} | {L.var for L in loops}
     passes: list = []
@@ -691,6 +593,11 @@ def _analyze_nest(var: str, items: list, written: set) -> Optional[NestSpec]:
                 touch.append(q)
             if any(unparse(n).strip() != spec.ttext for n in reads):
                 return None
+        # touched by its statement alone, whose value (evaluated before
+        # the store) does not read it: a fold, or a plain store whose
+        # last value wins, may update fewer cells than its grid
+        ws[0].fold = len(touch) == 1 and not _mentions(spec.value, base) \
+            and (spec.op is None or spec.op in _REDUCE_OPS)
         if sub_names & nest_vars == domain:
             # every grid point writes its own cell: loops that touch the
             # base must run over the same range as the writers
@@ -698,13 +605,8 @@ def _analyze_nest(var: str, items: list, written: set) -> Optional[NestSpec]:
                     q.loop is None or _header_key(q.loop) != key
                     for q in touch):
                 return None
-            continue
-        # a fold evaluates its addends before it updates the cell, so
-        # they must not read the cell
-        if len(touch) != 1 or spec.op not in _REDUCE_OPS \
-                or _mentions(spec.value, base):
+        elif not ws[0].fold:
             return None
-        ws[0].fold = True
     return NestSpec(passes, loops, expanded, frozenset(folded))
 
 
@@ -745,13 +647,13 @@ def _analyze_fn(defn: A.FuncDef) -> Optional[FnSpec]:
             items.append(DeclSpec(ds))
         elif isinstance(s, A.For):
             inner = _analyze_loop(s, top=False)
-            if inner is None or not inner.strict:
+            if inner is None:
                 return None
             items.append(inner)
         elif isinstance(s, A.ExprStmt) and isinstance(s.expr, A.Assign):
             a = s.expr
             if isinstance(a.target, A.Index):
-                arr = _make_arr_spec(a, "\0nosuchvar")
+                arr = _make_arr_spec(a)
                 if arr is None:
                     return None
                 items.append(arr)
@@ -1216,17 +1118,19 @@ class _VecCtx:
     def origin(self, geo) -> int:
         """The address an affine access reads at the chunk's first point."""
         _mem, addr, coeffs, _ctype = geo
-        return addr + sum(coeffs.get(var, 0) * lo
-                          for var, lo, _step, _count in self.dims)
+        for var, lo, _step, _count in self.dims:
+            addr += coeffs.get(var, 0) * lo
+        return addr
 
     def view(self, geo) -> np.ndarray:
         """The chunk's cells of an affine access: a strided view with a
         size-1 axis wherever the address does not move."""
         mem, _addr, coeffs, ctype = geo
-        shape = [count if coeffs.get(var) else 1
-                 for var, _lo, _step, count in self.dims]
-        strides = [coeffs.get(var, 0) * step
-                   for var, _lo, step, _count in self.dims]
+        shape, strides = [], []
+        for var, _lo, step, count in self.dims:
+            c = coeffs.get(var, 0)
+            shape.append(count if c else 1)
+            strides.append(c * step)
         return mem.strided(self.origin(geo), ctype.dtype(), shape, strides)
 
     def addr_vec(self, index: A.Index):
@@ -1358,11 +1262,12 @@ def _rank(x) -> int:
     return 0
 
 
-_RANK_DTYPE = {0: np.int64, 1: np.float32, 2: np.float64}
+_RANK_DTYPE = {0: np.dtype(np.int64), 1: np.dtype(np.float32),
+               2: np.dtype(np.float64)}
 
 
 def _common_dtype(lhs, rhs) -> np.dtype:
-    return np.dtype(_RANK_DTYPE[max(_rank(lhs), _rank(rhs))])
+    return _RANK_DTYPE[max(_rank(lhs), _rank(rhs))]
 
 
 def _check_divisor(op: str, lhs, rhs, live=None, loc=None) -> None:
@@ -1562,25 +1467,29 @@ def _run_init(frame: Frame, spec: LoopSpec) -> None:
         frame.set(spec.var, _scalar_eval(frame, spec.init[1]))
 
 
-def _exec_loop(machine, frame: Frame, spec: LoopSpec, run_init: bool,
-               rows=None) -> None:
+def _exec_loop(machine, frame: Frame, spec: LoopSpec, row=None) -> None:
+    """Run a compiled loop whole, pass by pass, when its plan allows, else
+    one iteration (a row) at a time.  ``row`` is ``(outer loop, cache)``
+    when the loop is the inner loop of one row of a nest run per row
+    (see :func:`_row_plan`)."""
     mark = frame.mark()
     try:
-        if run_init and spec.init is not None:
+        if not spec.top and spec.init is not None:
             _run_init(frame, spec)
-        if spec.vector:
-            _run_vector(machine, frame, spec, rows)
+        # the nest counters count loops with inner loops only
+        nested = spec.nest is None or bool(spec.nest.loops)
+        if spec.nest is not None and _run_nest(machine, frame, spec, row):
+            if nested:
+                machine.host_stats["nest_whole"] += 1
             return
-        if spec.nest is not None and _run_nest(machine, frame, spec):
-            machine.host_stats["nest_whole"] += 1
-            return
-        machine.host_stats["nest_rows"] += 1
+        if nested:
+            machine.host_stats["nest_rows"] += 1
         _run_rows(machine, frame, spec)
     finally:
         frame.release(mark)
 
 
-def _exec_items(machine, frame: Frame, items: list, rows=None) -> None:
+def _exec_items(machine, frame: Frame, items: list, row=None) -> None:
     for it in items:
         if isinstance(it, ArrSpec):
             _exec_scalar_arr(machine, frame, it)
@@ -1594,7 +1503,7 @@ def _exec_items(machine, frame: Frame, items: list, rows=None) -> None:
                 v = _scalar_eval(frame, init) if init is not None else 0
                 frame.declare(name, ctype, v)
         elif isinstance(it, LoopSpec):
-            _exec_loop(machine, frame, it, run_init=True, rows=rows)
+            _exec_loop(machine, frame, it, row=row)
         else:
             raise _Bail()
 
@@ -1651,86 +1560,20 @@ def _aliased(frame: Frame, nodes, written: set) -> bool:
 
 
 def _run_rows(machine, frame: Frame, spec: LoopSpec) -> None:
-    """The loop one iteration at a time, each body item compiled."""
+    """The loop one iteration at a time, each body item compiled: an
+    inner loop runs as a nest of depth one."""
     start, stop_excl = _iter_space(frame, spec)
-    rows = (spec, {})
+    row = (spec, {})
     i = start
     while i < stop_excl:
         frame.set(spec.var, i)
         imark = frame.mark()
         try:
-            _exec_items(machine, frame, spec.items, rows)
+            _exec_items(machine, frame, spec.items, row)
         finally:
             frame.release(imark)
         i += spec.step
     frame.set(spec.var, i)
-
-
-def _row_invariants(frame: Frame, outer: LoopSpec, spec: LoopSpec):
-    """What every row of ``outer`` would work out alike for its inner
-    vector loop ``spec``: ``(aliased, geometry over (outer var, inner
-    var), index nodes without such a form)``; None when a base pointer
-    may change from row to row."""
-    if any(_base_key(n) in outer.written for n in spec.nodes):
-        return None
-    variant = {it.name for it in spec.items if isinstance(it, SetSpec)}
-    variant |= outer.written - {spec.var}
-    if _aliased(frame, spec.nodes, {it.base for it in spec.items
-                                    if isinstance(it, ArrSpec)}):
-        return True, None, ()
-    geo = _geometry(frame, spec.nodes, (outer.var, spec.var), variant)
-    return False, geo, tuple(n for n in spec.nodes if id(n) not in geo)
-
-
-def _run_vector(machine, frame: Frame, spec: LoopSpec, rows=None) -> None:
-    """One vector loop, in chunks of ``CHUNK`` iterations (one chunk when
-    a data-dependent store needs the dry check over the whole space); one
-    iteration at a time when a written array is aliased.
-
-    ``rows`` is ``(outer loop, cache)`` when the loop is one row of a
-    nest run per row: the alias check and the affine addresses are then
-    worked out once per execution of the nest (at its first non-empty
-    row) and shifted to each row."""
-    start, stop_excl = _iter_space(frame, spec)
-    n = _trip_count(start, stop_excl, spec.step)
-    if n:
-        variant = {it.name for it in spec.items if isinstance(it, SetSpec)}
-        inv = None
-        if rows is not None:
-            outer, cache = rows
-            inv = cache.get(id(spec), _MISSING)
-            if inv is _MISSING:
-                inv = cache[id(spec)] = _row_invariants(frame, outer, spec)
-        if inv is None:
-            if _aliased(frame, spec.nodes, {it.base for it in spec.items
-                                            if isinstance(it, ArrSpec)}):
-                _run_rows(machine, frame, spec)
-                return
-            geo = _geometry(frame, spec.nodes, (spec.var,), variant)
-        else:
-            aliased, geo2, rest = inv
-            if aliased:
-                _run_rows(machine, frame, spec)
-                return
-            # the outer coefficient stays in the dict; _VecCtx reads only
-            # the coefficients of its own axes
-            i = frame.get(outer.var)
-            geo = {key: (mem, addr + co.get(outer.var, 0) * i, co, ct)
-                   for key, (mem, addr, co, ct) in geo2.items()}
-            if rest:
-                geo.update(_geometry(frame, rest, (spec.var,), variant))
-        size = CHUNK if spec.strict else n
-        for r0 in range(0, n, size):
-            ctx = _VecCtx(frame, [(spec.var, start + r0 * spec.step,
-                                   spec.step, min(size, n - r0))], geo)
-            if not spec.strict:
-                _dry_check(ctx, spec)
-            for it in spec.items:
-                if isinstance(it, ArrSpec):
-                    _commit_arr(machine, ctx, it)
-                else:  # SetSpec reduction
-                    _fold_scalar(frame, ctx, it)
-    frame.set(spec.var, start + n * spec.step)
 
 
 def _fold_scalar(frame: Frame, ctx: _VecCtx, spec: SetSpec) -> None:
@@ -1739,34 +1582,12 @@ def _fold_scalar(frame: Frame, ctx: _VecCtx, spec: SetSpec) -> None:
     frame.set(spec.name, _fold(frame.get(spec.name), spec.op, vals, ct))
 
 
-def _dry_check(ctx: _VecCtx, spec: LoopSpec) -> None:
-    """Runtime safety checks for data-dependent ('general') store indices.
-
-    Performs only reads; raises _BailDry before anything is committed.
-    """
-    arrs = [it for it in spec.items if isinstance(it, ArrSpec)]
-    for a in arrs:
-        _, addrs, ctype = ctx.addr_vec(a.target)
-        if not isinstance(ctype, BasicType):
-            raise _BailDry()
-        ctx.value_vec(a.value)
-        uniq = np.unique(addrs).size
-        if uniq == addrs.size:
-            continue
-        if _mentions(a.value, a.base):
-            raise _BailDry()   # stale gather of a multiply-written cell
-        if a.op is not None and (uniq != 1 or len(spec.items) != 1
-                                 or a.op not in _REDUCE_OPS):
-            raise _BailDry()
-
-
 def _commit_arr(machine, ctx: _VecCtx, spec: ArrSpec) -> None:
     geo = ctx.geo.get(id(spec.target))
-    if geo is not None and spec.dest != "general":
+    if geo is not None:
         ctype = geo[3]
         view = ctx.view(geo)
-        if view.size == 1 and (spec.dest == "cell"
-                               or ctx.shape != view.shape):
+        if view.size == 1 and ctx.shape != view.shape:
             # one cell for the whole chunk: fold it, or keep the last store
             addr = ctx.origin(geo)
             value = ctx.full(ctx.value_vec(spec.value)).ravel()
@@ -1786,9 +1607,8 @@ def _commit_arr(machine, ctx: _VecCtx, spec: ArrSpec) -> None:
     dtype = ctype.dtype()
     value = ctx.full(ctx.value_vec(spec.value)).ravel()
     if spec.op is not None:
-        single = spec.dest == "cell" or (
-            spec.dest == "general" and np.unique(addrs).size == 1)
-        if single:
+        if (addrs == addrs[0]).all():
+            # one cell (the dry pass let only a fold repeat one)
             addr = int(addrs[0])
             old = machine.load_value(mem, addr, ctype)
             machine.store_value(mem, addr, ctype,
@@ -1814,7 +1634,7 @@ def _store_view(ctx: _VecCtx, spec: ArrSpec, view: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# whole nests
+# nests: one plan per execution, run pass by pass
 # --------------------------------------------------------------------------
 
 def _inner_range(frame: Frame, loop: LoopSpec) -> tuple:
@@ -1827,40 +1647,106 @@ def _inner_range(frame: Frame, loop: LoopSpec) -> tuple:
     return lo, loop.step, _trip_count(lo, _stop_excl(frame, loop), loop.step)
 
 
-def _plan_nest(frame: Frame, spec: LoopSpec, outer: tuple, ranges: dict):
-    """Per-pass ``(dims, geo, how)`` for one execution, or None when the
-    nest must run per row.  Reads memory (pointers, and one grid point
-    of each axis fold to learn its addends' dtype) but stores nothing."""
+def _plan_nest(frame: Frame, spec: LoopSpec, outer: tuple, ranges: dict,
+               row=None):
+    """Per-pass ``(dims, geo, how)`` for one execution (``dims`` None for
+    an empty grid), or None when the nest must run per row.  Reads
+    memory (pointers, the cells a store without an affine address
+    writes, and one grid point of each axis fold to learn its addends'
+    dtype) but stores nothing.  A loop the interpreter handed over
+    (``spec.top``) whose dry pass refuses raises :class:`_BailDry`
+    instead: the tree walk runs it.  ``row``: see :func:`_row_plan`."""
     nest = spec.nest
-    variant = set(nest.expanded) | nest.folded
-    plans = []
-    written = set()
-    for p in nest.passes:
-        dims = [outer]
-        if p.loop is not None:
-            dims.append((p.loop.var,) + ranges[id(p.loop)])
-        if any(d[3] == 0 for d in dims):
-            plans.append(None)
-            continue
-        axes = tuple(d[0] for d in dims)
-        geo = _geometry(frame, _item_indices([p.item]), axes, variant)
+    if row is not None and not nest.loops:
+        return _row_plan(frame, spec, outer, row)
+    grids = [[outer] if p.loop is None
+             else [outer, (p.loop.var,) + ranges[id(p.loop)]]
+             for p in nest.passes]
+    live = [p for p, dims in zip(nest.passes, grids) if dims[-1][3]]
+    nodes = [n for p in live for n in p.nodes]
+    written = {p.item.base for p in live if p.kind == "arr"}
+    if _aliased(frame, nodes, written):
+        return None
+    geo = _geometry(frame, nodes, (spec.var,) + tuple(
+        L.var for L in nest.loops), set(nest.expanded) | nest.folded)
+    return _check_passes(frame, nest, grids, geo, written, spec.top)
+
+
+def _row_plan(frame: Frame, spec: LoopSpec, outer: tuple, row):
+    """The plan of a single loop run as the inner loop of one row of a
+    nest run per row; ``row`` is ``(outer loop, cache)``.
+
+    When no base pointer moves from row to row and every index node has
+    an affine address over the outer and the inner axis, the alias
+    check, the addresses and the checks of :func:`_check_passes` are
+    worked out once per execution of the nest (for rows of one
+    iteration and for longer rows) and the addresses shifted to each
+    row.  Otherwise every row plans afresh."""
+    loop, cache = row
+    key = (id(spec), outer[3] > 1)
+    tmpl = cache.get(key, _MISSING)
+    if tmpl is _MISSING:
+        tmpl = None
+        nest = spec.nest
+        nodes = [n for p in nest.passes for n in p.nodes]
+        written = {p.item.base for p in nest.passes if p.kind == "arr"}
+        if not any(_base_key(n) in loop.written for n in nodes):
+            if _aliased(frame, nodes, written):
+                tmpl = (None, None)
+            else:
+                geo = _geometry(frame, nodes, (loop.var, spec.var),
+                                set(nest.expanded) | nest.folded
+                                | (loop.written - {spec.var}))
+                if len(geo) == len(nodes):
+                    grids = [[outer]] * len(nest.passes)
+                    tmpl = (_check_passes(frame, nest, grids, geo,
+                                          written), geo)
+        cache[key] = tmpl
+    if tmpl is None:
+        return _plan_nest(frame, spec, outer, {})
+    plans, geo = tmpl
+    if plans is None:
+        return None
+    # the outer coefficient stays in the dict; _VecCtx reads only the
+    # coefficients of its own axes
+    i = frame.get(loop.var)
+    geo = {k: (mem, addr + co.get(loop.var, 0) * i, co, ct)
+           for k, (mem, addr, co, ct) in geo.items()}
+    return [([outer], geo, None)] * len(plans)
+
+
+def _check_passes(frame: Frame, nest: NestSpec, grids: list, geo: dict,
+                  written: set, top: bool = False):
+    """The plans of :func:`_plan_nest` over the addresses ``geo``, or
+    None: every affine store injective over its cell axes and folded
+    (or a plain store kept last) along the others, every axis fold
+    exact, and the dry pass of a single loop's other stores passed."""
+    plans, unplaced = [], []
+    for p, dims in zip(nest.passes, grids):
         how = None
+        if not dims[-1][3]:
+            plans.append((None, geo, how))
+            continue
         if p.kind == "arr":
             target = geo.get(id(p.item.target))
             if target is None:
-                return None
-            written.add(p.item.base)
+                if nest.loops:
+                    return None
+                unplaced.append(p)
+                plans.append((dims, geo, how))
+                continue
             _mem, _addr, coeffs, ctype = target
             cells = [d for d in dims if coeffs.get(d[0])]
             if not _distinct(coeffs, cells, ctype.sizeof()):
                 return None
             folds = [k for k, d in enumerate(dims)
                      if d[3] > 1 and not coeffs.get(d[0])]
-            if not p.fold and folds:
+            # one cell per chunk is folded or keeps its last store
+            # (_commit_arr); along one axis of a 2-D grid only a fold
+            if folds and (not p.fold or (cells and p.item.op is None)):
                 return None
             # one fold axis and one cell axis: accumulate along the fold
-            # axis; a single cell, or a grid whose fold axis has one
-            # point, is folded or stored by _commit_arr
+            # axis
             if len(folds) == 1 and len(dims) == 2 and len(cells) == 1:
                 rank = _probe_rank(frame, dims, geo, nest.expanded,
                                    p.item.value)
@@ -1877,11 +1763,33 @@ def _plan_nest(frame: Frame, spec: LoopSpec, outer: tuple, ranges: dict):
                 return None
             how = (1, acc)
         plans.append((dims, geo, how))
-    if _aliased(frame, _item_indices([p.item for p, plan
-                                      in zip(nest.passes, plans)
-                                      if plan is not None]), written):
+    if unplaced and _dry_refused(frame, grids[0][0], geo, unplaced,
+                                 written):
+        if top:
+            raise _BailDry()
         return None
     return plans
+
+
+def _dry_refused(frame: Frame, dims: tuple, geo: dict, stores: list,
+                 written: set) -> bool:
+    """The dry pass of a single loop's stores without an affine address,
+    over the whole loop and before any store: whether to refuse the loop.
+    Their subscripts must not read an array the loop writes (the pass
+    would see stale cells), and their cells must be distinct, or repeat
+    only for a store nothing else touches (``fold``) that keeps the last
+    value or folds into one cell."""
+    ctx = _VecCtx(frame, [dims], geo)
+    for p in stores:
+        if any(isinstance(n, A.Index) and _base_key(n) in written
+               for ix in p.item.indices for n in ix.walk()):
+            return True
+        addrs = ctx.addr_vec(p.item.target)[1]
+        uniq = np.unique(addrs).size
+        if uniq != addrs.size and (
+                not p.fold or (p.item.op is not None and uniq != 1)):
+            return True
+    return False
 
 
 def _probe_rank(frame: Frame, dims: list, geo: dict, expanded: dict,
@@ -1900,9 +1808,9 @@ def _probe_rank(frame: Frame, dims: list, geo: dict, expanded: dict,
     return _rank(ctx.value_vec(expr))
 
 
-def _run_nest(machine, frame: Frame, spec: LoopSpec) -> bool:
-    """Run a two-level nest over its whole index grid, pass by pass;
-    False (nothing executed) when it must run per row instead."""
+def _run_nest(machine, frame: Frame, spec: LoopSpec, row=None) -> bool:
+    """Run a nest over its whole index grid, pass by pass; False (nothing
+    executed) when it must run per row instead."""
     nest = spec.nest
     start, stop_excl = _iter_space(frame, spec)
     n0 = _trip_count(start, stop_excl, spec.step)
@@ -1911,16 +1819,22 @@ def _run_nest(machine, frame: Frame, spec: LoopSpec) -> bool:
         return True
     ranges = {id(L): _inner_range(frame, L) for L in nest.loops}
     outer = (spec.var, start, spec.step, n0)
-    plans = _plan_nest(frame, spec, outer, ranges)
+    plans = _plan_nest(frame, spec, outer, ranges, row)
     if plans is None:
         return False
-    vecs: dict = {}
-    for p, plan in zip(nest.passes, plans):
-        if p.kind == "decl":
-            name, ctype, _init = p.item
-            vecs[name] = np.zeros(n0, dtype=_to_scalar_vec(0, ctype).dtype)
-        if plan is not None:
-            _run_pass(machine, frame, p, plan, vecs, nest.expanded)
+    vecs = {name: np.zeros(n0, dtype=_to_scalar_vec(0, ctype).dtype)
+            for name, ctype in nest.expanded.items()}
+    if nest.loops:
+        for p, (dims, geo, how) in zip(nest.passes, plans):
+            if dims is not None:
+                for rows, ctx in _chunks(frame, dims, geo, vecs):
+                    _run_pass(machine, ctx, p, how, vecs, rows,
+                              nest.expanded)
+    else:
+        # one grid: every statement of a chunk before the next chunk
+        for rows, ctx in _chunks(frame, [outer], plans[0][1], vecs):
+            for p in nest.passes:
+                _run_pass(machine, ctx, p, None, vecs, rows, nest.expanded)
     frame.set(spec.var, start + n0 * spec.step)
     for L in nest.loops:
         if L.init[0] == "set":
@@ -1929,49 +1843,56 @@ def _run_nest(machine, frame: Frame, spec: LoopSpec) -> bool:
     return True
 
 
-def _run_pass(machine, frame: Frame, p: NestPass, plan, vecs: dict,
-              expanded: dict) -> None:
-    dims, geo, how = plan
+def _chunks(frame: Frame, dims: list, geo: dict, vecs: dict):
+    """``(rows, ctx)`` per chunk of about ``CHUNK`` cells of a grid (whole
+    rows of a 2-D one): the chunk's slice of the outer axis and its
+    context, which views the chunk's part of every expanded scalar."""
     var, start, step, n0 = dims[0]
     inner = dims[1:]
-    rows = max(1, CHUNK // inner[0][3]) if inner else CHUNK
-    for r0 in range(0, n0, rows):
-        r1 = min(n0, r0 + rows)
-        sl = {name: (v[r0:r1, None] if inner else v[r0:r1])
+    size = max(1, CHUNK // inner[0][3]) if inner else CHUNK
+    for r0 in range(0, n0, size):
+        rows = slice(r0, min(n0, r0 + size))
+        sl = {name: (v[rows, None] if inner else v[rows])
               for name, v in vecs.items()}
-        ctx = _VecCtx(frame, [(var, start + r0 * step, step, r1 - r0)]
-                      + inner, geo, sl)
-        if p.kind == "decl":
-            name, ctype, init = p.item
-            value = 0 if init is None else ctx.value_vec(init)
-            vecs[name][r0:r1] = _to_scalar_vec(ctx.full(value), ctype)
-        elif p.kind == "set" and p.item.name in expanded:
-            name = p.item.name
-            ctype = expanded[name]
-            value = ctx.value_vec(p.item.value)
-            if how is not None:      # the row's fold along the inner axis
-                axis, acc = how
-                out = _fold_axis(p.item.op, sl[name], ctx.full(value),
-                                 axis, acc)
-                vecs[name][r0:r1] = _to_scalar_vec(out[:, 0], ctype)
-                continue
-            if p.item.op is not None:
-                _check_divisor(p.item.op, sl[name], value)
-                value = _apply_np(p.item.op, sl[name], value)
-            vecs[name][r0:r1] = _to_scalar_vec(
-                np.broadcast_to(value, sl[name].shape), ctype)
-        elif p.kind == "set":
-            _fold_scalar(frame, ctx, p.item)
-        elif how is not None:
-            axis, acc = how
-            view = ctx.view(geo[id(p.item.target)])
-            ctype = geo[id(p.item.target)][3]
-            old = np.array(view)
-            out = _fold_axis(p.item.op, old, ctx.full(
-                ctx.value_vec(p.item.value)), axis, acc)
-            view[...] = _to_cell(out, ctype)
-        else:
+        yield rows, _VecCtx(frame, [(var, start + r0 * step, step,
+                                     rows.stop - r0)] + inner, geo, sl)
+
+
+def _run_pass(machine, ctx: _VecCtx, p: NestPass, how, vecs: dict,
+              rows: slice, expanded: dict) -> None:
+    """One statement over one chunk; ``rows`` is the chunk's slice of the
+    expanded scalars ``vecs``."""
+    if p.kind == "arr":
+        if how is None:
             _commit_arr(machine, ctx, p.item)
+            return
+        axis, acc = how
+        geo = ctx.geo[id(p.item.target)]
+        view = ctx.view(geo)
+        out = _fold_axis(p.item.op, np.array(view), ctx.full(
+            ctx.value_vec(p.item.value)), axis, acc)
+        view[...] = _to_cell(out, geo[3])
+    elif p.kind == "decl":
+        name, ctype, init = p.item
+        value = 0 if init is None else ctx.value_vec(init)
+        vecs[name][rows] = _to_scalar_vec(ctx.full(value), ctype)
+    elif p.kind == "set" and p.item.name in expanded:
+        name = p.item.name
+        ctype = expanded[name]
+        old = ctx.vals[name]
+        value = ctx.value_vec(p.item.value)
+        if how is not None:          # the row's fold along the inner axis
+            axis, acc = how
+            out = _fold_axis(p.item.op, old, ctx.full(value), axis, acc)
+            vecs[name][rows] = _to_scalar_vec(out[:, 0], ctype)
+            return
+        if p.item.op is not None:
+            _check_divisor(p.item.op, old, value)
+            value = _apply_np(p.item.op, old, value)
+        vecs[name][rows] = _to_scalar_vec(
+            np.broadcast_to(value, old.shape), ctype)
+    else:
+        _fold_scalar(ctx.frame, ctx, p.item)
 
 
 # --------------------------------------------------------------------------
@@ -2049,15 +1970,17 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
     except _Bail:
         machine.host_stats["loop_fallback"] += 1
         return False
-    if mode == "verify":
-        _verified(machine, frame,
-                  lambda: _exec_loop(machine, frame, spec, run_init=False),
-                  lambda: machine.run_for_loop(stmt, env),
-                  f"loop at {stmt.loc}", "loop_fast")
-        return True
     try:
-        _exec_loop(machine, frame, spec, run_init=False)
+        if mode == "verify":
+            _verified(machine, frame,
+                      lambda: _exec_loop(machine, frame, spec),
+                      lambda: machine.run_for_loop(stmt, env),
+                      f"loop at {stmt.loc}", "loop_fast")
+            return True
+        _exec_loop(machine, frame, spec)
     except _BailDry:
+        # refused before any store: the tree walk runs the loop, in
+        # every mode
         machine.host_stats["loop_fallback"] += 1
         return False
     except _Bail as exc:

@@ -12,9 +12,11 @@ pointer values can refer to any registered memory space (host heap or
 simulated device global memory — the spaces occupy disjoint address
 ranges, mirroring how a CUDA process sees distinct host/device pointers).
 
-Loop nests and whole functions of the recognised subset run as
-vectorized numpy plans (:mod:`repro.cfront.hostcompile`, the host fast
-path); everything else tree-walks.
+Loops of the recognised subset, each a nest of depth one or two, and
+whole functions built from them run as vectorized numpy plans
+(:mod:`repro.cfront.hostcompile`, the host fast path: one dependence
+rule and one pass-by-pass executor for every loop); everything else
+tree-walks.
 """
 
 from __future__ import annotations
@@ -147,7 +149,6 @@ class Machine:
     def __init__(
         self,
         unit: A.TranslationUnit,
-        natives: dict[str, NativeFn] | None = None,
         heap_capacity: int = 1 << 30,
         host_fastpath: str | None = None,
     ):
@@ -159,8 +160,6 @@ class Machine:
         self.heap = LinearMemory(heap_capacity, base=_HOST_BASE, name="host")
         self.spaces: list[LinearMemory] = [self.heap]
         self.natives: dict[str, NativeFn] = default_natives()
-        if natives:
-            self.natives.update(natives)
         self.stdout: list[str] = []
         self.globals: dict[str, object] = {}
         self._string_pool: dict[str, Ptr] = {}

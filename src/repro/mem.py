@@ -317,11 +317,6 @@ class LinearMemory:
         off = self._check(addr, data.size)
         self.buf[off : off + data.size] = data
 
-    def copy_within(self, dst: int, src: int, size: int) -> None:
-        so = self._check(src, size)
-        do = self._check(dst, size)
-        self.buf[do : do + size] = self.buf[so : so + size]
-
 
 def differential_run(spaces: Sequence[LinearMemory], fast: Callable,
                      reference: Callable) -> tuple[object, object, Optional[str]]:

@@ -30,9 +30,6 @@ class MapItem:
     name: str
     sections: list[tuple[Optional[A.Expr], Optional[A.Expr]]] = field(default_factory=list)
 
-    def is_array_section(self) -> bool:
-        return bool(self.sections)
-
 
 #: map types from OpenMP 4.5 used by the paper
 MAP_TYPES = ("to", "from", "tofrom", "alloc", "release", "delete")

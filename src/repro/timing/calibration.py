@@ -63,12 +63,6 @@ MEMCPY_LATENCY_S = 18e-6
 #: reads and writes the same DRAM, so ~half the raw bandwidth)
 MEMCPY_BANDWIDTH_GBPS = 6.8
 
-# -- host (ARM A57) model -------------------------------------------------------
-A57_CLOCK_HZ = 1.43e9
-#: host cycles per interpreted "simple statement" (only used for the tiny
-#: host-side bookkeeping the benchmarks measure)
-HOST_OP_CYCLES = 1.6
-
 # -- run-to-run jitter ---------------------------------------------------------
 #: relative sigma of per-run multiplicative jitter ("negligible variation
 #: among runs", paper §5)

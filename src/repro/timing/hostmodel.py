@@ -1,4 +1,4 @@
-"""Host-side timing: ARM A57 work and LPDDR4 host<->device transfers.
+"""Host-side timing: LPDDR4 host<->device transfers and allocations.
 
 The Jetson's host and device share physical LPDDR4; the CUDA programming
 model still performs explicit copies between host allocations and device
@@ -28,6 +28,3 @@ class HostModel:
 
     def alloc_time(self) -> float:
         return C.MEM_ALLOC_S
-
-    def host_ops_time(self, ops: int) -> float:
-        return ops * C.HOST_OP_CYCLES / C.A57_CLOCK_HZ

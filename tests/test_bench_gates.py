@@ -55,7 +55,10 @@ PASSING = {
             rec(f"{w}:96/off", wall_s=2.0, compiles=1, disk_hits=0),
             rec(f"{w}:96/on", wall_s=0.05, compiles=0, disk_hits=1,
                 nest_whole=bench_runner.HOST_NESTS[w], nest_rows=0,
-                loop_fallback=0))],
+                loop_fallback=0))]
+        + [rec("triangle:128/off", wall_s=2.0, compiles=1, disk_hits=0),
+           rec("triangle:128/on", wall_s=0.05, compiles=0, disk_hits=1,
+               nest_whole=0, nest_rows=2, loop_fallback=0)],
         {}),
     "profile-overhead": (
         [rec(f"gramschmidt:256/{m}", wall_s=1.0 if m == "off" else 1.05,
@@ -113,6 +116,10 @@ BROKEN = [
      "atax:96: 1/2 nests ran whole, 0 per row, 1 loops tree-walked"),
     ("host-fastpath", [1, 3], dict(wall_s=0.5),
      "only 1/3 workloads cleared the 10.0x speedup"),
+    ("host-fastpath", 7, dict(nest_whole=1, nest_rows=1),
+     "triangle:128: 1/0 nests ran whole, 1 per row"),
+    ("host-fastpath", 7, dict(wall_s=0.5),
+     "triangle:128: speedup 4.00x below the 10.0x floor"),
     ("profile-overhead", [1, 2, 5, 6], dict(wall_s=1.2),
      "profiler overhead 20.0% exceeds 10%"),
     ("profile-overhead", [1, 2, 5, 6], dict(records=0),

@@ -11,6 +11,7 @@ divergence detector, the per-region fallback discipline and the
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,6 +153,36 @@ int main(void) {
     assert int(np.asarray(machine.global_array("n")).reshape(-1)[0]) == 7
     assert machine.host_stats["loop_fast"] == 0
     assert machine.host_stats["loop_fallback"] > 0
+
+
+DRY_REFUSED_SRC = r"""
+#include <stdio.h>
+int idx[8];
+float a[8], b[8];
+int main(void) {
+    int i;
+    for (i = 0; i < 8; i++) { idx[i] = (i * 3) % 4; b[i] = i * 1.5f; }
+    for (i = 0; i < 8; i++) a[idx[i]] += b[i];
+    for (i = 0; i < 8; i++) printf("%g ", a[i]);
+    printf("\n");
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "verify"])
+def test_refused_dry_pass_falls_back_in_every_mode(mode):
+    """``a[idx[i]] +=`` with repeated cells: the dry pass refuses the
+    loop before any store, and every mode tree-walks it."""
+    machine = Machine(parse_translation_unit(DRY_REFUSED_SRC, "dry.c"),
+                      host_fastpath=mode)
+    machine.run()
+    assert machine.output() == "6 15 12 9 0 0 0 0 \n"
+    hs = machine.host_stats
+    if mode != "off":
+        # the fill loop compiles; the refused loop and the printing loop
+        # fall back
+        assert (hs["loop_fast"], hs["loop_fallback"]) == (1, 2), hs
 
 
 def test_function_fastpath_counts():
@@ -357,7 +388,7 @@ _BREAKERS = {
               ["{wb}[i] = {wa}[i * 16 + 1];"]),
     "transpose": (["{jhead} {wa}[i * 16 + j] = fa[j] * 2.0f;",
                    "{jhead} {wb}[i * 16 + j] = {wa}[j * 16 + i];"], []),
-    # the last of many stores to one cell
+    # runtime: the last of many stores to one cell per row
     "plain_cell": (["{jhead} {wa}[i] = fa[i * 16 + j];"], []),
     # a cell read by another loop over a different range
     "header": (["{jhead} {wa}[i * 16 + j] = fa[j] - 0.5f;",
@@ -386,10 +417,10 @@ _BREAKERS = {
 def _breakers(count_i, count_j, si, sj) -> list:
     """The breakers that cannot run whole on this grid: a runtime check
     only bites when its axes have the points to collide."""
-    out = [b for b in _BREAKERS
-           if b not in ("f64_into_f32", "zero_coeff", "overlap")]
+    out = [b for b in _BREAKERS if b not in (
+        "plain_cell", "f64_into_f32", "zero_coeff", "overlap")]
     if count_i >= 1 and count_j >= 2:
-        out.append("f64_into_f32")
+        out += ["plain_cell", "f64_into_f32"]
     if count_i >= 2 and count_j >= 1:
         out.append("zero_coeff")
     cells = [a * si + b * sj for a in range(count_i) for b in range(count_j)]
@@ -511,21 +542,32 @@ def _nest_program(draw):
                     extra_loops + post), path
 
 
-def _program(arrays, scalars, ihead, jhead, pre, loops, tail) -> str:
-    """The C source of one nest: seeded inputs ``fa``/``da``/``ia``, the
-    nest's own arrays and scalars, and a printout of every scalar."""
+def _ia(i: int) -> int:
+    """The value the generated programs seed ``ia[i]`` with."""
+    return i % 5 + 1
+
+
+def _program(arrays, scalars, ihead, jhead, pre, loops, tail,
+             setup=()) -> str:
+    """The C source of one nest: seeded inputs ``fa``/``da``/``ia`` and
+    the permutation ``pa``, the nest's own arrays and scalars, ``setup``
+    statements before it, and a printout of every scalar."""
     lines = ["#include <stdio.h>", "#include <math.h>"]
     lines += [f"{_CTYPE[c]} {c}a[{_SZ}];" for c in "fdi"]
+    lines += [f"int pa[{_SZ}];"]
     lines += [f"{_CTYPE[c]} {name}[{_SZ}];" for name, c in arrays]
     lines += [f"{_CTYPE[c]} {name};" for name, c in scalars]
     lines += ["float sb;", "int main(void) {", "    int i, j;", "    int z = 0;",
+              "    float *p;",
               f"    for (i = 0; i < {_SZ}; i++) {{",
               "        fa[i] = (i % 13) * 0.1f + 0.3f;",
               "        da[i] = (i % 7) * 0.1 + 0.7;",
               "        ia[i] = i % 5 + 1;",
+              f"        pa[i] = i * 7 % {_SZ};",
               "    }"]
     for name, c in scalars:
         lines.append(f"    {name} = {'1' if c == 'i' else '1.0'};")
+    lines += ["    " + s for s in setup]
     lines.append(f"    {ihead} {{")
     lines += ["        " + s for s in pre]
     for body in loops:
@@ -556,8 +598,15 @@ def _globals_image(machine: Machine) -> dict:
 
 
 def _check_nest_program(src: str, path: str) -> None:
+    """Memory and stdout of ``on`` and ``verify`` equal ``off``, and the
+    nest took ``path``: ``whole``, ``rows`` or ``tree`` for a two-level
+    nest; ``loop`` (compiled whole), ``loop_iter`` (compiled one
+    iteration at a time) or ``loop_tree`` for a single loop, which runs
+    after the compiled seed loop of :func:`_program`."""
     ref = _run_nest_program(src, "off")
-    on = _run_nest_program(src, "on")
+    with mock.patch.object(hostcompile, "_run_rows",
+                           wraps=hostcompile._run_rows) as rows:
+        on = _run_nest_program(src, "on")
     assert on.output() == ref.output(), src
     assert _globals_image(on) == _globals_image(ref), src
     verify = _run_nest_program(src, "verify")      # raises on divergence
@@ -567,15 +616,125 @@ def _check_nest_program(src: str, path: str) -> None:
         assert (hs["nest_whole"], hs["nest_rows"]) == (1, 0), (hs, src)
     elif path == "rows":
         assert (hs["nest_whole"], hs["nest_rows"]) == (0, 1), (hs, src)
-    else:
+    elif path == "tree":
         assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
         assert hs["loop_fallback"] >= 1, (hs, src)
+    else:
+        # a single loop counts only as a compiled (or refused) loop
+        assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
+        compiled = path != "loop_tree"
+        assert (hs["loop_fast"], hs["loop_fallback"]) \
+            == (1 + compiled, 1 - compiled), (hs, src)
+        assert rows.call_count == (path == "loop_iter"), (path, src)
 
 
-@settings(max_examples=60)
-@given(_nest_program())
+#: single loops the one rule must not run whole: ``(statements, setup,
+#: path)``; ``{wa}``/``{wb}`` are fresh float arrays, ``{wi}`` an int one
+_LOOP_BREAKERS = {
+    # a written array read with another subscript
+    "shift": (["{wa}[i] = fa[i] + 1.0f;", "{wb}[i] = {wa}[i + 1];"], [],
+              "loop_tree"),
+    # a written array stored through a pointer into it
+    "alias": (["p[i] = {wa}[i] + 1.0f;"], ["p = {wa} + 1;"], "loop_iter"),
+    # the dry pass: repeated cells under a fold into several cells
+    "dup_fold": (["{wa}[ia[i]] += fa[i];"], [], "loop_tree"),
+    # the dry pass: a subscript that reads a cell the loop stores
+    "stale_index": (["{wi}[i] = i % 2;", "{wa}[{wi}[i]] += fa[i];"], [],
+                    "loop_tree"),
+}
+
+
+def _loop_breaker_path(name: str, indices: list) -> str:
+    """The path a breaker takes over the loop's iterations ``indices``:
+    only ``shift`` is refused by the rule; the others are run-time checks,
+    which a loop without iterations never reaches, and a fold whose cells
+    do not repeat (or all repeat one) passes the dry pass."""
+    if not indices and name != "shift":
+        return "loop"
+    cells = {_ia(i) for i in indices}
+    if name == "dup_fold" and len(cells) in (1, len(indices)):
+        return "loop"
+    return _LOOP_BREAKERS[name][2]
+
+
+@st.composite
+def _loop_program(draw):
+    """A single host loop over ``i`` and the path it must take: ``loop``
+    (legal by construction: elementwise stores, plain stores and folds
+    into one cell, scalar folds, declared temps, data-dependent stores
+    whose repeated cells keep the last value), or a breaker's path."""
+    g = _Gen(draw)
+    i0, si = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    iop, ni = draw(st.sampled_from(["<", "<="])), draw(st.integers(0, 24))
+    indices = list(range(i0, ni + (iop == "<="), si))
+    body, reads, temps = [], [], 0
+    kinds = draw(st.lists(st.sampled_from(
+        ["elem", "cell", "cellfold", "sfold", "temp", "dd", "ddperm"]),
+        min_size=1, max_size=4))
+    for kind in kinds:
+        cat = draw(st.sampled_from("fdi"))
+        value = g.expr("d", False, reads)
+        if kind == "elem":
+            w = g.new_array(cat)
+            sub = draw(st.sampled_from(["i", "2 * i + 1", "i + 3"]))
+            op = draw(st.sampled_from(["=", "+=", "-=", "*="]))
+            body.append(f"{w}[{sub}] {op} {value};")
+            reads.append((f"{w}[{sub}]", cat))
+        elif kind in ("cell", "cellfold"):
+            # one cell, touched by nothing else: the last store, or a fold
+            op = "=" if kind == "cell" else _fold_op(draw)
+            body.append(f"{g.new_array(cat)}[{draw(st.integers(0, 3))}] "
+                        f"{op} {value};")
+        elif kind == "sfold":
+            body.append(f"{g.new_scalar(cat)} {_fold_op(draw)} {value};")
+        elif kind == "temp":
+            # a declared temp becomes a vector over i; it may be updated
+            t = f"t{temps}"
+            temps += 1
+            body.append(f"{_CTYPE[cat]} {t} = {g.expr(cat, False, reads)};")
+            reads.append((t, cat))
+            if draw(st.booleans()):
+                op = draw(st.sampled_from(["=", "+=", "*="]))
+                body.append(f"{t} {op} {g.expr(cat, False, reads)};")
+        elif kind == "dd":
+            # repeated cells keep the last store
+            body.append(f"{g.new_array(cat)}[ia[i]] = {value};")
+        else:
+            # a permutation: every cell once, whatever the operator
+            op = draw(st.sampled_from(["=", "+=", "-=", "*="]))
+            body.append(f"{g.new_array(cat)}[pa[i]] {op} {value};")
+    path, setup = "loop", []
+    if draw(st.booleans()):
+        b = draw(st.sampled_from(sorted(_LOOP_BREAKERS)))
+        stmts, setup_b, _path = _LOOP_BREAKERS[b]
+        fill = {"wa": g.new_array("f"), "wb": g.new_array("f"),
+                "wi": g.new_array("i")}
+        body += [x.format(**fill) for x in stmts]
+        setup = [x.format(**fill) for x in setup_b]
+        path = _loop_breaker_path(b, indices)
+    ihead = f"for (i = {i0}; i {iop} {ni}; i += {si})"
+    return _program(g.arrays, g.scalars, ihead, "", [], [], body,
+                    setup), path
+
+
+@settings(max_examples=80)
+@given(st.one_of(_nest_program(), _loop_program()))
 def test_generated_nests_match_tree_walk(case):
     src, path = case
+    _check_nest_program(src, path)
+
+
+@pytest.mark.parametrize("breaker", sorted(_LOOP_BREAKERS))
+def test_loop_rule_paths(breaker):
+    """Every single-loop breaker takes its path over a loop long enough
+    for its cells to repeat, with memory and stdout unchanged."""
+    stmts, setup, path = _LOOP_BREAKERS[breaker]
+    fill = {"wa": "w0", "wb": "w1", "wi": "w3"}
+    src = _program([("w0", "f"), ("w1", "f"), ("w2", "f"), ("w3", "i")], [],
+                   "for (i = 0; i < 12; i++)", "", [], [],
+                   ["w2[i] = fa[i] * 0.5f;"]
+                   + [x.format(**fill) for x in stmts],
+                   [x.format(**fill) for x in setup])
     _check_nest_program(src, path)
 
 
@@ -683,6 +842,54 @@ int main(void) {{
 }}
 """
     _check_nest_program(src, "rows")
+
+
+#: loops the nest rule compiles that the single-loop rule left to the
+#: tree walk, each the body of a function: ``(body, host_stats subset)``
+_NEWLY_COMPILED = {
+    # a declared temp becomes a vector over i
+    "temp": ("for (i = 0; i < 40; i++) { float t = fa[i] * 2.0f;"
+             " w0[i] = t + 1.0f; t = t * t; w1[i] = t; }", {}),
+    # a fold into one cell beside another statement
+    "fold_beside": ("for (i = 0; i < 40; i++) { w0[3] += fa[i];"
+                    " w1[i] = fa[i] * 2.0f; }", {}),
+    # a plain store into one cell in the outer body of a whole nest
+    "outer_cell": ("for (i = 0; i < 6; i++) { w1[0] = fa[i];"
+                   " for (j = 0; j < 5; j++) w0[i * 16 + j] = fa[j]; }",
+                   {"nest_whole": 1}),
+    # a stride that is a variable
+    "symbolic_stride": ("for (i = 0; i < n; i++) w0[i * n + 1] = fa[i];",
+                        {}),
+    # repeated cells: the last store wins, and a fold over several cells
+    # runs one iteration at a time
+    "modulo_cells": ("for (i = 0; i < 12; i++) w0[i % 4] = fa[i];"
+                     " for (i = 0; i < 12; i++) w1[i % 4] += fa[i];", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEWLY_COMPILED))
+def test_loops_the_nest_rule_compiles(case):
+    body, stats = _NEWLY_COMPILED[case]
+    src = f"""
+float fa[{_SZ}], w0[{_SZ}], w1[{_SZ}];
+void body(void) {{
+    int i, j;
+    int n = 7;
+    {body}
+}}
+int main(void) {{
+    int i;
+    for (i = 0; i < {_SZ}; i++) fa[i] = (i % 13) * 0.1f + 0.3f;
+    body();
+    return 0;
+}}
+"""
+    ref = _run_nest_program(src, "off")
+    on = _run_nest_program(src, "on")
+    assert _globals_image(on) == _globals_image(ref)
+    _run_nest_program(src, "verify")      # raises on divergence
+    stats = {"fn_fast": 1, **stats}
+    assert {k: on.host_stats[k] for k in stats} == stats, on.host_stats
 
 
 def test_transcendental_loop_bit_identical():

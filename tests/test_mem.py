@@ -138,15 +138,6 @@ def test_load_out_of_range_raises():
         mem.load(0x100 - 1, np.int8)
 
 
-def test_copy_within():
-    mem = LinearMemory(1 << 12)
-    a = mem.alloc(32)
-    b = mem.alloc(32)
-    mem.view(a, 8, np.int32)[:] = np.arange(8)
-    mem.copy_within(b, a, 32)
-    assert list(mem.view(b, 8, np.int32)) == list(range(8))
-
-
 def test_bytes_in_use_tracks_allocations():
     mem = LinearMemory(1 << 12)
     assert mem.bytes_in_use == 0
