@@ -49,10 +49,6 @@ class ParseError(CFrontError):
     """Raised on syntactically invalid input."""
 
 
-class TypeError_(CFrontError):
-    """Raised on semantically invalid input (named to avoid the builtin)."""
-
-
 class InterpError(CFrontError):
     """Raised when the host interpreter hits undefined behaviour it detects
     (out-of-bounds access, call to an unknown function, ...)."""

@@ -998,12 +998,20 @@ def _scalar_addr(frame: Frame, expr: A.Index):
 
 def _affine_int(frame: Frame, e: A.Expr, axes: tuple, variant):
     """``(const, {var: coeff})`` when integer ``e`` is affine in the loop
-    variables ``axes`` with integer coefficients; None otherwise."""
+    variables ``axes`` with integer coefficients; None otherwise.
+
+    A loop-invariant part is evaluated before the loop runs, also in a
+    ``?:`` arm the loop may never take: one whose evaluation fails (a
+    division by zero) is not affine, and is left to the per-lane
+    evaluation, which fails only on the lanes that take its arm."""
     if not any(_mentions(e, v) for v in axes):
         names = _invariant_names(e)
         if names is None or names & variant:
             return None
-        value = _scalar_eval(frame, e)
+        try:
+            value = _scalar_eval(frame, e)
+        except InterpError:
+            return None
         return (value, {}) if type(value) is int else None
     t = type(e)
     if t is A.Ident:

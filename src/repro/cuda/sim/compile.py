@@ -5,54 +5,49 @@ every IR node of every iteration of every warp.  For the steady-state
 benchmark launches (same kernel image, thousands of warps) that dispatch
 dominates wall-clock.  This pass lowers a kernel's IR **once** into
 generated Python source — one closure per function activation (kernel
-body + registered subfunctions) — operating on whole-warp numpy lane
-vectors:
+body + registered subfunctions) — operating on numpy lane vectors:
 
 * straight-line runs of ALU/move/load/store ops become a single code
-  block guarded by one ``mask.any()`` check, with their ``KernelStats``
-  contributions aggregated into constant increments;
+  block guarded by one active-lane check, with their ``KernelStats``
+  contributions aggregated into constant increments per warp;
 * single-use pure values are fused textually into their consumer, so a
   chain like ``mul/add/ld/add/st`` becomes one composed numpy expression;
 * predicated control flow (``IfOp``/``LoopOp``) keeps the exact
   mask-algebra of the interpreter, bit for bit, including divergence and
   loop-iteration counters;
-* anything stateful or rare (intrinsic calls, atomics, printf, barriers)
-  delegates to the original ``WarpExec`` methods so the semantics cannot
-  drift.
+* anything stateful or rare (intrinsic calls, atomics, printf) runs the
+  reference intrinsics and per-warp semantics, so they cannot drift.
 
-The generated closures are still generators (they ``yield`` the same
-``('bar', id, count)`` / ``('spin',)`` scheduler events), so block
-scheduling, named barriers and the master/worker scheme are untouched.
+The generated code is a function of the kernel alone; it runs on a
+:class:`CompiledBlockExec` of any lane width ``W`` (read from the
+executor): one warp, or the executed warps of one or more blocks laid
+end to end, one *block segment* per block.  Accounting is per warp at
+any width: each per-warp counter grows by the number of warps with an
+active lane, and transactions are summed per warp.  A shared- or
+local-memory address is the one a block run alone would use; the
+executor moves it into the lane's own block segment.  A warp shuffle
+runs once for the whole axis; a block-local runtime call
+(:func:`~repro.cuda.sim.locality.local_call`) once per block segment
+when its scalar arguments agree across the block's warps, else per warp.
+Every other runtime call, ``printf``, each atomic runs per warp: once
+for each warp with an active lane, in warp order, on its own 32 lanes.
 
-The lane width is a compile parameter.  At 32 lanes a closure runs one
-warp.  A kernel whose communication is all phase-safe (no atomic,
-printf, communicating runtime call, or barrier other than a
-``__syncthreads`` under block-uniform control, see
-:mod:`repro.cuda.sim.locality`) is also compiled at ``nwarps x 32``
-lanes, the lanes of one *block segment*, and run by one
-:class:`CompiledBlockExec` whose lane axis lays the segments of many
-blocks end to end, so each numpy call serves every warp of every block
-at once.  The wide code reads its lane count from the executor, and the
-block id (``ctaid``) is a lane vector.  It keeps per-warp accounting:
-each per-warp counter grows by the number of warps with an active lane
-and transactions are summed per warp.  A barrier is counted once per
-warp with an active lane, not scheduled: the warps already run in step.
-A shared- or local-memory address is the one a block run alone would
-use; the executor moves it into the lane's own block segment.  A
-whitelisted runtime call runs once per block segment, on that block's
-lanes and state, when its scalar arguments agree across the block's
-warps, else per warp on 32-lane slices; a warp shuffle runs once for the
-whole axis.
+Two constructs differ in meaning, not only in counting, and are keyed on
+:func:`~repro.cuda.sim.locality.kernel_locality`: in a block-wide kernel
+a barrier is only checked and counted once per warp with an active lane,
+and a loop that may block counts its spins, as the warps already run in
+step; in any other kernel both yield to the block scheduler
+(``('bar', id, count)`` / ``('spin',)``), which runs such a kernel one
+warp per executor, so named barriers and the master/worker scheme are
+untouched.
 
 Under ``kernel_fastpath='on'`` every launch runs compiled code: there
 is no fallback to the tree-walker, which stays as the ``off`` reference
 that ``verify`` replays.  A construct the compiler does not handle
 raises :class:`UnsupportedKernel`, naming it, and fails the launch like
-any other compiler exception.  The lowerer does not emit such a
-construct, and the engine compiles at block width only the kernels
-:mod:`repro.cuda.sim.locality` clears for it.  ``CompiledKernelCache``
-memoizes per (kernel image id, param dtypes, lane width) so repeated
-``cuLaunchKernel`` calls skip re-lowering.
+any other compiler exception.  ``CompiledKernelCache`` memoizes per
+(kernel image id, param dtypes) so repeated ``cuLaunchKernel`` calls
+skip re-lowering.
 """
 
 from __future__ import annotations
@@ -69,11 +64,11 @@ from repro.cuda.ptx.ir import (
     UnOp, np_dtype, walk_ops,
 )
 from repro.cuda.sim.locality import (
-    SHUFFLES, local_call, loop_may_block,
+    SHUFFLES, kernel_locality, local_call, loop_may_block,
 )
 from repro.cuda.sim.warp import (
-    WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
-    _unop,
+    WARP_SIZE, Lanes, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
+    _unop, call_intrinsic, warp_atomic, warp_printf,
 )
 from repro.mem import MemoryError_
 
@@ -88,10 +83,6 @@ _PSEUDO = ("__ldparam", "__ldarg", "__local_base")
 _SEG_TYPES = (BinOp, UnOp, Mov, SelOp, Cvt, Sreg, Ld, St)
 
 _BOOL_DT = np.dtype(np.bool_)
-_LANEID = np.arange(WARP_SIZE, dtype=np.uint32)
-_LANEID.setflags(write=False)
-_Z = np.zeros(WARP_SIZE, dtype=bool)
-_Z.setflags(write=False)
 
 
 def _is_seg_op(op) -> bool:
@@ -125,8 +116,7 @@ def _scan_bc(ops) -> tuple[bool, bool]:
     return has_b, has_c
 
 
-def _reg(regs: dict, name: str, dtype: np.dtype,
-         width: int = WARP_SIZE) -> np.ndarray:
+def _reg(regs: dict, name: str, dtype: np.dtype, width: int) -> np.ndarray:
     arr = regs.get(name)
     if arr is None:
         arr = np.zeros(width, dtype=dtype)
@@ -134,14 +124,14 @@ def _reg(regs: dict, name: str, dtype: np.dtype,
     return arr
 
 
-def _fload(engine, warp, addrs, dtype, mask, n=1):
+def _fload(engine, warp, addrs, dtype, mask, n):
     """Streamlined ``FunctionalEngine.mem_load`` (identical semantics).
 
-    Block-wide code passes a mask over several warps and ``n``, the number
-    of warps with an active lane (``_nw(mask)``): one gather serves every
-    warp, one load is counted per active warp, and a load whose active
-    warps do not all fall in one address space, or whose shared or local
-    addresses leave a lane's own block window, is split per warp."""
+    ``n`` is the number of warps with an active lane (``_nw(mask)``): one
+    gather serves every warp, one load is counted per active warp, and a
+    load whose active warps do not all fall in one address space, or
+    whose shared or local addresses leave a lane's own block window, is
+    split per warp."""
     lanes = mask.tobytes()
     if not n or b"\x01" not in lanes:
         # predicated off: mirrors mem_load's early return exactly (no
@@ -166,7 +156,7 @@ def _fload(engine, warp, addrs, dtype, mask, n=1):
         out = np.zeros(mask.size, dtype=dtype)
         for k, lo, hi in warp.active_warps(mask):
             out[lo:hi] = _fload(engine, warp.warp_view(k), a[lo:hi], dtype,
-                                mask[lo:hi])
+                                mask[lo:hi], 1)
         return out
     stats = engine.stats
     stats.load_instructions += n
@@ -179,9 +169,9 @@ def _fload(engine, warp, addrs, dtype, mask, n=1):
     return out
 
 
-def _fstore(engine, warp, addrs, dtype, values, mask, n=1):
+def _fstore(engine, warp, addrs, dtype, values, mask, n):
     """Streamlined ``FunctionalEngine.mem_store`` (identical semantics;
-    block width as in :func:`_fload`).  Lanes scatter in lane order, so a
+    ``n`` as in :func:`_fload`).  Lanes scatter in lane order, so a
     cross-warp write conflict resolves to the later warp, as it does when
     the warps store one after another."""
     lanes = mask.tobytes()
@@ -214,7 +204,7 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n=1):
             raise
         for k, lo, hi in warp.active_warps(mask):
             _fstore(engine, warp.warp_view(k), a[lo:hi], dtype, v[lo:hi],
-                    mask[lo:hi])
+                    mask[lo:hi], 1)
         return
     stats = engine.stats
     stats.store_instructions += n
@@ -223,13 +213,14 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n=1):
 
 
 def _ldargv(warp, idx: int, dtype: np.dtype) -> np.ndarray:
-    """Full-width, dtype-cast view of subfunction argument ``idx``
-    (elementwise identical to what ``setreg`` would write)."""
+    """Full-width, dtype-cast view of subfunction argument ``idx`` of the
+    executor's current activation (elementwise identical to what
+    ``setreg`` would write)."""
     value = np.asarray(warp._arg_stack[-1][idx])
     if value.ndim == 0:
-        return np.full(WARP_SIZE, _cast_scalar(value, dtype))
-    out = np.empty(WARP_SIZE, dtype=dtype)
-    out[:] = _cast_vec(np.broadcast_to(value, (WARP_SIZE,)), dtype)
+        return np.full(warp.width, _cast_scalar(value, dtype))
+    out = np.empty(warp.width, dtype=dtype)
+    out[:] = _cast_vec(np.broadcast_to(value, (warp.width,)), dtype)
     return out
 
 
@@ -245,14 +236,14 @@ def _barcnt(v) -> int:
 
 
 def _bbar(engine, bar_id: int, count, n: int) -> None:
-    """A phase-safe barrier at block width: every warp with an active
-    lane (``n`` of them) arrives together, so it is only checked, as the
+    """A barrier of a block-wide kernel: every warp with an active lane
+    (``n`` of them) arrives together, so it is only checked, as the
     block scheduler checks an arrival, and counted once per warp."""
     engine.check_barrier(bar_id, count)
     engine.stats.barriers += n
 
 
-# -- block width: per-warp accounting over an nwarps x 32 lane axis ---------
+# -- per-warp accounting over a lane axis of whole warps ---------------------
 
 _NO_LANES = bytes(WARP_SIZE)
 #: widest mask whose warps :func:`_nw` compares one by one (below about
@@ -279,9 +270,13 @@ def _nw(mask) -> int:
 
 
 def _bbranch(stats, tm, em, ta, ea) -> None:
-    """An ``IfOp``'s counters at block width: one instruction per warp
-    with an active lane, one divergence per warp active on both arms."""
+    """An ``IfOp``'s counters: one instruction per warp with an active
+    lane, one divergence per warp active on both arms."""
     if ta and ea:
+        if tm.size == WARP_SIZE:
+            stats.divergent_branches += 1
+            stats.instructions += 1
+            return
         tw = tm.reshape(-1, WARP_SIZE).any(1)
         ew = em.reshape(-1, WARP_SIZE).any(1)
         stats.divergent_branches += int(np.count_nonzero(tw & ew))
@@ -296,27 +291,26 @@ class NonUniform(Exception):
     call cannot be made once for the block."""
 
 
-def _bval(blk, o, width: int):
-    """``WarpExec.val`` at block width."""
-    t = type(o)
-    if t is Reg:
-        return _reg(blk.regs, o.name, np_dtype(o.dtype), width)
-    if t is Imm:
-        return np_dtype(o.dtype).type(o.value)
-    return np.uint64(blk.engine.global_addr(o.name))
-
-
 def _bcall(blk, op, regspec, m):
-    """A runtime call at block width.
+    """A block-local runtime call.
 
-    A warp shuffle reads lanes of the calling warp only: it is made once
-    over the executor's whole lane axis.  Any other call is made once per
-    block segment with an active lane, in block order, on that block's
-    executor (:meth:`CompiledBlockExec.segment`), whose registers are
-    slices of the launch's, so the call sees its own block's state and
-    lanes exactly as a block run alone shows them."""
+    Block-local intrinsics (see
+    :func:`~repro.cuda.sim.locality.local_call`) run over a block's
+    lanes: they read the lane count from the mask and the lane ids from
+    the executor.  A warp shuffle reads lanes of the calling warp only: it
+    is made once over the executor's whole lane axis.  Any other call is
+    made once per block segment with an active lane, in block order, on
+    that block's executor (:meth:`CompiledBlockExec.segment`), whose
+    registers are slices of the launch's, so the call sees its own
+    block's state and lanes exactly as a block run alone shows them.
+    When a scalar argument differs between a block's warps
+    (:class:`NonUniform`) the call is made per warp instead
+    (:func:`_warps_call`)."""
     if blk.segments is None or op.name in SHUFFLES:
-        return (yield from _bcall_block(blk, op, regspec, m))
+        try:
+            return (yield from call_intrinsic(blk, op, m, _nw(m)))
+        except NonUniform:
+            return (yield from _warps_call(blk, op, regspec, m))
     out = m.copy()
     regs = blk.regs
     ret = blk._ret_stack[-1]
@@ -325,68 +319,52 @@ def _bcall(blk, op, regspec, m):
         seg.regs = {name: _reg(regs, name, dt, width)[lo:hi]
                     for name, dt in regspec}
         seg._ret_stack = [ret[lo:hi]]
-        out[lo:hi] = yield from _bcall_block(seg, op, regspec, m[lo:hi])
+        out[lo:hi] = yield from _bcall(seg, op, regspec, m[lo:hi])
     return out
 
 
-def _bcall_block(blk, op, regspec, m):
-    """A runtime call made once for ``blk``'s lanes.
-
-    Block-wide code calls only block-local intrinsics (see
-    :func:`~repro.cuda.sim.locality.local_call`), which run over the
-    block's lanes: they read the lane count from the mask and the lane
-    ids from the executor.  One instruction is counted per active warp.
-    When a scalar argument differs between warps (:class:`NonUniform`)
-    the call is made per warp instead (:func:`_warps_call`)."""
-    width = m.size
-    intrinsic = blk.engine.intrinsics.get(op.name)
-    if intrinsic is None:   # the per-warp call reports it
-        return (yield from _warps_call(blk, op, regspec, m))
-    try:
-        result = yield from intrinsic(
-            blk, m, [_bval(blk, a, width) for a in op.args])
-    except NonUniform:
-        return (yield from _warps_call(blk, op, regspec, m))
-    blk.engine.stats.instructions += _nw(m)
-    dst = op.dst
-    if dst is not None:
-        dt = np_dtype(dst.dtype)
-        arr = _reg(blk.regs, dst.name, dt, width)
-        if result is None:
-            arr[m] = 0
-        else:
-            value = np.asarray(result)
-            if value.ndim == 0:
-                arr[m] = _cast_scalar(value, dt)
-            else:
-                arr[m] = _cast_vec(value[m], dt)
-    return m & ~blk._ret_stack[-1]
-
-
-def _warps_call(blk, op, regspec, m):
-    """A runtime call made by every warp with an active lane on its own
-    32-lane slice, in warp order, so the intrinsic sees exactly what a
-    per-warp run shows it.  ``regspec`` names the registers the call
-    reads or writes; the warp's view of each is a slice of the block's."""
-    out = m.copy()
-    ret = blk._ret_stack[-1]
+def _warps(blk, regspec, m):
+    """``(warp, lo, hi)`` for each warp of ``blk`` with an active lane, in
+    warp order, where ``warp`` is an executor of those 32 lanes alone: an
+    executor of one warp is its own, a wider one hands out a view per
+    warp whose registers named in ``regspec`` are slices of its own."""
+    if blk.width == WARP_SIZE:
+        yield blk, 0, WARP_SIZE
+        return
     regs = blk.regs
+    ret = blk._ret_stack[-1]
     width = m.size
     for k, lo, hi in blk.active_warps(m):
         view = blk.warp_view(k)
         for name, dt in regspec:
             view.regs[name] = _reg(regs, name, dt, width)[lo:hi]
         view._ret_stack = [ret[lo:hi]]
-        out[lo:hi] = yield from view._call(op, m[lo:hi])
+        yield view, lo, hi
+
+
+def _warps_call(blk, op, regspec, m):
+    """A runtime call made by every warp with an active lane on its own
+    32 lanes, in warp order, so the intrinsic sees exactly what a
+    per-warp run shows it."""
+    out = m.copy()
+    for warp, lo, hi in _warps(blk, regspec, m):
+        out[lo:hi] = yield from call_intrinsic(warp, op, m[lo:hi])
     return out
 
 
+def _warps_do(blk, fn, op, regspec, m) -> None:
+    """``fn(warp, op, mask)`` (a printf or an atomic) for every warp with
+    an active lane on its own 32 lanes, in warp order."""
+    for warp, lo, hi in _warps(blk, regspec, m):
+        fn(warp, op, m[lo:hi])
+
+
 _GLOBALS = {
-    "np": np, "_SHP": (WARP_SIZE,), "_Z": _Z, "_LANEID": _LANEID,
-    "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
-    "_bop": _binop, "_fload": _fload, "_fstore": _fstore,
-    "_ldargv": _ldargv, "_barid": _barid, "_barcnt": _barcnt,
-    "_bbar": _bbar, "_nw": _nw, "_bbranch": _bbranch, "_bcall": _bcall,
+    "np": np, "_reg": _reg, "_bop": _binop, "_fload": _fload,
+    "_fstore": _fstore, "_ldargv": _ldargv, "_barid": _barid,
+    "_barcnt": _barcnt, "_bbar": _bbar, "_nw": _nw, "_bbranch": _bbranch,
+    "_bcall": _bcall, "_warps_call": _warps_call, "_warps_do": _warps_do,
+    "_printf": warp_printf, "_atomic": warp_atomic,
 }
 
 
@@ -412,7 +390,7 @@ class _Analysis:
     """Def/use scan over all function bodies of a kernel.
 
     A register is a *temp* (kept as a generated local / fused expression
-    instead of a 32-wide entry in ``warp.regs``) iff it has exactly one
+    instead of a lane-wide entry in ``warp.regs``) iff it has exactly one
     def, that def is a plain data op, it is never touched by a delegated
     op (intrinsic call, atomic, printf, barrier operand), and every use
     appears strictly after the def inside the def's block (at any
@@ -587,9 +565,11 @@ class _KernelCompiler:
     """Drives per-function codegen and owns the exec() namespace pools
     (immediates, dtypes, delegated-op objects, folded constants)."""
 
-    def __init__(self, kernel: KernelIR, width: int = WARP_SIZE):
+    def __init__(self, kernel: KernelIR):
         self.kernel = kernel
-        self.width = width
+        #: barriers and blocking loops are counted, not scheduled (see
+        #: :func:`_bbar`); else they yield to the block scheduler
+        self.block_wide = kernel_locality(kernel).block_wide
         self.an = _Analysis(kernel)
         self.ns: dict[str, object] = {}
         self._pool_n = 0
@@ -637,11 +617,8 @@ class _KernelCompiler:
         return n
 
     def compile(self) -> "CompiledKernel":
-        fns = [self.kernel.body]
-        # a block-wide kernel never enters a subfunction (only the
-        # master/worker runtime calls them)
-        if self.width == WARP_SIZE:
-            fns += [sub.body for sub in self.kernel.subfunctions.values()]
+        fns = [self.kernel.body] + [sub.body for sub in
+                                    self.kernel.subfunctions.values()]
         module_src = "\n\n".join(_FnGen(self, ops).generate(f"f{fi}")
                                   for fi, ops in enumerate(fns))
         glb = dict(_GLOBALS)
@@ -650,7 +627,7 @@ class _KernelCompiler:
         exec(code, glb)
         return CompiledKernel(self.kernel, glb["f0"],
                               [glb[f"f{fi}"] for fi in range(1, len(fns))],
-                              module_src, self.width)
+                              module_src)
 
 
 # --------------------------------------------------------------------------
@@ -678,10 +655,6 @@ class _FnGen:
         self.temp_names: dict[str, str] = {}
         self.pend_order: list[str] = []
         self.loop_ctx: list[tuple[str, str]] = []
-        #: ``wide`` code covers several warps (see _fload) and reads its
-        #: lane count ``W`` from the executor; ``self.W`` is its text
-        self.wide = kc.width != WARP_SIZE
-        self.W = "W" if self.wide else str(WARP_SIZE)
         #: a local already holding ``_nw(m)`` for the next op, if any
         self.m_nw: Optional[str] = None
 
@@ -694,10 +667,9 @@ class _FnGen:
         return str(self.uid_n)
 
     def any_text(self, mask: str) -> str:
-        """Whether ``mask`` has an active lane.  At block width
-        ``count_nonzero`` is used: it skips the ufunc reduction set-up
-        that dominates ``any()`` on a few hundred lanes."""
-        return f"np.count_nonzero({mask})" if self.wide else f"{mask}.any()"
+        """Whether ``mask`` has an active lane.  ``count_nonzero`` skips
+        the ufunc reduction set-up that dominates ``any()``."""
+        return f"np.count_nonzero({mask})"
 
     def guard_open(self, cond: bool) -> None:
         if cond:
@@ -707,10 +679,6 @@ class _FnGen:
     def guard_close(self, cond: bool) -> None:
         if cond:
             self.ind -= 1
-
-    def narrow_only(self, what: str) -> None:
-        if self.wide:
-            raise UnsupportedKernel(f"{what} at block width")
 
     def generate(self, fname: str) -> str:
         self.has_ret = any(type(o) is RetOp for o in walk_ops(self.ops))
@@ -724,19 +692,17 @@ class _FnGen:
         put(1, "stats = engine.stats")
         put(1, "regs = warp.regs")
         put(1, "m = m.copy()")
-        if self.wide:
-            put(1, "W = warp.width")
-            put(1, "_SHP = (W,)")
-            put(1, "_Z = warp.no_lanes")
-        wide_arg = f", {self.W}" if self.wide else ""
+        put(1, "W = warp.width")
+        put(1, "_SHP = (W,)")
+        put(1, "_Z = warp.no_lanes")
         for name, (local, dtstr) in self.reg_locals.items():
             put(1, f"{local} = _reg(regs, {name!r}, "
-                   f"{self.kc.dt(np_dtype(dtstr))}{wide_arg})")
+                   f"{self.kc.dt(np_dtype(dtstr))}, W)")
         for local, expr in self.sreg_locals.values():
             put(1, f"{local} = {expr}")
         for gname, local in self.glob_locals.items():
             put(1, f"{local} = np.uint64(engine.global_addr({gname!r}))")
-        put(1, f"ret = np.zeros({self.W}, np.bool_)")
+        put(1, "ret = np.zeros(W, np.bool_)")
         put(1, "warp._ret_stack.append(ret)")
         put(1, "try:")
         if self.lines:
@@ -751,6 +717,13 @@ class _FnGen:
         return "\n".join(out)
 
     # -- operand handling --------------------------------------------------
+    def regspec(self, operands, dst=None) -> str:
+        """Pool name of the ``(name, dtype)`` of each register among
+        ``operands`` and ``dst``: what a per-warp view must slice."""
+        return self.kc.op_ref(tuple((r.name, np_dtype(r.dtype))
+                                    for r in [*operands, dst]
+                                    if type(r) is Reg))
+
     def reg_local(self, name: str, dtstr: str) -> str:
         ent = self.reg_locals.get(name)
         if ent is None:
@@ -792,24 +765,22 @@ class _FnGen:
             return _Val("warp.tid_y", u32, False)
         if name == "tid.z":
             return _Val("warp.tid_z", u32, False)
-        if name == "laneid":
-            return _Val("warp.laneid" if self.wide else "_LANEID", u32, False)
-        if name == "warpid" and self.wide:
-            return _Val("warp.warpid", u32, False)
-        if name.startswith("ctaid.") and self.wide:
-            # one block id per lane: the axis holds several blocks
+        if name in ("laneid", "warpid"):
+            return _Val(f"warp.{name}", u32, False)
+        if name.startswith("ctaid."):
+            # one block id per lane: the axis may hold several blocks.
+            # The tree walk's 0-d ctaid/warpid would raise in
+            # _cast_scalar where astype wraps, but the lowerer gives
+            # every integer op its operands' type (a wrapping Cvt), so
+            # no such cast overflows
             return _Val(f"warp.ctaid_{name[-1]}", u32, False)
         exprs = {
             "ntid.x": "np.uint32(warp.block.block_dim[0])",
             "ntid.y": "np.uint32(warp.block.block_dim[1])",
             "ntid.z": "np.uint32(warp.block.block_dim[2])",
-            "ctaid.x": "np.uint32(warp.block.block_idx[0])",
-            "ctaid.y": "np.uint32(warp.block.block_idx[1])",
-            "ctaid.z": "np.uint32(warp.block.block_idx[2])",
             "nctaid.x": "np.uint32(warp.block.grid_dim[0])",
             "nctaid.y": "np.uint32(warp.block.grid_dim[1])",
             "nctaid.z": "np.uint32(warp.block.grid_dim[2])",
-            "warpid": "np.uint32(warp.warp_index)",
         }
         expr = exprs.get(name)
         if expr is None:
@@ -932,35 +903,23 @@ class _FnGen:
             elif cls is BarOp:
                 self.emit_bar(op, maybe_empty, known_nw)
             elif cls is CallOp:
-                if not local_call(op.name):
-                    self.narrow_only(f"runtime call {op.name}")
-                ref = self.kc.op_ref(op)
+                call = "_bcall" if local_call(op.name) else "_warps_call"
                 self.guard_open(maybe_empty)
-                if self.wide:
-                    spec = self.kc.op_ref(tuple(
-                        (r.name, np_dtype(r.dtype))
-                        for r in [*op.args, op.dst] if type(r) is Reg))
-                    self.w(f"m = yield from _bcall(warp, {ref}, {spec}, m)")
-                else:
-                    self.w(f"m = yield from warp._call({ref}, m)")
+                self.w(f"m = yield from {call}(warp, {self.kc.op_ref(op)}, "
+                       f"{self.regspec(op.args, op.dst)}, m)")
                 self.guard_close(maybe_empty)
                 maybe_empty = True
-            elif cls is PrintfOp:
-                self.narrow_only("printf")
-                ref = self.kc.op_ref(op)
+            elif cls in (PrintfOp, Atom):
+                fn = "_printf" if cls is PrintfOp else "_atomic"
+                regs = (op.args if cls is PrintfOp
+                        else (op.dst, op.addr, op.a, op.b))
                 self.guard_open(maybe_empty)
-                self.w(f"warp._printf({ref}, m)")
-                self.guard_close(maybe_empty)
-            elif cls is Atom:
-                self.narrow_only("atomic")
-                ref = self.kc.op_ref(op)
-                self.guard_open(maybe_empty)
-                self.w(f"warp._atomic({ref}, m)")
+                self.w(f"_warps_do(warp, {fn}, {self.kc.op_ref(op)}, "
+                       f"{self.regspec(regs)}, m)")
                 self.guard_close(maybe_empty)
             elif cls is RetOp:
                 self.guard_open(maybe_empty)
-                self.w("stats.instructions += _nw(m)" if self.wide
-                       else "stats.instructions += 1")
+                self.w("stats.instructions += _nw(m)")
                 self.w("ret |= m")
                 self.w("m = _Z")
                 self.guard_close(maybe_empty)
@@ -1013,16 +972,12 @@ class _FnGen:
                 instr += 1
             # Ld/St stats are bumped inside _fload/_fstore
         self.guard_open(maybe_empty)
-        if self.wide:
-            # every op of the segment runs under this one mask
-            self.w(f"_n = {known_nw or '_nw(m)'}")
-            if instr:
-                self.w(f"stats.instructions += {instr} * _n")
-        elif instr:
-            self.w(f"stats.instructions += {instr}")
+        # every op of the segment runs under this one mask
+        self.w(f"_n = {known_nw or '_nw(m)'}")
+        if instr:
+            self.w(f"stats.instructions += {instr} * _n")
         if any(alu.values()):
-            self.w("_a = int(np.count_nonzero(m))" if self.wide
-                   else "_a = int(m.sum())")
+            self.w("_a = int(np.count_nonzero(m))")
             for key, count in alu.items():
                 if count == 1:
                     self.w(f"stats.{key} += _a")
@@ -1056,17 +1011,15 @@ class _FnGen:
         elif cls is Ld:
             a = self.operand(op.addr)
             dt = np_dtype(op.dst.dtype)
-            mask = "m, _n" if self.wide else "m"
             v = _Val(f"_fload(engine, warp, {a.text}, {self.kc.dt(dt)}, "
-                     f"{mask})", dt, False, pure=False, refs=a.refs)
+                     "m, _n)", dt, False, pure=False, refs=a.refs)
             self.write_dst(op.dst, v, impure=True)
         elif cls is St:
             a = self.operand(op.addr)
             val = self.operand(op.value)
             dt = np_dtype(op.dtype)
-            mask = "m, _n" if self.wide else "m"
             self.w(f"_fstore(engine, warp, {a.text}, {self.kc.dt(dt)}, "
-                   f"{val.text}, {mask})")
+                   f"{val.text}, m, _n)")
         else:  # CallOp: _is_seg_op admits only the _PSEUDO calls
             self.emit_pseudo(op)
 
@@ -1074,10 +1027,9 @@ class _FnGen:
         dt = np_dtype(op.dst.dtype)
         idx = int(op.args[0].value)
         if op.name == "__ldparam":
-            v = _Val(f"np.full({self.W}, warp.params[{idx}], "
+            v = _Val(f"np.full(W, warp.params[{idx}], "
                      f"dtype={self.kc.dt(dt)})", dt, False)
         elif op.name == "__ldarg":
-            self.narrow_only("subfunction argument")
             v = _Val(f"_ldargv(warp, {idx}, {self.kc.dt(dt)})", dt, False)
         else:  # __local_base
             v = _Val(f"(warp.block.local_base(warp.lane_linear) "
@@ -1191,14 +1143,7 @@ class _FnGen:
         self.w(f"em{k} = m & ~cc{k}")
         self.w(f"ta{k} = {self.any_text(f'tm{k}')}")
         self.w(f"ea{k} = {self.any_text(f'em{k}')}")
-        if self.wide:
-            self.w(f"_bbranch(stats, tm{k}, em{k}, ta{k}, ea{k})")
-        else:
-            self.w(f"if ta{k} and ea{k}:")
-            self.ind += 1
-            self.w("stats.divergent_branches += 1")
-            self.ind -= 1
-            self.w("stats.instructions += 1")
+        self.w(f"_bbranch(stats, tm{k}, em{k}, ta{k}, ea{k})")
         if op.then_ops:
             self.w(f"if ta{k}:")
             self.ind += 1
@@ -1219,7 +1164,6 @@ class _FnGen:
     def emit_loop(self, op: LoopOp, maybe_empty: bool) -> None:
         k = self.uid()
         may_block = loop_may_block(op)
-        W = self.W
         step_ops = op.step_ops
         # break/continue/return trackers are emitted only when the loop can
         # actually produce them — the common counted loop carries none
@@ -1227,7 +1171,7 @@ class _FnGen:
         has_ret = self.has_ret
         self.guard_open(maybe_empty)
         self.w(f"lv{k} = m")
-        self.w(f"ex{k} = np.zeros({W}, np.bool_)")
+        self.w(f"ex{k} = np.zeros(W, np.bool_)")
         self.w("while True:")
         self.ind += 1
         if has_ret:
@@ -1242,18 +1186,14 @@ class _FnGen:
         self.w(f"ac{k} = lv{k} & cc{k}")
         self.w(f"ex{k} |= lv{k} & ~cc{k}")
         self.w(f"if not {self.any_text(f'ac{k}')}: break")
-        if self.wide:
-            self.w(f"it{k} = _nw(ac{k})")
-            self.w(f"stats.loop_iterations += it{k}")
-        else:
-            self.w("stats.loop_iterations += 1")
+        self.w(f"it{k} = _nw(ac{k})")
+        self.w(f"stats.loop_iterations += it{k}")
         if has_b:
-            self.w(f"bk{k} = np.zeros({W}, np.bool_)")
+            self.w(f"bk{k} = np.zeros(W, np.bool_)")
         if has_c:
-            self.w(f"cn{k} = np.zeros({W}, np.bool_)")
+            self.w(f"cn{k} = np.zeros(W, np.bool_)")
         self.w(f"m = ac{k}")
-        if self.wide:
-            self.m_nw = f"it{k}"
+        self.m_nw = f"it{k}"
         self.loop_ctx.append((f"bk{k}", f"cn{k}"))
         self.block_ops(op.body_ops, False)
         self.m_nw = None
@@ -1262,8 +1202,8 @@ class _FnGen:
         if step_ops:
             self.w(f"if {self.any_text(f'rn{k}')}:")
             self.ind += 1
-            self.w(f"sb{k} = np.zeros({W}, np.bool_)")
-            self.w(f"sc{k} = np.zeros({W}, np.bool_)")
+            self.w(f"sb{k} = np.zeros(W, np.bool_)")
+            self.w(f"sc{k} = np.zeros(W, np.bool_)")
             self.w(f"m = rn{k}")
             self.loop_ctx.append((f"sb{k}", f"sc{k}"))
             self.block_ops(step_ops, False)
@@ -1273,8 +1213,8 @@ class _FnGen:
         if has_b:
             self.w(f"ex{k} |= bk{k}")
         self.w(f"lv{k} = rn{k}")
-        if may_block and self.wide:
-            # every warp that ran the iteration would spin once; a single
+        if may_block and self.kc.block_wide:
+            # every warp that ran the iteration would spin once; a
             # block-wide executor has no one to hand control to
             self.w(f"stats.spins += it{k}")
         elif may_block:
@@ -1296,7 +1236,7 @@ class _FnGen:
             c = self.operand(op.count)
             cnt_t = str(int(c.const)) if c.has_const else f"_barcnt({c.text})"
         self.guard_open(maybe_empty)
-        if self.wide:
+        if self.kc.block_wide:
             # phase-safe (the kernel is block-wide): count, don't schedule
             self.w(f"_bbar(engine, {bid_t}, {cnt_t}, {known_nw or '_nw(m)'})")
         else:
@@ -1312,26 +1252,22 @@ class _FnGen:
 class CompiledKernel:
     """A kernel lowered to generated Python closures: ``body_fn`` runs the
     kernel body, ``sub_fns`` the subfunctions, indexed like
-    ``WarpExec._subfn_by_id`` (none at block width)."""
+    ``WarpExec._subfn_by_id``; each runs on a :class:`CompiledBlockExec`
+    of any width."""
 
     kernel: KernelIR
     body_fn: Callable
     sub_fns: list[Callable]
     source: str
-    #: lanes per warp executor (32) or per block segment (nwarps x 32)
-    width: int = WARP_SIZE
 
 
-def compile_kernel(kernel: KernelIR, width: int = WARP_SIZE) -> CompiledKernel:
-    """Lower ``kernel`` to closures over ``width`` lanes; raises
-    :class:`UnsupportedKernel`.  A width above 32 is for block-wide
-    kernels only (see :mod:`repro.cuda.sim.locality`)."""
-    return _KernelCompiler(kernel, width).compile()
+def compile_kernel(kernel: KernelIR) -> CompiledKernel:
+    """Lower ``kernel`` to closures; raises :class:`UnsupportedKernel`."""
+    return _KernelCompiler(kernel).compile()
 
 
 class CompiledKernelCache:
-    """Launch-level memoization keyed on (kernel image id, param dtypes,
-    lane width).
+    """Launch-level memoization keyed on (kernel image id, param dtypes).
 
     Shared by every engine a driver creates, so the benchmark steady
     state (same image, thousands of launches) compiles exactly once.
@@ -1348,44 +1284,17 @@ class CompiledKernelCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def get(self, kernel: KernelIR, width: int = WARP_SIZE) -> CompiledKernel:
-        key = (id(kernel), tuple(p.dtype for p in kernel.params), width)
+    def get(self, kernel: KernelIR) -> CompiledKernel:
+        key = (id(kernel), tuple(p.dtype for p in kernel.params))
         entry = self._cache.get(key)
         if entry is not None:
             self.hits += 1
             return entry[1]
-        ck = compile_kernel(kernel, width)
+        ck = compile_kernel(kernel)
         self.compiled += 1
         # keep a reference to the kernel so its id() cannot be recycled
         self._cache[key] = (kernel, ck)
         return ck
-
-    def widths(self, kernel: KernelIR) -> list[int]:
-        """Lane widths ``kernel`` has been compiled at, in first-use
-        order."""
-        return [key[2] for key in self._cache if key[0] == id(kernel)]
-
-
-class CompiledWarpExec(WarpExec):
-    """A warp that runs the compiled closures of its kernel body and
-    subfunctions.  It inherits from :class:`WarpExec` only the
-    runtime-call model the generated code delegates to (``val``,
-    ``setreg``, ``_call``, ``_printf``, ``_atomic``), never the
-    tree-walker."""
-
-    def __init__(self, compiled: CompiledKernel, *args):
-        super().__init__(*args)
-        self._compiled = compiled
-
-    def run_kernel(self):
-        yield from self._compiled.body_fn(self, self.valid)
-
-    def call_subfunction(self, fid: int, args: list, mask: np.ndarray):
-        self._arg_stack.append(args)
-        try:
-            yield from self._compiled.sub_fns[fid](self, mask)
-        finally:
-            self._arg_stack.pop()
 
 
 @functools.lru_cache(maxsize=64)
@@ -1413,34 +1322,42 @@ def _segment_lanes(warp_ids: tuple, nthreads: int, block_dim: tuple,
     return out
 
 
-class CompiledBlockExec:
-    """The executor of a block-wide kernel: the executed warps of one or
-    more blocks on one lane axis.
+class CompiledBlockExec(Lanes):
+    """The executor of compiled code: the executed warps of one or more
+    blocks on one lane axis.
 
     ``blocks`` are the blocks' contexts, in launch order; each owns one
     *block segment* of ``len(warp_ids) * 32`` lanes, and lane ``32*k + i``
     of a segment is lane ``i`` of warp ``warp_ids[k]`` of its block.
     Generated code reads the same attributes it reads from a
-    :class:`WarpExec`, at block width: thread ids are block-relative, the
-    block ids ``ctaid_*`` are per lane, and ``block`` carries the
+    :class:`WarpExec`, over ``width`` lanes: thread, lane and warp ids
+    and the block ids ``ctaid_*`` are per lane, and ``block`` carries the
     geometry every block shares.  A shared or local address is the one a
     block run alone would use: :meth:`window` moves it into the lane's
     own block segment of ``windows`` (name -> memory holding every
     block's window end to end, whose per-block pieces are the blocks'
-    ``smem``/``lmem``).  Runtime calls go to one executor per block
-    (:meth:`segment`); runtime calls made per warp and loads or stores
-    that must split go through one :class:`WarpExec` view per warp,
-    created on first use, whose registers are slices of the block's.
+    ``smem``/``lmem``).  Block-local runtime calls go to one executor per
+    block (:meth:`segment`); per-warp constructs and loads or stores that
+    must split go through one executor per warp (:meth:`warp_view`),
+    created on first use, whose registers are slices of this one's.
+
+    A kernel that is not block-wide runs one executor of one warp per
+    warp, under the block scheduler: it has the ``warp_index``,
+    ``_arg_stack`` and :meth:`call_subfunction` of a warp, which the
+    master/worker runtime uses.
     """
 
-    def __init__(self, compiled: CompiledKernel, engine, blocks: list,
-                 warp_ids: list[int], nthreads: int, kernel: KernelIR,
-                 params: list, windows: Optional[dict] = None):
+    def __init__(self, compiled: Optional[CompiledKernel], engine,
+                 blocks: list, warp_ids: list[int], nthreads: int,
+                 kernel: KernelIR, params: list,
+                 windows: Optional[dict] = None):
         self._compiled = compiled
         self.engine = engine
         self.blocks = blocks
         self.block = blocks[0]
         self.warp_ids = warp_ids
+        #: the warp's index in its block, when a segment is one warp
+        self.warp_index = warp_ids[0] if len(warp_ids) == 1 else None
         self.nthreads = nthreads
         self.kernel = kernel
         self.params = params
@@ -1465,7 +1382,9 @@ class CompiledBlockExec:
                 for name, mem in (windows or {}).items() if mem is not None}
         self.regs: dict[str, np.ndarray] = {}
         self._ret_stack: list[np.ndarray] = []
-        self._views: list[Optional[WarpExec]] = [None] * len(warp_ids)
+        self._arg_stack: list[list] = []
+        self._views: list[Optional[CompiledBlockExec]] = \
+            [None] * len(warp_ids)
 
     def window(self, space, addrs: np.ndarray, mask: np.ndarray,
                itemsize: int):
@@ -1506,22 +1425,30 @@ class CompiledBlockExec:
         seg = self.segments[k]
         if seg is None:
             seg = self.segments[k] = CompiledBlockExec(
-                None, self.engine, [self.blocks[k]], self.warp_ids,
+                self._compiled, self.engine, [self.blocks[k]], self.warp_ids,
                 self.nthreads, self.kernel, self.params)
         return seg
 
-    def warp_view(self, k: int) -> WarpExec:
+    def warp_view(self, k: int) -> "CompiledBlockExec":
+        """The executor of warp ``k`` of the axis alone."""
         nw = len(self.warp_ids)
         if self.segments is not None:
             return self.segment(k // nw).warp_view(k % nw)
         view = self._views[k]
         if view is None:
-            lo, hi = k * WARP_SIZE, (k + 1) * WARP_SIZE
-            view = WarpExec(self.engine, self.block, self.warp_ids[k],
-                            self.lane_linear[lo:hi], self.valid[lo:hi],
-                            self.kernel, self.params)
-            self._views[k] = view
+            view = self._views[k] = CompiledBlockExec(
+                self._compiled, self.engine, [self.block],
+                [self.warp_ids[k]], self.nthreads, self.kernel, self.params)
         return view
 
     def run_kernel(self):
         yield from self._compiled.body_fn(self, self.valid)
+
+    def call_subfunction(self, fid: int, args: list, mask: np.ndarray):
+        """Run registered device subfunction ``fid`` (a parallel-region
+        body) on this executor's lanes."""
+        self._arg_stack.append(args)
+        try:
+            yield from self._compiled.sub_fns[fid](self, mask)
+        finally:
+            self._arg_stack.pop()

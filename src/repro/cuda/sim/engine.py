@@ -8,10 +8,12 @@ an arriving warp contributes 32 threads towards the count; release happens
 when ``ceil(n / 32)`` warps have arrived (counts must be multiples of the
 warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
 
-With the compiled fast path on, a block-wide kernel (see
-:mod:`repro.cuda.sim.locality`) skips the scheduler: the executed
-blocks of a launch run on one
-:class:`~repro.cuda.sim.compile.CompiledBlockExec` whose lane axis lays
+With the compiled fast path on, every launch runs
+:class:`~repro.cuda.sim.compile.CompiledBlockExec` executors of one
+compiled kernel.  A kernel that is not block-wide (see
+:mod:`repro.cuda.sim.locality`) runs one executor of one warp per warp,
+under the scheduler above.  A block-wide kernel skips the scheduler: the
+executed blocks of a launch run on one executor whose lane axis lays
 their executed warps end to end, one *block segment* per block (up to
 :data:`MAX_LANES` lanes; a larger launch runs in groups of whole
 blocks), with per-warp accounting, so ``KernelStats`` and the activity
@@ -39,9 +41,7 @@ from repro.cuda.device import DeviceProperties, Dim3
 from repro.cuda.ptx.ir import KernelIR, LoopOp
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
 from repro.cuda.sim.coalesce import transactions
-from repro.cuda.sim.compile import (
-    CompiledBlockExec, CompiledKernelCache, CompiledWarpExec,
-)
+from repro.cuda.sim.compile import CompiledBlockExec, CompiledKernelCache
 from repro.cuda.sim.locality import kernel_locality, loop_may_block
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
 from repro.mem import LinearMemory, differential_run
@@ -386,8 +386,7 @@ class FunctionalEngine:
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self.compile_cache.get(kernel, self._lane_width(
-                kernel, Dim3.of(block), only_warps))
+            compiled = self.compile_cache.get(kernel)
         if self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
@@ -413,17 +412,6 @@ class FunctionalEngine:
     def _run_warps(nwarps: int, only_warps) -> list[int]:
         return [w for w in range(nwarps)
                 if only_warps is None or w in only_warps]
-
-    def _lane_width(self, kernel: KernelIR, block: Dim3, only_warps) -> int:
-        """Lanes per compiled executor, the one width decision: the whole
-        block's executed warps when the kernel is block-wide (its barriers
-        are phase-safe, so counting them is sound) and runs more than one
-        warp, else one warp."""
-        nwarps = (block.count + WARP_SIZE - 1) // WARP_SIZE
-        n = len(self._run_warps(nwarps, only_warps))
-        if n > 1 and kernel_locality(kernel).block_wide:
-            return n * WARP_SIZE
-        return WARP_SIZE
 
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
                          only_warps, compiled) -> KernelStats:
@@ -492,7 +480,6 @@ class FunctionalEngine:
         nthreads = block.count
         nwarps = (nthreads + WARP_SIZE - 1) // WARP_SIZE
         run_warps = self._run_warps(nwarps, only_warps)
-        wide = compiled is not None and compiled.width > WARP_SIZE
         if only_blocks is None:
             blocks = (
                 (bx, by, bz)
@@ -506,9 +493,9 @@ class FunctionalEngine:
                 self.device.shared_mem_per_block, kernel.local_static)
         # only_warps is representative-warp sampling: valid only for
         # kernels with no inter-warp communication (the caller checks)
-        if wide:
+        if compiled is not None and kernel_locality(kernel).block_wide:
             blocks = list(blocks)
-            per = max(1, MAX_LANES // compiled.width)
+            per = max(1, MAX_LANES // (len(run_warps) * WARP_SIZE))
             for lo in range(0, len(blocks), per):
                 ctxs, windows = BlockCtx.group(blocks[lo:lo + per], *dims)
                 self._run_wide(CompiledBlockExec(compiled, self, ctxs,
@@ -520,19 +507,19 @@ class FunctionalEngine:
             return stats
         for block_idx in blocks:
             ctx = BlockCtx(block_idx, *dims)
-            warps = []
-            for w in run_warps:
-                lane_linear = np.arange(w * WARP_SIZE,
-                                        (w + 1) * WARP_SIZE,
-                                        dtype=np.int64)
-                valid = lane_linear < nthreads
-                if compiled is not None:
-                    warps.append(CompiledWarpExec(compiled, self, ctx, w,
-                                                  lane_linear, valid,
-                                                  kernel, params))
-                else:
+            if compiled is not None:
+                warps = [CompiledBlockExec(compiled, self, [ctx], [w],
+                                           nthreads, kernel, params)
+                         for w in run_warps]
+            else:
+                warps = []
+                for w in run_warps:
+                    lane_linear = np.arange(w * WARP_SIZE,
+                                            (w + 1) * WARP_SIZE,
+                                            dtype=np.int64)
                     warps.append(WarpExec(self, ctx, w, lane_linear,
-                                          valid, kernel, params))
+                                          lane_linear < nthreads, kernel,
+                                          params))
             self._run_block(warps)
             stats.blocks_launched += 1
             stats.warps_launched += len(run_warps)
@@ -569,7 +556,7 @@ class FunctionalEngine:
                     f"block-wide executor cannot schedule {event!r}")
             self.stats.spins += 1
 
-    def _run_block(self, warps: list[WarpExec]) -> None:
+    def _run_block(self, warps: list) -> None:
         gens = [w.run_kernel() for w in warps]
         n = len(warps)
         READY, WAITING, DONE = 0, 1, 2

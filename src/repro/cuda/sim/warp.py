@@ -33,7 +33,39 @@ WARP_SIZE = 32
 _FMT_RE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?(?:hh|h|ll|l|z)?[diouxXeEfgGcsp%]")
 
 
-class WarpExec:
+class Lanes:
+    """Register access over an executor's ``width`` lanes, shared by the
+    tree walk's warps and the compiled executors."""
+
+    width = WARP_SIZE
+
+    def val(self, operand) -> np.ndarray:
+        if isinstance(operand, Reg):
+            arr = self.regs.get(operand.name)
+            if arr is None:
+                arr = np.zeros(self.width, dtype=np_dtype(operand.dtype))
+                self.regs[operand.name] = arr
+            return arr
+        if isinstance(operand, Imm):
+            return np_dtype(operand.dtype).type(operand.value)
+        if isinstance(operand, GlobalAddr):
+            return np.uint64(self.engine.global_addr(operand.name))
+        raise TypeError(f"bad operand {operand!r}")
+
+    def setreg(self, reg: Reg, value, mask: np.ndarray) -> None:
+        arr = self.regs.get(reg.name)
+        dtype = np_dtype(reg.dtype)
+        if arr is None:
+            arr = np.zeros(self.width, dtype=dtype)
+            self.regs[reg.name] = arr
+        value = np.asarray(value)
+        if value.ndim == 0:
+            arr[mask] = _cast_scalar(value, dtype)
+        else:
+            arr[mask] = _cast_vec(value[mask], dtype)
+
+
+class WarpExec(Lanes):
     """One warp's execution state."""
 
     def __init__(
@@ -63,32 +95,6 @@ class WarpExec:
         self.tid_x = (lane_linear % bx).astype(np.uint32)
         self.tid_y = ((lane_linear // bx) % by).astype(np.uint32)
         self.tid_z = (lane_linear // (bx * by)).astype(np.uint32)
-
-    # -- operand access ---------------------------------------------------------
-    def val(self, operand) -> np.ndarray:
-        if isinstance(operand, Reg):
-            arr = self.regs.get(operand.name)
-            if arr is None:
-                arr = np.zeros(WARP_SIZE, dtype=np_dtype(operand.dtype))
-                self.regs[operand.name] = arr
-            return arr
-        if isinstance(operand, Imm):
-            return np_dtype(operand.dtype).type(operand.value)
-        if isinstance(operand, GlobalAddr):
-            return np.uint64(self.engine.global_addr(operand.name))
-        raise TypeError(f"bad operand {operand!r}")
-
-    def setreg(self, reg: Reg, value, mask: np.ndarray) -> None:
-        arr = self.regs.get(reg.name)
-        dtype = np_dtype(reg.dtype)
-        if arr is None:
-            arr = np.zeros(WARP_SIZE, dtype=dtype)
-            self.regs[reg.name] = arr
-        value = np.asarray(value)
-        if value.ndim == 0:
-            arr[mask] = _cast_scalar(value, dtype)
-        else:
-            arr[mask] = _cast_vec(value[mask], dtype)
 
     # -- activations -----------------------------------------------------------
     def run_kernel(self) -> Iterator:
@@ -181,9 +187,9 @@ class WarpExec:
             elif cls is CallOp:
                 mask = yield from self._call(op, mask)
             elif cls is PrintfOp:
-                self._printf(op, mask)
+                warp_printf(self, op, mask)
             elif cls is Atom:
-                self._atomic(op, mask)
+                warp_atomic(self, op, mask)
             else:  # pragma: no cover - IR is closed
                 raise TypeError(f"unknown op {cls.__name__}")
         return mask
@@ -242,8 +248,9 @@ class WarpExec:
 
     def _call(self, op: CallOp, mask: np.ndarray):
         name = op.name
-        stats = self.engine.stats
-        stats.instructions += 1
+        if name not in ("__ldparam", "__ldarg", "__local_base"):
+            return (yield from call_intrinsic(self, op, mask))
+        self.engine.stats.instructions += 1
         if name == "__ldparam":
             idx = int(op.args[0].value)
             value = self.params[idx]
@@ -255,85 +262,96 @@ class WarpExec:
             value = self._arg_stack[-1][idx]
             self.setreg(op.dst, value, mask)
             return mask
-        if name == "__local_base":
-            offset = int(op.args[0].value)
-            base = self.block.local_base(self.lane_linear)
-            self.setreg(op.dst, base + np.uint64(offset), mask)
-            return mask
-        intrinsic = self.engine.intrinsics.get(name)
-        if intrinsic is None:
-            raise KeyError(
-                f"kernel calls unknown device-library function {name!r}; "
-                "was the device runtime linked? (ptx mode links at JIT time)"
-            )
-        args = [self.val(a) for a in op.args]
-        result = yield from intrinsic(self, mask, args)
-        if op.dst is not None:
-            if result is None:
-                result = np.zeros(WARP_SIZE, dtype=np_dtype(op.dst.dtype))
-            self.setreg(op.dst, result, mask)
-        return mask & ~self._ret_stack[-1]
+        offset = int(op.args[0].value)
+        base = self.block.local_base(self.lane_linear)
+        self.setreg(op.dst, base + np.uint64(offset), mask)
+        return mask
 
-    def _printf(self, op: PrintfOp, mask: np.ndarray) -> None:
-        args = [np.broadcast_to(np.asarray(self.val(a)), (WARP_SIZE,)) for a in op.args]
-        for lane in np.flatnonzero(mask):
-            out: list[str] = []
-            pos = 0
-            argi = 0
-            for m in _FMT_RE.finditer(op.fmt):
-                out.append(op.fmt[pos:m.start()])
-                pos = m.end()
-                spec = m.group(0)
-                conv = spec[-1]
-                if conv == "%":
-                    out.append("%")
-                    continue
-                value = args[argi][lane]
-                argi += 1
-                pyspec = re.sub(r"hh|h|ll|l|z", "", spec)
-                if conv in "diu":
-                    out.append((pyspec[:-1] + "d") % int(value))
-                elif conv in "oxX":
-                    out.append(pyspec % int(value))
-                elif conv in "eEfgG":
-                    out.append(pyspec % float(value))
-                elif conv == "c":
-                    out.append(chr(int(value)))
-                else:
-                    out.append(str(value))
-            out.append(op.fmt[pos:])
-            self.engine.stdout.append("".join(out))
 
-    def _atomic(self, op: Atom, mask: np.ndarray) -> None:
-        stats = self.engine.stats
-        addrs = np.broadcast_to(np.asarray(self.val(op.addr), dtype=np.uint64), (WARP_SIZE,))
-        a_vals = np.broadcast_to(np.asarray(self.val(op.a)), (WARP_SIZE,))
-        b_vals = None
-        if op.b is not None:
-            b_vals = np.broadcast_to(np.asarray(self.val(op.b)), (WARP_SIZE,))
-        dtype = np_dtype(op.dtype)
-        olds = np.zeros(WARP_SIZE, dtype=dtype)
-        for lane in np.flatnonzero(mask):
-            stats.atomics += 1
-            addr = int(addrs[lane])
-            space = self.engine.resolve_space(self, addr)
-            old = space.load(addr, dtype)
-            olds[lane] = old
-            if op.op == "cas":
-                if old == dtype.type(a_vals[lane]):
-                    space.store(addr, dtype, b_vals[lane])
-            elif op.op == "add":
-                space.store(addr, dtype, dtype.type(old + a_vals[lane]))
-            elif op.op == "exch":
-                space.store(addr, dtype, a_vals[lane])
-            elif op.op == "max":
-                space.store(addr, dtype, max(old, dtype.type(a_vals[lane])))
-            elif op.op == "min":
-                space.store(addr, dtype, min(old, dtype.type(a_vals[lane])))
-            else:  # pragma: no cover
-                raise ValueError(f"unknown atomic {op.op}")
-        if op.dst is not None:
-            self.setreg(op.dst, olds, mask)
+def call_intrinsic(warp: Lanes, op: CallOp, mask: np.ndarray,
+                   nwarps: int = 1):
+    """Device-library call ``op`` made once over ``warp``'s lanes, counted
+    as one instruction per warp with an active lane (``nwarps``)."""
+    fn = warp.engine.intrinsics.get(op.name)
+    if fn is None:
+        raise KeyError(
+            f"kernel calls unknown device-library function {op.name!r}; "
+            "was the device runtime linked? (ptx mode links at JIT time)"
+        )
+    result = yield from fn(warp, mask, [warp.val(a) for a in op.args])
+    warp.engine.stats.instructions += nwarps
+    if op.dst is not None:
+        if result is None:
+            result = np.zeros(mask.size, dtype=np_dtype(op.dst.dtype))
+        warp.setreg(op.dst, result, mask)
+    return mask & ~warp._ret_stack[-1]
+
+
+def warp_printf(warp, op: PrintfOp, mask: np.ndarray) -> None:
+    """A device ``printf`` of one warp: one line per active lane, in lane
+    order."""
+    args = [np.broadcast_to(np.asarray(warp.val(a)), (WARP_SIZE,)) for a in op.args]
+    for lane in np.flatnonzero(mask):
+        out: list[str] = []
+        pos = 0
+        argi = 0
+        for m in _FMT_RE.finditer(op.fmt):
+            out.append(op.fmt[pos:m.start()])
+            pos = m.end()
+            spec = m.group(0)
+            conv = spec[-1]
+            if conv == "%":
+                out.append("%")
+                continue
+            value = args[argi][lane]
+            argi += 1
+            pyspec = re.sub(r"hh|h|ll|l|z", "", spec)
+            if conv in "diu":
+                out.append((pyspec[:-1] + "d") % int(value))
+            elif conv in "oxX":
+                out.append(pyspec % int(value))
+            elif conv in "eEfgG":
+                out.append(pyspec % float(value))
+            elif conv == "c":
+                out.append(chr(int(value)))
+            else:
+                out.append(str(value))
+        out.append(op.fmt[pos:])
+        warp.engine.stdout.append("".join(out))
+
+
+def warp_atomic(warp, op: Atom, mask: np.ndarray) -> None:
+    """An atomic of one warp: each active lane's read-modify-write, in
+    lane order."""
+    stats = warp.engine.stats
+    addrs = np.broadcast_to(np.asarray(warp.val(op.addr), dtype=np.uint64), (WARP_SIZE,))
+    a_vals = np.broadcast_to(np.asarray(warp.val(op.a)), (WARP_SIZE,))
+    b_vals = None
+    if op.b is not None:
+        b_vals = np.broadcast_to(np.asarray(warp.val(op.b)), (WARP_SIZE,))
+    dtype = np_dtype(op.dtype)
+    olds = np.zeros(WARP_SIZE, dtype=dtype)
+    for lane in np.flatnonzero(mask):
+        stats.atomics += 1
+        addr = int(addrs[lane])
+        space = warp.engine.resolve_space(warp, addr)
+        old = space.load(addr, dtype)
+        olds[lane] = old
+        if op.op == "cas":
+            if old == dtype.type(a_vals[lane]):
+                space.store(addr, dtype, b_vals[lane])
+        elif op.op == "add":
+            space.store(addr, dtype, dtype.type(old + a_vals[lane]))
+        elif op.op == "exch":
+            space.store(addr, dtype, a_vals[lane])
+        elif op.op == "max":
+            space.store(addr, dtype, max(old, dtype.type(a_vals[lane])))
+        elif op.op == "min":
+            space.store(addr, dtype, min(old, dtype.type(a_vals[lane])))
+        else:  # pragma: no cover
+            raise ValueError(f"unknown atomic {op.op}")
+    if op.dst is not None:
+        warp.setreg(op.dst, olds, mask)
 
 
 _SPECIAL = frozenset({"sqrt", "exp", "log", "sin", "cos", "rcp"})

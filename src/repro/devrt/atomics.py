@@ -12,9 +12,9 @@ scheduler only switches warps at yield points, and these never yield).
 Each intrinsic takes ``(T *addr, T value)``, applies ``*addr = *addr OP
 value`` per active lane in lane order, and returns the per-lane *old*
 values (so ``atomic capture`` lowers onto the same entry points).  The
-cost model matches :meth:`WarpExec._atomic`: one ``atomics`` counter
-tick per active lane, direct space access without load/store
-instruction accounting.
+cost model matches :func:`~repro.cuda.sim.warp.warp_atomic`: one
+``atomics`` counter tick per active lane, direct space access without
+load/store instruction accounting.
 """
 
 from __future__ import annotations

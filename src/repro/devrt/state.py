@@ -6,13 +6,15 @@ None).  The per-block state lives in ``warp.block.devrt`` — on the real
 GPU this is a control area at the base of shared memory; keeping it as a
 Python dict is equivalent because all warps of a block share it.
 
-The block-local intrinsics (see :mod:`repro.cuda.sim.locality`) are
-width-generic: ``warp`` is a :class:`~repro.cuda.sim.warp.WarpExec` or a
-block-wide :class:`~repro.cuda.sim.compile.CompiledBlockExec`, the lane
-count is ``mask.size`` and the lane ids are ``warp.lane_linear`` and
-``warp.tid_*``.  Such an intrinsic reads every :func:`uniform` argument
-before its first side effect, so a call :func:`uniform` rejects at block
-width leaves no trace and can be made again per warp.
+``warp`` is the tree walk's :class:`~repro.cuda.sim.warp.WarpExec` or a
+compiled :class:`~repro.cuda.sim.compile.CompiledBlockExec`.  Every
+intrinsic but the block-local ones (see :mod:`repro.cuda.sim.locality`)
+is called with the 32 lanes of one warp.  The block-local intrinsics are
+width-generic: the lane count is ``mask.size`` and the lane ids are
+``warp.lane_linear`` and ``warp.tid_*``.  Such an intrinsic reads every
+:func:`uniform` argument before its first side effect, so a call
+:func:`uniform` rejects at block width leaves no trace and can be made
+again per warp.
 """
 
 from __future__ import annotations

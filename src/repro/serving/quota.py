@@ -36,7 +36,6 @@ class QuotaManager:
 
     def __init__(self, default: Optional[TenantQuota] = None):
         self.default = default or TenantQuota()
-        self._quotas: dict[str, TenantQuota] = {}
         self.open_sessions: dict[str, int] = {}
         self.pending: dict[str, int] = {}
         self.resident_bytes: dict[str, int] = {}
@@ -44,10 +43,8 @@ class QuotaManager:
         self.rejections: dict[str, int] = {}
 
     def quota(self, tenant: str) -> TenantQuota:
-        return self._quotas.get(tenant, self.default)
-
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self._quotas[tenant] = quota
+        """The quota ``tenant`` is held to: every tenant has the default."""
+        return self.default
 
     def _reject(self, tenant: str, why: str) -> None:
         self.rejections[tenant] = self.rejections.get(tenant, 0) + 1

@@ -5,8 +5,8 @@ and only phase-safe ``__syncthreads`` barriers) runs the blocks of a
 launch as one executor over ``nblocks x nwarps x 32`` lanes.  Every
 launch here runs in ``verify`` mode, which replays it through the
 per-warp tree-walk and requires bit-identical global memory, stdout and
-``KernelStats``; the compile cache then tells which lane width (of one
-block segment) actually ran.
+``KernelStats``; a spy on the executors then tells which lane width (of
+one block segment) actually ran.
 """
 
 import dataclasses
@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.bench import harness
 from repro.bench.suite import ALL_APPS, EXTENDED_APP_NAMES, get_app
 from repro.cfront.parser import parse_translation_unit
+from repro.cuda import driver as driver_mod
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
 from repro.cuda.driver import CudaDriver
-from repro.cuda.ptx.ir import Atom, LoopOp, walk_ops
+from repro.cuda.ptx.ir import Atom, BarOp, LoopOp, walk_ops
 from repro.cuda.ptx.lower import lower_translation_unit
 from repro.cuda.sim import compile as sim_compile
 from repro.cuda.sim import engine as sim_engine
@@ -47,9 +48,25 @@ def kernel_k(src):
     return lower_translation_unit(unit, INTRINSIC_SIGS, "t").kernels["k"]
 
 
+def spy_widths(mp):
+    """Record, per kernel name, the lanes of one block segment of every
+    compiled executor that runs, in first-run order."""
+    widths = {}
+    real = sim_compile.CompiledBlockExec.run_kernel
+
+    def run_kernel(self):
+        seen = widths.setdefault(self.kernel.name, [])
+        if self.seg_width not in seen:
+            seen.append(self.seg_width)
+        return real(self)
+
+    mp.setattr(sim_compile.CompiledBlockExec, "run_kernel", run_kernel)
+    return widths
+
+
 def run_verified(src, grid, block, arrays, scalars=(), mode="verify",
                  **launch_kw):
-    """Launch kernel ``k`` of ``src``; return (stats, widths compiled,
+    """Launch kernel ``k`` of ``src``; return (stats, widths run,
     engine, final array contents)."""
     kernel = kernel_k(src)
     gmem = LinearMemory(16 << 20, base=GMEM_BASE, name="gmem")
@@ -62,11 +79,14 @@ def run_verified(src, grid, block, arrays, scalars=(), mode="verify",
     engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {},
                               fastpath=mode, compile_cache=cache)
     params = [np.uint64(a) for a in addrs] + list(scalars)
-    stats = engine.launch(kernel, Dim3.of(grid), Dim3.of(block), params,
-                          **launch_kw)
+    with pytest.MonkeyPatch.context() as mp:
+        widths = spy_widths(mp)
+        stats = engine.launch(kernel, Dim3.of(grid), Dim3.of(block), params,
+                              **launch_kw)
+    assert cache.compiled == (mode != "off")
     out = [gmem.view(a, arr.size, arr.dtype).copy()
            for a, arr in zip(addrs, arrays)]
-    return stats, cache.widths(kernel), engine, out
+    return stats, widths.get("k", []), engine, out
 
 
 SAXPY = r"""
@@ -364,14 +384,13 @@ _q = np.arange(256)
 def test_runtime_calls_run_once_per_block(monkeypatch, src, shape, width,
                                           names, want):
     calls, views = spy_block_calls(monkeypatch)
+    widths = spy_widths(monkeypatch)
     prog = OmpiCompiler(OmpiConfig(kernel_fastpath="verify",
                                    block_shape=shape)).compile(src, "calls")
     run = prog.run()
     assert run.exit_code == 0
     assert run.log.count("kernel") == 1
-    cache = run.ort.cudadev.driver.kernel_cache
-    (kernel,) = [k for k, _ck in cache._cache.values()]
-    assert cache.widths(kernel) == [width]
+    assert list(widths.values()) == [[width]]
     assert names | {"cudadev_target_init"} <= set(calls)
     assert views == []          # no call fell back to the per-warp loop
     for name, values in want.items():
@@ -408,19 +427,26 @@ def test_warp_dependent_argument_falls_back_per_warp(monkeypatch):
     assert got.any()
 
 
-def test_block_width_refuses_a_communicating_runtime_call():
-    # block-wide code makes every call once per block, so only the
-    # block-local whitelist may appear in it
-    kernel = kernel_k(r"""
+def test_communicating_runtime_call_runs_per_warp(monkeypatch):
+    # only the block-local whitelist is made once per block: any other
+    # call is made by each warp alone, and such a kernel runs one warp
+    # per executor
+    calls, _views = spy_block_calls(monkeypatch)
+    src = r"""
     __global__ void k(int *out) {
         long tlo, thi;
-        while (cudadev_get_dynamic_chunk(0, 0L, 64L, 1L, &tlo, &thi))
-            out[tlo] = 1;
+        cudadev_target_init(0);
+        while (cudadev_get_dynamic_chunk(0, 0L, 200L, 3L, &tlo, &thi))
+            out[tlo] = out[tlo] + (int) thi;
     }
-    """)
-    with pytest.raises(sim_compile.UnsupportedKernel):
-        sim_compile.compile_kernel(kernel, 64)
-    assert sim_compile.compile_kernel(kernel, 32).width == 32
+    """
+    assert not kernel_locality(kernel_k(src)).block_wide
+    out = np.zeros(200, dtype=np.int32)
+    _stats, widths, _, (got,) = run_verified(src, (1, 1, 1), (96, 1, 1),
+                                             [out])
+    assert widths == [32]
+    assert "cudadev_get_dynamic_chunk" not in calls
+    assert np.array_equal(got[::3], np.minimum(np.arange(3, 203, 3), 200))
 
 
 # -- barrier phases ------------------------------------------------------------
@@ -474,7 +500,6 @@ def test_block_wide_barrier_checks_the_barrier_id():
     """
     kernel = kernel_k(src)
     assert kernel_locality(kernel).block_wide
-    assert sim_compile.compile_kernel(kernel, 64).width == 64
     for mode in ("on", "off"):
         with pytest.raises(LaunchError, match="barrier id 99 out of range"):
             run_verified(src, (1, 1, 1), (64, 1, 1),
@@ -652,7 +677,7 @@ def spy_executors(mp):
 
     def launch(self, kernel, grid, block, params, only_blocks=None,
                only_warps=None, compiled=None):
-        wide = compiled is not None and compiled.width > 32
+        wide = compiled is not None and kernel_locality(kernel).block_wide
         if wide:
             launches.append([kernel.name, None, []])
         stats = real_launch(self, kernel, grid, block, params, only_blocks,
@@ -695,7 +720,7 @@ def test_generated_barrier_phase_kernels(case, nblocks, n):
                 src, (nblocks, 1, 1), (nthreads, 1, 1), arrays,
                 [np.int32(n)], mode="verify" if merged else "on")
         nwarps = -(-nthreads // 32)
-        wide = nwarps > 1 and not divergent
+        wide = not divergent
         assert runs[merged][1] == [nwarps * 32 if wide else 32]
         want = ([nblocks] if merged else [1] * nblocks) if wide else None
         assert launches == ([["k", nblocks, want]] if wide else [])
@@ -849,6 +874,7 @@ def test_tree_reduction_kernels_run_block_wide(workload, variant,
                                                monkeypatch):
     source, devices = _REDUCTION_RUNS[variant]
     launches = spy_executors(monkeypatch)
+    widths = spy_widths(monkeypatch)
     on_device = spy_device_launches(monkeypatch)
     run, outputs = _run_reduction(workload, source, devices)
     # every block-wide launch ran one executor over all its blocks
@@ -862,8 +888,8 @@ def test_tree_reduction_kernels_run_block_wide(workload, variant,
         for kernel, _ck in list(cache._cache.values()):
             if kernel_locality(kernel).communicates:
                 trees.append(kernel.name)
-                # every team is 128 threads: one 4-warp executor per block
-                assert cache.widths(kernel) == [4 * 32], kernel.name
+                # every team is 128 threads: one 4-warp segment per block
+                assert widths[kernel.name] == [4 * 32], kernel.name
     assert trees
     if variant == "split":
         # some kernel ran on both devices, on blocks that tile its grid
@@ -912,30 +938,88 @@ _COMMUNICATING = {
 }
 
 
+def spy_launch_stats(mp):
+    """Record ``(kernel, KernelStats fields)`` of every launch."""
+    launches = []
+    real = FunctionalEngine.launch
+
+    def launch(self, kernel, *args, **kw):
+        stats = real(self, kernel, *args, **kw)
+        launches.append((kernel.name, dataclasses.asdict(stats)))
+        return stats
+
+    mp.setattr(FunctionalEngine, "launch", launch)
+    return launches
+
+
+def _pinned_programs():
+    """(name, source, config, run keywords) of every suite app and
+    reduction program, at test sizes, under ``verify``."""
+    for name in ALL_APPS + EXTENDED_APP_NAMES:
+        app = get_app(name)
+        n = SMALL.get(name, 32)
+        yield (name, app.omp_source(n),
+               OmpiConfig(block_shape=app.block_shape,
+                          kernel_fastpath="verify"),
+               dict(seed_arrays=app.seed(n),
+                    heap_capacity=harness._heap_capacity(app, n)))
+    for workload in bench_reductions.WORKLOADS:
+        sources, seed, _arr = bench_reductions._sources(
+            workload, _RED_SIZES[workload])
+        for variant, src in sources.items():
+            yield (f"{workload}_{variant}", src,
+                   OmpiConfig(kernel_fastpath="verify"),
+                   dict(seed_arrays=seed, heap_capacity=bench_reductions.HEAP))
+
+
 def test_communicates_is_pinned_for_suite_and_reduction_kernels():
-    # ... and every kernel compiles at the widths the engine can ask for:
-    # one warp, and its whole block when it runs block-wide
-    programs = [(name, get_app(name).omp_source(32),
-                 OmpiConfig(block_shape=get_app(name).block_shape))
-                for name in ALL_APPS + EXTENDED_APP_NAMES]
-    programs += [(name, src, OmpiConfig())
-                 for name, src in _reduction_sources()]
+    # ... and each kernel compiles once, to code that runs at warp width
+    # (one warp per executor, under the block scheduler) and at block
+    # width with identical KernelStats, both checked by verify.  A kernel
+    # with a barrier runs only at block width: its barriers are counted,
+    # not scheduled.
+    def barred(kernel):
+        return any(isinstance(op, BarOp) for op in walk_ops(kernel.body))
+
+    def per_warp(kernel):
+        loc = kernel_locality(kernel)
+        return loc if barred(kernel) else dataclasses.replace(
+            loc, phase_safe=False)
+
     seen = set()
-    for name, src, cfg in programs:
-        # the reduction programs run teams of 128 threads
-        threads = int(np.prod(cfg.block_shape or 128))
-        block_lanes = -(-threads // 32) * 32
-        for image in OmpiCompiler(cfg).compile(src, name).images.values():
+    for name, src, cfg, run_kw in _pinned_programs():
+        prog = OmpiCompiler(cfg).compile(src, name)
+        block_only = set()
+        for image in prog.images.values():
             for kname, kernel in image.module.kernels.items():
                 loc = kernel_locality(kernel)
                 assert loc.communicates == (kname in _COMMUNICATING), kname
                 assert loc.block_wide == (kname != "gramschmidt_kernel0")
                 seen.add(kname)
-                ck = sim_compile.compile_kernel(kernel, 32)
-                assert len(ck.sub_fns) == len(kernel.subfunctions), kname
-                if loc.block_wide:
-                    assert sim_compile.compile_kernel(
-                        kernel, block_lanes).width == block_lanes, kname
+                if barred(kernel) and loc.block_wide:
+                    block_only.add(kname)
+        cache = CompiledKernelCache()
+        runs = {}
+        for width in ("block", "warp"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(driver_mod, "CompiledKernelCache", lambda: cache)
+                if width == "warp":
+                    mp.setattr(sim_engine, "kernel_locality", per_warp)
+                widths = spy_widths(mp)
+                stats = spy_launch_stats(mp)
+                run = prog.run(launch_mode="full", **run_kw)
+            assert run.exit_code == 0, name
+            assert run.ort.fault_stats == {}, name
+            runs[width] = (stats, widths)
+        assert runs["block"][0] == runs["warp"][0], name
+        blk_widths, warp_widths = runs["block"][1], runs["warp"][1]
+        assert any(w != [32] for w in blk_widths.values()), name
+        assert warp_widths.keys() == blk_widths.keys(), name
+        for kname, got in warp_widths.items():
+            want = blk_widths[kname] if kname in block_only else [32]
+            assert got == want, kname
+        assert cache.compiled == len(cache) == len(blk_widths), name
+        assert cache.hits > 0
     assert _COMMUNICATING <= seen
 
 
@@ -958,14 +1042,39 @@ int main(void)
 """
 
 
+CRITICAL_ATOMIC = r"""
+int total[2];
+
+int main(void)
+{
+    #pragma omp target map(tofrom: total[0:2])
+    {
+        #pragma omp parallel num_threads(96)
+        {
+            #pragma omp critical
+            {
+                total[0] = total[0] + 1;
+            }
+            #pragma omp atomic
+            total[1] += 2;
+        }
+    }
+    return 0;
+}
+"""
+
+
 def test_on_mode_never_walks_the_tree(monkeypatch):
-    # under on every launch runs compiled code: master/worker kernels per
-    # warp (their parallel-region subfunction too), the others block-wide
+    # under on every launch runs compiled code: master/worker kernels one
+    # warp per executor (their parallel-region subfunction too), a
+    # critical region's CAS lock and an atomic per warp, a printf per
+    # warp, and the others block-wide
     def walk(self, ops, mask):
         raise AssertionError("tree walk under kernel_fastpath='on'")
 
     monkeypatch.setattr(sim_engine.WarpExec, "_exec", walk)
-    widths = {}
+    widths = spy_widths(monkeypatch)
+    ran = {}
     for name in ("gramschmidt", "gemm"):
         app = get_app(name)
         n = SMALL.get(name, 32)
@@ -976,20 +1085,33 @@ def test_on_mode_never_walks_the_tree(monkeypatch):
                        heap_capacity=harness._heap_capacity(app, n))
         assert run.exit_code == 0
         assert run.ort.fault_stats == {}
+        ran.update((f"{name}:{k.rsplit('_', 1)[1]}", w)
+                   for k, w in widths.items())
+        widths.clear()
+    assert ran == {"gramschmidt:kernel0": [32],
+                   "gramschmidt:kernel1": [256],
+                   "gramschmidt:kernel2": [256], "gemm:kernel0": [256]}
+    for src, name, want in ((MASTER_WORKER, "mw_on",
+                             {"C": np.full(512, 3.0)}),
+                            (CRITICAL_ATOMIC, "critical_on",
+                             {"total": np.array([96, 192])})):
+        run = OmpiCompiler(OmpiConfig(kernel_fastpath="on")).compile(
+            src, name).run()
+        assert run.exit_code == 0
+        assert run.ort.fault_stats == {}
         cache = run.ort.cudadev.driver.kernel_cache
-        widths.update((f"{name}:{k.name.rsplit('_', 1)[1]}", cache.widths(k))
-                      for k, _ck in cache._cache.values())
-    assert widths == {"gramschmidt:kernel0": [32],
-                      "gramschmidt:kernel1": [256],
-                      "gramschmidt:kernel2": [256], "gemm:kernel0": [256]}
-    run = OmpiCompiler(OmpiConfig(kernel_fastpath="on")).compile(
-        MASTER_WORKER, "mw_on").run()
-    assert run.exit_code == 0
-    assert run.ort.fault_stats == {}
-    cache = run.ort.cudadev.driver.kernel_cache
-    (kernel,) = [k for k, _ck in cache._cache.values()]
-    assert kernel.subfunctions
-    assert np.array_equal(run.machine.global_array("C"), np.full(512, 3.0))
+        (kernel,) = [k for k, _ck in cache._cache.values()]
+        assert kernel.subfunctions
+        assert widths == {kernel.name: [32]}
+        widths.clear()
+        for arr, values in want.items():
+            assert np.array_equal(run.machine.global_array(arr), values)
+    _stats, got, engine, _ = run_verified(PRINTF, (2, 1, 1), (128, 1, 1),
+                                          [np.zeros(1, dtype=np.int32)],
+                                          mode="on")
+    assert got == [32]
+    assert engine.stdout == [f"thread {t} of block {b}\n"
+                             for b in range(2) for t in range(0, 128, 20)]
 
 
 # -- communicating kernels stay per warp ---------------------------------------
@@ -1034,12 +1156,21 @@ def test_communicating_kernels_run_per_warp(src, arr):
                                  for b in range(2) for t in range(0, 128, 20)]
 
 
-def test_single_warp_blocks_keep_warp_width():
-    x = np.arange(64, dtype=np.float32)
-    y = np.zeros(64, dtype=np.float32)
-    _, widths, _, _ = run_verified(SAXPY, (2, 1, 1), (32, 1, 1), [y, x],
-                                   [np.float32(1.0), np.int32(64)])
+def test_single_warp_blocks_share_one_lane_axis(monkeypatch):
+    # a block-wide kernel with 32-thread blocks runs all its blocks on
+    # one executor too, one 32-lane segment per block
+    launches = spy_executors(monkeypatch)
+    x = np.arange(200, dtype=np.float32)
+    y = np.ones(200, dtype=np.float32)
+    stats, widths, _, (got, _x) = run_verified(
+        SAXPY, (7, 1, 1), (32, 1, 1), [y, x],
+        [np.float32(2.0), np.int32(200)])
     assert widths == [32]
+    assert launches == [["k", 7, [7]]]
+    assert stats.warps_launched == 7
+    want = np.ones(200, dtype=np.float32)
+    want += np.float32(2.0) * x
+    assert np.array_equal(got, want)
 
 
 def test_block_wide_matches_warp_width_run():
@@ -1049,7 +1180,7 @@ def test_block_wide_matches_warp_width_run():
     args = ((4, 1, 1), (256, 1, 1), [y, x],
             [np.float32(0.5), np.int32(999)])
     wide, w_widths, _, w_out = run_verified(SAXPY, *args, mode="on")
-    # one-warp picks force warp width on the same kernel
+    # one-warp picks run 32-lane segments of the same compiled kernel
     narrow_stats = []
     for warp in range(8):
         s, n_widths, _, _ = run_verified(SAXPY, *args, mode="on",
@@ -1072,7 +1203,9 @@ SMALL = {"3dconv": 16, "gramschmidt": 16}
 
 @pytest.mark.parametrize("launch_mode", ["full", "sample"])
 @pytest.mark.parametrize("name", ALL_APPS + EXTENDED_APP_NAMES)
-def test_suite_app_block_wide_matches_tree_walk(name, launch_mode):
+def test_suite_app_block_wide_matches_tree_walk(name, launch_mode,
+                                                monkeypatch):
+    widths = spy_widths(monkeypatch)
     app = get_app(name)
     n = SMALL.get(name, 32)
     cfg = OmpiConfig(block_shape=app.block_shape, kernel_fastpath="verify")
@@ -1083,8 +1216,6 @@ def test_suite_app_block_wide_matches_tree_walk(name, launch_mode):
                    heap_capacity=harness._heap_capacity(app, n))
     assert run.exit_code == 0
     assert run.ort.fault_stats == {}
-    cache = run.ort.cudadev.driver.kernel_cache
-    kernels = [k for k, _ck in cache._cache.values()]
-    assert kernels
-    wide = [k for k in kernels if any(w > 32 for w in cache.widths(k))]
+    assert widths
+    wide = [k for k, w in widths.items() if any(n > 32 for n in w)]
     assert wide, f"no {name} kernel ran block-wide"

@@ -170,6 +170,34 @@ int main(void) {
 """
 
 
+UNTAKEN_DIVISION_SRC = r"""
+float a[32];
+float b[16];
+int main(void)
+{
+    int i, m = 0, n = 5;
+    for (i = 0; i < 32; i++) a[i] = i;
+    for (i = 0; i < 16; i++) b[i] = m ? a[i + n / m] : 1;
+    printf("%f\n", b[3]);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "verify"])
+def test_untaken_conditional_arm_is_not_evaluated(mode):
+    """A subscript in a ``?:`` arm no iteration takes divides by zero:
+    planning the loop must not evaluate it, as the tree walk never
+    does."""
+    machine = Machine(parse_translation_unit(UNTAKEN_DIVISION_SRC, "c.c"),
+                      host_fastpath=mode)
+    machine.run()
+    assert machine.output() == "1.000000\n"
+    assert np.array_equal(machine.global_array("b"), np.ones(16))
+    if mode != "off":
+        assert machine.host_stats["loop_fast"] == 2
+
+
 @pytest.mark.parametrize("mode", ["off", "on", "verify"])
 def test_refused_dry_pass_falls_back_in_every_mode(mode):
     """``a[idx[i]] +=`` with repeated cells: the dry pass refuses the
@@ -373,7 +401,13 @@ class _Gen:
         leaves += ["i", "j"] if inner else ["i"]
         leaves += [text for text, c in reads if c in cats]
         if depth == 0 or self.draw(st.booleans()):
-            return self.draw(st.sampled_from(leaves))
+            leaf = self.draw(st.sampled_from(leaves))
+            if self.draw(st.integers(0, 7)):
+                return leaf
+            # an arm the loop never takes (z is 0) divides by zero: only
+            # a lane that takes it may fail
+            sub = self.draw(st.sampled_from(subs))
+            return f"(z ? ia[{sub} + 5 / z] : {leaf})"
         op = self.draw(st.sampled_from(["+", "-", "*"]))
         return (f"({self.expr(cat, inner, reads, depth - 1)} {op} "
                 f"{self.expr(cat, inner, reads, depth - 1)})")
