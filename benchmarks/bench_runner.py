@@ -18,8 +18,10 @@ Gates:
 
 ``kernel-fastpath``
     gemm/mvt/atax in sampled mode with the tree-walk kernel engine
-    (``off``) and the compiled one (``on``): outputs and modelled time
-    bit-identical, and the compiled engine not slower.
+    (``off``) and the compiled one (``on``): outputs, modelled time and
+    the summed ``KernelStats`` memory counters of the launches
+    (:class:`KernelCounters`) identical, and the compiled engine not
+    slower.
 ``host-fastpath``
     the host-heavy gemm/mvt/atax of :mod:`repro.bench.hostinit` with the
     host fast path off and on: outputs, stdout and modelled time
@@ -127,12 +129,46 @@ KERNEL_POINTS = (("gemm", 256), ("mvt", 2048), ("atax", 2048))
 KERNEL_CHECK_POINTS = (("gemm", 128),)
 
 
+class KernelCounters:
+    """Sums the memory counters (and ``instructions``) of every launch the
+    functional engine runs while it is entered: a ``patch`` and the
+    ``counters`` of one spec."""
+
+    FIELDS = ("global_transactions", "global_mem_instructions",
+              "load_instructions", "store_instructions", "shared_accesses",
+              "local_accesses", "instructions")
+
+    def __enter__(self):
+        from repro.cuda.sim.engine import FunctionalEngine
+
+        self.sums = dict.fromkeys(self.FIELDS, 0)
+        self._engine = FunctionalEngine
+        real = self._real = FunctionalEngine.launch
+
+        def launch(engine, *args, **kw):
+            stats = real(engine, *args, **kw)
+            for name in self.FIELDS:
+                self.sums[name] += getattr(stats, name)
+            return stats
+
+        FunctionalEngine.launch = launch
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._engine.launch = self._real
+
+    def __call__(self, run) -> dict:
+        return {"kernel_stats": dict(self.sums)}
+
+
 def kernel_points(check: bool):
     for name, n in KERNEL_CHECK_POINTS if check else KERNEL_POINTS:
         app = get_app(name)
         for mode in ("off", "on"):
+            counters = KernelCounters()
             yield app_spec(f"{name}:{n}/{mode}", app, n,
                            config={"kernel_fastpath": mode},
+                           counters=counters, patch=counters,
                            launch_mode="sample")
 
 
@@ -144,6 +180,9 @@ def kernel_failures(records: list[dict], budget: dict) -> list[str]:
             out.append(f"{label}: outputs diverged between modes")
         if off["simulated_s"] != on["simulated_s"]:
             out.append(f"{label}: simulated time diverged between modes")
+        if off["counters"] != on["counters"]:
+            out.append(f"{label}: KernelStats memory counters diverged "
+                       "between modes")
         speedup = off["wall_s"] / max(on["wall_s"], 1e-9)
         if speedup < 1.0:
             out.append(f"{label}: fast path slower than reference "

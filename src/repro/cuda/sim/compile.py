@@ -12,6 +12,11 @@ body + registered subfunctions) — operating on numpy lane vectors:
   contributions aggregated into constant increments per warp;
 * single-use pure values are fused textually into their consumer, so a
   chain like ``mul/add/ld/add/st`` becomes one composed numpy expression;
+* loads and stores go through one access routine (:func:`_fload`,
+  :func:`_fstore`): one probe of the active lanes' addresses serves the
+  space resolution, the range check, a strided access and a closed-form
+  coalescing count; a load or store of an address-taken local's frame
+  slot reads or writes the lane's frame directly (:func:`_frame_load`);
 * predicated control flow (``IfOp``/``LoopOp``) keeps the exact
   mask-algebra of the interpreter, bit for bit, including divergence and
   loop-iteration counters;
@@ -68,8 +73,9 @@ from repro.cuda.sim.locality import (
 )
 from repro.cuda.sim.warp import (
     WARP_SIZE, Lanes, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
-    _unop, call_intrinsic, warp_atomic, warp_printf,
+    _unop, call_intrinsic, warp_atomic, warp_printf, _wraps_u64,
 )
+from repro.cuda.sim.coalesce import progression_transactions, transactions_memo
 from repro.mem import MemoryError_
 
 
@@ -124,23 +130,266 @@ def _reg(regs: dict, name: str, dtype: np.dtype, width: int) -> np.ndarray:
     return arr
 
 
+# -- loads and stores ----------------------------------------------------------
+# Generated code's loads and stores, and the device runtime's out-parameter
+# writes (repro.devrt.state.store_out), go through _fload/_fstore; the tree
+# walk's FunctionalEngine.mem_load/mem_store never do, so kernel ``verify``
+# checks these against LinearMemory.gather/scatter and the per-warp
+# coalescing model.  One probe of the active lanes' addresses serves the
+# space resolution, the range check, the access and the transaction count.
+
+_U64 = np.dtype(np.uint64)
+#: widest per-lane stride a probe accepts (keeps ``stride * lane`` in int64)
+_MAX_STRIDE = 1 << 40
+
+
+@functools.lru_cache(maxsize=64)
+def _ramp(width: int, stride: int) -> np.ndarray:
+    """``stride * arange(width)`` as uint64 (wrapping), read-only."""
+    ramp = (np.arange(width, dtype=np.int64) * stride).view(np.uint64)
+    ramp.setflags(write=False)
+    return ramp
+
+
+def _addresses(addrs) -> np.ndarray:
+    if type(addrs) is np.ndarray and addrs.dtype == _U64:
+        return addrs
+    return np.asarray(addrs, dtype=np.uint64)
+
+
+def _probe(a: np.ndarray, lanes: bytes, mask: np.ndarray):
+    """The one probe of an access's addresses ``a`` under ``mask``
+    (``lanes``: its bytes): ``(i0, i1, a0, s, holes)`` when the active
+    lanes read one arithmetic progression, else None.  ``i0``/``i1`` are
+    the first and last active lane, lane ``i`` reads ``a0 + s * (i -
+    i0)``, and ``holes`` says whether a lane between them is inactive.  A
+    scalar address is a progression of stride 0."""
+    i0 = lanes.find(1)
+    i1 = lanes.rfind(1)
+    holes = lanes.find(0, i0, i1) >= 0
+    if not a.ndim:
+        return i0, i1, int(a), 0, holes
+    a0 = a.item(i0)
+    if i0 == i1:
+        return i0, i1, a0, 0, holes
+    s, rem = divmod(a.item(i1) - a0, i1 - i0)
+    if rem or not -_MAX_STRIDE < s < _MAX_STRIDE:
+        return None
+    # a0 at every active lane once the progression is taken off (wrapping)
+    base = a[i0:i1 + 1] - _ramp(a.size, s)[:i1 - i0 + 1]
+    if holes:
+        base = np.where(mask[i0:i1 + 1], base, np.uint64(a0))
+    if base.tobytes() != a0.to_bytes(8, "little") * (i1 - i0 + 1):
+        return None
+    return i0, i1, a0, s, holes
+
+
+def _probe_warps(a: np.ndarray):
+    """``(lane0, s)`` when each warp of a whole-warp access reads a
+    progression of one common stride ``s``: lane ``j`` of warp ``w``
+    reads ``lane0[w] + s * j``; else None."""
+    s = a.item(1) - a.item(0)
+    if not -_MAX_STRIDE < s < _MAX_STRIDE:
+        return None
+    base = a.reshape(-1, WARP_SIZE) - _ramp(WARP_SIZE, s)
+    lane0 = base[:, 0]
+    if base.tobytes() != np.repeat(lane0, WARP_SIZE).tobytes():
+        return None
+    return lane0, s
+
+
+def _count(engine, load, mem, a, itemsize, mask, lanes, n, lane0,
+           s) -> None:
+    """A load's (``load``) or a store's ``KernelStats``, counted as
+    ``mem_load``/``mem_store`` count them: one instruction per active
+    warp, and global transactions by the closed form when the lanes form
+    one progression (``s`` not None; lane 0 at ``lane0``) or, all of
+    them active, one per warp (:func:`_probe_warps`), through the memo
+    otherwise (per-warp progressions under a partial mask too: there the
+    memo's hit is cheaper than a masked probe)."""
+    stats = engine.stats
+    if load:
+        stats.load_instructions += n
+    else:
+        stats.store_instructions += n
+    stats.instructions += n
+    if mem is engine.gmem:
+        stats.global_mem_instructions += n
+        if s is None and mask.size > WARP_SIZE and b"\x00" not in lanes:
+            p = _probe_warps(a)
+            if p is not None:
+                lane0, s = p
+        if s is None:
+            stats.global_transactions += transactions_memo(a, itemsize, mask)
+        else:
+            stats.global_transactions += progression_transactions(
+                lane0, s, itemsize, lanes, n)
+    elif mem.name == "shared":
+        stats.shared_accesses += lanes.count(1)
+    else:
+        stats.local_accesses += lanes.count(1)
+
+
+def _store_values(values, dtype):
+    """``values`` converted as a C assignment to ``dtype`` converts them
+    (``_cast_vec``'s rules)."""
+    v = np.asarray(values)
+    if v.dtype == dtype:
+        return v
+    if v.dtype.kind == "f" and dtype.kind in "iu":
+        v = np.trunc(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v.astype(dtype, casting="unsafe")
+
+
+def _progression(warp, a, itemsize, lanes, mask):
+    """Where an access goes when its active lanes read one progression
+    (:func:`_probe`) inside one memory: ``(mem, start, i0, i1, s, holes,
+    lane0)``, lane ``i``'s cell at byte ``start + s * (i - i0)`` of
+    ``mem.buf`` and lane 0 (of every warp, modulo 32) at ``lane0``; else
+    None."""
+    p = _probe(a, lanes, mask)
+    if p is None:
+        return None
+    i0, i1, a0, s, holes = p
+    a1 = a0 + s * (i1 - i0)
+    where = warp.place(min(a0, a1), max(a0, a1) + itemsize, i0, i1)
+    if where is None:
+        return None
+    mem, shift = where
+    return mem, a0 + shift, i0, i1, s, holes, a0 - s * i0
+
+
+def _cells(mem, act, lo, start, dtype):
+    """An element view of ``mem`` from byte ``start`` (address ``lo``)
+    and the element index of each address of ``act`` (all at or above
+    ``lo``) when every one is a whole number of elements from ``lo``;
+    else None and the byte index of each address's bytes, lane by
+    lane."""
+    k = dtype.itemsize
+    offs = act - np.uint64(lo)
+    if k == 1 or not np.bitwise_and(offs, k - 1).any():
+        view = np.ndarray(((mem.capacity - start) // k,), dtype, mem.buf,
+                          start)
+        return view, offs // np.uint64(k)
+    offs = offs.astype(np.int64) + start
+    return None, (offs[:, None] + np.arange(k, dtype=np.int64)).reshape(-1)
+
+
 def _fload(engine, warp, addrs, dtype, mask, n):
-    """Streamlined ``FunctionalEngine.mem_load`` (identical semantics).
+    """A load of ``dtype`` at ``addrs`` over ``warp``'s lanes under
+    ``mask``, with ``FunctionalEngine.mem_load``'s semantics and counters.
 
     ``n`` is the number of warps with an active lane (``_nw(mask)``): one
-    gather serves every warp, one load is counted per active warp, and a
-    load whose active warps do not all fall in one address space, or
-    whose shared or local addresses leave a lane's own block window, is
-    split per warp."""
-    lanes = mask.tobytes()
-    if not n or b"\x01" not in lanes:
+    load is counted per active warp.  When the active lanes read one
+    progression inside one memory (for a shared or local space, one
+    block window), the load is one strided view, or one read for a
+    broadcast; other lanes in one memory are gathered by element (by
+    byte when not aligned).  A load whose active lanes do not lie in one
+    memory or window takes :func:`_fload_split`, which raises what the
+    tree walk raises."""
+    if not n:
         # predicated off: mirrors mem_load's early return exactly (no
         # stats, no space resolution) so verify mode stays bit-identical
         return np.zeros(mask.size, dtype=dtype)
-    a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != mask.shape:
+    lanes = mask.tobytes()
+    a = _addresses(addrs)
+    k = dtype.itemsize
+    hit = _progression(warp, a, k, lanes, mask)
+    if hit is not None:
+        mem, start, i0, i1, s, holes, lane0 = hit
+        _count(engine, True, mem, a, k, mask, lanes, n, lane0, s)
+        if not s:
+            v = mem.buf[start:start + k].view(dtype)[0]
+            if holes:
+                return np.where(mask, v, dtype.type(0))
+            out = np.zeros(mask.size, dtype=dtype)
+            out[i0:i1 + 1] = v
+            return out
+        view = np.ndarray((i1 - i0 + 1,), dtype, mem.buf, start, (s,))
+        if i1 - i0 + 1 == mask.size and not holes:
+            return view.copy()
+        out = np.zeros(mask.size, dtype=dtype)
+        if holes:
+            np.copyto(out[i0:i1 + 1], view, where=mask[i0:i1 + 1])
+        else:
+            out[i0:i1 + 1] = view
+        return out
+    if not a.ndim:
         a = np.broadcast_to(a, mask.shape)
     full = b"\x00" not in lanes
+    act = a if full else a[mask]
+    lo = int(act.min())
+    where = warp.place(lo, int(act.max()) + k, lanes.find(1), lanes.rfind(1))
+    if where is None:
+        return _fload_split(engine, warp, a, dtype, mask, n)
+    mem, shift = where
+    _count(engine, True, mem, a, k, mask, lanes, n, 0, None)
+    view, idx = _cells(mem, act, lo, lo + shift, dtype)
+    vals = mem.buf[idx].view(dtype) if view is None else view[idx]
+    if full:
+        return vals
+    out = np.zeros(mask.size, dtype=dtype)
+    out[mask] = vals
+    return out
+
+
+def _fstore(engine, warp, addrs, dtype, values, mask, n):
+    """A store of ``values`` as ``dtype`` at ``addrs`` under ``mask``,
+    with ``FunctionalEngine.mem_store``'s semantics and counters (``n``
+    and the paths as in :func:`_fload`).  A progression whose lanes'
+    cells do not overlap is one strided write; one address is one write
+    of the last active lane's value.  Lanes write in lane order, so a
+    write conflict resolves to the highest active lane, as it does when
+    the warps store one after another.  Every active lane is in range
+    before any byte is written."""
+    if not n:
+        return  # predicated off: mirrors mem_store's early return
+    lanes = mask.tobytes()
+    a = _addresses(addrs)
+    k = dtype.itemsize
+    hit = _progression(warp, a, k, lanes, mask)
+    # lanes whose cells overlap keep their lane order below
+    if hit is not None and (not hit[4] or abs(hit[4]) >= k):
+        mem, start, i0, i1, s, holes, lane0 = hit
+        _count(engine, False, mem, a, k, mask, lanes, n, lane0, s)
+        v = np.asarray(values)
+        v = _store_values(v[i0:i1 + 1] if v.ndim else v, dtype)
+        if not s:
+            mem.buf[start:start + k].view(dtype)[0] = v[-1] if v.ndim else v
+        elif holes:
+            np.copyto(np.ndarray((i1 - i0 + 1,), dtype, mem.buf, start, (s,)),
+                      v, where=mask[i0:i1 + 1])
+        else:
+            np.ndarray((i1 - i0 + 1,), dtype, mem.buf, start, (s,))[...] = v
+        return
+    if not a.ndim:
+        a = np.broadcast_to(a, mask.shape)
+    full = b"\x00" not in lanes
+    act = a if full else a[mask]
+    lo = int(act.min())
+    where = warp.place(lo, int(act.max()) + k, lanes.find(1), lanes.rfind(1))
+    if where is None:
+        return _fstore_split(engine, warp, a, dtype, values, mask, n)
+    mem, shift = where
+    _count(engine, False, mem, a, k, mask, lanes, n, 0, None)
+    v = np.asarray(values)
+    if v.ndim and not full:
+        v = v[mask]
+    v = np.broadcast_to(_store_values(v, dtype), act.shape)
+    view, idx = _cells(mem, act, lo, lo + shift, dtype)
+    if view is None:
+        mem.buf[idx] = np.ascontiguousarray(v).view(np.uint8).reshape(-1)
+    else:
+        view[idx] = v
+
+
+def _fload_split(engine, warp, a, dtype, mask, n):
+    """A load whose active lanes leave one memory or a block window: one
+    gather after :meth:`FunctionalEngine.resolve_space`, split per warp
+    when it fails on a wider executor, so each warp raises or loads as a
+    warp run alone does."""
+    full = b"\x00" not in mask.tobytes()
     space = engine.resolve_space(
         warp, int(a[0]) if full else int(a[np.argmax(mask)]))
     # the gather's range check (before any read) passes exactly when every
@@ -169,21 +418,13 @@ def _fload(engine, warp, addrs, dtype, mask, n):
     return out
 
 
-def _fstore(engine, warp, addrs, dtype, values, mask, n):
-    """Streamlined ``FunctionalEngine.mem_store`` (identical semantics;
-    ``n`` as in :func:`_fload`).  Lanes scatter in lane order, so a
-    cross-warp write conflict resolves to the later warp, as it does when
-    the warps store one after another."""
-    lanes = mask.tobytes()
-    if not n or b"\x01" not in lanes:
-        return  # predicated off: mirrors mem_store's early return
-    a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != mask.shape:
-        a = np.broadcast_to(a, mask.shape)
+def _fstore_split(engine, warp, a, dtype, values, mask, n):
+    """A store whose active lanes leave one memory or a block window (see
+    :func:`_fload_split`)."""
+    full = b"\x00" not in mask.tobytes()
     v = np.asarray(values)
     if v.shape != mask.shape:
         v = np.broadcast_to(v, mask.shape)
-    full = b"\x00" not in lanes
     space = engine.resolve_space(
         warp, int(a[0]) if full else int(a[np.argmax(mask)]))
     if v.dtype.kind == "f" and dtype.kind in "iu":
@@ -210,6 +451,44 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n):
     stats.store_instructions += n
     stats.instructions += n
     engine._note_mem(space, a, dtype.itemsize, mask, n)
+
+
+def _frame_load(warp, offset, dtype, mask, n):
+    """A load of frame slot ``offset``: an address-taken local at
+    ``local_base(lane) + offset`` (see ``_Analysis``), read from the
+    lane's own frame with no probe; counted as ``mem_load`` counts it."""
+    if not n:
+        return np.zeros(mask.size, dtype=dtype)
+    lanes = mask.tobytes()
+    stats = warp.engine.stats
+    stats.load_instructions += n
+    stats.instructions += n
+    stats.local_accesses += lanes.count(1)
+    view, rows = warp.frame(offset, dtype)
+    if rows is not None:
+        view = view[rows]
+    if b"\x00" not in lanes:
+        return view.copy()
+    out = np.zeros(mask.size, dtype=dtype)
+    np.copyto(out, view, where=mask)
+    return out
+
+
+def _frame_store(warp, offset, dtype, values, mask, n):
+    """A store to frame slot ``offset`` (see :func:`_frame_load`)."""
+    if not n:
+        return
+    lanes = mask.tobytes()
+    stats = warp.engine.stats
+    stats.store_instructions += n
+    stats.instructions += n
+    stats.local_accesses += lanes.count(1)
+    v = _store_values(values, dtype)
+    view, rows = warp.frame(offset, dtype)
+    if rows is None:
+        np.copyto(view, v, where=mask)
+    else:
+        view[rows[mask]] = v[mask] if v.ndim else v
 
 
 def _ldargv(warp, idx: int, dtype: np.dtype) -> np.ndarray:
@@ -361,7 +640,8 @@ def _warps_do(blk, fn, op, regspec, m) -> None:
 
 _GLOBALS = {
     "np": np, "_reg": _reg, "_bop": _binop, "_fload": _fload,
-    "_fstore": _fstore, "_ldargv": _ldargv, "_barid": _barid,
+    "_fstore": _fstore, "_frame_load": _frame_load,
+    "_frame_store": _frame_store, "_ldargv": _ldargv, "_barid": _barid,
     "_barcnt": _barcnt, "_bbar": _bbar, "_nw": _nw, "_bbranch": _bbranch,
     "_bcall": _bcall, "_warps_call": _warps_call, "_warps_do": _warps_do,
     "_printf": warp_printf, "_atomic": warp_atomic,
@@ -382,8 +662,12 @@ class _RegInfo:
     def_idx: int = -1
     def_op: object = None
     uses: list = field(default_factory=list)
+    #: uses as the address of a load or store
+    addr_uses: int = 0
     pinned: bool = False
     temp: bool = False
+    #: the frame offset of a frame slot (see _Analysis), else None
+    frame: Optional[int] = None
 
 
 class _Analysis:
@@ -396,6 +680,12 @@ class _Analysis:
     appears strictly after the def inside the def's block (at any
     nesting depth) within the same function.  Everything else stays in
     the register dict with interpreter-identical lazy-zeros semantics.
+
+    A register is a *frame slot* iff its one def is ``__local_base`` (the
+    lowerer's ``*_laddr`` registers of address-taken locals), no
+    delegated op writes it and every use follows the def as above: it
+    then holds ``local_base(lane) + offset`` wherever it is read, and a
+    load or store through it reads or writes that lane's frame directly.
     """
 
     def __init__(self, kernel: KernelIR):
@@ -426,11 +716,17 @@ class _Analysis:
             self._dt(info, o.dtype)
             info.uses.append((fi, bid, idx))
 
-    def _pin(self, o) -> None:
+    def _pin(self, o, writes: bool = False) -> None:
         if type(o) is Reg:
             info = self._info(o.name)
             self._dt(info, o.dtype)
             info.pinned = True
+            info.ndefs += writes
+
+    def _addr(self, o, fi, bid, idx) -> None:
+        self._use(o, fi, bid, idx)
+        if type(o) is Reg:
+            self.regs[o.name].addr_uses += 1
 
     def _def(self, reg: Reg, fi, bid, idx, op) -> None:
         info = self._info(reg.name)
@@ -460,10 +756,10 @@ class _Analysis:
             elif cls is Sreg:
                 self._def(op.dst, fi, bid, i, op)
             elif cls is Ld:
-                self._use(op.addr, fi, bid, i)
+                self._addr(op.addr, fi, bid, i)
                 self._def(op.dst, fi, bid, i, op)
             elif cls is St:
-                self._use(op.addr, fi, bid, i)
+                self._addr(op.addr, fi, bid, i)
                 self._use(op.value, fi, bid, i)
             elif cls is IfOp:
                 self._use(op.cond, fi, bid, i)
@@ -487,7 +783,7 @@ class _Analysis:
                     self._def(op.dst, fi, bid, i, op)
                 else:
                     if op.dst is not None:
-                        self._pin(op.dst)
+                        self._pin(op.dst, writes=True)
                     for a in op.args:
                         self._pin(a)
             elif cls is PrintfOp:
@@ -495,7 +791,7 @@ class _Analysis:
                     self._pin(a)
             elif cls is Atom:
                 if op.dst is not None:
-                    self._pin(op.dst)
+                    self._pin(op.dst, writes=True)
                 self._pin(op.addr)
                 self._pin(op.a)
                 if op.b is not None:
@@ -512,23 +808,26 @@ class _Analysis:
                 # same virtual register used at two dtypes: the lazy
                 # creation dtype would depend on runtime touch order
                 raise UnsupportedKernel(f"register {name} at two dtypes")
-            if info.pinned or info.ndefs != 1 or info.def_op is None:
+            if info.ndefs != 1 or info.def_op is None \
+                    or not self._dominated(info):
                 continue
             op = info.def_op
-            if type(op) is CallOp and op.name not in _PSEUDO:
-                continue
-            ok = True
-            for (ufi, ubid, uidx) in info.uses:
-                if ufi != info.def_fn:
-                    ok = False
-                    break
-                b, j = ubid, uidx
-                while b is not None and b != info.def_bid:
-                    b, j = self.parent[b]
-                if b != info.def_bid or j is None or j <= info.def_idx:
-                    ok = False
-                    break
-            info.temp = ok
+            if type(op) is CallOp and op.name == "__local_base":
+                info.frame = int(op.args[0].value)
+            info.temp = not info.pinned and (type(op) is not CallOp
+                                             or op.name in _PSEUDO)
+
+    def _dominated(self, info: _RegInfo) -> bool:
+        """Whether every use follows the def inside the def's block."""
+        for (ufi, ubid, uidx) in info.uses:
+            if ufi != info.def_fn:
+                return False
+            b, j = ubid, uidx
+            while b is not None and b != info.def_bid:
+                b, j = self.parent[b]
+            if b != info.def_bid or j is None or j <= info.def_idx:
+                return False
+        return True
 
 # --------------------------------------------------------------------------
 # expression values
@@ -1009,19 +1308,45 @@ class _FnGen:
         elif cls is Sreg:
             self.write_dst(op.dst, self.sreg_val(op.sreg))
         elif cls is Ld:
-            a = self.operand(op.addr)
-            dt = np_dtype(op.dst.dtype)
-            v = _Val(f"_fload(engine, warp, {a.text}, {self.kc.dt(dt)}, "
-                     "m, _n)", dt, False, pure=False, refs=a.refs)
+            dt = self.kc.dt(np_dtype(op.dst.dtype))
+            slot = self.frame_slot(op.addr)
+            if slot is not None:
+                v = _Val(f"_frame_load(warp, {slot}, {dt}, m, _n)",
+                         np_dtype(op.dst.dtype), False, pure=False)
+            else:
+                a = self.operand(op.addr)
+                v = _Val(f"_fload(engine, warp, {a.text}, {dt}, m, _n)",
+                         np_dtype(op.dst.dtype), False, pure=False,
+                         refs=a.refs)
             self.write_dst(op.dst, v, impure=True)
         elif cls is St:
-            a = self.operand(op.addr)
+            dt = self.kc.dt(np_dtype(op.dtype))
+            slot = self.frame_slot(op.addr)
             val = self.operand(op.value)
-            dt = np_dtype(op.dtype)
-            self.w(f"_fstore(engine, warp, {a.text}, {self.kc.dt(dt)}, "
-                   f"{val.text}, m, _n)")
+            if slot is not None:
+                self.w(f"_frame_store(warp, {slot}, {dt}, {val.text}, m, _n)")
+            else:
+                a = self.operand(op.addr)
+                self.w(f"_fstore(engine, warp, {a.text}, {dt}, {val.text}, "
+                       "m, _n)")
+        elif op.name == "__local_base" and self.frame_only(op.dst):
+            pass  # every use reads the frame directly
         else:  # CallOp: _is_seg_op admits only the _PSEUDO calls
             self.emit_pseudo(op)
+
+    def frame_slot(self, addr) -> Optional[int]:
+        """The frame offset of a load's or store's address register when
+        it is a frame slot (see :class:`_Analysis`)."""
+        if type(addr) is Reg:
+            return self.an.regs[addr.name].frame
+        return None
+
+    def frame_only(self, reg: Reg) -> bool:
+        """Whether ``reg`` is a frame slot used only as an address: its
+        value is then never read."""
+        info = self.an.regs[reg.name]
+        return (info.frame is not None and not info.pinned
+                and info.addr_uses == len(info.uses))
 
     def emit_pseudo(self, op: CallOp) -> None:
         dt = np_dtype(op.dst.dtype)
@@ -1044,6 +1369,8 @@ class _FnGen:
     def bin_val(self, op: BinOp) -> _Val:
         a = self.operand(op.a)
         b = self.operand(op.b)
+        if op.op in ("add", "sub") and _wraps_u64(a.dtype, b.dtype):
+            a, b = self.as_u64(a), self.as_u64(b)
         if a.has_const and b.has_const:
             r = self._meta(_binop, op.op, a.const, b.const)
             return self.kc.fold(r)
@@ -1051,6 +1378,16 @@ class _FnGen:
         text = self._bin_text(op.op, a, b)
         return _Val(text, r.dtype, r.ndim == 0,
                     pure=a.pure and b.pure, refs=a.refs | b.refs)
+
+    def as_u64(self, v: _Val) -> _Val:
+        """``v`` as a u64 operand of wrapping pointer arithmetic."""
+        u64 = np.dtype(np.uint64)
+        if v.dtype == u64:
+            return v
+        if v.has_const:
+            return self.kc.fold(np.asarray(v.const).astype(u64)[()])
+        return _Val(f"{v.text}.astype({self.kc.dt(u64)})", u64, v.scalar,
+                    pure=v.pure, refs=v.refs)
 
     def _bin_text(self, o: str, a: _Val, b: _Val) -> str:
         sym = _INLINE_BIN.get(o)
@@ -1371,6 +1708,9 @@ class CompiledBlockExec(Lanes):
         ids = np.asarray([b.block_idx for b in blocks], dtype=np.uint32)
         self.ctaid_x, self.ctaid_y, self.ctaid_z = (
             np.repeat(ids[:, d], self.seg_width) for d in range(3))
+        self._seg_of_lane = seg_of_lane
+        #: frame columns (:meth:`frame`), keyed (offset, dtype)
+        self._frames: dict = {}
         if nseg == 1:
             #: one executor per block segment (None: this is the block's)
             self.segments = None
@@ -1402,6 +1742,61 @@ class CompiledBlockExec(Lanes):
             raise MemoryError_(
                 f"{space.name}: access out of its block's window")
         return mem, addrs + shift
+
+    def place(self, lo: int, hi: int, i0: int, i1: int):
+        """Where an access goes whose active lanes, the first ``i0`` and
+        the last ``i1``, touch the bytes at addresses ``[lo, hi)``:
+        ``(memory, shift)``, the byte at address ``x`` being
+        ``memory.buf[x + shift]``.  None unless every byte lies in global
+        memory or in one shared or local window of the lanes' own block
+        (an access that must split per warp, or fail)."""
+        gmem = self.engine.gmem
+        if gmem.base <= lo and hi <= gmem.base + gmem.capacity:
+            return gmem, -gmem.base
+        block = self.block
+        for mem in (block.smem, block.lmem):
+            if mem is not None and mem.base <= lo \
+                    and hi <= mem.base + mem.capacity:
+                if self._windows is None:
+                    return mem, -mem.base
+                seg = i0 // self.seg_width
+                if i1 // self.seg_width != seg:
+                    return None
+                return (self._windows[mem.name][0],
+                        seg * mem.capacity - mem.base)
+        return None
+
+    def frame(self, offset: int, dtype: np.dtype):
+        """Column ``offset`` of every lane's local frame as ``dtype``:
+        ``(view, rows)``, lane ``i``'s cell being ``view[i]`` when
+        ``rows`` is None, else ``view[rows[i]]``."""
+        key = (offset, dtype)
+        col = self._frames.get(key)
+        if col is None:
+            per = self.block.local_per_thread
+            ids = self.warp_ids
+            if self._windows is None:
+                mem = self.block.lmem
+            else:
+                mem = self._windows["local"][0]
+            nrows = mem.capacity // per
+            r0 = ids[0] * WARP_SIZE
+            if ids[-1] - ids[0] == len(ids) - 1 \
+                    and r0 + self.width <= nrows \
+                    and (self.segments is None
+                         or (r0 == 0 and self.seg_width == self.nthreads)):
+                # lane i's frame is row r0 + i
+                col = (np.ndarray((self.width,), dtype, mem.buf,
+                                  r0 * per + offset, (per,)), None)
+            else:
+                rows = (self._seg_of_lane.astype(np.int64) * self.nthreads
+                        + self.lane_linear)
+                # lanes past the block's threads are never active: any
+                # row will do
+                col = (np.ndarray((nrows,), dtype, mem.buf, offset, (per,)),
+                       np.where(rows < nrows, rows, 0))
+            self._frames[key] = col
+        return col
 
     def active_warps(self, mask: np.ndarray):
         """``(k, lo, hi)`` of each warp with an active lane, in order."""

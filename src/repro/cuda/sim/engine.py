@@ -30,7 +30,6 @@ order than block after block, which kernel ``verify`` mode reports.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -40,7 +39,7 @@ import numpy as np
 from repro.cuda.device import DeviceProperties, Dim3
 from repro.cuda.ptx.ir import KernelIR, LoopOp
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
-from repro.cuda.sim.coalesce import transactions
+from repro.cuda.sim.coalesce import transactions_memo
 from repro.cuda.sim.compile import CompiledBlockExec, CompiledKernelCache
 from repro.cuda.sim.locality import kernel_locality, loop_may_block
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
@@ -58,74 +57,6 @@ class KernelVerifyError(LaunchError):
     A simulator defect, not a device fault: the driver passes it through
     instead of reporting a launch failure, so the recovery policy
     neither retries it nor falls back to the region's host version."""
-
-
-# -- memoized coalescing ------------------------------------------------------
-# A kernel's warps repeat a handful of address *shapes*: the same relative
-# stride pattern at different bases (each loop iteration, each block).  The
-# transaction count is invariant under translating every address by a
-# multiple of 32 (all segment indices shift uniformly), so the count is
-# fully determined by (base offset within a segment, per-lane deltas from
-# lane 0, itemsize, active mask) — uint64 wraparound in the deltas is
-# harmless because subtraction mod 2^64 is itself translation-invariant.
-# Keying on that shape turns the per-warp Python segment walk into one dict
-# probe.  The same key works for a wide access of many warps (one block,
-# or several blocks on one lane axis), whose count is the per-warp counts
-# summed.  Its deltas and lanes would make a key of 9 bytes per lane, so a
-# wide key holds their SHA-256 digest instead: no key then grows with the
-# width, and the memo's memory stays bounded.
-
-
-class TransactionMemo:
-    """Memoized per-warp :func:`~repro.cuda.sim.coalesce.transactions`,
-    summed over the 32-lane warps of an access, holding at most
-    ``max_bytes`` of keys (counted with a fixed per-entry overhead);
-    on overflow it starts over empty."""
-
-    #: bytes of dict slot, key tuple and object headers per entry
-    ENTRY_OVERHEAD = 256
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._memo: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def clear(self) -> None:
-        self._memo.clear()
-        self.nbytes = 0
-
-    def __call__(self, addrs: np.ndarray, itemsize: int,
-                 mask: np.ndarray) -> int:
-        deltas = (addrs - addrs[0]).tobytes()
-        lanes = mask.tobytes()
-        if mask.size == WARP_SIZE:
-            key = (int(addrs[0]) & 31, int(itemsize), deltas, lanes)
-        else:
-            digest = hashlib.sha256(deltas)
-            digest.update(lanes)
-            key = (int(addrs[0]) & 31, int(itemsize), mask.size,
-                   digest.digest())
-        n = self._memo.get(key)
-        if n is None:
-            size = self.ENTRY_OVERHEAD + (len(deltas) + len(lanes)
-                                          if mask.size == WARP_SIZE else
-                                          len(key[-1]))
-            if self.nbytes + size > self.max_bytes:
-                self.clear()
-            n = sum(transactions(addrs[lo:lo + WARP_SIZE], itemsize,
-                                 mask[lo:lo + WARP_SIZE])
-                    for lo in range(0, mask.size, WARP_SIZE))
-            self._memo[key] = n
-            self.nbytes += size
-        return n
-
-
-#: the process-wide memo (16 MiB: about 30k warp-wide or 58k wide shapes,
-#: more than any suite kernel uses)
-transactions_memo = TransactionMemo(16 << 20)
 
 
 @dataclass
@@ -342,6 +273,13 @@ class FunctionalEngine:
 
     def _note_mem(self, space: LinearMemory, addrs, itemsize, mask,
                   nwarps: int = 1) -> None:
+        """Count one access of ``nwarps`` warps to ``space``: global
+        instructions and transactions (through the memo), or shared or
+        local accesses per active lane.  The tree walk counts every
+        access here, compiled code only those of its split path
+        (``compile._fload_split``); its other accesses are counted by
+        ``compile._count``, progressions in closed form, so ``verify``
+        checks the closed form against the per-warp model."""
         if space is self.gmem:
             self.stats.global_mem_instructions += nwarps
             self.stats.global_transactions += transactions_memo(

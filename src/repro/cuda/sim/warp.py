@@ -379,14 +379,23 @@ def _convert(value, dtype: np.dtype):
         return value.astype(dtype, casting="unsafe")
 
 
+def _wraps_u64(a: np.dtype, b: np.dtype) -> bool:
+    """Whether an add or subtract of ``a`` and ``b`` is pointer arithmetic
+    (a u64 and a signed integer), which wraps modulo 2^64.  numpy would
+    promote the pair to float64, exact only below 2^53."""
+    return ((a == np.uint64 and b.kind == "i")
+            or (b == np.uint64 and a.kind == "i"))
+
+
 def _binop(op: str, a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     with np.errstate(all="ignore"):
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
+        if op == "add" or op == "sub":
+            if _wraps_u64(a.dtype, b.dtype):
+                a = a.astype(np.uint64)
+                b = b.astype(np.uint64)
+            return a + b if op == "add" else a - b
         if op == "mul":
             return a * b
         if op == "div":

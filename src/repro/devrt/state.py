@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cuda.sim.compile import NonUniform, _fstore, _nw
+from repro.cuda.sim.compile import (
+    CompiledBlockExec, NonUniform, _fstore, _nw,
+)
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
 
 #: Named-barrier ids reserved by the runtime (paper §3.2): B1 synchronises
@@ -131,14 +133,15 @@ def pure(fn):
 
 
 def store_out(warp: WarpExec, addr_arg, dtype, values, mask: np.ndarray) -> None:
-    """Store per-lane values through a per-lane pointer argument.  A warp
-    stores through the engine's ``mem_store`` (the reference); a block
-    through the block executor's ``_fstore``, which counts one store per
-    active warp and splits per warp when the warps' pointers leave one
-    address space."""
-    if mask.size == WARP_SIZE:
-        warp.engine.mem_store(warp, np.asarray(addr_arg, dtype=np.uint64),
-                              np.dtype(dtype), values, mask)
-    else:
+    """Store per-lane values through a per-lane pointer argument.  The
+    tree walk's warp stores through the engine's ``mem_store`` (the
+    reference); a compiled executor of any width through ``_fstore``,
+    the access routine of its own loads and stores, which counts one
+    store per active warp and splits per warp when the warps' pointers
+    leave one address space."""
+    if isinstance(warp, CompiledBlockExec):
         _fstore(warp.engine, warp, addr_arg, np.dtype(dtype), values, mask,
                 _nw(mask))
+    else:
+        warp.engine.mem_store(warp, np.asarray(addr_arg, dtype=np.uint64),
+                              np.dtype(dtype), values, mask)

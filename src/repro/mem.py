@@ -9,6 +9,13 @@ device data environments) completely faithful.
 All loads/stores go through numpy dtypes so narrowing stores truncate the
 way C does (e.g. storing 300 into a ``char``).  Bulk region access uses
 views, not copies, per the HPC guide's "views, not copies" rule.
+
+:meth:`LinearMemory.gather`/:meth:`LinearMemory.scatter` are the warp
+accesses of the kernel engine's tree walk, the reference.  The compiled
+kernel's loads and stores do not call them on their common paths: they
+probe the lanes' addresses once and read or write ``buf`` through
+strided or element views (``repro.cuda.sim.compile._fload``), so kernel
+``verify`` mode compares two independent implementations.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from repro.ompi import OmpiCompiler, OmpiConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import bench_reductions  # noqa: E402
+import bench_serving  # noqa: E402
 
 GMEM_BASE = 0x2_0000_0000
 
@@ -1219,3 +1220,181 @@ def test_suite_app_block_wide_matches_tree_walk(name, launch_mode,
     assert widths
     wide = [k for k, w in widths.items() if any(n > 32 for n in w)]
     assert wide, f"no {name} kernel ran block-wide"
+
+
+# -- access shapes of the compiled loads and stores --------------------------
+
+def launch_modes(src, grid, block, arrays, scalars=(), **launch_kw):
+    """Launch kernel ``k`` of ``src`` under ``off``, ``on`` and ``verify``
+    from the same memory; per mode, ``(error, arrays after, KernelStats
+    fields or None)``."""
+    kernel = kernel_k(src)
+    runs = {}
+    for mode in ("off", "on", "verify"):
+        gmem = LinearMemory(16 << 20, base=GMEM_BASE, name="gmem")
+        addrs = []
+        for arr in arrays:
+            addr = gmem.alloc(max(arr.nbytes, 1))
+            gmem.view(addr, arr.size, arr.dtype)[:] = arr.reshape(-1)
+            addrs.append(addr)
+        engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(),
+                                  {}, fastpath=mode)
+        params = [np.uint64(a) for a in addrs] + list(scalars)
+        try:
+            stats = dataclasses.asdict(engine.launch(
+                kernel, Dim3.of(grid), Dim3.of(block), params, **launch_kw))
+            error = None
+        except Exception as exc:  # noqa: BLE001 - compared across modes
+            stats, error = None, (type(exc), str(exc))
+        out = [gmem.view(a, arr.size, arr.dtype).tobytes()
+               for a, arr in zip(addrs, arrays)]
+        runs[mode] = (error, out, stats)
+    return runs
+
+
+def _f32(n, seed=0):
+    return np.random.default_rng(seed).random(n, dtype=np.float32)
+
+
+FRAME_SLOTS = r"""
+__global__ void k(float *y, float *x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    float t;
+    float *p = &t;
+    t = x[i];
+    *p = *p + 1.0f;
+    if (i % 5 != 0) t = t * 2.0f;
+    if (i < n) y[i] = t + *p;
+}
+"""
+
+ACCESS_SHAPES = {
+    "contiguous": (SAXPY, (2, 1, 1), (256, 1, 1), [_f32(512), _f32(512, 1)],
+                   [np.float32(2.0), np.int32(512)], {}),
+    "broadcast": (r"""
+__global__ void k(float *y, float *x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    y[i] = x[n / 2] + x[i / 64];
+}
+""", (2, 1, 1), (128, 1, 1), [_f32(256), _f32(256, 1)], [np.int32(256)],
+                  {}),
+    "negative stride": (r"""
+__global__ void k(float *y, float *x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) y[n - 1 - i] = 2.0f * x[n - 1 - i] + x[i];
+}
+""", (3, 1, 1), (96, 1, 1), [_f32(288), _f32(288, 1)], [np.int32(250)], {}),
+    "row stride": (r"""
+__global__ void k(float *out, float *a, int w) {
+    int c = blockIdx.x * blockDim.x + threadIdx.x;
+    int r = blockIdx.y * blockDim.y + threadIdx.y;
+    out[c * w + r] = a[r * w + c] + a[c * w + r];
+}
+""", (2, 2, 1), (16, 8, 1), [_f32(1024), _f32(1024, 1)], [np.int32(32)], {}),
+    "partial last block": (SAXPY, (4, 1, 1), (150, 1, 1),
+                           [_f32(600), _f32(600, 1)],
+                           [np.float32(2.0), np.int32(470)], {}),
+    "repeated addresses": (r"""
+__global__ void k(float *y, float *x, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    y[i / 8] = x[i];
+    if (i % 3 == 1) y[n + 1] = x[i];
+    y[n] = x[i];
+}
+""", (2, 1, 1), (128, 1, 1), [_f32(258), _f32(256, 1)], [np.int32(256)], {}),
+    "frame slots": (FRAME_SLOTS, (3, 1, 1), (64, 1, 1),
+                    [_f32(192), _f32(192, 1)], [np.int32(180)], {}),
+    "frame slots, partial warps": (FRAME_SLOTS, (2, 1, 1), (80, 1, 1),
+                                   [_f32(160), _f32(160, 1)],
+                                   [np.int32(150)], {}),
+    "frame slots, sampled": (FRAME_SLOTS, (4, 1, 1), (96, 1, 1),
+                             [_f32(384), _f32(384, 1)], [np.int32(384)],
+                             dict(only_blocks=[(0, 0, 0), (2, 0, 0),
+                                               (3, 0, 0)],
+                                  only_warps={0, 2})),
+    "frame slots, one sampled block": (FRAME_SLOTS, (4, 1, 1), (96, 1, 1),
+                                       [_f32(384), _f32(384, 1)],
+                                       [np.int32(384)],
+                                       dict(only_blocks=[(1, 0, 0)],
+                                            only_warps={0, 2})),
+}
+
+
+@pytest.mark.parametrize("shape", list(ACCESS_SHAPES))
+def test_access_shapes_agree_in_every_mode(shape):
+    src, grid, block, arrays, scalars, kw = ACCESS_SHAPES[shape]
+    runs = launch_modes(src, grid, block, arrays, scalars, **kw)
+    assert runs["off"][0] is None
+    assert runs["on"] == runs["off"] == runs["verify"]
+    assert runs["off"][1][0] != arrays[0].tobytes()
+    if shape.startswith("frame slots"):
+        # the frame slot's loads and stores skip the probe
+        source = sim_compile.compile_kernel(kernel_k(src)).source
+        assert "_frame_load(" in source and "_frame_store(" in source
+
+
+@pytest.mark.parametrize("kind", ["load", "store"])
+def test_one_lane_out_of_range_fails_like_the_tree_walk(kind):
+    # lane 5 of warp 0 (of block 0) reaches past global memory: every mode
+    # raises the tree walk's error before any byte is written
+    access = "y[i] = x[j];" if kind == "load" else "y[j] = x[i];"
+    src = r"""
+    __global__ void k(float *y, float *x, int n) {
+        int i = blockIdx.x * blockDim.x + threadIdx.x;
+        long j = i;
+        if (i == 5) j = 1L << 23;
+        %s
+    }
+    """ % access
+    y = np.zeros(256, dtype=np.float32)
+    runs = launch_modes(src, (2, 1, 1), (128, 1, 1), [y, _f32(256)],
+                        [np.int32(256)])
+    assert runs["off"][0] is not None
+    assert runs["on"] == runs["off"] == runs["verify"]
+    assert runs["off"][1][0] == y.tobytes()
+
+
+def test_gemm_gather_broadcasts_along_rows_in_every_mode():
+    # serve-mix's gemm: every warp's lanes of one row read one A[i][k]
+    gemm = [p for p in bench_serving.program_mix() if p.name == "gemm"][0]
+    runs = {}
+    for mode in ("off", "on", "verify"):
+        prog = OmpiCompiler(OmpiConfig(kernel_fastpath=mode)).compile(
+            gemm.source, gemm.name)
+        with pytest.MonkeyPatch.context() as mp:
+            launches = spy_launch_stats(mp)
+            run = prog.run(seed_arrays=gemm.seed_arrays)
+        assert run.exit_code == 0
+        runs[mode] = (np.asarray(run.machine.global_array("C")).tobytes(),
+                      launches)
+    assert runs["on"] == runs["off"] == runs["verify"]
+    assert runs["off"][1]
+
+
+def test_pointer_arithmetic_is_exact_above_2_53():
+    # u64 +/- s64 wraps modulo 2^64 in both engines; through float64 the
+    # low bits of these addresses would be lost
+    from repro.cuda.sim.warp import _binop
+
+    far = (1 << 60) + 12345
+    offs = np.array([-41, -1, 0, 1, 7, 1 << 40], dtype=np.int64)
+    want = [(far + int(d)) % (1 << 64) for d in offs]
+    got = _binop("add", np.uint64(far), offs)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    got = _binop("sub", np.full(offs.size, far, dtype=np.uint64), -offs)
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert _binop("add", np.int32(-1), np.uint64(far)) == far - 1
+    src = r"""
+    __global__ void k(long *out, char *p) {
+        int t = threadIdx.x;
+        out[t] = (long)(p + t - 40);
+    }
+    """
+    out = np.zeros(64, dtype=np.int64)
+    runs = launch_modes(src, (1, 1, 1), (64, 1, 1), [out],
+                        [np.uint64(far)])
+    assert runs["on"] == runs["off"] == runs["verify"]
+    got = np.frombuffer(runs["on"][1][0], dtype=np.int64)
+    assert got.tolist() == [far + t - 40 for t in range(64)]
+    source = sim_compile.compile_kernel(kernel_k(src)).source
+    assert "np.trunc" not in source

@@ -1,5 +1,7 @@
 """Tests for the functional engine: divergence, barriers, atomics, stats."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from hypothesis import strategies as st
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
 from repro.cuda.ptx.lower import lower_translation_unit
-from repro.cuda.sim.coalesce import transactions
-from repro.cuda.sim.engine import (
-    FunctionalEngine, LaunchError, TransactionMemo, transactions_memo,
+from repro.cuda.sim.coalesce import (
+    TransactionMemo, transactions, transactions_memo,
 )
+from repro.cuda.sim import compile as sim_compile
+from repro.cuda.sim.coalesce import progression_transactions
+from repro.cuda.sim.compile import CompiledBlockExec
+from repro.cuda.sim.engine import BlockCtx, FunctionalEngine, LaunchError
 from repro.devrt import INTRINSIC_SIGS, build_intrinsics
 from repro.mem import LinearMemory
 
@@ -120,6 +125,159 @@ def test_block_wide_memo_sums_per_warp_counts(data, nwarps, base, stride,
                for lo in range(0, n, 32))
     for probe in (addrs, addrs + np.uint64(32 * shift)):
         assert transactions_memo(probe, itemsize, active) == want
+
+
+# -- the compiled kernel's fused access routine -------------------------------------
+
+_ACCESS_DTYPES = {1: np.int8, 2: np.uint16, 4: np.float32, 8: np.int64}
+
+
+def _lanes_of(data, nwarps, itemsize, per_warp, lo, hi):
+    """Per-lane byte addresses of ``nwarps`` warps, lane ``i`` of warp
+    ``w`` at ``lane0 + stride * (32 * w + i)`` (one progression) or, with
+    ``per_warp``, at ``lane0[w] + stride * i`` (a base per warp), then
+    sometimes a few lanes moved anywhere in ``[lo, hi]``; and a mask of
+    full, partial and empty warps.  Returns (lane0, stride, addrs,
+    mask)."""
+    stride = data.draw(st.one_of(st.just(0), st.integers(-3, 3),
+                                 st.integers(-40, 40), st.just(itemsize),
+                                 st.just(-itemsize)), label="stride")
+    j = np.arange(nwarps * 32, dtype=np.int64)
+    if per_warp:
+        lane0 = np.asarray(data.draw(st.lists(
+            st.integers(lo, hi), min_size=nwarps, max_size=nwarps),
+            label="bases"), dtype=np.int64)
+        addrs = np.repeat(lane0, 32) + stride * (j % 32)
+    else:
+        lane0 = data.draw(st.integers(lo, hi), label="base")
+        addrs = lane0 + stride * j
+    moved = data.draw(st.lists(st.tuples(
+        st.integers(0, nwarps * 32 - 1), st.integers(lo, hi)),
+        max_size=3), label="moved")
+    for lane, addr in moved:
+        addrs[lane] = addr
+    mask = np.asarray(data.draw(_warp_masks(nwarps), label="mask"),
+                      dtype=bool).ravel()
+    return lane0, stride, addrs, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nwarps=st.integers(min_value=1, max_value=8),
+       itemsize=st.sampled_from([1, 2, 4, 8]), per_warp=st.booleans())
+def test_progression_closed_form_sums_per_warp_counts(data, nwarps,
+                                                      itemsize, per_warp):
+    """The closed form counts what coalesce.transactions counts warp by
+    warp, for one progression or one per warp of any stride (negative, 0,
+    not a multiple of the itemsize), under full, partial and empty warp
+    masks; and each probe finds a progression exactly where there is
+    one (one per warp: when every lane is active)."""
+    base = 1 << 24
+    lane0, stride, addrs, mask = _lanes_of(data, nwarps, itemsize, per_warp,
+                                           base, base + 4096)
+    a = addrs.astype(np.uint64)
+    lanes = mask.tobytes()
+    live = sum(bool(mask[lo:lo + 32].any()) for lo in range(0, mask.size, 32))
+    if not live:
+        return
+    want = sum(transactions(a[lo:lo + 32], itemsize, mask[lo:lo + 32])
+               for lo in range(0, mask.size, 32))
+    j = np.arange(mask.size)
+    if per_warp:
+        regular = (addrs == np.repeat(lane0, 32) + stride * (j % 32))[mask]
+        closed = lane0.astype(np.uint64)
+    else:
+        regular = (addrs == lane0 + stride * j)[mask]
+        closed = lane0
+    if regular.all():
+        assert progression_transactions(closed, stride, itemsize, lanes,
+                                        live) == want
+    found = sim_compile._probe(a, lanes, mask)
+    if found is not None:
+        i0, i1, a0, s, _holes = found
+        on = np.flatnonzero(mask)
+        assert (on[0], on[-1]) == (i0, i1)
+        assert (addrs[on] == a0 + s * (on - i0)).all()
+        assert progression_transactions(a0 - s * i0, s, itemsize, lanes,
+                                        live) == want
+    elif not per_warp:
+        assert not regular.all()
+    if not mask.all():
+        return
+    found = sim_compile._probe_warps(a)
+    if found is not None:
+        warp0, s = found
+        on = np.arange(32)
+        for w in range(nwarps):
+            assert (addrs[32 * w + on] == int(warp0[w]) + s * on).all()
+        assert progression_transactions(warp0, s, itemsize, lanes,
+                                        live) == want
+    else:
+        assert not regular.all()
+
+
+def _access_engine(nwarps):
+    gmem = LinearMemory(4096, base=GMEM_BASE, name="gmem")
+    engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {})
+    ctx = BlockCtx((0, 0, 0), (nwarps * 32, 1, 1), (1, 1, 1), 0, 0)
+    return engine, gmem, ctx
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), nwarps=st.integers(min_value=1, max_value=4),
+       itemsize=st.sampled_from([1, 2, 4, 8]), per_warp=st.booleans(),
+       store=st.booleans())
+def test_fused_access_matches_the_tree_walk(data, nwarps, itemsize,
+                                            per_warp, store):
+    """The fused load reads what the tree walk's per-warp gathers read,
+    the fused store writes the bytes its per-warp scatters write, with
+    the same counters; both raise the same error for the same lanes (the
+    warps before the failing one have accessed memory), and
+    a warp whose store fails changes no byte (so a one-warp store that
+    fails changes none at all)."""
+    dtype = np.dtype(_ACCESS_DTYPES[itemsize])
+    _lane0, _stride, addrs, mask = _lanes_of(
+        data, nwarps, itemsize, per_warp, GMEM_BASE - 16,
+        GMEM_BASE + 4096 + 16)
+    addrs = addrs.astype(np.uint64)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, 256, 4096, dtype=np.uint8)
+    values = rng.integers(0, 256, mask.size * itemsize,
+                          dtype=np.uint8).view(dtype)
+    results = []
+    for fused in (True, False):
+        engine, gmem, ctx = _access_engine(nwarps)
+        gmem.buf[:] = start
+        blk = CompiledBlockExec(None, engine, [ctx], list(range(nwarps)),
+                                nwarps * 32, None, [])
+        got = np.zeros(mask.size, dtype=dtype)
+        try:
+            if fused and store:
+                sim_compile._fstore(engine, blk, addrs, dtype, values, mask,
+                                    sim_compile._nw(mask))
+            elif fused:
+                got = sim_compile._fload(engine, blk, addrs, dtype, mask,
+                                         sim_compile._nw(mask))
+            else:
+                for lo in range(0, mask.size, 32):
+                    warp = blk.warp_view(lo // 32)
+                    part = slice(lo, lo + 32)
+                    if store:
+                        engine.mem_store(warp, addrs[part], dtype,
+                                         values[part], mask[part])
+                    else:
+                        got[part] = engine.mem_load(warp, addrs[part], dtype,
+                                                    mask[part])
+            error = None
+        except Exception as exc:  # noqa: BLE001 - compared below
+            error = (type(exc), str(exc))
+        # a failed launch reports no counters and no loaded values
+        results.append((error, gmem.buf.tobytes(), error or (
+            got.tobytes(), dataclasses.asdict(engine.stats))))
+    assert results[0] == results[1]
+    error, after, _result = results[0]
+    if store and error is not None and nwarps == 1:
+        assert after == start.tobytes()
 
 
 def test_transactions_memo_stays_under_its_byte_bound():
