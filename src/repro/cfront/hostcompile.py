@@ -1313,7 +1313,9 @@ def _apply_np(op: str, lhs, rhs):
             with np.errstate(divide="ignore"):
                 return (np.sign(lhs) * np.sign(rhs)
                         * (np.abs(lhs) // np.abs(rhs))).astype(np.int64)
-        return lhs / rhs
+        # C's IEEE quotient: +-inf, or nan for 0 / 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return lhs / rhs
     if op == "%":
         if dt.kind == "f":   # the tree-walker truncates via int()
             lhs = np.trunc(lhs).astype(np.int64)
@@ -1363,6 +1365,8 @@ def _c_idiv(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+# C's IEEE arithmetic: a float fold may reach +-inf or nan silently
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _fold(old, op: str, vals: np.ndarray, ctype: BasicType):
     """Fold ``old op= v`` over ``vals`` exactly like the sequential loop.
 
@@ -1439,7 +1443,7 @@ def _fold_axis(op: str, old: np.ndarray, vals: np.ndarray, axis: int,
     """``old op= v`` folded along ``axis`` of the value block, every cell
     sequentially in its own order; ``old`` has size 1 on that axis."""
     seq = np.concatenate([old.astype(acc), vals.astype(acc)], axis=axis)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _REDUCE_UFUNC[op].accumulate(seq, axis=axis)
     return np.take(out, [-1], axis=axis)
 

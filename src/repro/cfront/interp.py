@@ -619,6 +619,11 @@ class Machine:
                     raise InterpError("integer division by zero", loc)
                 q = abs(lhs) // abs(rhs)
                 return q if (lhs < 0) == (rhs < 0) else -q
+            if rhs == 0:
+                # C's IEEE quotient: +-inf, or nan for 0 / 0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    q = np.true_divide(lhs, rhs)
+                return float(q) if type(q) is np.float64 else q
             return lhs / rhs
         if op == "%":
             li, ri = int(lhs), int(rhs)

@@ -76,7 +76,6 @@ from repro.cuda.sim.warp import (
     _unop, call_intrinsic, warp_atomic, warp_printf, _wraps_u64,
 )
 from repro.cuda.sim.coalesce import progression_transactions, transactions_memo
-from repro.mem import MemoryError_
 
 
 class UnsupportedKernel(Exception):
@@ -254,19 +253,25 @@ def _progression(warp, a, itemsize, lanes, mask):
     i0, i1, a0, s, holes = p
     a1 = a0 + s * (i1 - i0)
     where = warp.place(min(a0, a1), max(a0, a1) + itemsize, i0, i1)
-    if where is None:
+    if where is None or isinstance(where[1], np.ndarray):
         return None
     mem, shift = where
     return mem, a0 + shift, i0, i1, s, holes, a0 - s * i0
 
 
-def _cells(mem, act, lo, start, dtype):
-    """An element view of ``mem`` from byte ``start`` (address ``lo``)
-    and the element index of each address of ``act`` (all at or above
-    ``lo``) when every one is a whole number of elements from ``lo``;
-    else None and the byte index of each address's bytes, lane by
-    lane."""
+def _cells(mem, act, lo, shift, dtype, mask):
+    """The cells of ``mem`` that the addresses ``act`` (all at or above
+    ``lo``) touch, placed by ``shift`` as :meth:`CompiledBlockExec.place`
+    gives it (per lane of ``mask``, None: every lane, when it is a
+    vector): an element view and the element index of each address when
+    every one is a whole number of elements from the lowest; else None
+    and the byte index of each address's bytes, lane by lane."""
+    if isinstance(shift, np.ndarray):
+        # each lane in its own block's window: addresses become offsets
+        act = act + (shift if mask is None else shift[mask])
+        lo, shift = int(act.min()), 0
     k = dtype.itemsize
+    start = lo + shift
     offs = act - np.uint64(lo)
     if k == 1 or not np.bitwise_and(offs, k - 1).any():
         view = np.ndarray(((mem.capacity - start) // k,), dtype, mem.buf,
@@ -281,13 +286,15 @@ def _fload(engine, warp, addrs, dtype, mask, n):
     ``mask``, with ``FunctionalEngine.mem_load``'s semantics and counters.
 
     ``n`` is the number of warps with an active lane (``_nw(mask)``): one
-    load is counted per active warp.  When the active lanes read one
-    progression inside one memory (for a shared or local space, one
-    block window), the load is one strided view, or one read for a
-    broadcast; other lanes in one memory are gathered by element (by
-    byte when not aligned).  A load whose active lanes do not lie in one
-    memory or window takes :func:`_fload_split`, which raises what the
-    tree walk raises."""
+    load is counted per active warp.  :meth:`CompiledBlockExec.place`
+    places the active lanes' bytes.  When they read one progression
+    placed by one shift (global memory, or one block's shared or local
+    window), the load is one strided view, or one read for a broadcast;
+    other placed lanes, a shared or local access over several blocks
+    among them, are gathered by element (by byte when not aligned).
+    Lanes that no one memory holds are loaded warp by warp, in warp
+    order; on one warp that is ``mem_load``, which raises what the tree
+    walk raises."""
     if not n:
         # predicated off: mirrors mem_load's early return exactly (no
         # stats, no space resolution) so verify mode stays bit-identical
@@ -322,10 +329,17 @@ def _fload(engine, warp, addrs, dtype, mask, n):
     lo = int(act.min())
     where = warp.place(lo, int(act.max()) + k, lanes.find(1), lanes.rfind(1))
     if where is None:
-        return _fload_split(engine, warp, a, dtype, mask, n)
+        if mask.size == WARP_SIZE:
+            # no memory holds every lane: the tree walk's access raises
+            return engine.mem_load(warp, a, dtype, mask)
+        out = np.zeros(mask.size, dtype=dtype)
+        for w, w0, w1 in warp.active_warps(mask):
+            out[w0:w1] = _fload(engine, warp.warp_view(w), a[w0:w1], dtype,
+                                mask[w0:w1], 1)
+        return out
     mem, shift = where
     _count(engine, True, mem, a, k, mask, lanes, n, 0, None)
-    view, idx = _cells(mem, act, lo, lo + shift, dtype)
+    view, idx = _cells(mem, act, lo, shift, dtype, None if full else mask)
     vals = mem.buf[idx].view(dtype) if view is None else view[idx]
     if full:
         return vals
@@ -341,8 +355,9 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n):
     cells do not overlap is one strided write; one address is one write
     of the last active lane's value.  Lanes write in lane order, so a
     write conflict resolves to the highest active lane, as it does when
-    the warps store one after another.  Every active lane is in range
-    before any byte is written."""
+    the warps store one after another.  A placed store has every active
+    lane in range before it writes any byte; one stored warp by warp
+    has written the warps before the one that raises."""
     if not n:
         return  # predicated off: mirrors mem_store's early return
     lanes = mask.tobytes()
@@ -370,87 +385,25 @@ def _fstore(engine, warp, addrs, dtype, values, mask, n):
     lo = int(act.min())
     where = warp.place(lo, int(act.max()) + k, lanes.find(1), lanes.rfind(1))
     if where is None:
-        return _fstore_split(engine, warp, a, dtype, values, mask, n)
+        if mask.size == WARP_SIZE:
+            # no memory holds every lane: the tree walk's access raises
+            return engine.mem_store(warp, a, dtype, values, mask)
+        v = np.broadcast_to(np.asarray(values), mask.shape)
+        for w, w0, w1 in warp.active_warps(mask):
+            _fstore(engine, warp.warp_view(w), a[w0:w1], dtype, v[w0:w1],
+                    mask[w0:w1], 1)
+        return
     mem, shift = where
     _count(engine, False, mem, a, k, mask, lanes, n, 0, None)
     v = np.asarray(values)
     if v.ndim and not full:
         v = v[mask]
     v = np.broadcast_to(_store_values(v, dtype), act.shape)
-    view, idx = _cells(mem, act, lo, lo + shift, dtype)
+    view, idx = _cells(mem, act, lo, shift, dtype, None if full else mask)
     if view is None:
         mem.buf[idx] = np.ascontiguousarray(v).view(np.uint8).reshape(-1)
     else:
         view[idx] = v
-
-
-def _fload_split(engine, warp, a, dtype, mask, n):
-    """A load whose active lanes leave one memory or a block window: one
-    gather after :meth:`FunctionalEngine.resolve_space`, split per warp
-    when it fails on a wider executor, so each warp raises or loads as a
-    warp run alone does."""
-    full = b"\x00" not in mask.tobytes()
-    space = engine.resolve_space(
-        warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    # the gather's range check (before any read) passes exactly when every
-    # active lane lies in ``space``, so every warp resolves to it too
-    try:
-        mem, at = space, a
-        if space is not engine.gmem and mask.size != WARP_SIZE:
-            mem, at = warp.window(space, a, mask, dtype.itemsize)
-        vals = mem.gather(at if full else at[mask], dtype)
-    except MemoryError_:
-        if mask.size == WARP_SIZE:
-            raise
-        out = np.zeros(mask.size, dtype=dtype)
-        for k, lo, hi in warp.active_warps(mask):
-            out[lo:hi] = _fload(engine, warp.warp_view(k), a[lo:hi], dtype,
-                                mask[lo:hi], 1)
-        return out
-    stats = engine.stats
-    stats.load_instructions += n
-    stats.instructions += n
-    engine._note_mem(space, a, dtype.itemsize, mask, n)
-    if full:
-        return vals
-    out = np.zeros(mask.size, dtype=dtype)
-    out[mask] = vals
-    return out
-
-
-def _fstore_split(engine, warp, a, dtype, values, mask, n):
-    """A store whose active lanes leave one memory or a block window (see
-    :func:`_fload_split`)."""
-    full = b"\x00" not in mask.tobytes()
-    v = np.asarray(values)
-    if v.shape != mask.shape:
-        v = np.broadcast_to(v, mask.shape)
-    space = engine.resolve_space(
-        warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    if v.dtype.kind == "f" and dtype.kind in "iu":
-        v = np.trunc(v)
-    try:
-        mem, at = space, a
-        if space is not engine.gmem and mask.size != WARP_SIZE:
-            mem, at = warp.window(space, a, mask, dtype.itemsize)
-        # scatter range-checks every lane before it writes any
-        with np.errstate(over="ignore", invalid="ignore"):
-            if full:
-                mem.scatter(at, dtype, v.astype(dtype, casting="unsafe"))
-            else:
-                mem.scatter(at[mask], dtype,
-                            v[mask].astype(dtype, casting="unsafe"))
-    except MemoryError_:
-        if mask.size == WARP_SIZE:
-            raise
-        for k, lo, hi in warp.active_warps(mask):
-            _fstore(engine, warp.warp_view(k), a[lo:hi], dtype, v[lo:hi],
-                    mask[lo:hi], 1)
-        return
-    stats = engine.stats
-    stats.store_instructions += n
-    stats.instructions += n
-    engine._note_mem(space, a, dtype.itemsize, mask, n)
 
 
 def _frame_load(warp, offset, dtype, mask, n):
@@ -1670,13 +1623,14 @@ class CompiledBlockExec(Lanes):
     :class:`WarpExec`, over ``width`` lanes: thread, lane and warp ids
     and the block ids ``ctaid_*`` are per lane, and ``block`` carries the
     geometry every block shares.  A shared or local address is the one a
-    block run alone would use: :meth:`window` moves it into the lane's
-    own block segment of ``windows`` (name -> memory holding every
-    block's window end to end, whose per-block pieces are the blocks'
+    block run alone would use: :meth:`place` moves it into the lane's own
+    block segment of ``windows`` (name -> memory holding every block's
+    window end to end, whose per-block pieces are the blocks'
     ``smem``/``lmem``).  Block-local runtime calls go to one executor per
     block (:meth:`segment`); per-warp constructs and loads or stores that
-    must split go through one executor per warp (:meth:`warp_view`),
-    created on first use, whose registers are slices of this one's.
+    no one memory holds go through one executor per warp
+    (:meth:`warp_view`), created on first use, whose registers are
+    slices of this one's.
 
     A kernel that is not block-wide runs one executor of one warp per
     warp, under the block scheduler: it has the ``warp_index``,
@@ -1717,39 +1671,24 @@ class CompiledBlockExec(Lanes):
             self._windows = None
         else:
             self.segments = [None] * nseg
-            self._windows = {
-                name: (mem, seg_of_lane * np.uint64(mem.capacity // nseg))
-                for name, mem in (windows or {}).items() if mem is not None}
+            self._windows = windows
         self.regs: dict[str, np.ndarray] = {}
         self._ret_stack: list[np.ndarray] = []
         self._arg_stack: list[list] = []
         self._views: list[Optional[CompiledBlockExec]] = \
             [None] * len(warp_ids)
 
-    def window(self, space, addrs: np.ndarray, mask: np.ndarray,
-               itemsize: int):
-        """The memory and addresses an access of one block's shared or
-        local ``space`` at ``addrs`` touches on this axis: each lane's
-        address moved into its own block's window.  Raises
-        :class:`~repro.mem.MemoryError_` when an active lane leaves its
-        block's window, so block k never reaches block k+1's memory."""
-        if self._windows is None:
-            return space, addrs
-        mem, shift = self._windows[space.name]
-        off = addrs - np.uint64(space.base)
-        if np.count_nonzero((off > np.uint64(space.capacity - itemsize))
-                            & mask):
-            raise MemoryError_(
-                f"{space.name}: access out of its block's window")
-        return mem, addrs + shift
-
     def place(self, lo: int, hi: int, i0: int, i1: int):
         """Where an access goes whose active lanes, the first ``i0`` and
         the last ``i1``, touch the bytes at addresses ``[lo, hi)``:
-        ``(memory, shift)``, the byte at address ``x`` being
-        ``memory.buf[x + shift]``.  None unless every byte lies in global
-        memory or in one shared or local window of the lanes' own block
-        (an access that must split per warp, or fail)."""
+        ``(memory, shift)``, lane ``i``'s byte at address ``x`` being
+        ``memory.buf[x + shift]``, or ``memory.buf[x + shift[i]]`` (uint64,
+        wrapping) when ``shift`` is a vector.  Every byte must lie in
+        global memory or in the shared or local window's address range;
+        a window is the lane's own block's, so over several blocks the
+        shift is per lane.  None when no one memory holds every byte:
+        then on one warp the tree walk's ``resolve_space`` or range check
+        fails."""
         gmem = self.engine.gmem
         if gmem.base <= lo and hi <= gmem.base + gmem.capacity:
             return gmem, -gmem.base
@@ -1759,11 +1698,13 @@ class CompiledBlockExec(Lanes):
                     and hi <= mem.base + mem.capacity:
                 if self._windows is None:
                     return mem, -mem.base
+                size = mem.capacity
                 seg = i0 // self.seg_width
-                if i1 // self.seg_width != seg:
-                    return None
-                return (self._windows[mem.name][0],
-                        seg * mem.capacity - mem.base)
+                if i1 // self.seg_width == seg:
+                    return self._windows[mem.name], seg * size - mem.base
+                return (self._windows[mem.name],
+                        self._seg_of_lane * np.uint64(size)
+                        - np.uint64(mem.base))
         return None
 
     def frame(self, offset: int, dtype: np.dtype):
@@ -1778,7 +1719,7 @@ class CompiledBlockExec(Lanes):
             if self._windows is None:
                 mem = self.block.lmem
             else:
-                mem = self._windows["local"][0]
+                mem = self._windows["local"]
             nrows = mem.capacity // per
             r0 = ids[0] * WARP_SIZE
             if ids[-1] - ids[0] == len(ids) - 1 \

@@ -228,9 +228,7 @@ class FunctionalEngine:
 
     def resolve_space(self, warp: WarpExec, addr: int) -> LinearMemory:
         """The memory ``addr`` lies in: global memory, or the shared or
-        local window of ``warp``'s block (for a block-wide executor, of
-        its first block: every block's windows have the same size, and
-        the executor moves an address into the lane's own block)."""
+        local window of ``warp``'s block."""
         if self.gmem.base <= addr < self.gmem.base + self.gmem.capacity:
             return self.gmem
         block = warp.block
@@ -271,17 +269,15 @@ class FunctionalEngine:
         with np.errstate(over="ignore", invalid="ignore"):
             space.scatter(addrs[mask], dtype, values[mask].astype(dtype, casting="unsafe"))
 
-    def _note_mem(self, space: LinearMemory, addrs, itemsize, mask,
-                  nwarps: int = 1) -> None:
-        """Count one access of ``nwarps`` warps to ``space``: global
-        instructions and transactions (through the memo), or shared or
-        local accesses per active lane.  The tree walk counts every
-        access here, compiled code only those of its split path
-        (``compile._fload_split``); its other accesses are counted by
+    def _note_mem(self, space: LinearMemory, addrs, itemsize, mask) -> None:
+        """Count one warp's access to ``space``: a global instruction and
+        its transactions, or shared or local accesses per active lane.
+        Only the tree walk's accesses count here (compiled code makes one
+        for a warp whose access must fail); compiled code counts through
         ``compile._count``, progressions in closed form, so ``verify``
         checks the closed form against the per-warp model."""
         if space is self.gmem:
-            self.stats.global_mem_instructions += nwarps
+            self.stats.global_mem_instructions += 1
             self.stats.global_transactions += transactions_memo(
                 addrs, itemsize, mask)
         elif space.name == "shared":

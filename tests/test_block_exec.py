@@ -776,7 +776,7 @@ def test_launch_larger_than_one_executor_runs_in_groups_of_blocks():
         assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize("mode", ["on", "off", "verify"])
 def test_shared_access_past_a_block_window_fails(mode):
     # lanes 62-63 of block 0 index past its 48 KiB shared window: on one
     # lane axis that would be block 1's memory, so the access must fail
@@ -1317,6 +1317,45 @@ __global__ void k(float *y, float *x, int n) {
                                        [np.int32(384)],
                                        dict(only_blocks=[(1, 0, 0)],
                                             only_warps={0, 2})),
+    # every block's shared window on one lane axis: one range check, the
+    # block offset a per-lane shift
+    "shared, reversed after a barrier": (r"""
+__global__ void k(float *y, float *x, int n) {
+    __shared__ float s[128];
+    int t = threadIdx.x;
+    int i = blockIdx.x * blockDim.x + t;
+    s[t] = x[i];
+    __syncthreads();
+    y[i] = s[blockDim.x - 1 - t] + s[t];
+}
+""", (3, 1, 1), (128, 1, 1), [_f32(384), _f32(384, 1)], [np.int32(384)],
+                                         {}),
+    "local array, per-lane index": (r"""
+__global__ void k(float *y, float *x, int n) {
+    float v[4];
+    int t = threadIdx.x;
+    int i = blockIdx.x * blockDim.x + t;
+    int j;
+    for (j = 0; j < 4; j++) v[j] = x[i] + j;
+    v[t % 4] = v[(t + 1) % 4] * 2.0f;
+    y[i] = v[t % 4] + v[(t + 3) % 4];
+}
+""", (3, 1, 1), (64, 1, 1), [_f32(192), _f32(192, 1)], [np.int32(192)], {}),
+    # warp 0's pointer is global, warp 1's shared: the access splits per
+    # warp
+    "global and shared warps": (r"""
+__global__ void k(float *y, float *x, int n) {
+    __shared__ float s[64];
+    int t = threadIdx.x;
+    int i = blockIdx.x * blockDim.x + t;
+    float *p = t < 32 ? &x[i] : &s[t];
+    s[t] = x[i] * 2.0f;
+    __syncthreads();
+    *p = *p + 1.0f;
+    __syncthreads();
+    y[i] = s[t] + x[i];
+}
+""", (2, 1, 1), (64, 1, 1), [_f32(128), _f32(128, 1)], [np.int32(128)], {}),
 }
 
 

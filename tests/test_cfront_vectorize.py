@@ -1,6 +1,8 @@
 """Affine host loops under the host fast path (equivalence with
 tree-walking, and the loops it must leave to the tree-walker)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,58 @@ def test_integer_division_by_zero_raises(op, case, mode):
         machine.run()
     if mode != "off":
         assert np.array_equal(machine.global_array("x"), np.arange(1, 65))
+
+
+def test_float_division_by_zero_is_ieee_in_every_mode():
+    # C divides a float by zero silently, to +-inf (nan for 0 / 0); both
+    # host engines give those bits, scalar and vector, with no warning
+    src = """
+    double r[6]; float f[2]; float y[8]; double w[8]; double g[4];
+    int main(void) {
+        int i, j, n;
+        double zero;
+        float fz;
+        n = 0;
+        zero = 0.0;
+        fz = 0.0f;
+        r[0] = 1.0 / zero;
+        r[1] = -2.0 / zero;
+        r[2] = 1.0 / n;
+        r[3] = 0.0 / 0.0;
+        r[4] = zero / zero;
+        f[0] = 1.0f / fz;
+        f[1] = -1.0f / fz;
+        for (i = 0; i < 8; i++) y[i] = (i - 3) / fz;
+        for (i = 0; i < 8; i++) w[i] = (double) (i - 3) / n;
+        r[5] = 1.0;
+        for (i = 0; i < 8; i++) r[5] /= i - 3;
+        for (j = 0; j < 4; j++) g[j] = j - 2;
+        for (j = 0; j < 4; j++) for (i = 0; i < 8; i++) g[j] /= i - 3;
+        return 0;
+    }
+    """
+    runs = {}
+    for mode in ("off", "on", "verify"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = run(src, mode)
+        if mode == "on":
+            assert m.host_stats["fn_fast"] == 1
+        runs[mode] = [m.global_array(name).tobytes()
+                      for name in ("r", "f", "y", "w", "g")]
+    assert runs["on"] == runs["off"] == runs["verify"]
+    inf = np.inf
+    r, f, y, w, g = (np.frombuffer(b, dtype=dt) for b, dt in zip(
+        runs["off"],
+        (np.float64, np.float32, np.float32, np.float64, np.float64)))
+    assert r[:3].tolist() == [inf, -inf, inf] and np.isnan(r[3:5]).all()
+    # the folded reductions divide by -3, -2, -1, 0, then 1..4
+    assert r[5] == -inf
+    assert g[[0, 1, 3]].tolist() == [inf, inf, -inf] and np.isnan(g[2])
+    assert f.tolist() == [inf, -inf]
+    for vec in (y, w):
+        assert vec[:3].tolist() == [-inf] * 3 and np.isnan(vec[3])
+        assert vec[4:].tolist() == [inf] * 4
 
 
 @pytest.mark.parametrize("op", ["/", "%"])

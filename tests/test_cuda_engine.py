@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cfront.parser import parse_translation_unit
 from repro.cuda.device import JETSON_NANO_GPU, Dim3
-from repro.cuda.ptx.lower import lower_translation_unit
+from repro.cuda.ptx.lower import SHARED_WINDOW_BASE, lower_translation_unit
 from repro.cuda.sim.coalesce import (
     TransactionMemo, transactions, transactions_memo,
 )
@@ -215,42 +215,76 @@ def test_progression_closed_form_sums_per_warp_counts(data, nwarps,
         assert not regular.all()
 
 
-def _access_engine(nwarps):
-    gmem = LinearMemory(4096, base=GMEM_BASE, name="gmem")
+#: bytes of global memory and of each block's shared window in the
+#: access tests: lanes are drawn from 16 bytes below to 16 past either
+_SPACE = 4096
+
+
+def _access_engine(nblocks, nwarps, fill):
+    """An engine and a compiled executor of ``nblocks`` blocks of
+    ``nwarps`` warps on one lane axis (shared windows end to end, as a
+    block-wide launch groups them), every byte of global and shared
+    memory set from ``fill``; returns (engine, executor, memories)."""
+    gmem = LinearMemory(_SPACE, base=GMEM_BASE, name="gmem")
     engine = FunctionalEngine(JETSON_NANO_GPU, gmem, build_intrinsics(), {})
-    ctx = BlockCtx((0, 0, 0), (nwarps * 32, 1, 1), (1, 1, 1), 0, 0)
-    return engine, gmem, ctx
+    ctxs, windows = BlockCtx.group(
+        [(b, 0, 0) for b in range(nblocks)], (nwarps * 32, 1, 1),
+        (nblocks, 1, 1), _SPACE, 0)
+    mems = (gmem, windows["shared"])
+    for mem in mems:
+        mem.buf[:] = fill[:mem.capacity]
+    blk = CompiledBlockExec(None, engine, ctxs, list(range(nwarps)),
+                            nwarps * 32, None, [], windows)
+    return engine, blk, mems
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), nwarps=st.integers(min_value=1, max_value=4),
+@given(data=st.data(), nblocks=st.integers(min_value=1, max_value=3),
+       nwarps=st.integers(min_value=1, max_value=3),
        itemsize=st.sampled_from([1, 2, 4, 8]), per_warp=st.booleans(),
        store=st.booleans())
-def test_fused_access_matches_the_tree_walk(data, nwarps, itemsize,
+def test_fused_access_matches_the_tree_walk(data, nblocks, nwarps, itemsize,
                                             per_warp, store):
     """The fused load reads what the tree walk's per-warp gathers read,
     the fused store writes the bytes its per-warp scatters write, with
-    the same counters; both raise the same error for the same lanes (the
-    warps before the failing one have accessed memory), and
-    a warp whose store fails changes no byte (so a one-warp store that
-    fails changes none at all)."""
+    the same counters, also when it fails: both raise the same error for
+    the same lanes, the warps before the failing one having accessed
+    memory and been counted.  Each warp's lanes lie in global or shared
+    memory, the executor's blocks each having their own shared window.
+    A warp whose store fails changes no byte (so a one-warp store that
+    fails changes none at all), and a fused access that reaches the tree
+    walk's ``mem_load``/``mem_store`` is one that raises there."""
     dtype = np.dtype(_ACCESS_DTYPES[itemsize])
-    _lane0, _stride, addrs, mask = _lanes_of(
-        data, nwarps, itemsize, per_warp, GMEM_BASE - 16,
-        GMEM_BASE + 4096 + 16)
-    addrs = addrs.astype(np.uint64)
+    width = nblocks * nwarps * 32
+    _lane0, _stride, offs, mask = _lanes_of(
+        data, nblocks * nwarps, itemsize, per_warp, -16, _SPACE + 16)
+    shared = np.repeat(data.draw(st.lists(
+        st.booleans(), min_size=nblocks * nwarps,
+        max_size=nblocks * nwarps), label="shared warps"), 32)
+    for lane in data.draw(st.lists(st.integers(0, width - 1), max_size=2),
+                          label="lanes in the other space"):
+        shared[lane] = not shared[lane]
+    addrs = (offs + np.where(shared, SHARED_WINDOW_BASE, GMEM_BASE)).astype(
+        np.uint64)
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     rng = np.random.default_rng(seed)
-    start = rng.integers(0, 256, 4096, dtype=np.uint8)
-    values = rng.integers(0, 256, mask.size * itemsize,
+    start = rng.integers(0, 256, nblocks * _SPACE, dtype=np.uint8)
+    values = rng.integers(0, 256, width * itemsize,
                           dtype=np.uint8).view(dtype)
     results = []
     for fused in (True, False):
-        engine, gmem, ctx = _access_engine(nwarps)
-        gmem.buf[:] = start
-        blk = CompiledBlockExec(None, engine, [ctx], list(range(nwarps)),
-                                nwarps * 32, None, [])
-        got = np.zeros(mask.size, dtype=dtype)
+        engine, blk, mems = _access_engine(nblocks, nwarps, start)
+        got = np.zeros(width, dtype=dtype)
+        reached = []
+        for name in ("mem_load", "mem_store") if fused else ():
+
+            def spy(*args, real=getattr(engine, name)):
+                reached.append(real.__name__)
+                out = real(*args)
+                reached.append("returned")
+                return out
+
+            setattr(engine, name, spy)
         try:
             if fused and store:
                 sim_compile._fstore(engine, blk, addrs, dtype, values, mask,
@@ -259,7 +293,7 @@ def test_fused_access_matches_the_tree_walk(data, nwarps, itemsize,
                 got = sim_compile._fload(engine, blk, addrs, dtype, mask,
                                          sim_compile._nw(mask))
             else:
-                for lo in range(0, mask.size, 32):
+                for lo in range(0, width, 32):
                     warp = blk.warp_view(lo // 32)
                     part = slice(lo, lo + 32)
                     if store:
@@ -271,13 +305,17 @@ def test_fused_access_matches_the_tree_walk(data, nwarps, itemsize,
             error = None
         except Exception as exc:  # noqa: BLE001 - compared below
             error = (type(exc), str(exc))
-        # a failed launch reports no counters and no loaded values
-        results.append((error, gmem.buf.tobytes(), error or (
-            got.tobytes(), dataclasses.asdict(engine.stats))))
+        if fused:
+            assert "returned" not in reached
+            assert bool(reached) == (error is not None)
+        # a failed load returns no values
+        results.append((error, [m.buf.tobytes() for m in mems],
+                        error or got.tobytes(),
+                        dataclasses.asdict(engine.stats)))
     assert results[0] == results[1]
-    error, after, _result = results[0]
-    if store and error is not None and nwarps == 1:
-        assert after == start.tobytes()
+    error, after, _got, _stats = results[0]
+    if store and error is not None and width == 32:
+        assert after == [start[:m.capacity].tobytes() for m in mems]
 
 
 def test_transactions_memo_stays_under_its_byte_bound():
