@@ -26,7 +26,8 @@ Gates:
     the host-heavy gemm/mvt/atax of :mod:`repro.bench.hostinit` with the
     host fast path off and on: outputs, stdout and modelled time
     bit-identical, every workload at least 3x faster and two of three at
-    least 10x, and the second compile of each source a disk-cache hit.
+    least 10x, no function tree-walked with the fast path on (``main``
+    included), and the second compile of each source a disk-cache hit.
     A triangular case runs both its nests per row and must clear 10x
     on its own.
 ``profile-overhead``
@@ -246,6 +247,9 @@ def host_failures(records: list[dict], budget: dict) -> list[str]:
             out.append(f"{label}: {cc['nest_whole']}/{nests} nests ran "
                        f"whole, {cc['nest_rows']} per row, "
                        f"{cc['loop_fallback']} loops tree-walked")
+        if cc["fn_fallback"] != 0:
+            out.append(f"{label}: {cc['fn_fallback']} functions "
+                       f"tree-walked (the offload driver runs compiled)")
         speedup = off["wall_s"] / max(on["wall_s"], 1e-9)
         floor = HOST_SPEEDUP_FLOOR
         if name in HOST_WORKLOADS:

@@ -2,15 +2,39 @@
 
 The host-code analogue of the kernel fast path (``cuda/sim/compile.py``):
 loops, loop nests and whole functions of the recognised C subset are
-lowered to vectorized numpy execution plans instead of being tree-walked
-cell by cell.  A plan covers
+lowered to vectorized numpy execution plans and Python closures instead
+of being tree-walked cell by cell.  A plan covers
 
 * multi-statement loop bodies (array stores, folds, declared temps),
 * scalar accumulators (``s += a[i]*b[i]``) and scalar temps/decls,
-* whole ``*_hostfn`` twins / init / verify functions, compiled per-function
+* whole functions, among them every ``main`` the OMPi host
+  transformation emits (the *offload driver*), compiled once per program
   with fallback to the tree-walk interpreter when a construct is
   unsupported,
 * rectangular two-level loop nests, run over their whole index grid.
+
+**Compiled functions.**  :func:`_analyze_fn` compiles a function whose
+body stays inside the subset: nested blocks, scalar and pointer
+declarations with initialisers, scalar and array assignments (compound
+ones too), ``if``/``else``, expression statements that call any native
+(``ort_*``, ``printf``, ``exit``), ``for`` loops and a final ``return``.
+Expressions add ``&x``, array decay, string literals, ``sizeof`` and
+short-circuit ``&&``/``||``/``?:`` to the loop subset, and a native's
+arguments are evaluated left to right.  Every statement and expression
+becomes a closure over a :class:`Frame` when the program's plans are
+built, so nothing dispatches on AST nodes at run time.  A ``for`` the
+loop rules accept runs as a plan; any other ``for`` (gramschmidt's host
+loop around its three target regions) runs its body one iteration at a
+time as compiled statements.
+
+The memory rule of a compiled function is *same heap, write-through,
+read-cached*: every parameter and local gets the heap slot the tree walk
+gives it, allocated and zeroed at its declaration and freed at scope
+exit, so ``&k``, string literals and every host address a native sees
+are the tree walk's.  Stores write through to the slot at once; reads
+come from the frame.  A native may write memory (``ort_unmap`` copies
+``checksum`` back), so after each call the cached values of globals and
+of address-taken locals are dropped.
 
 **One loop executor.**  Every compiled ``for`` is a nest of depth one or
 two: a single loop is a nest without inner loops, whose statements run
@@ -87,36 +111,56 @@ Semantics are *bit-identical* to the tree-walk interpreter by construction:
   that calls them in a vector position is left to the tree walk; compiled
   scalar code calls the scalar natives themselves.
 
+**Once per program.**  The analysis, the closures and the tree walk's
+const-fold memo live in :class:`HostPlans`, which
+``CompiledProgram.host_plans`` owns (built lazily, never pickled) and
+every ``Machine`` of the program shares, the serving runtime's
+per-request ones included.  A bare ``Machine(unit)`` builds its own.
+
 Modes (``REPRO_HOST_FASTPATH``, mirrored by ``OmpiConfig.host_fastpath``):
 
 * ``on``      (default) compile what is supported, tree-walk the rest
 * ``off``     pure tree-walk interpreter (no vectorization at all)
-* ``verify``  run every compiled region twice — compiled and tree-walked,
-              from the same memory (:func:`repro.mem.differential_run`) —
+* ``verify``  run every compiled region twice, compiled and tree-walked,
               and require identical allocation maps and bytes in every
-              space; the tree-walk result wins.
+              space; the tree-walk result wins.  A region without
+              side-effecting natives runs compiled first and then, from
+              the same memory, tree-walked (:func:`repro.mem.
+              differential_run`).  A function that calls them (a driver:
+              its natives launch kernels and move clocks) is tree-walked
+              first with the real natives recorded, then compiled against
+              a replay of them (:func:`repro.mem.replay_run`).
 
 Safety model: a region is only committed after a *structural validation*
 pass that resolves every identifier/type without reading memory, so plans
 that cannot execute bail out before any store.  A store whose cells
 depend on memory read at the loop index (``a[idx[i]]``) is compiled only
-in a loop the interpreter hands over directly, where a refused dry pass
-falls back to the tree walk in every mode.
+in a loop the interpreter or a compiled function hands over whole, where
+a refused dry pass falls back to running the loop one iteration at a
+time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.cfront import astnodes as A
-from repro.cfront.ctypes_ import ArrayType, BasicType, CType, PointerType
+from repro.cfront.ctypes_ import (
+    DOUBLE, FLOAT, INT, ArrayType, BasicType, CType, PointerType,
+    usual_arithmetic,
+)
 from repro.cfront.errors import InterpError
+from repro.cfront.interp import (
+    FuncValue, Machine, Ptr, VarBinding, _literal_node, apply_binop,
+)
 from repro.cfront.unparse import unparse
-from repro.mem import differential_run
+from repro.mem import differential_run, replay_run
 from repro.settings import parse_mode
 
 
@@ -146,19 +190,71 @@ _VEC_MATH_EXACT = {
     "floor": np.floor, "floorf": np.floor, "ceil": np.ceil, "ceilf": np.ceil,
     "fmin": np.minimum, "fmax": np.maximum, "fmod": np.fmod,
 }
-#: pure scalar natives callable from compiled scalar expressions
+#: pure scalar natives callable from compiled scalar expressions; every
+#: other native may write memory or the machine's state
 _PURE_NATIVES = frozenset(_VEC_MATH_EXACT) | frozenset({
     "exp", "expf", "log", "logf", "sin", "sinf", "cos", "cosf", "tan",
     "pow", "powf",
 })
 
 _SCALAR_OPS = frozenset({"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"})
+#: binary operators whose value is an int 0 or 1 whatever their operands
+_INT_RESULT_OPS = frozenset({"<", ">", "<=", ">=", "==", "!=", "&&", "||"})
 _REDUCE_OPS = frozenset({"+", "-", "*", "/"})
 _REDUCE_UFUNC = {"+": np.add, "-": np.subtract, "*": np.multiply,
                  "/": np.divide}
 
 _UNSEEN = object()
 _MISSING = object()
+
+_truthy = Machine._truthy
+
+
+# --------------------------------------------------------------------------
+# per-program plans
+# --------------------------------------------------------------------------
+
+class HostPlans:
+    """The host plans of one program, shared by all its Machines.
+
+    Keyed by AST node identity (the plans hold ``unit``, so ids stay
+    stable): loop and function plans, the closures of expressions that
+    planning evaluates (:func:`_eval`), and the tree walk's const-fold
+    memo (``Machine._eval_const_memo``).  Nothing here depends on a
+    Machine's memory; what a run binds (globals, natives) it resolves
+    per call."""
+
+    def __init__(self, unit: A.TranslationUnit):
+        self.unit = unit
+        self.loops: dict[int, tuple] = {}
+        self.fns: dict[int, tuple] = {}
+        self.exprs: dict[int, tuple] = {}
+        self.consts: dict[int, object] = {}
+        #: the variables a Machine binds in ``globals`` (extern ones are
+        #: not), and the names of user functions
+        self.global_types: dict[str, CType] = {}
+        self.functions: set[str] = set()
+        for node in unit.decls:
+            if isinstance(node, A.FuncDef):
+                self.functions.add(node.name)
+            elif isinstance(node, A.GlobalDecl):
+                for d in node.decls:
+                    if d.storage != "extern":
+                        self.global_types[d.name] = d.type
+
+    def loop(self, stmt: A.For) -> Optional["LoopSpec"]:
+        """The plan of a ``for`` the interpreter or a compiled function
+        hands over whole (its init already run), or None."""
+        entry = self.loops.get(id(stmt))
+        if entry is None:
+            entry = self.loops[id(stmt)] = (stmt, _analyze_loop(stmt, True))
+        return entry[1]
+
+    def fn(self, defn: A.FuncDef) -> Optional["FnSpec"]:
+        entry = self.fns.get(id(defn))
+        if entry is None:
+            entry = self.fns[id(defn)] = (defn, _analyze_fn(self, defn))
+        return entry[1]
 
 
 # --------------------------------------------------------------------------
@@ -174,6 +270,13 @@ class ArrSpec:
     base: str            # outermost base array name
     ttext: str           # unparse of the target (dependence discipline)
     indices: list        # index exprs, innermost first
+    #: closures: the target's ``(mem, addr, ctype)`` and the value
+    lv: Callable = field(init=False, repr=False)
+    fn: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.lv = _Compiler().lvalue(self.target)
+        self.fn = _Compiler().expr(self.value)
 
 
 @dataclass
@@ -182,11 +285,21 @@ class SetSpec:
     name: str
     op: Optional[str]
     value: A.Expr
+    fn: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.fn = _Compiler().expr(self.value)
 
 
 @dataclass
 class DeclSpec:
     decls: list          # (name, ctype, init expr | None)
+    #: per declaration, the closure of its initial value (0 without one)
+    fns: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.fns = [_const(0) if init is None else _Compiler().expr(init)
+                    for _name, _ctype, init in self.decls]
 
 
 @dataclass
@@ -224,22 +337,44 @@ class LoopSpec:
     written: set = field(default_factory=set)
     #: the nest plan; None when a loop with inner loops can only run per row
     nest: Optional[NestSpec] = None
-    #: handed over by the interpreter, its init already run: a refused dry
-    #: pass falls back to the tree walk
+    #: handed over whole, its init already run: a refused dry pass falls
+    #: back to running the loop one iteration at a time
     top: bool = False
+    #: closures of the bound and of the init's value (None: no init)
+    bound_fn: Callable = field(init=False, repr=False)
+    init_fn: Optional[Callable] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.bound_fn = _Compiler().expr(self.bound)
+        init = self.init
+        self.init_fn = None if init is None else (
+            _Compiler().expr(init[1]) if init[0] == "set"
+            else _const(0) if init[2] is None else _Compiler().expr(init[2]))
 
 
 @dataclass
 class FnSpec:
+    """A compiled function: its body's statement closures and the value
+    of its final ``return``."""
     name: str
     params: list                 # (name, decayed ctype)
-    items: list                  # DeclSpec | SetSpec | ArrSpec | LoopSpec
-    ret: Optional[A.Expr]        # None = void / no return value
-    has_ret: bool = False
+    stmts: list                  # closures over a Frame
+    ret: Optional[Callable]      # None = void / no return value
+    #: calls a native outside _PURE_NATIVES (verify replays them)
+    impure: bool
+    #: names whose cached values a native call or a store may stale:
+    #: non-array globals and address-taken locals
+    volatile: frozenset
+    #: per parameter, the closure that declares its slot
+    declare_params: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.declare_params = [_slot_declarer(name, ctype, False)
+                               for name, ctype in self.params]
 
 
 # --------------------------------------------------------------------------
-# analysis (pure AST, cached per Machine by id(node))
+# analysis (pure AST, cached per program by id(node))
 # --------------------------------------------------------------------------
 
 def _mentions(expr: A.Expr, var: str) -> bool:
@@ -610,106 +745,139 @@ def _analyze_nest(var: str, items: list, written: set) -> Optional[NestSpec]:
     return NestSpec(passes, loops, expanded, frozenset(folded))
 
 
-def _analyze_fn(defn: A.FuncDef) -> Optional[FnSpec]:
-    if defn.body is None or not isinstance(defn.body, A.Compound):
+def _analyze_fn(plans: HostPlans, defn: A.FuncDef) -> Optional[FnSpec]:
+    """The compiled form of a user function, or None: the tree walk runs
+    it.  Everything is resolved here, once per program; a call binds only
+    the arguments, and the frame resolves the globals it touches."""
+    if not isinstance(defn.body, A.Compound):
         return None
     params = []
     for p in defn.params:
         ctype = p.type.decay() if p.type is not None else None
-        if not isinstance(ctype, (BasicType, PointerType)):
+        if not (isinstance(ctype, PointerType) or isinstance(ctype, BasicType)
+                and not ctype.is_void):
             return None
         params.append((p.name, ctype))
-    items: list = []
-    ret = None
-    has_ret = False
     body = defn.body.body
-    for pos, s in enumerate(body):
-        if isinstance(s, A.Return):
-            if pos != len(body) - 1:
-                return None
-            if s.value is not None \
-                    and not _expr_ok(s.value, vector=False):
-                return None
-            ret = s.value
-            has_ret = True
-            break
-        if isinstance(s, A.DeclStmt):
-            ds = []
-            for d in s.decls:
-                if d.storage is not None:
-                    return None
-                if not isinstance(d.type, (BasicType, PointerType)):
-                    return None
-                if d.init is not None \
-                        and not _expr_ok(d.init, vector=False):
-                    return None
-                ds.append((d.name, d.type, d.init))
-            items.append(DeclSpec(ds))
-        elif isinstance(s, A.For):
-            inner = _analyze_loop(s, top=False)
-            if inner is None:
-                return None
-            items.append(inner)
-        elif isinstance(s, A.ExprStmt) and isinstance(s.expr, A.Assign):
-            a = s.expr
-            if isinstance(a.target, A.Index):
-                arr = _make_arr_spec(a)
-                if arr is None:
-                    return None
-                items.append(arr)
-            elif isinstance(a.target, A.Ident):
-                if a.op is not None and a.op not in _SCALAR_OPS:
-                    return None
-                if not _expr_ok(a.value, vector=False):
-                    return None
-                items.append(SetSpec(a.target.name, a.op, a.value))
-            else:
-                return None
-        else:
-            return None
-    return FnSpec(defn.name, params, items, ret, has_ret)
+    final = body[-1] if body and isinstance(body[-1], A.Return) else None
+    comp = _Compiler(plans, params)
+    comp.scopes.append({})       # the body's own scope
+    try:
+        stmts = [comp.stmt(s) for s in (body[:-1] if final else body)]
+        ret = None if final is None or final.value is None \
+            else comp.expr(final.value)
+    except _Bail:
+        return None
+    return FnSpec(defn.name, params, stmts, ret, comp.impure,
+                  frozenset(comp.volatile))
 
 
 # --------------------------------------------------------------------------
-# frames: virtualized scalar bindings over interpreter memory
+# frames: scalar bindings cached over interpreter memory
 # --------------------------------------------------------------------------
+
+_U64_MASK = (1 << 64) - 1
+
+#: struct format of each scalar cell: the byte order of LinearMemory's
+#: numpy views, standard sizes
+_FORMATS = {
+    ("char", True): "=b", ("char", False): "=B",
+    ("short", True): "=h", ("short", False): "=H",
+    ("int", True): "=i", ("int", False): "=I",
+    ("long", True): "=q", ("long", False): "=Q",
+    ("float", True): "=f", ("double", True): "=d",
+}
+
 
 def _canon(value, ctype: CType):
-    """Round a scalar exactly as a store+load through ``ctype`` would."""
-    from repro.cfront.interp import Ptr
+    """Round a scalar exactly as a store+load through ``ctype`` would
+    (pointers pass through: :meth:`Frame.canon` retypes them)."""
     if isinstance(ctype, (PointerType, ArrayType)):
         return value
     if not isinstance(ctype, BasicType):
         raise _Bail()
-    if ctype.is_floating:
-        return np.float32(value) if ctype.kind == "float" else float(value)
-    if isinstance(value, Ptr):
-        return value.addr
-    iv = int(value)
-    bits = 8 * ctype.sizeof()
-    iv &= (1 << bits) - 1
-    if ctype.signed and iv >= 1 << (bits - 1):
-        iv -= 1 << bits
-    return iv
+    return _scalar_io(ctype)[0](value)
+
+
+def _int_canon(bits: int, signed: bool) -> Callable:
+    mask = (1 << bits) - 1
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed \
+        else (0, mask)
+    half = 1 << (bits - 1) if signed else 0
+
+    def canon(value):
+        if type(value) is int and lo <= value <= hi:
+            return value
+        if isinstance(value, Ptr):
+            value = value.addr
+        return ((int(value) + half) & mask) - half
+    return canon
+
+
+def _not_scalar(value):
+    raise _Bail()
+
+
+_IO: dict = {}
+
+
+def _scalar_io(ctype: CType) -> tuple:
+    """``(canon, pack_into, size, align, zero, unpack_from)`` of a
+    variable of ``ctype``: the value a store and a load leave (None for a
+    pointer, which :meth:`Frame.canon` retypes; :func:`_not_scalar` for a
+    type no scalar store reaches), the ``struct`` packer of its cell, the
+    cell's size and alignment, the value of a zeroed cell and the
+    ``struct`` reader of its cell."""
+    io = _IO.get(ctype)
+    if io is not None:
+        return io
+    if isinstance(ctype, PointerType):
+        canon, cell = None, struct.Struct("=Q")
+    elif isinstance(ctype, BasicType) and not ctype.is_void:
+        key = (ctype.kind, ctype.signed or ctype.is_floating)
+        canon = (np.float32 if ctype.kind == "float" else float) \
+            if ctype.is_floating \
+            else _int_canon(8 * ctype.sizeof(), key[1])
+        cell = struct.Struct(_FORMATS[key])
+    else:
+        io = _IO[ctype] = (_not_scalar, None)
+        return io
+    io = _IO[ctype] = (canon, cell.pack_into, ctype.sizeof(),
+                       ctype.alignof(), 0 if canon is None else canon(0),
+                       cell.unpack_from)
+    return io
 
 
 class Frame:
-    """Scalar variables of a compiled region, virtualized in Python.
+    """Scalar variables of a compiled region, cached in Python.
 
-    Memory-backed scalars are loaded on first use and flushed back on exit;
-    loop variables and block-local declarations live purely in the frame.
+    A name is bound to memory (a global, a variable of the tree walk's
+    ``env``, or the heap slot :func:`_slot_declarer` gives a compiled
+    function's local) or lives in the frame alone (loop variables and
+    temps a loop plan declares).  Reads come from the cache, loading a
+    bound name on first use; :meth:`set` writes through to the binding at
+    once, so memory is always current.  :meth:`invalidate` drops the
+    cached values of the ``volatile`` names after a native call or a
+    store through a pointer.  Compiled calls look natives up in
+    ``natives``: the machine's table, or a replay of it under ``verify``.
     """
 
-    __slots__ = ("machine", "env", "values", "ctypes", "bindings",
-                 "dirty", "_shadow")
+    __slots__ = ("machine", "heap", "env", "natives", "volatile", "values",
+                 "vars", "_shadow")
 
-    def __init__(self, machine, env):
+    def __init__(self, machine, env, natives=None, volatile=frozenset()):
         self.machine = machine
+        self.heap = machine.heap
         self.env = env
+        self.natives = machine.natives if natives is None else natives
+        self.volatile = volatile
+        #: the cached value of each name read or set
         self.values: dict = {}
-        self.ctypes: dict = {}
-        self.bindings: dict = {}
-        self.dirty: set = set()
+        #: per name resolved, ``(ctype, mem, addr, canon, pack_into, buf,
+        #: offset, unpack_from)``: mem, addr, buf, offset and unpack_from
+        #: None for a name that lives in the frame alone (see
+        #: :func:`_scalar_io`)
+        self.vars: dict = {}
         self._shadow: list = []
 
     def _resolve_binding(self, name):
@@ -718,74 +886,138 @@ class Frame:
                 return scope[name]
         return self.machine.globals.get(name)
 
+    def _var(self, name) -> tuple:
+        var = self.vars.get(name)
+        if var is None:
+            b = self._resolve_binding(name)
+            if not isinstance(b, VarBinding):
+                raise _Bail()
+            mem, addr, ct = b.mem, b.addr, b.ctype
+            io = _scalar_io(ct)
+            if io[1] is not None:
+                mem.view(addr, 1, ct.dtype())      # range check
+            var = self.vars[name] = (ct, mem, addr, io[0], io[1], mem.buf,
+                                     addr - mem.base, io[-1])
+        return var
+
     def ctype_of(self, name) -> CType:
-        ct = self.ctypes.get(name)
-        if ct is not None:
-            return ct
-        from repro.cfront.interp import VarBinding
+        return self._var(name)[0]
+
+    def native_ok(self, name) -> bool:
+        """Whether a call of ``name`` reaches the native of that name."""
         b = self._resolve_binding(name)
-        if not isinstance(b, VarBinding):
-            raise _Bail()
-        self.ctypes[name] = b.ctype
-        self.bindings[name] = b
-        return b.ctype
+        return (b is None or isinstance(b, FuncValue) and b.defn is None) \
+            and name in self.natives
+
+    def canon(self, value, ctype: CType):
+        """``value`` as a store and a load through ``ctype`` leave it."""
+        if type(ctype) is PointerType:
+            addr = value.addr if isinstance(value, Ptr) else int(value)
+            return self.machine.make_ptr(addr & _U64_MASK, ctype.pointee)
+        return _canon(value, ctype)
 
     def get(self, name):
-        if name in self.values:
-            return self.values[name]
-        self.ctype_of(name)
-        b = self.bindings.get(name)
-        if b is None:
+        v = self.values.get(name, _MISSING)
+        if v is not _MISSING:
+            return v
+        ct, mem, addr, canon, pack, buf, off, unpack = self._var(name)
+        if mem is None:
             raise _Bail()
-        v = self.machine.load_value(b.mem, b.addr, b.ctype)
-        if not isinstance(v, (int, float, np.floating)) \
-                and v.__class__.__name__ != "Ptr":
-            raise _Bail()
+        if pack is None:
+            v = self.machine.load_value(mem, addr, ct)
+            if not isinstance(v, Ptr):
+                raise _Bail()
+        else:
+            v = unpack(buf, off)[0]
+            v = canon(v) if canon is not None else self.canon(v, ct)
         self.values[name] = v
         return v
 
     def set(self, name, value):
-        ct = self.ctype_of(name)
-        self.values[name] = _canon(value, ct)
-        if self.bindings.get(name) is not None:
-            self.dirty.add(name)
+        ct, _m, _a, canon, pack, buf, off, _u = self.vars.get(name) \
+            or self._var(name)
+        v = self.values[name] = canon(value) if canon is not None \
+            else self.canon(value, ct)
+        if buf is not None:
+            pack(buf, off, v.addr if type(v) is Ptr else v)
+
+    def address(self, name) -> Ptr:
+        """``&name``: a pointer to the variable's memory."""
+        ct, mem, addr = self._var(name)[:3]
+        if mem is None:
+            raise _Bail()
+        return Ptr(mem, addr, ct)
+
+    def invalidate(self) -> None:
+        values = self.values
+        for name in self.volatile:
+            values.pop(name, None)
+
+    def _push(self, name, slot, shadows: bool) -> None:
+        """Record a declaration for :meth:`release`: what it hides of
+        ``name`` when it ``shadows`` (else release forgets the name)."""
+        self._shadow.append((name, slot, (
+            self.values.get(name, _MISSING), self.vars.get(name, _MISSING)
+        ) if shadows else None))
 
     def declare(self, name, ctype, value):
-        self._shadow.append((
-            name,
-            self.values.get(name, _MISSING),
-            self.ctypes.get(name, _MISSING),
-            self.bindings.get(name, _MISSING),
-            name in self.dirty,
-        ))
-        self.ctypes[name] = ctype
-        self.bindings[name] = None
-        self.dirty.discard(name)
-        self.values[name] = _canon(value, ctype)
+        """A variable that lives in the frame alone (inside a loop plan,
+        which calls no native and stores no scalar through a pointer)."""
+        self._push(name, None, True)
+        io = _scalar_io(ctype)
+        self.vars[name] = (ctype, None, None, io[0], io[1], None, None, None)
+        self.values[name] = self.canon(value, ctype)
 
     def mark(self) -> int:
         return len(self._shadow)
 
     def release(self, mark: int) -> None:
-        while len(self._shadow) > mark:
-            name, v, ct, b, dirty = self._shadow.pop()
-            for d, key in ((self.values, v), (self.ctypes, ct),
-                           (self.bindings, b)):
+        """Undo the declarations made since ``mark``, freeing their heap
+        slots (in any order: the allocator's state depends only on the
+        blocks that stay allocated)."""
+        shadow, values, variables = self._shadow, self.values, self.vars
+        free = self.heap.free
+        undone = shadow[mark:]
+        del shadow[mark:]
+        for name, slot, saved in reversed(undone):
+            if slot is not None:
+                free(slot)
+            if saved is None:
+                values.pop(name, None)
+                variables.pop(name, None)
+                continue
+            for d, key in zip((values, variables), saved):
                 if key is _MISSING:
                     d.pop(name, None)
                 else:
                     d[name] = key
-            if dirty:
-                self.dirty.add(name)
-            else:
-                self.dirty.discard(name)
 
-    def flush(self) -> None:
-        m = self.machine
-        for name in self.dirty:
-            b = self.bindings[name]
-            m.store_value(b.mem, b.addr, b.ctype, self.values[name])
-        self.dirty.clear()
+
+def _slot_declarer(name: str, ctype: CType, shadows: bool,
+                   init: Optional[Callable] = None) -> Callable:
+    """The closure that declares ``name`` on a frame in the heap slot the
+    tree walk gives it: allocated and zeroed, then set to ``init(f)`` if
+    given, and freed by :meth:`Frame.release`.  ``shadows``: a variable
+    of that name may be in scope (the compiler knows when none is)."""
+    canon, pack, size, align, zero, unpack = _scalar_io(ctype)
+
+    def declare(f):
+        heap = f.heap
+        addr = heap.alloc(size, align)
+        buf, off = heap.buf, addr - heap.base
+        pack(buf, off, 0)
+        values = f.values
+        f._shadow.append((name, addr, (
+            values.get(name, _MISSING), f.vars.get(name, _MISSING)
+        ) if shadows else None))
+        f.vars[name] = (ctype, heap, addr, canon, pack, buf, off, unpack)
+        values[name] = zero
+        if init is not None:
+            value = init(f)
+            v = values[name] = canon(value) if canon is not None \
+                else f.canon(value, ctype)
+            pack(buf, off, v.addr if type(v) is Ptr else v)
+    return declare
 
 
 # --------------------------------------------------------------------------
@@ -799,8 +1031,9 @@ def _vt_lookup(frame: Frame, vt: dict, name: str) -> CType:
 
 
 def _validate_expr(frame: Frame, vt: dict, expr: A.Expr) -> None:
-    """Check that every leaf of ``expr`` resolves to a supported type."""
-    from repro.cfront.interp import FuncValue
+    """Check that every leaf of ``expr`` resolves to a supported type.
+    ``frame`` is the run's :class:`Frame`, or the :class:`_Compiler` of
+    a compiled function, which knows every type at build time."""
     if isinstance(expr, (A.IntLit, A.FloatLit, A.CharLit)):
         return
     if isinstance(expr, A.Ident):
@@ -828,13 +1061,8 @@ def _validate_expr(frame: Frame, vt: dict, expr: A.Expr) -> None:
         return
     if isinstance(expr, A.Call):
         name = expr.func.name  # _expr_ok guaranteed Ident + whitelisted name
-        if name in vt:
-            raise _Bail()
-        b = frame._resolve_binding(name)
-        if b is not None and not (isinstance(b, FuncValue) and b.defn is None):
-            raise _Bail()      # user function shadows the libm native
-        if name not in frame.machine.natives:
-            raise _Bail()
+        if name in vt or not frame.native_ok(name):
+            raise _Bail()      # e.g. a user function shadows the libm native
         for a in expr.args:
             _validate_expr(frame, vt, a)
         return
@@ -902,94 +1130,533 @@ def _validate_loop(frame: Frame, spec: LoopSpec, vtypes: dict) -> None:
     _validate_items(frame, vt, spec.items)
 
 
-def _validate_fn(frame: Frame, spec: FnSpec) -> None:
-    vt: dict = {}
-    _validate_items(frame, vt, spec.items)
-    if spec.ret is not None:
-        _validate_expr(frame, vt, spec.ret)
-
-
 # --------------------------------------------------------------------------
-# scalar evaluation on frames (bit-identical to Machine.eval)
+# closures: expressions and statements over a Frame, built once per
+# program (bit-identical to Machine.eval and Machine.exec_stmt)
 # --------------------------------------------------------------------------
 
-def _scalar_eval(frame: Frame, e: A.Expr):
-    from repro.cfront.interp import Machine, Ptr
-    m = frame.machine
-    t = type(e)
-    if t is A.IntLit:
-        return e.value
-    if t is A.FloatLit:
-        return np.float32(e.value) if e.single else e.value
-    if t is A.CharLit:
-        return e.value
-    if t is A.Ident:
-        return frame.get(e.name)
-    if t is A.Binary:
-        op = e.op
+def _const(value):
+    return lambda f: value
+
+
+def _noop(f):
+    return None
+
+
+def _eval(frame: Frame, e: A.Expr):
+    """``e`` evaluated on ``frame`` through its program-wide closure."""
+    exprs = frame.machine.plans.exprs
+    entry = exprs.get(id(e))
+    if entry is None:
+        entry = exprs[id(e)] = (e, _Compiler().expr(e))
+    return entry[1](frame)
+
+
+_INT_FAST = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": lambda a, b: 1 if a < b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+}
+
+
+class _Compiler:
+    """Builds the closures of one function's statements (``plans`` given:
+    names resolve at build time against its scopes and the program's
+    globals) or of a loop plan's expressions (names resolve on the frame,
+    which validation has checked).
+
+    A construct outside the subset raises :class:`_Bail`.  What the tree
+    walk reports at run time (a division by zero, a call of an unknown
+    native) the closures raise at run time too."""
+
+    def __init__(self, plans: Optional[HostPlans] = None, params=()):
+        self.plans = plans
+        self.scopes: list = [dict(params)]
+        #: calls a native outside _PURE_NATIVES
+        self.impure = False
+        #: non-array globals and address-taken locals (Frame.invalidate)
+        self.volatile: set = set()
+        #: ids of the literal-only subtrees compiled so far
+        self.literal: set = set()
+
+    # -- names ------------------------------------------------------------
+    def var(self, name: str) -> Optional[CType]:
+        """The type of variable ``name`` (None in a loop plan, where the
+        frame resolves names)."""
+        if self.plans is None:
+            return None
+        for scope in reversed(self.scopes):
+            if name in scope:
+                return scope[name]
+        ct = self.plans.global_types.get(name)
+        if not isinstance(ct, (BasicType, PointerType, ArrayType)) \
+                or getattr(ct, "is_void", False):
+            raise _Bail()
+        if not isinstance(ct, ArrayType):
+            self.volatile.add(name)
+        return ct
+
+    def ctype_of(self, name: str) -> CType:
+        ct = self.var(name)
+        if ct is None:
+            raise _Bail()
+        return ct
+
+    def native_ok(self, name: str) -> bool:
+        try:
+            self.var(name)
+        except _Bail:
+            return name not in self.plans.functions and name in _PURE_NATIVES
+        return False
+
+    def static_type(self, e: A.Expr) -> CType:
+        """The type ``sizeof`` sees (Machine.type_of, at build time)."""
+        t = type(e)
+        if t is A.Ident:
+            return self.ctype_of(e.name)
+        if t is A.Index or t is A.Unary and e.op == "*":
+            base = self.static_type(e.base if t is A.Index
+                                    else e.operand).decay()
+            if not isinstance(base, PointerType):
+                raise _Bail()
+            return base.pointee
+        if t is A.Unary and e.op == "&":
+            return PointerType(self.static_type(e.operand))
+        if t is A.IntLit:
+            return INT
+        if t is A.FloatLit:
+            return FLOAT if e.single else DOUBLE
+        if t is A.Cast:
+            return e.type
+        if t is A.Binary:
+            lt, rt = self.static_type(e.left), self.static_type(e.right)
+            if lt.is_pointer or lt.is_array:
+                return lt.decay()
+            if rt.is_pointer or rt.is_array:
+                return rt.decay()
+            return usual_arithmetic(lt, rt)
+        raise _Bail()
+
+    def _int_valued(self, e: A.Expr) -> bool:
+        """Whether ``e`` always evaluates to a Python int (a compiled
+        function's variables hold their type's values)."""
+        t = type(e)
+        if t in (A.IntLit, A.CharLit, A.SizeofType, A.SizeofExpr):
+            return True
+        if t is A.Cast:
+            return isinstance(e.type, BasicType) and e.type.is_integer
+        if t is A.Binary:
+            return e.op in _INT_RESULT_OPS or e.op in _SCALAR_OPS \
+                and self._int_valued(e.left) and self._int_valued(e.right)
+        if t is A.Unary and e.op in ("-", "+", "~", "!"):
+            return e.op == "!" or self._int_valued(e.operand)
+        if t is A.Ident or t is A.Index or t is A.Unary and e.op == "*":
+            try:
+                st = self.static_type(e)
+            except _Bail:
+                return False
+            return isinstance(st, BasicType) and st.is_integer
+        return False
+
+    # -- expressions ------------------------------------------------------
+    def expr(self, e: A.Expr) -> Callable:
+        fn = self._expr(e)
+        # literal-only (_const_foldable), from what the children found
+        if not _literal_node(e) or not all(
+                id(c) in self.literal for c in e.children()):
+            return fn
+        self.literal.add(id(e))
+        if type(e) in (A.Unary, A.Binary, A.Cast, A.Cond):
+            # a literal-only subtree: its value, unless computing it fails
+            # (the tree walk then fails each time it gets there)
+            try:
+                return _const(fn(None))
+            except Exception:
+                return fn
+        return fn
+
+    def _expr(self, e: A.Expr) -> Callable:
+        t = type(e)
+        if t is A.IntLit or t is A.CharLit:
+            return _const(e.value)
+        if t is A.FloatLit:
+            return _const(np.float32(e.value) if e.single else e.value)
+        if t is A.Ident:
+            name = e.name
+            self.var(name)
+
+            def ident(f):
+                v = f.values.get(name, _MISSING)
+                return f.get(name) if v is _MISSING else v
+            return ident
+        if t is A.Binary:
+            return self._binary(e)
+        if t is A.Unary:
+            return self._unary(e)
+        if t is A.Cond:
+            c, a, b = self.expr(e.cond), self.expr(e.then), self.expr(e.other)
+            return lambda f: a(f) if _truthy(c(f)) else b(f)
+        if t is A.Index:
+            lv = self.lvalue(e)
+            return lambda f: f.machine.load_value(*lv(f))
+        if t is A.Cast:
+            return self._cast(e)
+        if t is A.Call:
+            return self._call(e)
+        if self.plans is None:
+            raise _Bail()
+        if t is A.Assign:
+            return self.assign(e, True)
+        if t is A.StringLit:
+            text = e.value
+            return lambda f: f.machine._string_literal(text)
+        if t is A.SizeofType:
+            return _const(e.type.sizeof())
+        if t is A.SizeofExpr:
+            return _const(self.static_type(e.operand).sizeof())
+        raise _Bail()
+
+    def _binary(self, e: A.Binary) -> Callable:
+        op, loc = e.op, e.loc
+        lhs, rhs = self.expr(e.left), self.expr(e.right)
         if op == "&&":
-            if not Machine._truthy(_scalar_eval(frame, e.left)):
-                return 0
-            return 1 if Machine._truthy(_scalar_eval(frame, e.right)) else 0
+            return lambda f: (1 if _truthy(rhs(f)) else 0) \
+                if _truthy(lhs(f)) else 0
         if op == "||":
-            if Machine._truthy(_scalar_eval(frame, e.left)):
-                return 1
-            return 1 if Machine._truthy(_scalar_eval(frame, e.right)) else 0
-        return m.apply_binop(op, _scalar_eval(frame, e.left),
-                             _scalar_eval(frame, e.right), e.loc)
-    if t is A.Unary:
+            return lambda f: 1 if _truthy(lhs(f)) \
+                else (1 if _truthy(rhs(f)) else 0)
+        fast = _INT_FAST.get(op)
+        if fast is None:
+            return lambda f: apply_binop(op, lhs(f), rhs(f), loc)
+        if type(e.right) is A.IntLit or type(e.right) is A.CharLit:
+            c = e.right.value
+
+            def binop_lit(f):
+                a = lhs(f)
+                if type(a) is int:
+                    return fast(a, c)
+                return apply_binop(op, a, c, loc)
+            return binop_lit
+
+        def binop(f):
+            a = lhs(f)
+            b = rhs(f)
+            if type(a) is int and type(b) is int:
+                return fast(a, b)
+            return apply_binop(op, a, b, loc)
+        return binop
+
+    def _unary(self, e: A.Unary) -> Callable:
         op = e.op
         if op == "*":
-            ptr = _scalar_eval(frame, e.operand)
-            if not isinstance(ptr, Ptr):
-                raise _Bail()
-            return m.load_value(ptr.mem, ptr.addr, ptr.ctype)
-        v = _scalar_eval(frame, e.operand)
+            lv = self.lvalue(e)
+            return lambda f: f.machine.load_value(*lv(f))
+        if self.plans is not None:
+            if op == "&":
+                return self.address(e.operand)
+            if op in ("++", "--", "p++", "p--"):
+                return self._incdec(e)
+        v = self.expr(e.operand)
         if op == "-":
-            return -v
+            return lambda f: -v(f)
         if op == "+":
             return v
         if op == "!":
-            return 0 if Machine._truthy(v) else 1
+            return lambda f: 0 if _truthy(v(f)) else 1
         if op == "~":
-            return ~int(v)
+            return lambda f: ~int(v(f))
         raise _Bail()
-    if t is A.Index:
-        mem, addr, ctype = _scalar_addr(frame, e)
-        return m.load_value(mem, addr, ctype)
-    if t is A.Cast:
-        v = _scalar_eval(frame, e.operand)
-        target = e.type
+
+    def _cast(self, e: A.Cast) -> Callable:
+        target, v = e.type, self.expr(e.operand)
+        if self.plans is not None and isinstance(target, BasicType) \
+                and target.is_integer and self._int_valued(e.operand):
+            return v           # a Python int casts to itself
         if isinstance(target, PointerType):
-            if isinstance(v, Ptr):
-                return Ptr(v.mem, v.addr, target.pointee)
-            addr = int(v)
-            return m.make_ptr(addr, target.pointee) if addr else 0
-        if isinstance(target, BasicType):
-            if target.is_integer:
-                return v.addr if isinstance(v, Ptr) else int(v)
-            if target.is_floating:
-                return np.float32(v) if target.kind == "float" else float(v)
+            pointee = target.pointee
+
+            def cast_ptr(f):
+                value = v(f)
+                if isinstance(value, Ptr):
+                    return Ptr(value.mem, value.addr, pointee)
+                addr = int(value)
+                return f.machine.make_ptr(addr, pointee) if addr else 0
+            return cast_ptr
+        if not isinstance(target, BasicType):
+            raise _Bail()
+        if target.is_integer:
+            def cast_int(f):
+                value = v(f)
+                return value.addr if isinstance(value, Ptr) else int(value)
+            return cast_int
+        if target.kind == "float":
+            return lambda f: np.float32(v(f))
+        if target.is_floating:
+            return lambda f: float(v(f))
+        if target.is_void:
+            return lambda f: (v(f), None)[1]
         raise _Bail()
-    if t is A.Cond:
-        if Machine._truthy(_scalar_eval(frame, e.cond)):
-            return _scalar_eval(frame, e.then)
-        return _scalar_eval(frame, e.other)
-    if t is A.Call:
-        native = m.natives[e.func.name]
-        args = [_scalar_eval(frame, a) for a in e.args]
-        return native(m, args, e.loc)
-    raise _Bail()
+
+    def _call(self, e: A.Call) -> Callable:
+        if type(e.func) is not A.Ident:
+            raise _Bail()
+        name, loc = e.func.name, e.loc
+        if self.plans is not None and (
+                name in self.plans.functions or name == "dim3"
+                or name in self.plans.global_types
+                or any(name in scope for scope in self.scopes)):
+            # user functions stay with the tree walk; a variable is not
+            # a function
+            raise _Bail()
+        args = [self.expr(a) for a in e.args]
+        pure = name in _PURE_NATIVES
+        self.impure |= not pure
+        # arguments left to right, as Machine._eval_call (spelt out for
+        # the usual counts: a comprehension costs a call of its own)
+        if len(args) == 2:
+            a0, a1 = args
+            values = lambda f: [a0(f), a1(f)]
+        elif len(args) == 3:
+            a0, a1, a2 = args
+            values = lambda f: [a0(f), a1(f), a2(f)]
+        elif len(args) == 4:
+            a0, a1, a2, a3 = args
+            values = lambda f: [a0(f), a1(f), a2(f), a3(f)]
+        else:
+            values = lambda f: [a(f) for a in args]
+
+        def call(f):
+            native = f.natives.get(name)
+            if native is None:
+                raise InterpError(f"undeclared identifier {name!r}", loc)
+            result = native(f.machine, values(f), loc)
+            if not pure:
+                f.invalidate()
+            return result
+        return call
+
+    def lvalue(self, e: A.Expr) -> Callable:
+        """Closure giving the ``(mem, addr, ctype)`` of an index or a
+        dereference (Machine.lvalue)."""
+        t = type(e)
+        if t is A.Index:
+            base, index, loc = self.expr(e.base), self.expr(e.index), e.loc
+
+            def element(f):
+                ptr = base(f)
+                if not isinstance(ptr, Ptr):
+                    raise InterpError(
+                        "subscripted value is not a pointer/array", loc)
+                ct = ptr.ctype
+                return ptr.mem, ptr.addr + int(index(f)) * ct.sizeof(), ct
+            return element
+        if t is A.Unary and e.op == "*":
+            operand, loc = self.expr(e.operand), e.loc
+
+            def deref(f):
+                ptr = operand(f)
+                if not isinstance(ptr, Ptr):
+                    raise InterpError("dereference of non-pointer", loc)
+                return ptr.mem, ptr.addr, ptr.ctype
+            return deref
+        raise _Bail()
+
+    def address(self, e: A.Expr) -> Callable:
+        if type(e) is A.Ident:
+            name = e.name
+            self.var(name)
+            self.volatile.add(name)
+            return lambda f: f.address(name)
+        lv = self.lvalue(e)
+        return lambda f: Ptr(*lv(f))
+
+    def _scalar_target(self, e: A.Ident) -> str:
+        if not isinstance(self.ctype_of(e.name), (BasicType, PointerType)):
+            raise _Bail()
+        return e.name
+
+    def _incdec(self, e: A.Unary) -> Callable:
+        delta = 1 if "+" in e.op else -1
+        post = e.op.startswith("p")
+        if type(e.operand) is A.Ident:
+            name = self._scalar_target(e.operand)
+
+            def step(f):
+                old = f.get(name)
+                new = old + delta
+                f.set(name, new)
+                return old if post else new
+            return step
+        lv = self.lvalue(e.operand)
+
+        def step_mem(f):
+            mem, addr, ct = lv(f)
+            m = f.machine
+            old = m.load_value(mem, addr, ct)
+            new = old + delta
+            m.store_value(mem, addr, ct, new)
+            f.invalidate()
+            return old if post else new
+        return step_mem
+
+    def assign(self, e: A.Assign, value: bool) -> Callable:
+        """``target (op)= value``; the closure returns the stored value
+        (as loaded back) when ``value``."""
+        op, loc, v = e.op, e.loc, self.expr(e.value)
+        if type(e.target) is A.Ident:
+            name = self._scalar_target(e.target)
+            if op is None:
+                def assign(f):
+                    f.set(name, v(f))
+                    return f.values[name]
+                return assign
+
+            def update(f):
+                rhs = v(f)
+                f.set(name, apply_binop(op, f.get(name), rhs, loc))
+                return f.values[name]
+            return update
+        lv = self.lvalue(e.target)
+
+        def store(f):
+            mem, addr, ct = lv(f)
+            rhs = v(f)
+            m = f.machine
+            if op is not None:
+                rhs = apply_binop(op, m.load_value(mem, addr, ct), rhs, loc)
+            m.store_value(mem, addr, ct, rhs)
+            f.invalidate()
+            return m.load_value(mem, addr, ct) if value else None
+        return store
+
+    # -- statements -------------------------------------------------------
+    def stmt(self, s: A.Stmt) -> Callable:
+        t = type(s)
+        if t is A.ExprStmt:
+            if s.expr is None:
+                return _noop
+            if type(s.expr) is A.Assign:
+                return self.assign(s.expr, False)
+            return self.expr(s.expr)
+        if t is A.DeclStmt:
+            return self._decl(s)
+        if t is A.Compound:
+            return self.block(s.body)
+        if t is A.If:
+            if isinstance(s.then, A.DeclStmt) \
+                    or isinstance(s.other, A.DeclStmt):
+                raise _Bail()
+            cond, then = self.expr(s.cond), self.stmt(s.then)
+            if s.other is None:
+                def if_(f):
+                    if _truthy(cond(f)):
+                        then(f)
+                return if_
+            other = self.stmt(s.other)
+            return lambda f: then(f) if _truthy(cond(f)) else other(f)
+        if t is A.For:
+            return self._for(s)
+        raise _Bail()
+
+    def block(self, body: list) -> Callable:
+        """A compound statement: its own scope, whose slots are freed on
+        the way out (Machine.exec_stmt)."""
+        self.scopes.append({})
+        try:
+            stmts = [self.stmt(s) for s in body]
+        finally:
+            self.scopes.pop()
+        if not any(isinstance(s, A.DeclStmt) for s in body):
+            def run(f):
+                for s in stmts:
+                    s(f)
+            return run
+
+        def run_scoped(f):
+            mark = f.mark()
+            try:
+                for s in stmts:
+                    s(f)
+            finally:
+                f.release(mark)
+        return run_scoped
+
+    def _decl(self, s: A.DeclStmt) -> Callable:
+        scope = self.scopes[-1]
+        decls = []
+        for d in s.decls:
+            ct = d.type
+            if d.storage is not None or d.name in scope or not (
+                    isinstance(ct, PointerType)
+                    or isinstance(ct, BasicType) and not ct.is_void):
+                raise _Bail()
+            shadows = any(d.name in outer for outer in self.scopes[:-1])
+            # in scope for its own initialiser, as in Machine._exec_decl
+            scope[d.name] = ct
+            decls.append(_slot_declarer(
+                d.name, ct, shadows,
+                None if d.init is None else self.expr(d.init)))
+        if len(decls) == 1:
+            return decls[0]
+
+        def declare(f):
+            for decl in decls:
+                decl(f)
+        return declare
+
+    def _for(self, s: A.For) -> Callable:
+        """A ``for`` in its own scope: run whole by its loop plan when
+        there is one, else (or when its dry pass refuses) one iteration
+        at a time (Machine._exec_for)."""
+        self.scopes.append({})
+        try:
+            init = _noop if s.init is None else self.stmt(s.init)
+            spec = self.plans.loop(s)
+            if spec is not None:
+                try:
+                    _validate_loop(self, spec, {})
+                except _Bail:
+                    spec = None
+            cond = None if s.cond is None else self.expr(s.cond)
+            body = _noop if s.body is None else self.stmt(s.body)
+            step = None if s.step is None else self.expr(s.step)
+        finally:
+            self.scopes.pop()
+
+        def run_for(f):
+            mark = f.mark()
+            try:
+                init(f)
+                if spec is not None and _run_plan(f, spec):
+                    return
+                while cond is None or _truthy(cond(f)):
+                    body(f)
+                    if step is not None:
+                        step(f)
+            finally:
+                f.release(mark)
+        return run_for
 
 
-def _scalar_addr(frame: Frame, expr: A.Index):
-    """(mem, addr, elem ctype) of an index chain — mirrors Machine.lvalue."""
-    from repro.cfront.interp import Ptr
-    base = _scalar_eval(frame, expr.base)
-    if not isinstance(base, Ptr):
-        raise _Bail()
-    idx = int(_scalar_eval(frame, expr.index))
-    return base.mem, base.addr + idx * base.ctype.sizeof(), base.ctype
+def _run_plan(frame: Frame, spec: LoopSpec) -> bool:
+    """Run a compiled function's ``for`` by its plan; False when its dry
+    pass refused before any store."""
+    machine = frame.machine
+    try:
+        _exec_loop(machine, frame, spec)
+    except _BailDry:
+        return False
+    except _Bail as exc:
+        raise InterpError(
+            f"host fastpath: internal bail after validation at "
+            f"{spec.bound.loc}") from exc
+    machine.host_stats["loop_fast"] += 1
+    frame.invalidate()
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -1009,7 +1676,7 @@ def _affine_int(frame: Frame, e: A.Expr, axes: tuple, variant):
         if names is None or names & variant:
             return None
         try:
-            value = _scalar_eval(frame, e)
+            value = _eval(frame, e)
         except InterpError:
             return None
         return (value, {}) if type(value) is int else None
@@ -1042,7 +1709,6 @@ def _affine_int(frame: Frame, e: A.Expr, axes: tuple, variant):
 def _affine_index(frame: Frame, node: A.Index, axes: tuple, variant):
     """``(mem, addr at the origin, {var: byte coeff}, elem ctype)`` of an
     index chain whose subscripts are all affine, else None."""
-    from repro.cfront.interp import Ptr
     chain = []
     base = node
     while isinstance(base, A.Index):
@@ -1142,7 +1808,6 @@ class _VecCtx:
         return mem.strided(self.origin(geo), ctype.dtype(), shape, strides)
 
     def addr_vec(self, index: A.Index):
-        from repro.cfront.interp import Ptr
         base = index.base
         idx = np.asarray(self.value_vec(index.index), dtype=np.int64)
         if isinstance(base, A.Index):
@@ -1455,7 +2120,7 @@ def _fold_axis(op: str, old: np.ndarray, vals: np.ndarray, axis: int,
 def _stop_excl(frame: Frame, loop: LoopSpec) -> int:
     """The first integer at which ``var < bound`` / ``var <= bound`` fails
     (a floating bound compares with the integer variable exactly)."""
-    bound = _scalar_eval(frame, loop.bound)
+    bound = loop.bound_fn(frame)
     if loop.cond_op == "<=":
         return math.floor(bound) + 1
     return math.ceil(bound)
@@ -1470,13 +2135,11 @@ def _trip_count(start: int, stop_excl: int, step: int) -> int:
 
 
 def _run_init(frame: Frame, spec: LoopSpec) -> None:
-    kind = spec.init[0]
-    if kind == "decl":
-        _, ctype, init = spec.init
-        v = _scalar_eval(frame, init) if init is not None else 0
-        frame.declare(spec.var, ctype, v)
+    value = spec.init_fn(frame)
+    if spec.init[0] == "decl":
+        frame.declare(spec.var, spec.init[1], value)
     else:
-        frame.set(spec.var, _scalar_eval(frame, spec.init[1]))
+        frame.set(spec.var, value)
 
 
 def _exec_loop(machine, frame: Frame, spec: LoopSpec, row=None) -> None:
@@ -1506,14 +2169,13 @@ def _exec_items(machine, frame: Frame, items: list, row=None) -> None:
         if isinstance(it, ArrSpec):
             _exec_scalar_arr(machine, frame, it)
         elif isinstance(it, SetSpec):
-            value = _scalar_eval(frame, it.value)
+            value = it.fn(frame)
             if it.op is not None:
-                value = machine.apply_binop(it.op, frame.get(it.name), value)
+                value = apply_binop(it.op, frame.get(it.name), value)
             frame.set(it.name, value)
         elif isinstance(it, DeclSpec):
-            for name, ctype, init in it.decls:
-                v = _scalar_eval(frame, init) if init is not None else 0
-                frame.declare(name, ctype, v)
+            for (name, ctype, _init), fn in zip(it.decls, it.fns):
+                frame.declare(name, ctype, fn(frame))
         elif isinstance(it, LoopSpec):
             _exec_loop(machine, frame, it, row=row)
         else:
@@ -1521,11 +2183,11 @@ def _exec_items(machine, frame: Frame, items: list, row=None) -> None:
 
 
 def _exec_scalar_arr(machine, frame: Frame, spec: ArrSpec) -> None:
-    mem, addr, ctype = _scalar_addr(frame, spec.target)
-    value = _scalar_eval(frame, spec.value)
+    mem, addr, ctype = spec.lv(frame)
+    value = spec.fn(frame)
     if spec.op is not None:
         old = machine.load_value(mem, addr, ctype)
-        value = machine.apply_binop(spec.op, old, value)
+        value = apply_binop(spec.op, old, value)
     machine.store_value(mem, addr, ctype, value)
 
 
@@ -1651,11 +2313,9 @@ def _store_view(ctx: _VecCtx, spec: ArrSpec, view: np.ndarray,
 
 def _inner_range(frame: Frame, loop: LoopSpec) -> tuple:
     """``(first value, step, trip count)`` of a rectangular inner loop."""
-    if loop.init[0] == "decl":
-        ctype, init = loop.init[1], loop.init[2]
-    else:
-        ctype, init = frame.ctype_of(loop.var), loop.init[1]
-    lo = int(_canon(_scalar_eval(frame, init), ctype))
+    ctype = loop.init[1] if loop.init[0] == "decl" \
+        else frame.ctype_of(loop.var)
+    lo = int(_canon(loop.init_fn(frame), ctype))
     return lo, loop.step, _trip_count(lo, _stop_excl(frame, loop), loop.step)
 
 
@@ -1908,15 +2568,14 @@ def _run_pass(machine, ctx: _VecCtx, p: NestPass, how, vecs: dict,
 
 
 # --------------------------------------------------------------------------
-# verify mode: differential execution (repro.mem.differential_run over every
-# memory space of the machine; the tree-walk result wins)
+# verify mode: every compiled region against its tree walk over every
+# memory space of the machine; the tree-walk result wins
 # --------------------------------------------------------------------------
 
 def _results_equal(a, b) -> bool:
-    from repro.cfront.interp import Ptr
     if isinstance(a, Ptr) or isinstance(b, Ptr):
         return isinstance(a, Ptr) and isinstance(b, Ptr) \
-            and a.addr == b.addr and a.mem is b.mem
+            and a.addr == b.addr and a.mem is b.mem and a.ctype == b.ctype
     if a is None or b is None:
         return a is b
     if isinstance(a, (float, np.floating)) and isinstance(b, (float, np.floating)):
@@ -1924,16 +2583,11 @@ def _results_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _verified(machine, frame: Frame, fast, reference, what: str,
-              counter: str):
+def _verified(machine, fast, reference, what: str, counter: str):
     """Run the compiled region ``fast``, then from the same memory its
-    tree-walk ``reference`` with the host fast path off; memory and the
-    result must agree, and the reference's result is returned."""
-    def run_fast():
-        result = fast()
-        frame.flush()
-        return result
-
+    tree-walk ``reference`` with the host fast path off
+    (:func:`repro.mem.differential_run`); memory and the result must
+    agree, and the reference's result is returned."""
     def tree_walk():
         prev = machine.host_fastpath
         machine.host_fastpath = "off"
@@ -1942,7 +2596,7 @@ def _verified(machine, frame: Frame, fast, reference, what: str,
         finally:
             machine.host_fastpath = prev
 
-    result, ref, diff = differential_run(machine.spaces, run_fast, tree_walk)
+    result, ref, diff = differential_run(machine.spaces, fast, tree_walk)
     machine.host_stats["verified_regions"] += 1
     if diff is None and not _results_equal(result, ref):
         diff = f"return value {result!r} != {ref!r}"
@@ -1951,6 +2605,98 @@ def _verified(machine, frame: Frame, fast, reference, what: str,
             f"host fastpath verify: {what} diverged — {diff}")
     machine.host_stats[counter] += 1
     return ref
+
+
+def _outcome_difference(got, ref) -> Optional[str]:
+    """How two ``(raised, value)`` outcomes of a function differ."""
+    (got_raised, got), (ref_raised, ref) = got, ref
+    if got_raised != ref_raised or got_raised and type(got) is not type(ref):
+        return f"outcome {got!r} != {ref!r}"
+    if got_raised:
+        return None if getattr(got, "code", None) == getattr(ref, "code", None) \
+            else f"exit code {got.code} != {ref.code}"
+    return None if _results_equal(got, ref) \
+        else f"return value {got!r} != {ref!r}"
+
+
+def _replayed(machine, run, reference, what: str):
+    """Verify a compiled function that calls side-effecting natives,
+    which cannot run twice (they launch kernels, move clocks and emit
+    profiler records): the tree walk ``reference`` runs with the real
+    natives recorded, then ``run(natives)`` against their replay
+    (:func:`repro.mem.replay_run`).  The reference's state is the one
+    that stays; the host stats are the compiled run's, plus what the
+    recorded calls counted (regions verified inside them)."""
+    natives = machine.natives
+    impure = [name for name in natives if name not in _PURE_NATIVES]
+    pool = machine._string_pool
+    stats = machine.host_stats
+    start_stats = dict(stats)
+    counted: list = []           # per recorded call, the stats it added
+
+    def side_state():
+        return tuple(machine.stdout), dict(pool), machine._rand_state
+
+    def restore_side(state):
+        machine.stdout[:] = state[0]
+        pool.clear()
+        pool.update(state[1])
+        machine._rand_state = state[2]
+
+    def recording(recorder):
+        def recorded(m, args, loc, name, fn):
+            if recorder.depth:
+                return fn(m, args, loc)
+
+            def invoke():
+                before = dict(stats)
+                try:
+                    return fn(m, args, loc)
+                finally:
+                    counted.append({k: v - before[k]
+                                    for k, v in stats.items()})
+            return recorder.call(name, args, invoke)
+
+        table = dict(natives)
+        for name in impure:
+            table[name] = (lambda m, args, loc, name=name, fn=natives[name]:
+                           recorded(m, args, loc, name, fn))
+        machine.natives = table
+        try:
+            return reference()
+        finally:
+            machine.natives = natives
+
+    def replaying(replayer):
+        def replayed(name, args):
+            k = replayer.next
+            try:
+                return replayer.call(name, args)
+            finally:
+                if replayer.next > k:
+                    for key, n in counted[k].items():
+                        stats[key] += n
+
+        table = dict(natives)
+        for name in impure:
+            table[name] = (lambda m, args, loc, name=name:
+                           replayed(name, args))
+        stats.update(start_stats)
+        return run(table)
+
+    got, ref, diff = replay_run(machine.spaces, recording, replaying,
+                                side_state, restore_side, _results_equal)
+    stats["verified_regions"] += 1
+    if diff is None:
+        diff = _outcome_difference(got, ref)
+    if diff:
+        raise HostFastpathVerifyError(
+            f"host fastpath verify: {what} diverged — {diff}")
+    stats["fn_fast"] += 1
+    raised, value = ref
+    if raised:
+        raise value
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -1964,15 +2710,7 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
     value); False to fall back to the tree-walker.  Called by
     ``Machine._exec_for`` after the init statement has run.
     """
-    mode = machine.host_fastpath
-    plans = machine._hc_loop_plans
-    key = id(stmt)
-    spec = plans.get(key, _UNSEEN)
-    if spec is _UNSEEN:
-        spec = _analyze_loop(stmt, top=True)
-        plans[key] = (stmt, spec)
-    else:
-        spec = spec[1]
+    spec = machine.plans.loop(stmt)
     if spec is None:
         machine.host_stats["loop_fallback"] += 1
         return False
@@ -1983,9 +2721,8 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
         machine.host_stats["loop_fallback"] += 1
         return False
     try:
-        if mode == "verify":
-            _verified(machine, frame,
-                      lambda: _exec_loop(machine, frame, spec),
+        if machine.host_fastpath == "verify":
+            _verified(machine, lambda: _exec_loop(machine, frame, spec),
                       lambda: machine.run_for_loop(stmt, env),
                       f"loop at {stmt.loc}", "loop_fast")
             return True
@@ -1999,70 +2736,68 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
         raise InterpError(
             f"host fastpath: internal bail after validation at {stmt.loc}"
         ) from exc
-    frame.flush()
     machine.host_stats["loop_fast"] += 1
     return True
 
 
-def _canon_arg(machine, arg, ctype: CType):
-    from repro.cfront.interp import Ptr
-    if isinstance(ctype, BasicType):
-        if isinstance(arg, Ptr):
-            raise _Bail()
-        return _canon(arg, ctype)
+def _arg_ok(arg, ctype: CType) -> bool:
+    """Whether the tree walk would store ``arg`` into a parameter of
+    ``ctype`` as the frame does."""
     if isinstance(ctype, PointerType):
-        if isinstance(arg, Ptr):
-            return Ptr(arg.mem, arg.addr, ctype.pointee)
-        addr = int(arg)
-        return machine.make_ptr(addr, ctype.pointee) if addr else 0
-    raise _Bail()
+        return isinstance(arg, (Ptr, int, np.integer))
+    return isinstance(arg, (int, float, np.number))
 
 
 def _exec_fn(machine, frame: Frame, spec: FnSpec):
-    _exec_items(machine, frame, spec.items)
-    if spec.ret is not None:
-        return _scalar_eval(frame, spec.ret)
-    return None
+    """The body of a compiled function in its own scope, then the value
+    of its final ``return``."""
+    mark = frame.mark()
+    try:
+        for stmt in spec.stmts:
+            stmt(frame)
+        return None if spec.ret is None else spec.ret(frame)
+    finally:
+        frame.release(mark)
 
 
 def maybe_call_compiled(machine, fn, args, loc=None):
-    """Try to run a user function as a compiled closure.
+    """Try to run a user function as compiled closures.
 
     Returns ``(True, result)`` when the function was executed compiled, or
     ``(False, None)`` to fall back to ``Machine._call_interpreted``.
     """
-    defn = fn.defn
-    plans = machine._hc_fn_plans
-    key = id(defn)
-    spec = plans.get(key, _UNSEEN)
-    if spec is _UNSEEN:
-        spec = _analyze_fn(defn)
-        plans[key] = (defn, spec)
-    else:
-        spec = spec[1]
-    if spec is None or len(args) != len(spec.params):
+    spec = machine.plans.fn(fn.defn)
+    if spec is None or len(args) != len(spec.params) or not all(
+            _arg_ok(arg, ctype) for arg, (_n, ctype) in zip(args, spec.params)):
         machine.host_stats["fn_fallback"] += 1
         return False, None
-    frame = Frame(machine, [])
-    try:
-        for (name, ctype), arg in zip(spec.params, args):
-            frame.declare(name, ctype, _canon_arg(machine, arg, ctype))
-        _validate_fn(frame, spec)
-    except _Bail:
-        machine.host_stats["fn_fallback"] += 1
-        return False, None
+
+    def run(natives):
+        frame = Frame(machine, [], natives, spec.volatile)
+        try:
+            # parameters get their slots in order, as in _call_interpreted
+            for declare, (name, _ctype), arg in zip(spec.declare_params,
+                                                    spec.params, args):
+                declare(frame)
+                frame.set(name, arg)
+            return _exec_fn(machine, frame, spec)
+        finally:
+            frame.release(0)
+
     if machine.host_fastpath == "verify":
-        return True, _verified(
-            machine, frame, lambda: _exec_fn(machine, frame, spec),
-            lambda: machine._call_interpreted(fn, args, loc),
-            f"{spec.name}()", "fn_fast")
+        what = f"{spec.name}()"
+
+        def reference():
+            return machine._call_interpreted(fn, args, loc)
+        if spec.impure:
+            return True, _replayed(machine, run, reference, what)
+        return True, _verified(machine, lambda: run(machine.natives),
+                               reference, what, "fn_fast")
     try:
-        result = _exec_fn(machine, frame, spec)
+        result = run(machine.natives)
     except _Bail as exc:
         raise InterpError(
             f"host fastpath: internal bail after validation in {spec.name}()"
         ) from exc
-    frame.flush()
     machine.host_stats["fn_fast"] += 1
     return True, result
-

@@ -125,22 +125,21 @@ _UNSEEN_CONST = object()
 _NOT_CONST = object()
 
 
+def _literal_node(n: A.Node) -> bool:
+    """Whether node ``n`` may be part of a literal-only subtree."""
+    if isinstance(n, (A.IntLit, A.FloatLit, A.CharLit, A.Cond, A.Binary)):
+        return True
+    if isinstance(n, A.Unary):
+        return n.op in ("-", "+", "!", "~")
+    if isinstance(n, A.Cast):
+        return isinstance(n.type, BasicType) and not n.type.is_void
+    return False
+
+
 def _const_foldable(expr: A.Expr) -> bool:
     """True when ``expr`` is built purely from literals (no environment,
     memory, or side effects) — its value can be memoized per AST node."""
-    for n in expr.walk():
-        if isinstance(n, (A.IntLit, A.FloatLit, A.CharLit, A.Cond, A.Binary)):
-            continue
-        if isinstance(n, A.Unary):
-            if n.op in ("-", "+", "!", "~"):
-                continue
-            return False
-        if isinstance(n, A.Cast):
-            if isinstance(n.type, BasicType) and not n.type.is_void:
-                continue
-            return False
-        return False
-    return True
+    return all(map(_literal_node, expr.walk()))
 
 
 class Machine:
@@ -151,12 +150,16 @@ class Machine:
         unit: A.TranslationUnit,
         heap_capacity: int = 1 << 30,
         host_fastpath: str | None = None,
+        plans=None,
     ):
-        from repro.cfront.hostcompile import resolve_host_fastpath
+        from repro.cfront.hostcompile import HostPlans, resolve_host_fastpath
 
         if host_fastpath is None:
             host_fastpath = Settings.from_env().host_fastpath
         self.unit = unit
+        #: the program's host plans (:class:`HostPlans`): shared by every
+        #: Machine of one program, or built for this one
+        self.plans = plans if plans is not None else HostPlans(unit)
         self.heap = LinearMemory(heap_capacity, base=_HOST_BASE, name="host")
         self.spaces: list[LinearMemory] = [self.heap]
         self.natives: dict[str, NativeFn] = default_natives()
@@ -170,9 +173,6 @@ class Machine:
             "fn_fast": 0, "fn_fallback": 0, "verified_regions": 0,
             "nest_whole": 0, "nest_rows": 0,
         }
-        self._hc_loop_plans: dict[int, tuple] = {}
-        self._hc_fn_plans: dict[int, tuple] = {}
-        self._consts: dict[int, object] = {}
         self._load_globals()
 
     # -- setup -------------------------------------------------------------
@@ -533,9 +533,9 @@ class Machine:
         return binding
 
     def _eval_const_memo(self, expr: A.Expr, env: list[dict], raw):
-        """Memoize literal-only subtrees by node identity (the AST is owned
-        by this Machine's unit, so ids are stable for the Machine's life)."""
-        memo = self._consts
+        """Memoize literal-only subtrees by node identity, once per program
+        (the plans hold the unit, so ids are stable while they live)."""
+        memo = self.plans.consts
         key = id(expr)
         cached = memo.get(key, _UNSEEN_CONST)
         if cached is _UNSEEN_CONST:
@@ -593,73 +593,14 @@ class Machine:
             return 1 if self._truthy(self.eval(expr.right, env)) else 0
         lhs = self.eval(expr.left, env)
         rhs = self.eval(expr.right, env)
-        return self.apply_binop(op, lhs, rhs, expr.loc)
-
-    def apply_binop(self, op: str, lhs, rhs, loc=None):
-        if isinstance(lhs, Ptr) or isinstance(rhs, Ptr):
-            return self._pointer_binop(op, lhs, rhs, loc)
-        # usual arithmetic conversions for typed floats: float op float stays
-        # np.float32 (numpy semantics), but anything wider on either side
-        # promotes both operands to double
-        if isinstance(lhs, np.float32) or isinstance(rhs, np.float32):
-            if isinstance(lhs, float) or isinstance(rhs, float):
-                lhs = float(lhs)
-                rhs = float(rhs)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            return int(_COMPARE[op](lhs, rhs))
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                if rhs == 0:
-                    raise InterpError("integer division by zero", loc)
-                q = abs(lhs) // abs(rhs)
-                return q if (lhs < 0) == (rhs < 0) else -q
-            if rhs == 0:
-                # C's IEEE quotient: +-inf, or nan for 0 / 0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    q = np.true_divide(lhs, rhs)
-                return float(q) if type(q) is np.float64 else q
-            return lhs / rhs
-        if op == "%":
-            li, ri = int(lhs), int(rhs)
-            if ri == 0:
-                raise InterpError("integer modulo by zero", loc)
-            r = abs(li) % abs(ri)
-            return r if li >= 0 else -r
-        if op in ("<<", ">>", "&", "|", "^"):
-            li, ri = int(lhs), int(rhs)
-            return {"<<": li << ri, ">>": li >> ri, "&": li & ri,
-                    "|": li | ri, "^": li ^ ri}[op]
-        raise InterpError(f"bad binary operator {op}", loc)
-
-    def _pointer_binop(self, op: str, lhs, rhs, loc):
-        if op == "+":
-            if isinstance(lhs, Ptr):
-                return lhs + int(rhs)
-            return rhs + int(lhs)
-        if op == "-":
-            if isinstance(lhs, Ptr) and isinstance(rhs, Ptr):
-                return (lhs.addr - rhs.addr) // lhs.ctype.sizeof()
-            if isinstance(lhs, Ptr):
-                return lhs + (-int(rhs))
-            raise InterpError("cannot subtract pointer from integer", loc)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            la = lhs.addr if isinstance(lhs, Ptr) else int(lhs)
-            ra = rhs.addr if isinstance(rhs, Ptr) else int(rhs)
-            return int(_COMPARE[op](la, ra))
-        raise InterpError(f"invalid pointer operation {op}", loc)
+        return apply_binop(op, lhs, rhs, expr.loc)
 
     def _eval_assign(self, expr: A.Assign, env: list[dict]):
         mem, addr, ctype = self.lvalue(expr.target, env)
         value = self.eval(expr.value, env)
         if expr.op is not None:
             old = self.load_value(mem, addr, ctype)
-            value = self.apply_binop(expr.op, old, value, expr.loc)
+            value = apply_binop(expr.op, old, value, expr.loc)
         self.store_value(mem, addr, ctype, value)
         return self.load_value(mem, addr, ctype)
 
@@ -799,6 +740,68 @@ class Machine:
             from repro.cfront.ctypes_ import usual_arithmetic
             return usual_arithmetic(lt, rt)
         raise InterpError(f"cannot type {type(expr).__name__} in sizeof", getattr(expr, "loc", None))
+
+
+def apply_binop(op: str, lhs, rhs, loc=None):
+    """``lhs op rhs`` under the interpreter's C rules (no ``&&``/``||``)."""
+    if isinstance(lhs, Ptr) or isinstance(rhs, Ptr):
+        return _pointer_binop(op, lhs, rhs, loc)
+    # usual arithmetic conversions for typed floats: float op float stays
+    # np.float32 (numpy semantics), but anything wider on either side
+    # promotes both operands to double
+    if isinstance(lhs, np.float32) or isinstance(rhs, np.float32):
+        if isinstance(lhs, float) or isinstance(rhs, float):
+            lhs = float(lhs)
+            rhs = float(rhs)
+    if op in ("==", "!=", "<", ">", "<=", ">="):
+        return int(_COMPARE[op](lhs, rhs))
+    if op == "+":
+        return lhs + rhs
+    if op == "-":
+        return lhs - rhs
+    if op == "*":
+        return lhs * rhs
+    if op == "/":
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            if rhs == 0:
+                raise InterpError("integer division by zero", loc)
+            q = abs(lhs) // abs(rhs)
+            return q if (lhs < 0) == (rhs < 0) else -q
+        if rhs == 0:
+            # C's IEEE quotient: +-inf, or nan for 0 / 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.true_divide(lhs, rhs)
+            return float(q) if type(q) is np.float64 else q
+        return lhs / rhs
+    if op == "%":
+        li, ri = int(lhs), int(rhs)
+        if ri == 0:
+            raise InterpError("integer modulo by zero", loc)
+        r = abs(li) % abs(ri)
+        return r if li >= 0 else -r
+    if op in ("<<", ">>", "&", "|", "^"):
+        li, ri = int(lhs), int(rhs)
+        return {"<<": li << ri, ">>": li >> ri, "&": li & ri,
+                "|": li | ri, "^": li ^ ri}[op]
+    raise InterpError(f"bad binary operator {op}", loc)
+
+
+def _pointer_binop(op: str, lhs, rhs, loc):
+    if op == "+":
+        if isinstance(lhs, Ptr):
+            return lhs + int(rhs)
+        return rhs + int(lhs)
+    if op == "-":
+        if isinstance(lhs, Ptr) and isinstance(rhs, Ptr):
+            return (lhs.addr - rhs.addr) // lhs.ctype.sizeof()
+        if isinstance(lhs, Ptr):
+            return lhs + (-int(rhs))
+        raise InterpError("cannot subtract pointer from integer", loc)
+    if op in ("==", "!=", "<", ">", "<=", ">="):
+        la = lhs.addr if isinstance(lhs, Ptr) else int(lhs)
+        ra = rhs.addr if isinstance(rhs, Ptr) else int(rhs)
+        return int(_COMPARE[op](la, ra))
+    raise InterpError(f"invalid pointer operation {op}", loc)
 
 
 _COMPARE = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,10 +53,9 @@ def _strides(n: int, step: int) -> np.ndarray:
 _STRIDE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-@dataclass
-class _Block:
-    addr: int
-    size: int
+#: a free block, ``(addr, size)``: the free list is a sorted, coalesced
+#: list of them (plain tuples: allocation is on the interpreter's hot path)
+_Block = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class LinearMemory:
         self.base = int(base)
         self.name = name
         self.buf = buf
-        self._free: list[_Block] = [_Block(self.base, self.capacity)]
+        self._free: list[_Block] = [(self.base, self.capacity)]
         self._allocated: dict[int, int] = {}  # addr -> size
         self._starts: list[int] = []           # sorted keys of _allocated
 
@@ -106,20 +105,19 @@ class LinearMemory:
     def alloc(self, size: int, align: int = 16) -> int:
         if size <= 0:
             size = 1
-        for i, blk in enumerate(self._free):
-            addr = (blk.addr + align - 1) // align * align
-            pad = addr - blk.addr
-            if blk.size >= size + pad:
-                if pad:
-                    self._free[i] = _Block(blk.addr, pad)
-                    rest_addr, rest_size = addr + size, blk.size - size - pad
-                    if rest_size:
-                        self._free.insert(i + 1, _Block(rest_addr, rest_size))
+        free = self._free
+        for i, (start, bsize) in enumerate(free):
+            addr = (start + align - 1) // align * align
+            end, bend = addr + size, start + bsize
+            if end <= bend:
+                if addr != start:
+                    free[i] = (start, addr - start)
+                    if end != bend:
+                        free.insert(i + 1, (end, bend - end))
+                elif end == bend:
+                    del free[i]
                 else:
-                    if blk.size == size:
-                        del self._free[i]
-                    else:
-                        self._free[i] = _Block(addr + size, blk.size - size)
+                    free[i] = (end, bend - end)
                 self._allocated[addr] = size
                 bisect.insort(self._starts, addr)
                 return addr
@@ -132,18 +130,19 @@ class LinearMemory:
         size = self._allocated.pop(addr, None)
         if size is None:
             raise MemoryError_(f"{self.name}: free of unallocated address {addr:#x}")
-        del self._starts[bisect.bisect_left(self._starts, addr)]
-        keys = [b.addr for b in self._free]
-        i = bisect.bisect_left(keys, addr)
-        self._free.insert(i, _Block(addr, size))
-        # coalesce with neighbours
-        merged: list[_Block] = []
-        for blk in self._free:
-            if merged and merged[-1].addr + merged[-1].size == blk.addr:
-                merged[-1] = _Block(merged[-1].addr, merged[-1].size + blk.size)
-            else:
-                merged.append(blk)
-        self._free = merged
+        starts = self._starts
+        del starts[bisect.bisect_left(starts, addr)]
+        # the free list is sorted and coalesced: merge with the neighbours
+        free = self._free
+        i = bisect.bisect_left(free, (addr,))
+        if i < len(free) and free[i][0] == addr + size:
+            size += free.pop(i)[1]
+        if i:
+            start, bsize = free[i - 1]
+            if start + bsize == addr:
+                free[i - 1] = (start, bsize + size)
+                return
+        free.insert(i, (addr, size))
 
     def allocated_size(self, addr: int) -> int | None:
         return self._allocated.get(addr)
@@ -196,6 +195,44 @@ class LinearMemory:
                 bad = int(np.flatnonzero(data != now)[0])
                 return (f"{self.name}: block {addr:#x} differs at byte {bad} "
                         f"(fastpath {data[bad]} != interp {now[bad]})")
+        return None
+
+    def fingerprint(self) -> dict[int, tuple[int, bytes]]:
+        """``{block start: (size, key)}`` over the allocated blocks, the
+        key a block's bytes or, past 64 bytes, their digest: cheap to
+        keep per call, enough to tell whether a block changed."""
+        out = {}
+        buf, base = self.buf, self.base
+        for addr, size in self._allocated.items():
+            data = buf[addr - base : addr - base + size]
+            out[addr] = (size, data.tobytes() if size <= 64 else
+                         hashlib.blake2b(data, digest_size=16).digest())
+        return out
+
+    def changes_since(self, fingerprint: dict) -> Checkpoint:
+        """A checkpoint of the allocator state and of only the blocks
+        that are new or changed since ``fingerprint``: rolling back to it
+        from that state replays what happened in between."""
+        now = self.fingerprint()
+        blocks = {}
+        for addr, size in self._allocated.items():
+            if now[addr] != fingerprint.get(addr):
+                blocks[addr] = self.buf[addr - self.base :
+                                        addr - self.base + size].copy()
+        return Checkpoint(blocks, tuple(self._free), dict(self._allocated))
+
+    def fingerprint_difference(self, fingerprint: dict) -> Optional[str]:
+        """The first way this memory differs from ``fingerprint`` (an
+        allocation or a block's bytes), or None."""
+        now = self.fingerprint()
+        for addr in sorted(now.keys() | fingerprint.keys()):
+            got, want = now.get(addr), fingerprint.get(addr)
+            if got is None or want is None or got[0] != want[0]:
+                return (f"{self.name}: allocation maps differ at {addr:#x} "
+                        f"(replay {got[0] if got else 'unallocated'} != "
+                        f"interp {want[0] if want else 'unallocated'})")
+            if got != want:
+                return f"{self.name}: block {addr:#x} differs"
         return None
 
     # -- access ---------------------------------------------------------------
@@ -343,3 +380,160 @@ def differential_run(spaces: Sequence[LinearMemory], fast: Callable,
     ref_result = reference()
     diffs = (mem.first_difference(cp) for mem, cp in zip(spaces, fast_end))
     return fast_result, ref_result, next((d for d in diffs if d), None)
+
+
+class ReplayDivergence(Exception):
+    """The replayed run left the recorded one (see :func:`replay_run`)."""
+
+
+@dataclass
+class RecordedCall:
+    """One call of a reference run, as :class:`CallRecorder` saw it."""
+
+    name: str
+    args: list
+    #: per space, its fingerprint just before the call
+    before: list
+    side_before: object
+    #: per space, a checkpoint of what the call changed
+    after: list
+    side_after: object
+    raised: bool
+    #: the call's result, or the exception it raised
+    value: object = field(repr=False)
+
+
+class CallRecorder:
+    """Records the calls a reference run makes through :meth:`call`,
+    with the state of every space and of ``side_state()`` (what else a
+    call may change) just before and just after each."""
+
+    def __init__(self, spaces: Sequence[LinearMemory],
+                 side_state: Callable[[], object]):
+        self.spaces = spaces
+        self.side_state = side_state
+        self.calls: list[RecordedCall] = []
+        #: above 0 inside a recorded call, whose own calls are part of it
+        self.depth = 0
+
+    def call(self, name: str, args: list, invoke: Callable):
+        if self.depth:
+            return invoke()
+        before = [mem.fingerprint() for mem in self.spaces]
+        side = self.side_state()
+        self.depth += 1
+        try:
+            value, raised = invoke(), False
+        except Exception as exc:
+            value, raised = exc, True
+        finally:
+            self.depth -= 1
+        after = [mem.changes_since(fp) for mem, fp in zip(self.spaces, before)]
+        self.calls.append(RecordedCall(name, list(args), before, side, after,
+                                       self.side_state(), raised, value))
+        if raised:
+            raise value
+        return value
+
+
+class CallReplayer:
+    """Stands in for the recorded calls, in order: call ``k`` must come
+    with the recorded name and arguments (``same`` compares two values)
+    and find every space and the side state as the reference did; it
+    then leaves them as the reference's call did and returns (or
+    raises) what it did.  A mismatch raises :class:`ReplayDivergence`."""
+
+    def __init__(self, calls: list[RecordedCall],
+                 spaces: Sequence[LinearMemory],
+                 side_state: Callable[[], object],
+                 restore_side: Callable[[object], None],
+                 same: Callable[[object, object], bool]):
+        self.calls = calls
+        self.spaces = spaces
+        self.side_state = side_state
+        self.restore_side = restore_side
+        self.same = same
+        self.next = 0
+
+    def call(self, name: str, args: list):
+        k = self.next
+        if k == len(self.calls):
+            raise ReplayDivergence(
+                f"call {k} ({name}) was not made by the reference run")
+        rec = self.calls[k]
+        self.next += 1
+        if name != rec.name or len(args) != len(rec.args) \
+                or not all(map(self.same, args, rec.args)):
+            raise ReplayDivergence(
+                f"call {k}: {name}{tuple(args)!r} != recorded "
+                f"{rec.name}{tuple(rec.args)!r}")
+        for mem, fp in zip(self.spaces, rec.before):
+            diff = mem.fingerprint_difference(fp)
+            if diff:
+                raise ReplayDivergence(f"before call {k} ({name}): {diff}")
+        if self.side_state() != rec.side_before:
+            raise ReplayDivergence(
+                f"before call {k} ({name}): output or state differs")
+        for mem, cp in zip(self.spaces, rec.after):
+            mem.rollback(cp)
+        self.restore_side(rec.side_after)
+        if rec.raised:
+            raise rec.value
+        return rec.value
+
+
+def _outcome(run: Callable) -> tuple[bool, object]:
+    try:
+        return False, run()
+    except ReplayDivergence:
+        raise
+    except Exception as exc:
+        return True, exc
+
+
+def replay_run(spaces: Sequence[LinearMemory], reference: Callable,
+               fast: Callable, side_state: Callable[[], object],
+               restore_side: Callable[[object], None],
+               same: Callable[[object, object], bool]
+               ) -> tuple[object, object, Optional[str]]:
+    """:func:`differential_run` for code whose calls must not run twice.
+
+    ``reference(recorder)`` runs first, making its calls through a
+    :class:`CallRecorder`.  Every space and the side state then roll
+    back to the start, and ``fast(replayer)`` runs against a
+    :class:`CallReplayer` of the recording.  At the end the spaces and
+    the side state must equal the reference's.
+
+    Returns both outcomes as ``(raised, value)`` pairs (the fast one None
+    when it diverged mid-run) and the first difference, or None.  The
+    spaces and the side state are left as the reference left them."""
+    start = [mem.checkpoint() for mem in spaces]
+    side_start = side_state()
+    recorder = CallRecorder(spaces, side_state)
+    ref = _outcome(lambda: reference(recorder))
+    ref_end = [mem.checkpoint() for mem in spaces]
+    side_ref = side_state()
+    for mem, cp in zip(spaces, start):
+        mem.rollback(cp)
+    restore_side(side_start)
+    replayer = CallReplayer(recorder.calls, spaces, side_state, restore_side,
+                            same)
+    diff = None
+    try:
+        got = _outcome(lambda: fast(replayer))
+    except ReplayDivergence as exc:
+        got, diff = None, str(exc)
+    if diff is None and replayer.next < len(recorder.calls):
+        diff = (f"call {replayer.next} ({recorder.calls[replayer.next].name})"
+                f" was not made by the replayed run")
+    fast_end = [mem.checkpoint() for mem in spaces]
+    side_fast = side_state()
+    for mem, cp in zip(spaces, ref_end):
+        mem.rollback(cp)
+    restore_side(side_ref)
+    if diff is None:
+        diffs = (mem.first_difference(cp) for mem, cp in zip(spaces, fast_end))
+        diff = next((d for d in diffs if d), None)
+    if diff is None and side_fast != side_ref:
+        diff = "output or state differs at exit"
+    return got, ref, diff

@@ -25,6 +25,7 @@ from typing import Optional
 from repro.cfront import astnodes as A
 from repro.cfront.ctypes_ import CType
 from repro.cfront.errors import CFrontError
+from repro.cfront.hostcompile import HostPlans
 from repro.cfront.interp import Machine
 from repro.cfront.parser import parse_translation_unit
 from repro.cfront.unparse import unparse
@@ -101,10 +102,30 @@ class CompiledProgram:
     kernel_sources: dict[str, str]
     images: dict[str, object]
     declare_target_globals: dict[str, CType] = field(default_factory=dict)
+    #: the kernel whose module owns each declare-target global
+    declare_target_owners: dict[str, str] = field(default_factory=dict)
+    #: the host program's plans (:class:`HostPlans`, which analyses each
+    #: loop and function on first use): one object shared by every run and
+    #: every copy ``dataclasses.replace`` makes of the program, never pickled
+    host_plans: Optional[HostPlans] = field(default=None, repr=False,
+                                            compare=False)
+
+    def __post_init__(self):
+        if self.host_plans is None:
+            self.host_plans = HostPlans(self.host_unit)
 
     @property
     def host_source(self) -> str:
         return unparse(self.host_unit)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["host_plans"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.host_plans = HostPlans(self.host_unit)
 
     def image_for_arch(self, kernel_name: str, arch: Optional[str]):
         """The kernel's image, retargeted for ``arch`` when needed.
@@ -152,15 +173,7 @@ class CompiledProgram:
         # give declare-target globals their device residence (eager load of
         # the owning kernel module; see Ort.bind_declare_target)
         for gname, gtype in self.declare_target_globals.items():
-            owner = None
-            for plan in self.plans:
-                for node in plan.kernel_unit.decls:
-                    if isinstance(node, A.GlobalDecl) and any(
-                            d.name == gname for d in node.decls):
-                        owner = plan.kernel_name
-                        break
-                if owner:
-                    break
+            owner = self.declare_target_owners.get(gname)
             if owner is not None and gname in machine.globals:
                 binding = machine.global_binding(gname)
                 ort.bind_declare_target(gname, binding.addr,
@@ -192,7 +205,8 @@ class CompiledProgram:
             launch_mode=launch_mode, ompt=ompt,
             recovery=first(recovery, self.config.recovery))
         machine = Machine(self.host_unit, heap_capacity=heap_capacity,
-                          host_fastpath=s.host_fastpath)
+                          host_fastpath=s.host_fastpath,
+                          plans=self.host_plans)
         ort = Ort(machine, registry)
         self.bind(ort, seed_arrays=seed_arrays)
         exit_code = machine.run() if main else 0
@@ -344,6 +358,13 @@ class OmpiCompiler:
                 kernel_file_unit(plan), plan.kernel_name,
                 mode=self.config.binary_mode, arch=self.config.arch,
             )
+        # the first kernel file that defines each declare-target global
+        owners: dict[str, str] = {}
+        for plan in plans:
+            for node in plan.kernel_unit.decls:
+                if isinstance(node, A.GlobalDecl):
+                    for d in node.decls:
+                        owners.setdefault(d.name, plan.kernel_name)
         return CompiledProgram(
             name=name,
             config=self.config,
@@ -352,6 +373,8 @@ class OmpiCompiler:
             kernel_sources=kernel_sources,
             images=images,
             declare_target_globals=declare_globals,
+            declare_target_owners={g: owners[g] for g in declare_globals
+                                   if g in owners},
         )
 
     @staticmethod

@@ -68,6 +68,7 @@ class KernelPlan:
     kernel_name: str
     mode: str                              # 'combined' | 'mw'
     params: list[CapturedVar]
+    #: the kernel file's tree; None in a program loaded from the disk cache
     kernel_unit: A.TranslationUnit
     #: for combined kernels: per-loop iteration-count expressions written in
     #: terms of *host* variable names (evaluated at the launch site)
@@ -85,6 +86,13 @@ class KernelPlan:
     #: 'tree' (deterministic warp-shuffle/shared-memory/copy-back tree)
     #: or 'atomic' (legacy order-dependent global-atomic merge baseline)
     reduction_mode: str = "tree"
+
+    def __getstate__(self):
+        # the kernel file's tree serves compilation only: a stored program
+        # keeps the kernel text and image, not the tree
+        state = dict(self.__dict__)
+        state["kernel_unit"] = None
+        return state
 
 
 def flatten_construct(pragma: A.PragmaStmt) -> tuple[Directive, A.Stmt]:

@@ -604,7 +604,8 @@ class OffloadServer:
             prog = self.compile_cache.get(req.source, req.name, self.config)
             machine = Machine(prog.host_unit,
                               heap_capacity=req.heap_capacity,
-                              host_fastpath=self.host_fastpath)
+                              host_fastpath=self.host_fastpath,
+                              plans=prog.host_plans)
             if task is not None:
                 mod.base_stream = task.stream
             dataenvs = {

@@ -854,7 +854,7 @@ def _run_reduction(workload, variant, devices=None):
                                    devices=devices)).compile(
         sources[variant], f"{workload}_{variant}")
     run = prog.run(launch_mode="full", seed_arrays=seed,
-                   heap_capacity=bench_reductions.HEAP)
+                   heap_capacity=bench_reductions.HEAP, faults=False)
     assert run.exit_code == 0
     # a verify divergence would be retried and then run on the host
     assert run.ort.fault_stats == {}
@@ -920,7 +920,7 @@ def test_sampled_launches_merge_their_picks(name, monkeypatch):
                                    kernel_fastpath="verify")).compile(
         app.omp_source(n), harness._prog_name(app, n))
     run = prog.run(launch_mode="sample", seed_arrays=app.seed(n),
-                   heap_capacity=harness._heap_capacity(app, n))
+                   heap_capacity=harness._heap_capacity(app, n), faults=False)
     assert run.exit_code == 0
     assert run.ort.fault_stats == {}
     assert launches
@@ -963,14 +963,16 @@ def _pinned_programs():
                OmpiConfig(block_shape=app.block_shape,
                           kernel_fastpath="verify"),
                dict(seed_arrays=app.seed(n),
-                    heap_capacity=harness._heap_capacity(app, n)))
+                    heap_capacity=harness._heap_capacity(app, n),
+                    faults=False))
     for workload in bench_reductions.WORKLOADS:
         sources, seed, _arr = bench_reductions._sources(
             workload, _RED_SIZES[workload])
         for variant, src in sources.items():
             yield (f"{workload}_{variant}", src,
                    OmpiConfig(kernel_fastpath="verify"),
-                   dict(seed_arrays=seed, heap_capacity=bench_reductions.HEAP))
+                   dict(seed_arrays=seed, heap_capacity=bench_reductions.HEAP,
+                        faults=False))
 
 
 def test_communicates_is_pinned_for_suite_and_reduction_kernels():
@@ -1083,7 +1085,8 @@ def test_on_mode_never_walks_the_tree(monkeypatch):
                                        kernel_fastpath="on")).compile(
             app.omp_source(n), harness._prog_name(app, n))
         run = prog.run(launch_mode="full", seed_arrays=app.seed(n),
-                       heap_capacity=harness._heap_capacity(app, n))
+                       heap_capacity=harness._heap_capacity(app, n),
+                       faults=False)
         assert run.exit_code == 0
         assert run.ort.fault_stats == {}
         ran.update((f"{name}:{k.rsplit('_', 1)[1]}", w)
@@ -1097,7 +1100,7 @@ def test_on_mode_never_walks_the_tree(monkeypatch):
                             (CRITICAL_ATOMIC, "critical_on",
                              {"total": np.array([96, 192])})):
         run = OmpiCompiler(OmpiConfig(kernel_fastpath="on")).compile(
-            src, name).run()
+            src, name).run(faults=False)
         assert run.exit_code == 0
         assert run.ort.fault_stats == {}
         cache = run.ort.cudadev.driver.kernel_cache
@@ -1214,7 +1217,7 @@ def test_suite_app_block_wide_matches_tree_walk(name, launch_mode,
                                      harness._prog_name(app, n))
     run = prog.run(launch_mode=launch_mode,
                    seed_arrays=app.seed(n),
-                   heap_capacity=harness._heap_capacity(app, n))
+                   heap_capacity=harness._heap_capacity(app, n), faults=False)
     assert run.exit_code == 0
     assert run.ort.fault_stats == {}
     assert widths

@@ -29,6 +29,16 @@ def _tree_walked_loop(src) -> Machine:
     return m
 
 
+def _unplanned_loop(src) -> Machine:
+    """Run ``src`` with the fast path on and assert its one loop got no
+    loop plan: the compiled ``main`` ran it one iteration at a time."""
+    m = run(src, host_fastpath="on")
+    assert m.host_stats["loop_fast"] == 0
+    assert m.host_stats["loop_fallback"] == 0
+    assert m.host_stats["fn_fast"] == 1
+    return m
+
+
 def test_simple_init_vectorized_matches():
     m = run("""
     float x[1000];
@@ -166,7 +176,7 @@ def test_loop_carried_dependence_not_vectorized():
         return 0;
     }
     """
-    m = _tree_walked_loop(src)
+    m = _unplanned_loop(src)
     # and the interpreted fallback is still correct
     assert list(m.global_array("xs")) == list(range(16))
 
@@ -373,7 +383,7 @@ def test_if_in_body_falls_back():
         return 0;
     }
     """
-    m = _tree_walked_loop(src)
+    m = _unplanned_loop(src)
     assert list(m.global_array("xs")) == [0, 1] * 5
 
 

@@ -308,17 +308,18 @@ int main(void) {
 def test_disk_hit_of_tree_reduction_equals_cold_compile(tmp_path,
                                                         binary_mode):
     """The tree-mode reduction kernel (shuffles, a barrier) comes back
-    from a schema-4 entry exactly as compiled: host text, kernel files
-    and the PTX of every image."""
+    from a schema-5 entry exactly as compiled: host text, kernel files
+    and the PTX of every image.  The stored plans carry no kernel tree,
+    and the declare-target owners survive the round trip."""
     from repro.cuda.ptx.ptxwriter import module_to_ptx
 
-    assert SCHEMA_VERSION == 4
+    assert SCHEMA_VERSION == 5
     config = OmpiConfig(binary_mode=binary_mode, reduction_mode="tree")
     root = tmp_path / "store"
     cold_cache = CompileCache(disk=DiskCompileCache(root))
     cold = cold_cache.get(REDUCTION_SRC, "red", config)
     assert cold_cache.store_errors == 0
-    assert list((root / "v4").glob("*.pkl"))
+    assert list((root / "v5").glob("*.pkl"))
     warm_cache = CompileCache(disk=DiskCompileCache(root))
     hit = warm_cache.get(REDUCTION_SRC, "red", config)
     assert warm_cache.disk_hits == 1 and warm_cache.compiles == 0
@@ -326,6 +327,8 @@ def test_disk_hit_of_tree_reduction_equals_cold_compile(tmp_path,
     assert hit.host_source == cold.host_source
     assert hit.kernel_sources == cold.kernel_sources
     assert sorted(hit.images) == sorted(cold.images)
+    assert all(plan.kernel_unit is None for plan in hit.plans)
+    assert hit.declare_target_owners == cold.declare_target_owners
     for name, image in cold.images.items():
         assert module_to_ptx(hit.images[name].module) == \
             module_to_ptx(image.module)

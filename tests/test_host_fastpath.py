@@ -201,16 +201,18 @@ def test_untaken_conditional_arm_is_not_evaluated(mode):
 @pytest.mark.parametrize("mode", ["off", "on", "verify"])
 def test_refused_dry_pass_falls_back_in_every_mode(mode):
     """``a[idx[i]] +=`` with repeated cells: the dry pass refuses the
-    loop before any store, and every mode tree-walks it."""
+    loop before any store, and every mode runs it one iteration at a
+    time (the compiled ``main`` as compiled statements)."""
     machine = Machine(parse_translation_unit(DRY_REFUSED_SRC, "dry.c"),
                       host_fastpath=mode)
     machine.run()
     assert machine.output() == "6 15 12 9 0 0 0 0 \n"
     hs = machine.host_stats
     if mode != "off":
-        # the fill loop compiles; the refused loop and the printing loop
-        # fall back
-        assert (hs["loop_fast"], hs["loop_fallback"]) == (1, 2), hs
+        # the fill loop runs by its plan; the refused loop and the
+        # printing loop run one iteration at a time in the compiled main
+        assert (hs["loop_fast"], hs["loop_fallback"], hs["fn_fast"]) \
+            == (1, 0, 1), hs
 
 
 def test_function_fastpath_counts():
@@ -636,7 +638,10 @@ def _check_nest_program(src: str, path: str) -> None:
     nest took ``path``: ``whole``, ``rows`` or ``tree`` for a two-level
     nest; ``loop`` (compiled whole), ``loop_iter`` (compiled one
     iteration at a time) or ``loop_tree`` for a single loop, which runs
-    after the compiled seed loop of :func:`_program`."""
+    after the compiled seed loop of :func:`_program`.  The compiled
+    ``main`` runs a ``tree`` or ``loop_tree`` loop one iteration at a
+    time, with no loop plan: it counts as neither a compiled loop nor a
+    tree-walked one."""
     ref = _run_nest_program(src, "off")
     with mock.patch.object(hostcompile, "_run_rows",
                            wraps=hostcompile._run_rows) as rows:
@@ -652,13 +657,13 @@ def _check_nest_program(src: str, path: str) -> None:
         assert (hs["nest_whole"], hs["nest_rows"]) == (0, 1), (hs, src)
     elif path == "tree":
         assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
-        assert hs["loop_fallback"] >= 1, (hs, src)
+        assert (hs["fn_fast"], hs["loop_fallback"]) == (1, 0), (hs, src)
     else:
-        # a single loop counts only as a compiled (or refused) loop
+        # a single loop counts only as a compiled loop
         assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
         compiled = path != "loop_tree"
         assert (hs["loop_fast"], hs["loop_fallback"]) \
-            == (1 + compiled, 1 - compiled), (hs, src)
+            == (1 + compiled, 0), (hs, src)
         assert rows.call_count == (path == "loop_iter"), (path, src)
 
 

@@ -215,7 +215,7 @@ def test_property_block_of_matches_allocation_map(ops, probes):
 
 
 def _allocator_state(mem):
-    return ([(b.addr, b.size) for b in mem._free], dict(mem._allocated),
+    return (list(mem._free), dict(mem._allocated),
             list(mem._starts))
 
 
