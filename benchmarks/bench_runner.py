@@ -242,11 +242,13 @@ def host_failures(records: list[dict], budget: dict) -> list[str]:
                        f"cache")
         name = label.partition(":")[0]
         nests = HOST_NESTS.get(name, 0)
-        if (cc["nest_whole"], cc["nest_rows"], cc["loop_fallback"]) \
-                != (nests, HOST_ROW_NESTS.get(name, 0), 0):
+        if (cc["nest_whole"], cc["nest_rows"], cc["loop_fallback"],
+                cc["loop_unplanned"]) \
+                != (nests, HOST_ROW_NESTS.get(name, 0), 0, 0):
             out.append(f"{label}: {cc['nest_whole']}/{nests} nests ran "
                        f"whole, {cc['nest_rows']} per row, "
-                       f"{cc['loop_fallback']} loops tree-walked")
+                       f"{cc['loop_fallback']} loops tree-walked, "
+                       f"{cc['loop_unplanned']} run with no loop plan")
         if cc["fn_fallback"] != 0:
             out.append(f"{label}: {cc['fn_fallback']} functions "
                        f"tree-walked (the offload driver runs compiled)")

@@ -143,7 +143,6 @@ time.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -198,8 +197,6 @@ _PURE_NATIVES = frozenset(_VEC_MATH_EXACT) | frozenset({
 })
 
 _SCALAR_OPS = frozenset({"+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^"})
-#: binary operators whose value is an int 0 or 1 whatever their operands
-_INT_RESULT_OPS = frozenset({"<", ">", "<=", ">=", "==", "!=", "&&", "||"})
 _REDUCE_OPS = frozenset({"+", "-", "*", "/"})
 _REDUCE_UFUNC = {"+": np.add, "-": np.subtract, "*": np.multiply,
                  "/": np.divide}
@@ -247,7 +244,11 @@ class HostPlans:
         hands over whole (its init already run), or None."""
         entry = self.loops.get(id(stmt))
         if entry is None:
-            entry = self.loops[id(stmt)] = (stmt, _analyze_loop(stmt, True))
+            try:
+                spec = _analyze_loop(stmt, True)
+            except _Bail:        # a closure of the plan cannot be built
+                spec = None
+            entry = self.loops[id(stmt)] = (stmt, spec)
         return entry[1]
 
     def fn(self, defn: A.FuncDef) -> Optional["FnSpec"]:
@@ -360,8 +361,6 @@ class FnSpec:
     params: list                 # (name, decayed ctype)
     stmts: list                  # closures over a Frame
     ret: Optional[Callable]      # None = void / no return value
-    #: calls a native outside _PURE_NATIVES (verify replays them)
-    impure: bool
     #: names whose cached values a native call or a store may stale:
     #: non-array globals and address-taken locals
     volatile: frozenset
@@ -520,7 +519,8 @@ def _analyze_loop(stmt: A.For, top: bool) -> Optional[LoopSpec]:
     if not (isinstance(cond.left, A.Ident) and cond.left.name == var):
         return None
     bound_names = _invariant_names(cond.right)
-    if bound_names is None or var in bound_names:
+    if bound_names is None or var in bound_names \
+            or not _expr_ok(cond.right, vector=False):
         return None
     if init is not None and init[0] == "set" \
             and not _expr_ok(init[1], vector=False):
@@ -768,8 +768,7 @@ def _analyze_fn(plans: HostPlans, defn: A.FuncDef) -> Optional[FnSpec]:
             else comp.expr(final.value)
     except _Bail:
         return None
-    return FnSpec(defn.name, params, stmts, ret, comp.impure,
-                  frozenset(comp.volatile))
+    return FnSpec(defn.name, params, stmts, ret, frozenset(comp.volatile))
 
 
 # --------------------------------------------------------------------------
@@ -777,17 +776,6 @@ def _analyze_fn(plans: HostPlans, defn: A.FuncDef) -> Optional[FnSpec]:
 # --------------------------------------------------------------------------
 
 _U64_MASK = (1 << 64) - 1
-
-#: struct format of each scalar cell: the byte order of LinearMemory's
-#: numpy views, standard sizes
-_FORMATS = {
-    ("char", True): "=b", ("char", False): "=B",
-    ("short", True): "=h", ("short", False): "=H",
-    ("int", True): "=i", ("int", False): "=I",
-    ("long", True): "=q", ("long", False): "=Q",
-    ("float", True): "=f", ("double", True): "=d",
-}
-
 
 def _canon(value, ctype: CType):
     """Round a scalar exactly as a store+load through ``ctype`` would
@@ -827,21 +815,22 @@ def _scalar_io(ctype: CType) -> tuple:
     pointer, which :meth:`Frame.canon` retypes; :func:`_not_scalar` for a
     type no scalar store reaches), the ``struct`` packer of its cell, the
     cell's size and alignment, the value of a zeroed cell and the
-    ``struct`` reader of its cell."""
+    ``struct`` reader of its cell.  The cell's format is its numpy
+    dtype's character code, which names the same native C type, so
+    ``struct`` reads and writes the bytes of LinearMemory's views."""
     io = _IO.get(ctype)
     if io is not None:
         return io
     if isinstance(ctype, PointerType):
-        canon, cell = None, struct.Struct("=Q")
+        canon = None
     elif isinstance(ctype, BasicType) and not ctype.is_void:
-        key = (ctype.kind, ctype.signed or ctype.is_floating)
         canon = (np.float32 if ctype.kind == "float" else float) \
             if ctype.is_floating \
-            else _int_canon(8 * ctype.sizeof(), key[1])
-        cell = struct.Struct(_FORMATS[key])
+            else _int_canon(8 * ctype.sizeof(), ctype.signed)
     else:
         io = _IO[ctype] = (_not_scalar, None)
         return io
+    cell = struct.Struct(ctype.dtype().char)
     io = _IO[ctype] = (canon, cell.pack_into, ctype.sizeof(),
                        ctype.alignof(), 0 if canon is None else canon(0),
                        cell.unpack_from)
@@ -1152,17 +1141,6 @@ def _eval(frame: Frame, e: A.Expr):
     return entry[1](frame)
 
 
-_INT_FAST = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "<": lambda a, b: 1 if a < b else 0,
-    ">": lambda a, b: 1 if a > b else 0,
-    "<=": lambda a, b: 1 if a <= b else 0,
-    ">=": lambda a, b: 1 if a >= b else 0,
-    "==": lambda a, b: 1 if a == b else 0,
-    "!=": lambda a, b: 1 if a != b else 0,
-}
-
-
 class _Compiler:
     """Builds the closures of one function's statements (``plans`` given:
     names resolve at build time against its scopes and the program's
@@ -1176,8 +1154,6 @@ class _Compiler:
     def __init__(self, plans: Optional[HostPlans] = None, params=()):
         self.plans = plans
         self.scopes: list = [dict(params)]
-        #: calls a native outside _PURE_NATIVES
-        self.impure = False
         #: non-array globals and address-taken locals (Frame.invalidate)
         self.volatile: set = set()
         #: ids of the literal-only subtrees compiled so far
@@ -1240,27 +1216,6 @@ class _Compiler:
                 return rt.decay()
             return usual_arithmetic(lt, rt)
         raise _Bail()
-
-    def _int_valued(self, e: A.Expr) -> bool:
-        """Whether ``e`` always evaluates to a Python int (a compiled
-        function's variables hold their type's values)."""
-        t = type(e)
-        if t in (A.IntLit, A.CharLit, A.SizeofType, A.SizeofExpr):
-            return True
-        if t is A.Cast:
-            return isinstance(e.type, BasicType) and e.type.is_integer
-        if t is A.Binary:
-            return e.op in _INT_RESULT_OPS or e.op in _SCALAR_OPS \
-                and self._int_valued(e.left) and self._int_valued(e.right)
-        if t is A.Unary and e.op in ("-", "+", "~", "!"):
-            return e.op == "!" or self._int_valued(e.operand)
-        if t is A.Ident or t is A.Index or t is A.Unary and e.op == "*":
-            try:
-                st = self.static_type(e)
-            except _Bail:
-                return False
-            return isinstance(st, BasicType) and st.is_integer
-        return False
 
     # -- expressions ------------------------------------------------------
     def expr(self, e: A.Expr) -> Callable:
@@ -1329,26 +1284,7 @@ class _Compiler:
         if op == "||":
             return lambda f: 1 if _truthy(lhs(f)) \
                 else (1 if _truthy(rhs(f)) else 0)
-        fast = _INT_FAST.get(op)
-        if fast is None:
-            return lambda f: apply_binop(op, lhs(f), rhs(f), loc)
-        if type(e.right) is A.IntLit or type(e.right) is A.CharLit:
-            c = e.right.value
-
-            def binop_lit(f):
-                a = lhs(f)
-                if type(a) is int:
-                    return fast(a, c)
-                return apply_binop(op, a, c, loc)
-            return binop_lit
-
-        def binop(f):
-            a = lhs(f)
-            b = rhs(f)
-            if type(a) is int and type(b) is int:
-                return fast(a, b)
-            return apply_binop(op, a, b, loc)
-        return binop
+        return lambda f: apply_binop(op, lhs(f), rhs(f), loc)
 
     def _unary(self, e: A.Unary) -> Callable:
         op = e.op
@@ -1373,9 +1309,6 @@ class _Compiler:
 
     def _cast(self, e: A.Cast) -> Callable:
         target, v = e.type, self.expr(e.operand)
-        if self.plans is not None and isinstance(target, BasicType) \
-                and target.is_integer and self._int_valued(e.operand):
-            return v           # a Python int casts to itself
         if isinstance(target, PointerType):
             pointee = target.pointee
 
@@ -1414,26 +1347,13 @@ class _Compiler:
             raise _Bail()
         args = [self.expr(a) for a in e.args]
         pure = name in _PURE_NATIVES
-        self.impure |= not pure
-        # arguments left to right, as Machine._eval_call (spelt out for
-        # the usual counts: a comprehension costs a call of its own)
-        if len(args) == 2:
-            a0, a1 = args
-            values = lambda f: [a0(f), a1(f)]
-        elif len(args) == 3:
-            a0, a1, a2 = args
-            values = lambda f: [a0(f), a1(f), a2(f)]
-        elif len(args) == 4:
-            a0, a1, a2, a3 = args
-            values = lambda f: [a0(f), a1(f), a2(f), a3(f)]
-        else:
-            values = lambda f: [a(f) for a in args]
+        # arguments left to right, as Machine._eval_call
 
         def call(f):
             native = f.natives.get(name)
             if native is None:
                 raise InterpError(f"undeclared identifier {name!r}", loc)
-            result = native(f.machine, values(f), loc)
+            result = native(f.machine, [a(f) for a in args], loc)
             if not pure:
                 f.invalidate()
             return result
@@ -1611,7 +1531,7 @@ class _Compiler:
     def _for(self, s: A.For) -> Callable:
         """A ``for`` in its own scope: run whole by its loop plan when
         there is one, else (or when its dry pass refuses) one iteration
-        at a time (Machine._exec_for)."""
+        at a time (Machine._exec_for), counted as ``loop_unplanned``."""
         self.scopes.append({})
         try:
             init = _noop if s.init is None else self.stmt(s.init)
@@ -1633,6 +1553,7 @@ class _Compiler:
                 init(f)
                 if spec is not None and _run_plan(f, spec):
                     return
+                f.machine.host_stats["loop_unplanned"] += 1
                 while cond is None or _truthy(cond(f)):
                     body(f)
                     if step is not None:
@@ -2583,8 +2504,8 @@ def _results_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _verified(machine, fast, reference, what: str, counter: str):
-    """Run the compiled region ``fast``, then from the same memory its
+def _verified(machine, fast, reference, what: str):
+    """Run the compiled loop ``fast``, then from the same memory its
     tree-walk ``reference`` with the host fast path off
     (:func:`repro.mem.differential_run`); memory and the result must
     agree, and the reference's result is returned."""
@@ -2603,31 +2524,32 @@ def _verified(machine, fast, reference, what: str, counter: str):
     if diff:
         raise HostFastpathVerifyError(
             f"host fastpath verify: {what} diverged — {diff}")
-    machine.host_stats[counter] += 1
+    machine.host_stats["loop_fast"] += 1
     return ref
 
 
 def _outcome_difference(got, ref) -> Optional[str]:
-    """How two ``(raised, value)`` outcomes of a function differ."""
+    """How two ``(raised, value)`` outcomes of a function differ: an
+    error (or ``exit``) of another type or message, or another value."""
     (got_raised, got), (ref_raised, ref) = got, ref
-    if got_raised != ref_raised or got_raised and type(got) is not type(ref):
-        return f"outcome {got!r} != {ref!r}"
-    if got_raised:
-        return None if getattr(got, "code", None) == getattr(ref, "code", None) \
-            else f"exit code {got.code} != {ref.code}"
+    if got_raised or ref_raised:
+        return None if got_raised == ref_raised and type(got) is type(ref) \
+            and str(got) == str(ref) else f"outcome {got!r} != {ref!r}"
     return None if _results_equal(got, ref) \
         else f"return value {got!r} != {ref!r}"
 
 
 def _replayed(machine, run, reference, what: str):
-    """Verify a compiled function that calls side-effecting natives,
-    which cannot run twice (they launch kernels, move clocks and emit
-    profiler records): the tree walk ``reference`` runs with the real
-    natives recorded, then ``run(natives)`` against their replay
-    (:func:`repro.mem.replay_run`).  The reference's state is the one
-    that stays; the host stats are the compiled run's, plus what the
-    recorded calls counted (regions verified inside them)."""
-    natives = machine.natives
+    """Verify a compiled function.  The natives it may call outside
+    _PURE_NATIVES cannot run twice (they launch kernels, move clocks and
+    emit profiler records): the tree walk ``reference`` runs with the
+    host fast path off and those natives recorded, then ``run(natives)``
+    against their replay (:func:`repro.mem.replay_run`).  A recorded
+    native runs in verify mode, so the host code it calls back into is
+    verified as usual.  The reference's state is the one that stays; the
+    host stats are the compiled run's, plus what the recorded calls
+    counted (regions verified inside them)."""
+    natives, mode = machine.natives, machine.host_fastpath
     impure = [name for name in natives if name not in _PURE_NATIVES]
     pool = machine._string_pool
     stats = machine.host_stats
@@ -2650,9 +2572,11 @@ def _replayed(machine, run, reference, what: str):
 
             def invoke():
                 before = dict(stats)
+                machine.host_fastpath = mode
                 try:
                     return fn(m, args, loc)
                 finally:
+                    machine.host_fastpath = "off"
                     counted.append({k: v - before[k]
                                     for k, v in stats.items()})
             return recorder.call(name, args, invoke)
@@ -2662,10 +2586,12 @@ def _replayed(machine, run, reference, what: str):
             table[name] = (lambda m, args, loc, name=name, fn=natives[name]:
                            recorded(m, args, loc, name, fn))
         machine.natives = table
+        machine.host_fastpath = "off"
         try:
             return reference()
         finally:
             machine.natives = natives
+            machine.host_fastpath = mode
 
     def replaying(replayer):
         def replayed(name, args):
@@ -2724,7 +2650,7 @@ def exec_for_fastpath(machine, stmt: A.For, env) -> bool:
         if machine.host_fastpath == "verify":
             _verified(machine, lambda: _exec_loop(machine, frame, spec),
                       lambda: machine.run_for_loop(stmt, env),
-                      f"loop at {stmt.loc}", "loop_fast")
+                      f"loop at {stmt.loc}")
             return True
         _exec_loop(machine, frame, spec)
     except _BailDry:
@@ -2785,14 +2711,9 @@ def maybe_call_compiled(machine, fn, args, loc=None):
             frame.release(0)
 
     if machine.host_fastpath == "verify":
-        what = f"{spec.name}()"
-
-        def reference():
-            return machine._call_interpreted(fn, args, loc)
-        if spec.impure:
-            return True, _replayed(machine, run, reference, what)
-        return True, _verified(machine, lambda: run(machine.natives),
-                               reference, what, "fn_fast")
+        return True, _replayed(
+            machine, run, lambda: machine._call_interpreted(fn, args, loc),
+            f"{spec.name}()")
     try:
         result = run(machine.natives)
     except _Bail as exc:

@@ -169,7 +169,7 @@ class Machine:
         self._rand_state = 1
         self.host_fastpath = resolve_host_fastpath(host_fastpath)
         self.host_stats: dict[str, int] = {
-            "loop_fast": 0, "loop_fallback": 0,
+            "loop_fast": 0, "loop_fallback": 0, "loop_unplanned": 0,
             "fn_fast": 0, "fn_fallback": 0, "verified_regions": 0,
             "nest_whole": 0, "nest_rows": 0,
         }

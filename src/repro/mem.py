@@ -502,11 +502,16 @@ def replay_run(spaces: Sequence[LinearMemory], reference: Callable,
     :class:`CallRecorder`.  Every space and the side state then roll
     back to the start, and ``fast(replayer)`` runs against a
     :class:`CallReplayer` of the recording.  At the end the spaces and
-    the side state must equal the reference's.
+    the side state must equal the reference's, unless the fast run
+    raised an error of its own (not one a replayed call raised): a
+    failing run stops storing where it fails, so, as when the fast side
+    of :func:`differential_run` raises, its state stays and only the
+    errors can be compared, which is the caller's part.
 
     Returns both outcomes as ``(raised, value)`` pairs (the fast one None
     when it diverged mid-run) and the first difference, or None.  The
-    spaces and the side state are left as the reference left them."""
+    spaces and the side state are left as the reference left them (as
+    the fast run left them when it failed on its own)."""
     start = [mem.checkpoint() for mem in spaces]
     side_start = side_state()
     recorder = CallRecorder(spaces, side_state)
@@ -526,6 +531,9 @@ def replay_run(spaces: Sequence[LinearMemory], reference: Callable,
     if diff is None and replayer.next < len(recorder.calls):
         diff = (f"call {replayer.next} ({recorder.calls[replayer.next].name})"
                 f" was not made by the replayed run")
+    if diff is None and got[0] and not any(
+            rec.raised and rec.value is got[1] for rec in recorder.calls):
+        return got, ref, None
     fast_end = [mem.checkpoint() for mem in spaces]
     side_fast = side_state()
     for mem, cp in zip(spaces, ref_end):

@@ -55,10 +55,11 @@ PASSING = {
             rec(f"{w}:96/off", wall_s=2.0, compiles=1, disk_hits=0),
             rec(f"{w}:96/on", wall_s=0.05, compiles=0, disk_hits=1,
                 nest_whole=bench_runner.HOST_NESTS[w], nest_rows=0,
-                loop_fallback=0, fn_fallback=0))]
+                loop_fallback=0, loop_unplanned=0, fn_fallback=0))]
         + [rec("triangle:128/off", wall_s=2.0, compiles=1, disk_hits=0),
            rec("triangle:128/on", wall_s=0.05, compiles=0, disk_hits=1,
-               nest_whole=0, nest_rows=2, loop_fallback=0, fn_fallback=0)],
+               nest_whole=0, nest_rows=2, loop_fallback=0, loop_unplanned=0,
+               fn_fallback=0)],
         {}),
     "profile-overhead": (
         [rec(f"gramschmidt:256/{m}", wall_s=1.0 if m == "off" else 1.05,
@@ -114,6 +115,9 @@ BROKEN = [
      "mvt:96: 1/2 nests ran whole, 1 per row"),
     ("host-fastpath", 5, dict(nest_whole=1, loop_fallback=1),
      "atax:96: 1/2 nests ran whole, 0 per row, 1 loops tree-walked"),
+    ("host-fastpath", 1, dict(loop_unplanned=1),
+     "gemm:96: 1/1 nests ran whole, 0 per row, 0 loops tree-walked, "
+     "1 run with no loop plan"),
     ("host-fastpath", 1, dict(fn_fallback=1),
      "gemm:96: 1 functions tree-walked"),
     ("host-fastpath", [1, 3], dict(wall_s=0.5),

@@ -35,6 +35,7 @@ def _unplanned_loop(src) -> Machine:
     m = run(src, host_fastpath="on")
     assert m.host_stats["loop_fast"] == 0
     assert m.host_stats["loop_fallback"] == 0
+    assert m.host_stats["loop_unplanned"] == 1
     assert m.host_stats["fn_fast"] == 1
     return m
 

@@ -43,6 +43,9 @@ MODES = ("off", "on", "verify")
 #: the six Figure-4 apps at small sizes
 FIG4_POINTS = (("3dconv", 16), ("bicg", 32), ("atax", 32), ("mvt", 32),
                ("gemm", 16), ("gramschmidt", 16))
+#: loops a compiled ``main`` runs one iteration at a time, with no loop
+#: plan: gramschmidt's ``k`` loop of three target regions
+UNPLANNED_LOOPS = {"gramschmidt:16": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +346,7 @@ def test_no_function_or_loop_is_tree_walked(name, source, config, kw):
     hs = run.machine.host_stats
     assert hs["fn_fast"] >= 1
     assert (hs["fn_fallback"], hs["loop_fallback"]) == (0, 0), hs
+    assert hs["loop_unplanned"] == UNPLANNED_LOOPS.get(name, 0), hs
 
 
 # ---------------------------------------------------------------------------

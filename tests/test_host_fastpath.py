@@ -211,8 +211,41 @@ def test_refused_dry_pass_falls_back_in_every_mode(mode):
     if mode != "off":
         # the fill loop runs by its plan; the refused loop and the
         # printing loop run one iteration at a time in the compiled main
-        assert (hs["loop_fast"], hs["loop_fallback"], hs["fn_fast"]) \
-            == (1, 0, 1), hs
+        assert (hs["loop_fast"], hs["loop_unplanned"], hs["loop_fallback"],
+                hs["fn_fast"]) == (1, 2, 0, 1), hs
+
+
+SIZEOF_BOUND_SRC = r"""
+double a[8];
+double b[8];
+void fill(void) {
+    int i;
+    for (i = 0; i < sizeof(double); i++) b[i] = 2 * i;
+}
+int main() {
+    int i;
+    for (i = 0; i < sizeof(double); i++) a[i] = i;
+    fill();
+    printf("%d %d\n", (int)a[7], (int)b[7]);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "verify"])
+def test_sizeof_loop_bound_gets_no_plan(mode):
+    """A ``sizeof`` bound is outside the loop-plan subset: the loop gets
+    no plan, in a tree-walked ``main`` (it calls a user function) and in
+    a compiled ``fill``, and runs correctly in every mode."""
+    machine = Machine(parse_translation_unit(SIZEOF_BOUND_SRC, "sz.c"),
+                      host_fastpath=mode)
+    machine.run()
+    assert machine.output() == "7 14\n"
+    hs = machine.host_stats
+    if mode != "off":
+        assert (hs["fn_fallback"], hs["fn_fast"], hs["loop_fast"],
+                hs["loop_fallback"], hs["loop_unplanned"]) \
+            == (1, 1, 0, 1, 1), hs
 
 
 def test_function_fastpath_counts():
@@ -640,8 +673,7 @@ def _check_nest_program(src: str, path: str) -> None:
     iteration at a time) or ``loop_tree`` for a single loop, which runs
     after the compiled seed loop of :func:`_program`.  The compiled
     ``main`` runs a ``tree`` or ``loop_tree`` loop one iteration at a
-    time, with no loop plan: it counts as neither a compiled loop nor a
-    tree-walked one."""
+    time, with no loop plan (``loop_unplanned``)."""
     ref = _run_nest_program(src, "off")
     with mock.patch.object(hostcompile, "_run_rows",
                            wraps=hostcompile._run_rows) as rows:
@@ -658,12 +690,13 @@ def _check_nest_program(src: str, path: str) -> None:
     elif path == "tree":
         assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
         assert (hs["fn_fast"], hs["loop_fallback"]) == (1, 0), (hs, src)
+        assert hs["loop_unplanned"] >= 1, (hs, src)
     else:
         # a single loop counts only as a compiled loop
         assert hs["nest_whole"] == hs["nest_rows"] == 0, (hs, src)
         compiled = path != "loop_tree"
-        assert (hs["loop_fast"], hs["loop_fallback"]) \
-            == (1 + compiled, 0), (hs, src)
+        assert (hs["loop_fast"], hs["loop_unplanned"], hs["loop_fallback"]) \
+            == (1 + compiled, 1 - compiled, 0), (hs, src)
         assert rows.call_count == (path == "loop_iter"), (path, src)
 
 
