@@ -123,13 +123,13 @@ Modes (``REPRO_HOST_FASTPATH``, mirrored by ``OmpiConfig.host_fastpath``):
 * ``off``     pure tree-walk interpreter (no vectorization at all)
 * ``verify``  run every compiled region twice, compiled and tree-walked,
               and require identical allocation maps and bytes in every
-              space; the tree-walk result wins.  A region without
-              side-effecting natives runs compiled first and then, from
-              the same memory, tree-walked (:func:`repro.mem.
-              differential_run`).  A function that calls them (a driver:
-              its natives launch kernels and move clocks) is tree-walked
-              first with the real natives recorded, then compiled against
-              a replay of them (:func:`repro.mem.replay_run`).
+              space; the tree-walk result wins.  A loop the tree walk
+              hands over runs compiled first and then, from the same
+              memory, tree-walked (:func:`repro.mem.differential_run`).
+              A compiled function (a driver's natives launch kernels and
+              move clocks) is tree-walked first with its natives
+              recorded, then compiled against a replay of them
+              (:func:`repro.mem.replay_run`).
 
 Safety model: a region is only committed after a *structural validation*
 pass that resolves every identifier/type without reading memory, so plans
@@ -1347,12 +1347,12 @@ class _Compiler:
             raise _Bail()
         args = [self.expr(a) for a in e.args]
         pure = name in _PURE_NATIVES
-        # arguments left to right, as Machine._eval_call
 
         def call(f):
             native = f.natives.get(name)
             if native is None:
                 raise InterpError(f"undeclared identifier {name!r}", loc)
+            # arguments left to right, as Machine._eval_call
             result = native(f.machine, [a(f) for a in args], loc)
             if not pure:
                 f.invalidate()
